@@ -1,10 +1,14 @@
 """Pairwise edit distances within a question and farthest-point selection.
 
-Two independent engines compute the Levenshtein distance: a bit-parallel
-scanner for exact distances, and a banded dynamic program that touches only
-cells within a diagonal band of width 2*cap+1 and reports "at least cap"
-for anything farther. Selection is greedy max-min dispersion, deterministic
-under explicit tie-breaks.
+One engine computes the Levenshtein distance: Myers's bit-parallel column
+step run on a diagonal band of 2k+1 rows (Hyyrö 2003), which gives the exact
+distance when it is at most k and otherwise reports "more than k". The band
+starts at a hint, the previous pair's distance within a question, and doubles
+until the distance fits or k reaches the cap; a band too narrow is detected
+and widened, so the hint changes only the time taken, never a result. Once
+the band would span the shorter sequence, a full-width scanner runs instead.
+Selection is greedy max-min dispersion, deterministic under explicit
+tie-breaks.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -19,7 +24,10 @@ import numpy as np
 from .filtering import THINK_CLOSE, THINK_OPEN
 from .records import TrajectoryRecord
 
-_INF = np.int64(2 ** 31)
+# smallest starting band; narrower bands save little and double more often
+_MIN_BAND = 32
+# fills the rows past the end of the shorter sequence; equal to nothing
+_PAD = object()
 
 
 class DiversityError(ValueError):
@@ -65,116 +73,104 @@ def _myers_distance(a: Sequence, b: Sequence) -> int:
     return score
 
 
-def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
-    """Unit-cost edit distance between two sequences (characters or tokens)."""
-    a, b = _strip_common(a, b)
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) > len(b):
-        a, b = b, a
-    return _myers_distance(a, b)
+def _band_distance(a: Sequence, b: Sequence, k: int) -> int | None:
+    """Exact distance if it is at most k, else None; needs len(a) <= len(b),
+    len(b) - len(a) <= k and 2k+1 < len(a).
+
+    At column j (b[j-1]) bit r stands for row j-k+r, so the band slides down
+    one row per column and the vertical deltas are stored pre-shifted for
+    the next column. A cell just outside the band reads as a delta of 0 or
+    +1, which never undercuts the in-band minimum. score follows the band's
+    bottom diagonal, D[j+k][j].
+    """
+    m, n = len(a), len(b)
+    mask = (1 << (2 * k + 1)) - 1
+    top = 1 << (2 * k)
+    # pm[ch] = [bits, column]: ch's rows in the band as of that column
+    pm = {ch: [0, -k] for ch in {*a, *b, _PAD}}
+    rows = chain(a, repeat(_PAD, n + k - m))
+    for j, ch in zip(range(1 - k, 1), rows):
+        e = pm[ch]
+        e[0] = (e[0] >> (j - e[1])) | top
+        e[1] = j
+    vp = (mask ^ ((1 << (k + 1)) - 1)) >> 1    # D[i][0] = i for rows 1..k
+    vn = 0
+    score = k
+    # score never falls along a diagonal, and the final walk up n+k-m rows
+    # to row m lowers it by at most one per row
+    give_up = 2 * k + n - m
+    for j, ach, bch in zip(count(1), rows, b):
+        e = pm[ach]
+        e[0] = (e[0] >> (j - e[1])) | top
+        e[1] = j
+        e = pm[bch]
+        x = e[0] >> (j - e[1])
+        d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
+        hp = vn | ((d0 | vp) ^ mask)
+        hn = d0 & vp
+        if not d0 & top:
+            score += 1
+            if score > give_up:
+                return None
+        d0 >>= 1
+        vp = hn | ((d0 | hp) ^ mask)
+        vn = d0 & hp
+    # walk up the last column from row n+k to row m; rows past m match
+    # nothing, so each of their vertical deltas is 0 or +1
+    below = ((1 << (n + k - m)) - 1) << (m - n + k)
+    score -= (vp & below).bit_count()
+    return score if score <= k else None
 
 
-def _codes(seq: Sequence, vocab: dict[Any, int] | None = None) -> np.ndarray:
-    if isinstance(seq, str):
-        return np.frombuffer(seq.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-    if vocab is None:
-        vocab = {}
-    out = np.empty(len(seq), dtype=np.int64)
-    for i, tok in enumerate(seq):
-        out[i] = vocab.setdefault(tok, len(vocab))
-    return out
-
-
-def levenshtein_bounded(a: str | Sequence, b: str | Sequence,
-                        cap: int | float) -> int | None:
+def levenshtein_bounded(a: str | Sequence, b: str | Sequence, cap: int | float,
+                        hint: int = _MIN_BAND) -> int | None:
     """Exact distance when it is below cap, else None meaning "at least cap".
 
-    Uses a banded dynamic program over the diagonals j - i in [-cap, cap],
-    so the work per row is proportional to the band width rather than to
-    the sequence length. cap may be math.inf for a full-width band.
+    The band starts at `hint` (at least the length difference) and doubles
+    until the distance fits or the band reaches cap - 1; `hint` changes the
+    time taken, never the result. cap may be math.inf.
     """
     if cap < 0:
         raise DiversityError("cap must be >= 0")
     a, b = _strip_common(a, b)
+    if len(a) > len(b):
+        a, b = b, a
     m, n = len(a), len(b)
-    if abs(m - n) >= cap:
+    if n - m >= cap:
         return None
-    if m == 0 or n == 0:
-        d = max(m, n)
-        return d if d < cap else None
-
-    finite = math.isfinite(cap)
-    k = min(int(cap), max(m, n)) if finite else max(m, n)
-    width = 2 * k + 1
-
-    vocab: dict[Any, int] = {}
-    acode = _codes(a, vocab)
-    bcode = _codes(b, vocab)
-    # bpad[k + 1 + t] holds b[t]; out-of-range window slots read a -1 filler.
-    bpad = np.full(max(m, n) + 2 * k + 2, -1, dtype=np.int64)
-    bpad[k + 1:k + 1 + n] = bcode
-
-    offs = np.arange(width, dtype=np.int64)
-    prev = np.full(width, _INF, dtype=np.int64)
-    js0 = offs - k
-    base = (js0 >= 0) & (js0 <= n)
-    prev[base] = js0[base]
-    cur = np.empty(width, dtype=np.int64)
-    shifted = np.empty(width, dtype=np.int64)
-
-    for i in range(1, m + 1):
-        # diagonal slot d maps to column j = i + d - k
-        win = bpad[i:i + width]
-        eq = (win != acode[i - 1])
-        np.add(prev, eq, out=cur)
-        shifted[:-1] = prev[1:]
-        shifted[-1] = _INF
-        np.minimum(cur, shifted + 1, out=cur)
-        # in-row insertions: min-plus prefix scan along the band
-        t = cur - offs
-        np.minimum.accumulate(t, out=t)
-        np.minimum(cur, t + offs, out=cur)
-        lo = k - i            # slots with j < 0
-        if lo > 0:
-            cur[:lo] = _INF
-        hi = n - i + k        # last slot with j <= n
-        if hi < width - 1:
-            cur[hi + 1:] = _INF
-        if finite and int(cur.min()) >= cap:
+    if m == 0:
+        return n
+    limit = n if cap > n else math.ceil(cap) - 1
+    k = min(max(hint, n - m, 1), limit)
+    while 2 * k + 1 < m:
+        d = _band_distance(a, b, k)
+        if d is not None:
+            return d
+        if k >= limit:
             return None
-        prev, cur = cur, prev
-
-    d = int(prev[n - m + k])
+        k = min(2 * k, limit)
+    d = _myers_distance(a, b)
     return d if d < cap else None
 
 
+def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
+    """Unit-cost edit distance between two sequences (characters or tokens)."""
+    return levenshtein_bounded(a, b, math.inf)
+
+
 def clamped_distance(a: str | Sequence, b: str | Sequence,
-                     cap: int | None, engine: str = "auto") -> int:
+                     cap: int | None, hint: int = _MIN_BAND) -> int:
     """min(levenshtein(a, b), cap): the truncated metric used for selection.
 
-    A pair at or beyond the cap is treated as maximally distant. The banded
-    engine and the full engine give identical results here; "auto" picks by
-    a cost model (the band only wins once it is much narrower than the
-    sequences).
+    A pair at or beyond the cap is treated as maximally distant. `hint` is
+    where the band search starts (see levenshtein_bounded).
     """
     if cap is None:
-        return levenshtein(a, b)
+        return levenshtein_bounded(a, b, math.inf, hint)
     if cap <= 0:
         return 0
-    if abs(len(a) - len(b)) >= cap:
-        return cap
-    if engine == "auto":
-        short = min(len(a), len(b))
-        engine = "banded" if short >= 16384 and cap <= short // 16 else "full"
-    if engine == "banded":
-        d = levenshtein_bounded(a, b, cap)
-        return cap if d is None else d
-    if engine == "full":
-        return min(levenshtein(a, b), cap)
-    raise DiversityError(f"unknown engine {engine!r}")
+    d = levenshtein_bounded(a, b, cap, hint)
+    return cap if d is None else d
 
 
 @dataclass
@@ -196,13 +192,6 @@ class DistanceMatrix:
         if (self.distances != self.distances.T).any():
             raise DiversityError("matrix must be symmetric")
 
-    def check_triangle(self) -> None:
-        d = self.distances
-        n = len(self.ids)
-        for j in range(n):
-            if (d > d[:, j, None] + d[None, j, :]).any():
-                raise DiversityError("triangle inequality violated")
-
     def to_dict(self) -> dict[str, Any]:
         return {"ids": list(self.ids), "distances": self.distances.tolist(),
                 "cap": self.cap}
@@ -223,8 +212,7 @@ def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
 
 def pairwise_distances(trajectories: Sequence[TrajectoryRecord],
                        unit: str = "char",
-                       cap: int | None = None,
-                       engine: str = "auto") -> DistanceMatrix:
+                       cap: int | None = None) -> DistanceMatrix:
     """Full symmetric distance matrix over one question's trajectories."""
     if not trajectories:
         raise DiversityError("at least one trajectory required")
@@ -234,17 +222,21 @@ def pairwise_distances(trajectories: Sequence[TrajectoryRecord],
     ordered = sorted(trajectories, key=lambda t: t.trajectory_id)
     ids = [t.trajectory_id for t in ordered]
     surfaces = [trajectory_surface(t.text, unit) for t in ordered]
-    return surface_distances(ids, surfaces, cap=cap, engine=engine)
+    return surface_distances(ids, surfaces, cap=cap)
 
 
 def surface_distances(ids: Sequence[str], surfaces: Sequence,
-                      cap: int | None = None, engine: str = "auto") -> DistanceMatrix:
+                      cap: int | None = None) -> DistanceMatrix:
     n = len(ids)
     dist = np.zeros((n, n), dtype=np.int64)
+    # one question's trajectories lie at similar distances, so each pair's
+    # band starts just above the previous pair's distance
+    hint = _MIN_BAND
     for i in range(n):
         for j in range(i + 1, n):
-            d = clamped_distance(surfaces[i], surfaces[j], cap, engine)
+            d = clamped_distance(surfaces[i], surfaces[j], cap, hint=hint)
             dist[i, j] = dist[j, i] = d
+            hint = max(_MIN_BAND, d + d // 4)
     return DistanceMatrix(ids=list(ids), distances=dist, cap=cap)
 
 
@@ -297,8 +289,8 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
 
 
 def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any]]:
-    qid, ids, surfaces, p, cap, engine = args
-    matrix = surface_distances(ids, surfaces, cap=cap, engine=engine)
+    qid, ids, surfaces, p, cap = args
+    matrix = surface_distances(ids, surfaces, cap=cap)
     chosen = select_farthest(matrix, p)
     idx = {tid: k for k, tid in enumerate(matrix.ids)}
     pair_dists = sorted(
@@ -319,7 +311,6 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
                      unit: str = "char",
                      cap_ratio: float | None = 0.6,
                      questions: Sequence | None = None,
-                     engine: str = "auto",
                      workers: int = 1) -> tuple[list[TrajectoryRecord], dict[str, Any]]:
     """Keep the farthest p trajectories per question.
 
@@ -345,11 +336,11 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         if cap_ratio is not None:
             longest = max((len(s) for s in surfaces), default=0)
             cap = max(1, math.ceil(cap_ratio * longest))
-        tasks.append((qid, ids, surfaces, p, cap, engine))
+        tasks.append((qid, ids, surfaces, p, cap))
 
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_select_for_question, tasks, chunksize=4))
+            outcomes = list(pool.map(_select_for_question, tasks, chunksize=1))
     else:
         outcomes = [_select_for_question(task) for task in tasks]
 

@@ -53,3 +53,10 @@ def brute_force_best_max_min(ids: list[str], dist, n: int, p: int) -> int:
 
 def min_dist_to_set(dist, candidate: int, selected: list[int]) -> int:
     return min(int(dist[candidate][s]) for s in selected)
+
+
+def triangle_violated(dist) -> bool:
+    """True when some dist[i][k] exceeds dist[i][j] + dist[j][k]."""
+    n = len(dist)
+    return any(dist[i][k] > dist[i][j] + dist[j][k]
+               for i, j, k in itertools.product(range(n), repeat=3))

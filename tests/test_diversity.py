@@ -8,14 +8,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ded.diversity import (DistanceMatrix, DiversityError, clamped_distance,
-                           diversify_corpus, levenshtein, levenshtein_bounded,
-                           pairwise_distances, select_farthest, trajectory_surface)
+from ded import diversity
+from ded.diversity import (DistanceMatrix, DiversityError, _myers_distance,
+                           clamped_distance, diversify_corpus, levenshtein,
+                           levenshtein_bounded, pairwise_distances, select_farthest,
+                           surface_distances, trajectory_surface)
 
 from conftest import make_question, make_trajectory
-from oracles import brute_force_max_pair, min_dist_to_set, naive_levenshtein
+from oracles import (brute_force_max_pair, min_dist_to_set, naive_levenshtein,
+                     triangle_violated)
 
 short_strings = st.text(alphabet="abcd", max_size=24)
+WORDS = ["lemma", "bound", "case", "sum", "root", "prime", "graph", "angle"]
+
+
+@st.composite
+def near_duplicates(draw, min_size: int, max_size: int, alphabet=tuple("abcd")):
+    """A base sequence and a copy with a few edits: the distance is far
+    below the length, which is the regime the band is for."""
+    base = draw(st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=max_size))
+    other = list(base)
+    for op, where, item in draw(st.lists(
+            st.tuples(st.sampled_from("ids"), st.integers(0, 10 ** 6),
+                      st.sampled_from(alphabet)), max_size=12)):
+        pos = where % (len(other) + 1)
+        if op == "i":
+            other.insert(pos, item)
+        elif pos < len(other) and op == "d":
+            del other[pos]
+        elif pos < len(other):
+            other[pos] = item
+    return base, other
+
+
+def full_width(a, b) -> int:
+    """The full-width scanner alone, as the reference for long inputs."""
+    if not a or not b:
+        return max(len(a), len(b))
+    return _myers_distance(a, b)
+
+
+def near_duplicate_texts(seed: int) -> list[str]:
+    """One question's worth of texts: variants of one core at growing
+    distances, plus one far from the rest."""
+    rng = random.Random(seed)
+    core = rng.choices(WORDS, k=120)
+    texts = []
+    for j in range(6):
+        words = list(core)
+        for _ in range(3 + 6 * j):
+            words[rng.randrange(len(words))] = rng.choice(WORDS)
+        texts.append(" ".join(words))
+    texts.append(" ".join(rng.choices(WORDS, k=60)))
+    return texts
+
+
+def bounded_want(true: int, cap) -> int | None:
+    return true if true < cap else None
 
 
 class TestLevenshtein:
@@ -97,14 +146,64 @@ class TestLevenshteinBounded:
 
 
 class TestClampedDistance:
-    @given(short_strings, short_strings, st.integers(0, 30))
-    def test_engines_agree(self, a, b, cap):
-        full = clamped_distance(a, b, cap, engine="full")
-        banded = clamped_distance(a, b, cap, engine="banded")
-        assert full == banded == min(naive_levenshtein(a, b), cap)
-
     def test_no_cap_is_exact(self):
         assert clamped_distance("kitten", "sitting", None) == 3
+
+
+class TestBandEngine:
+    @given(near_duplicates(4, 40), st.integers(1, 8))
+    @settings(max_examples=300)
+    def test_short_matches_oracle_around_the_cap(self, pair, hint):
+        a, b = ("".join(s) for s in pair)
+        true = naive_levenshtein(a, b)
+        for cap in (max(true - 1, 0), true, true + 1, math.inf):
+            assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
+
+    @given(near_duplicates(40, 400))
+    @settings(max_examples=150)
+    def test_long_matches_full_width_under_any_hint(self, pair):
+        a, b = ("".join(s) for s in pair)
+        true = full_width(a, b)
+        for hint in (1, max(1, true // 2), true + 3):
+            for cap in (max(true - 1, 0), true, true + 1):
+                assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
+                assert clamped_distance(a, b, cap, hint) == min(true, cap)
+
+    @given(near_duplicates(40, 400), st.integers(1, 64))
+    def test_length_gap_one_below_cap(self, pair, hint):
+        a, b = ("".join(s) for s in pair)
+        cap = abs(len(a) - len(b)) + 1
+        true = full_width(a, b)
+        assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
+
+    @given(near_duplicates(20, 120, alphabet=tuple(WORDS)))
+    @settings(max_examples=60)
+    def test_token_surfaces(self, pair):
+        q = make_question(0)
+        ts = [make_trajectory(q, i, "<think>" + " ".join(words[:5]) + "</think>" +
+                              " ".join(words[5:])) for i, words in enumerate(pair)]
+        surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
+        true = full_width(*surfaces)
+        assert pairwise_distances(ts, unit="token").distances[0, 1] == true
+        for cap in (max(true - 1, 1), true + 1):
+            assert pairwise_distances(ts, unit="token", cap=cap).distances[0, 1] == min(true, cap)
+
+    def test_band_doubles_from_a_narrow_hint(self, monkeypatch):
+        widths = []
+        band = diversity._band_distance
+
+        def recording(a, b, k):
+            widths.append(k)
+            return band(a, b, k)
+
+        monkeypatch.setattr(diversity, "_band_distance", recording)
+        rng = random.Random(5)
+        a = "".join(rng.choice("abcd") for _ in range(400))
+        b = "".join("x" if i % 40 == 20 else ch for i, ch in enumerate(a))
+        true = full_width(a, b)
+        assert levenshtein_bounded(a, b, math.inf, hint=1) == true
+        assert widths == [1 << i for i in range(len(widths))]
+        assert widths[-2] < true <= widths[-1]
 
 
 def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
@@ -130,7 +229,7 @@ class TestPairwiseDistances:
         texts = {"a": "alpha beta", "b": "alpha gamma", "c": "entirely different"}
         matrix = _matrix_from_texts(texts)
         matrix.validate()
-        matrix.check_triangle()
+        assert not triangle_violated(matrix.distances)
         ids = matrix.ids
         for i in range(3):
             for j in range(3):
@@ -152,7 +251,7 @@ class TestPairwiseDistances:
         texts = {"a": "aaaaaaaaaa", "b": "bbbbbbbbbb", "c": "ababababab"}
         matrix = _matrix_from_texts(texts, cap=4)
         matrix.validate()
-        matrix.check_triangle()
+        assert not triangle_violated(matrix.distances)
         assert matrix.distances.max() == 4
 
     def test_token_mode(self):
@@ -278,14 +377,38 @@ class TestDiversifyCorpus:
         assert report["dropped_questions"] == ["q001"]
 
     def test_workers_do_not_change_result(self):
-        trajectories = self._corpus()
-        serial, report_s = diversify_corpus(trajectories, p=3, cap_ratio=0.6)
-        parallel, report_p = diversify_corpus(trajectories, p=3, cap_ratio=0.6, workers=2)
-        assert serial == parallel
-        assert report_s == report_p
+        # the second corpus is long enough for the band path and its hints
+        long_corpus = [make_trajectory(make_question(qi), j, f"<think>{text}</think>ok")
+                       for qi in range(3) for j, text in enumerate(near_duplicate_texts(qi))]
+        for trajectories in (self._corpus(), long_corpus):
+            serial, report_s = diversify_corpus(trajectories, p=3, cap_ratio=0.6)
+            parallel, report_p = diversify_corpus(trajectories, p=3, cap_ratio=0.6,
+                                                  workers=2)
+            assert serial == parallel
+            assert report_s == report_p
 
     def test_report_contains_distance_stats(self):
         _, report = diversify_corpus(self._corpus(), p=3, cap_ratio=None)
         row = report["per_question"]["q000"]
         assert row["min_distance"] is not None
         assert row["median_distance"] >= row["min_distance"]
+
+
+
+class TestHintIndependence:
+    """Each pair's band starts from the previous pair's distance; that start
+    may change how long a pair takes, never its distance."""
+
+    def test_pair_order_does_not_change_distances(self):
+        texts = near_duplicate_texts(0)
+        ids = [f"t{i}" for i in range(len(texts))]
+        for cap in (None, 400):
+            ref = surface_distances(ids, texts, cap=cap)
+            for seed in range(3):
+                perm = list(range(len(ids)))
+                random.Random(seed).shuffle(perm)
+                got = surface_distances([ids[p] for p in perm], [texts[p] for p in perm],
+                                        cap=cap)
+                pos = {tid: k for k, tid in enumerate(got.ids)}
+                order = [pos[tid] for tid in ref.ids]
+                assert (got.distances[np.ix_(order, order)] == ref.distances).all()
