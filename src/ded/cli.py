@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import diagnostics
-from .clients import ClientError, MockClient, SamplingRequest
+from .clients import ClientError, MockClient
 from .compress import select_hard, student_rollout
 from .config import ConfigError
 from .diversity import diversify_corpus
@@ -21,7 +21,7 @@ from .mixer import compose_mix
 from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
 from .records import (CorpusError, PassRateStats, parse_corpus, save_manifest,
                       write_corpus, write_manifest)
-from .teacher import build_smoke_corpus, ingest_scores, rank_teachers
+from .teacher import build_smoke_corpus, ingest_scores, rank_teachers, sample_teacher
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,17 +139,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_sample(args) -> int:
     questions = parse_corpus(args.questions, "questions")
     client = MockClient(fixtures=args.fixtures, seed=args.seed)
-    from .records import TrajectoryRecord
-    trajectories = []
-    for q in sorted(questions, key=lambda q: q.question_id):
-        texts = client.sample_trajectories(SamplingRequest(
-            prompt=q.prompt, teacher_id=args.teacher, samples=args.m,
-            temperature=args.temperature, seed=args.seed))
-        for i, text in enumerate(texts):
-            trajectories.append(TrajectoryRecord(
-                trajectory_id=f"{q.question_id}:{args.teacher}:{i:03d}",
-                question_id=q.question_id, teacher_id=args.teacher,
-                sample_index=i, text=text))
+    trajectories = sample_teacher(questions, client, args.teacher, args.m,
+                                  temperature=args.temperature, seed=args.seed)
     write_corpus(args.out, trajectories)
     print(f"sampled {len(trajectories)} trajectories to {args.out}")
     return EXIT_OK

@@ -15,6 +15,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +143,15 @@ class RetryPolicy:
 
 
 class Client:
-    """Contract shared by all sampler/judge backends."""
+    """Contract shared by all sampler/judge backends.
+
+    Implementations are safe to call from several threads at once.
+    `max_in_flight` is how many calls callers should keep in flight: an
+    in-process backend answers in microseconds, so threads would only add
+    interpreter-lock hand-offs, while a remote one spends each call waiting.
+    """
+
+    max_in_flight = 1
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         """Exactly request.samples response texts, indexed 0..samples-1."""
@@ -164,14 +173,17 @@ class HttpClient(Client):
                  api_key: str | None = None,
                  retry: RetryPolicy | None = None,
                  timeout: float = 120.0,
-                 transport: Callable[[str, dict, dict], tuple[int, bytes]] | None = None):
+                 transport: Callable[[str, dict, dict], tuple[int, bytes]] | None = None,
+                 max_in_flight: int = 1):
         self.base_url = (base_url or os.environ.get("DED_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("DED_API_KEY", "")
         self.retry = retry or RetryPolicy()
         self.timeout = timeout
         self.transport = transport or self._urllib_transport
+        self.max_in_flight = max_in_flight
         self.retries_total = 0
         self.requests_total = 0
+        self._lock = threading.Lock()
 
     def _urllib_transport(self, url: str, payload: dict, headers: dict) -> tuple[int, bytes]:
         req = urllib.request.Request(
@@ -192,7 +204,8 @@ class HttpClient(Client):
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
 
         def attempt() -> dict:
-            self.requests_total += 1
+            with self._lock:
+                self.requests_total += 1
             status, body = self.transport(url, payload, headers)
             if status in (401, 403):
                 raise AuthenticationError(f"authentication failed (HTTP {status})")
@@ -206,7 +219,8 @@ class HttpClient(Client):
                 raise SchemaError(f"response is not JSON: {exc}") from exc
 
         def count_retry() -> None:
-            self.retries_total += 1
+            with self._lock:
+                self.retries_total += 1
 
         return self.retry.run(attempt, on_retry=count_retry)
 
@@ -257,14 +271,16 @@ class FaultInjector:
     def __init__(self, plan: dict[str, list[ClientError | None]] | None = None):
         self.plan = {k: list(v) for k, v in (plan or {}).items()}
         self.fired: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def check(self, kind: str) -> None:
-        queue = self.plan.get(kind)
-        if queue:
-            nxt = queue.pop(0)
+        with self._lock:
+            queue = self.plan.get(kind)
+            nxt = queue.pop(0) if queue else None
             if nxt is not None:
                 self.fired[kind] = self.fired.get(kind, 0) + 1
-                raise nxt
+        if nxt is not None:
+            raise nxt
 
 
 def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
@@ -316,6 +332,7 @@ class MockClient(Client):
         self.allow_synthesis = allow_synthesis
         self.retries_total = 0
         self.requests_total = 0
+        self._lock = threading.Lock()
 
     def _synthesize(self, request: SamplingRequest, index: int) -> str:
         h = _stable_int(self.seed, request.teacher_id, request.prompt,
@@ -328,7 +345,8 @@ class MockClient(Client):
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         def attempt() -> list[str]:
-            self.requests_total += 1
+            with self._lock:
+                self.requests_total += 1
             self.faults.check("sample")
             canned = self.samples.get((request.teacher_id, request.prompt), [])
             texts = list(canned[:request.samples])
@@ -341,13 +359,15 @@ class MockClient(Client):
             return texts
 
         def count_retry() -> None:
-            self.retries_total += 1
+            with self._lock:
+                self.retries_total += 1
 
         return self.retry.run(attempt, on_retry=count_retry)
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
         def attempt() -> VerificationVerdict:
-            self.requests_total += 1
+            with self._lock:
+                self.requests_total += 1
             self.faults.check("judge")
             row = self.judges.get((request.question, request.candidate_answer))
             if row is not None:
@@ -361,7 +381,8 @@ class MockClient(Client):
                                        detail=f"VERDICT: {status}")
 
         def count_retry() -> None:
-            self.retries_total += 1
+            with self._lock:
+                self.retries_total += 1
 
         return self.retry.run(attempt, on_retry=count_retry)
 
@@ -370,67 +391,105 @@ class CachingClient(Client):
     """On-disk request cache so pipeline re-runs never re-bill sampling.
 
     Keys cover prompt, model, seed, temperature, and batch shape; values
-    are JSON files under the cache directory.
+    are JSON files under the cache directory. Requests are single-flight:
+    while one thread's call for a key is out, other callers of that key
+    wait for it and then read its entry as a hit, so hits and misses come
+    out as in a serial run. A call that fails leaves no entry, and the next
+    caller makes its own. An entry that cannot be read counts as a miss
+    and is rewritten.
     """
 
     def __init__(self, inner: Client, cache_dir: str | Path):
         self.inner = inner
+        self.max_in_flight = inner.max_in_flight
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._flights: dict[str, threading.Event] = {}
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def _read(self, key: str) -> dict | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    def _read(self, key: str, decode: Callable[[Any], R]) -> R | None:
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                return decode(json.load(fh))
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            return None  # absent, truncated, or missing a field: a miss
 
     def _write(self, key: str, value: dict) -> None:
         path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(value, fh, sort_keys=True, ensure_ascii=False)
-        tmp.replace(path)
+        # writers sharing a cache directory each fill their own temp file
+        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(value, fh, sort_keys=True, ensure_ascii=False)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _cached(self, key: str, call: Callable[[], R],
+                encode: Callable[[R], dict], decode: Callable[[Any], R]) -> R:
+        """The entry under key, or else call's result, stored under key."""
+        while True:
+            with self._lock:
+                cached = self._read(key, decode)
+                if cached is not None:
+                    self.hits += 1
+                    return cached
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            result = call()
+            with self._lock:
+                self.misses += 1
+            self._write(key, encode(result))
+            return result
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.set()
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
-        key = request.cache_key()
-        with self._lock:
-            cached = self._read(key)
-        if cached is not None:
-            with self._lock:
-                self.hits += 1
-            return list(cached["responses"])
-        responses = self.inner.sample_trajectories(request)
-        with self._lock:
-            self.misses += 1
-            self._write(key, {"responses": responses})
-        return responses
+        return self._cached(request.cache_key(),
+                            lambda: self.inner.sample_trajectories(request),
+                            lambda responses: {"responses": responses},
+                            lambda entry: list(entry["responses"]))
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
-        key = request.cache_key()
-        with self._lock:
-            cached = self._read(key)
-        if cached is not None:
-            with self._lock:
-                self.hits += 1
-            return VerificationVerdict(status=cached["status"], checker="judge",
-                                       detail=cached["detail"])
-        verdict = self.inner.judge(request)
-        with self._lock:
-            self.misses += 1
-            self._write(key, {"status": verdict.status, "detail": verdict.detail})
-        return verdict
+        return self._cached(request.cache_key(),
+                            lambda: self.inner.judge(request),
+                            lambda v: {"status": v.status, "detail": v.detail},
+                            lambda entry: VerificationVerdict(
+                                status=entry["status"], checker="judge",
+                                detail=entry["detail"]))
 
 
-def map_concurrent(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int = 1) -> list[R]:
-    """Apply fn to every item with bounded concurrency, preserving input order."""
+def map_concurrent(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int = 1,
+                   key: Callable[[T], Any] | None = None) -> list[R]:
+    """Apply fn to every item with bounded concurrency, preserving input order.
+
+    With `key`, the first item of each key starts before any repeat of it,
+    so a repeated cached request finds its answer stored instead of holding
+    a worker while it waits on the first one's call.
+    """
     if max_in_flight <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    order = list(range(len(items)))
+    if key is not None:
+        firsts: dict[Any, int] = {}
+        for i, item in enumerate(items):
+            firsts.setdefault(key(item), i)
+        leaders = set(firsts.values())
+        order.sort(key=lambda i: i not in leaders)
+    results: list[Any] = [None] * len(items)
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(fn, items))
+        for i, result in zip(order, pool.map(lambda i: fn(items[i]), order)):
+            results[i] = result
+    return results

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .clients import Client, JudgeRequest, SamplingRequest, map_concurrent
-from .filtering import THINK_CLOSE, extract_final_answer, rule_verify
+from .filtering import candidate_answer, extract_final_answer, rule_verify
 from .records import PassRateStats, QuestionRecord
 
 
@@ -100,8 +100,7 @@ def response_is_correct(text: str, question: QuestionRecord,
         return rule_verify(answer, question.ground_truth).status == "correct"
     if client is None:
         return False
-    idx = text.rfind(THINK_CLOSE)
-    candidate = text[idx + len(THINK_CLOSE):].strip() if idx >= 0 else text.strip()
+    candidate = candidate_answer(text)
     if not candidate:
         return False
     verdict = client.judge(JudgeRequest(
@@ -112,10 +111,16 @@ def response_is_correct(text: str, question: QuestionRecord,
 
 
 class RolloutCheckpoint:
-    """Append-only per-question results so interrupted runs resume cheaply."""
+    """Append-only per-question results so interrupted runs resume cheaply.
 
-    def __init__(self, path: str | Path | None):
+    Each row records the rollout settings that produced it. Rows written
+    under settings other than the given ones are skipped; with no settings
+    given, every row is read.
+    """
+
+    def __init__(self, path: str | Path | None, settings: dict[str, Any] | None = None):
         self.path = Path(path) if path else None
+        self.settings = settings
         self._lock = threading.Lock()
         self.done: dict[str, PassRateStats] = {}
         if self.path and self.path.exists():
@@ -123,16 +128,19 @@ class RolloutCheckpoint:
                 for line in fh:
                     line = line.strip()
                     if line:
-                        stats = PassRateStats.from_dict(json.loads(line))
-                        self.done[stats.question_id] = stats
+                        row = json.loads(line)
+                        if settings is None or row.get("settings") == settings:
+                            stats = PassRateStats.from_dict(row)
+                            self.done[stats.question_id] = stats
 
     def record(self, stats: PassRateStats) -> None:
+        row = {**stats.to_dict(), "settings": self.settings}
         with self._lock:
             self.done[stats.question_id] = stats
             if self.path:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(json.dumps(stats.to_dict(), sort_keys=True) + "\n")
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def student_rollout(questions: Sequence[QuestionRecord],
@@ -141,17 +149,19 @@ def student_rollout(questions: Sequence[QuestionRecord],
                     student_id: str = "student",
                     temperature: float = 0.7,
                     seed: int | None = None,
-                    checkpoint: str | Path | RolloutCheckpoint | None = None,
+                    checkpoint: str | Path | None = None,
                     max_in_flight: int = 1) -> list[PassRateStats]:
     """Sample the student on every question and verify each response.
 
     Each question gets `runs` independent samples in one batched request;
-    results are checkpointed per question, and already-checkpointed
-    questions are skipped on resume.
+    results are checkpointed per question, and questions already
+    checkpointed under the same student, runs, temperature and seed are
+    skipped on resume.
     """
     if runs < 1:
         raise CompressError("runs must be >= 1")
-    ckpt = checkpoint if isinstance(checkpoint, RolloutCheckpoint) else RolloutCheckpoint(checkpoint)
+    ckpt = RolloutCheckpoint(checkpoint, {"student_id": student_id, "runs": runs,
+                                          "temperature": temperature, "seed": seed})
     pending = [q for q in questions if q.question_id not in ckpt.done]
 
     def roll(question: QuestionRecord) -> PassRateStats:

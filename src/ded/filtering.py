@@ -73,8 +73,7 @@ def check_format(trajectory: TrajectoryRecord,
             return fail("think closer precedes opener")
         if i + 1 < len(opens) and opens[i + 1] < c:
             return fail("nested think pair")
-    answer = text[closes[-1] + len(THINK_CLOSE):]
-    if not answer.strip():
+    if not candidate_answer(text):
         return fail("no answer after think block")
     return None
 
@@ -130,11 +129,15 @@ def _last_boxed(text: str) -> str | None:
     return None  # unbalanced braces: extraction failure, not a crash
 
 
+def candidate_answer(text: str) -> str:
+    """The visible answer: the text after the last think closer, stripped."""
+    idx = text.rfind(THINK_CLOSE)
+    return text[idx + len(THINK_CLOSE):].strip() if idx >= 0 else text.strip()
+
+
 def extract_final_answer(text: str) -> str | None:
     """Content of the last \\boxed{...} group after the think closer, if any."""
-    idx = text.rfind(THINK_CLOSE)
-    tail = text[idx + len(THINK_CLOSE):] if idx >= 0 else text
-    return _last_boxed(tail)
+    return _last_boxed(candidate_answer(text))
 
 
 _FRAC_RE = re.compile(r"\\frac\{([^{}]*)\}\{([^{}]*)\}")

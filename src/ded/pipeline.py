@@ -19,15 +19,16 @@ from typing import Any
 
 from . import diagnostics
 from .clients import (CachingClient, Client, ClientError, HttpClient, JudgeRequest,
-                      MockClient, RetryPolicy, SamplingRequest)
+                      MockClient, RetryPolicy, map_concurrent)
 from .compress import select_hard, student_rollout
 from .config import manifest_snapshot, validate_config
 from .diversity import diversify_corpus
-from .filtering import THINK_CLOSE, FilterConfig, effective_token_len, run_quality_gate
+from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, STAGES, CorpusManifest, QuestionRecord,
-                      TrajectoryRecord, load_manifest, parse_corpus, save_manifest,
-                      write_corpus, write_manifest)
+                      TrajectoryRecord, VerificationVerdict, load_manifest, parse_corpus,
+                      save_manifest, write_corpus, write_manifest)
+from .teacher import sample_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,7 +77,8 @@ def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
         inner = MockClient(fixtures=client_cfg["fixtures"], seed=cfg["seed"])
     else:
         inner = HttpClient(base_url=client_cfg["base_url"],
-                           retry=RetryPolicy(budget=client_cfg["retry_budget"]))
+                           retry=RetryPolicy(budget=client_cfg["retry_budget"]),
+                           max_in_flight=client_cfg["max_in_flight"])
     cache_dir = (client_cfg["cache_dir"] or os.environ.get("DED_CACHE_DIR")
                  or (out_dir / ".cache"))
     return CachingClient(inner, cache_dir)
@@ -91,34 +93,33 @@ def _filter_config(cfg: dict[str, Any]) -> FilterConfig:
 def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
                 questions: dict[str, QuestionRecord],
                 client: Client,
-                log: EventLog) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord],
-                                        list[TrajectoryRecord]]:
-    """Send queued trajectories to the judge. Client failures keep the item
-    queued rather than fabricating a verdict."""
-    kept: list[TrajectoryRecord] = []
-    rejected: list[TrajectoryRecord] = []
-    still_queued: list[TrajectoryRecord] = []
-    for t in gate_needs_judge:
-        q = questions[t.question_id]
-        idx = t.text.rfind(THINK_CLOSE)
-        candidate = t.text[idx + len(THINK_CLOSE):].strip() if idx >= 0 else t.text.strip()
+                log: EventLog,
+                max_in_flight: int = 1) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord],
+                                                 list[TrajectoryRecord]]:
+    """Judge queued trajectories, up to max_in_flight at once. A client failure
+    keeps its item queued rather than fabricating a verdict, logged in input order."""
+    def judge(request: JudgeRequest) -> VerificationVerdict | ClientError:
         try:
-            verdict = client.judge(JudgeRequest(
-                question=q.prompt,
-                candidate_answer=candidate or "(empty)",
-                ground_truth=str(q.ground_truth or "unspecified")))
+            return client.judge(request)
         except ClientError as exc:
+            return exc
+
+    requests = [JudgeRequest(question=questions[t.question_id].prompt,
+                             candidate_answer=candidate_answer(t.text) or "(empty)",
+                             ground_truth=str(questions[t.question_id].ground_truth
+                                              or "unspecified"))
+                for t in gate_needs_judge]
+    verdicts = map_concurrent(judge, requests, max_in_flight=max_in_flight,
+                              key=JudgeRequest.cache_key)
+    kept, rejected, still_queued = [], [], []
+    buckets = {"correct": kept, "incorrect": rejected}
+    for t, verdict in zip(gate_needs_judge, verdicts):
+        if isinstance(verdict, ClientError):
             log.emit("filter", "judge_error", question_id=t.question_id,
-                     trajectory_id=t.trajectory_id, error=str(exc))
+                     trajectory_id=t.trajectory_id, error=str(verdict))
             still_queued.append(t)
-            continue
-        judged = replace(t, verdict=verdict)
-        if verdict.status == "correct":
-            kept.append(judged)
-        elif verdict.status == "incorrect":
-            rejected.append(judged)
         else:
-            still_queued.append(judged)
+            buckets.get(verdict.status, still_queued).append(replace(t, verdict=verdict))
     return kept, rejected, still_queued
 
 
@@ -165,15 +166,10 @@ def run_pipeline(config: str | Path | dict[str, Any],
             if not questions:
                 raise StageError("sample", ValueError("no questions configured"))
             m = cfg["samples_per_question"]
+            trajectories = sample_teacher(questions, client, cfg["teacher_id"], m,
+                                          temperature=cfg["temperature"], seed=cfg["seed"],
+                                          max_in_flight=client.max_in_flight)
             for q in sorted(questions, key=lambda q: q.question_id):
-                texts = client.sample_trajectories(SamplingRequest(
-                    prompt=q.prompt, teacher_id=cfg["teacher_id"], samples=m,
-                    temperature=cfg["temperature"], seed=cfg["seed"]))
-                for i, text in enumerate(texts):
-                    trajectories.append(TrajectoryRecord(
-                        trajectory_id=f"{q.question_id}:{cfg['teacher_id']}:{i:03d}",
-                        question_id=q.question_id, teacher_id=cfg["teacher_id"],
-                        sample_index=i, text=text))
                 log.emit("sample", "question_done", question_id=q.question_id, samples=m)
             write_corpus(out / "raw_trajectories.jsonl", trajectories)
             save("raw", write_manifest("raw", questions + trajectories,
@@ -195,7 +191,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
             gate = run_quality_gate(trajectories, questions, fconfig,
                                     workers=cfg["workers"])
             judged_kept, judged_rejected, still_queued = _adjudicate(
-                gate.needs_judge, qmap, client, log)
+                gate.needs_judge, qmap, client, log, max_in_flight=client.max_in_flight)
             kept = sorted(gate.kept + judged_kept, key=lambda t: t.trajectory_id)
             rejected = sorted(gate.rejected + judged_rejected, key=lambda t: t.trajectory_id)
             write_corpus(out / "right_trajectories.jsonl", kept)
@@ -218,7 +214,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
                 student_id=cfg["student_id"], temperature=cfg["temperature"],
                 seed=cfg["seed"],
                 checkpoint=out / ".cache" / "rollout_checkpoint.jsonl",
-                max_in_flight=cfg["client"]["max_in_flight"])
+                max_in_flight=client.max_in_flight)
             with open(out / "pass_rates.jsonl", "w", encoding="utf-8", newline="\n") as fh:
                 for s in stats:
                     fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .clients import Client, SamplingRequest
+from .clients import Client, SamplingRequest, map_concurrent
 from .filtering import FilterConfig, GateResult, run_quality_gate
 from .records import (CorpusManifest, QuestionRecord, ScoreRecord, TrajectoryRecord,
                       write_corpus, write_manifest)
@@ -45,6 +45,21 @@ class SmokeCorpus:
     dropped_questions: list[str]
 
 
+def sample_teacher(questions: Sequence[QuestionRecord], client: Client, teacher_id: str,
+                   samples: int, temperature: float = 0.7, seed: int | None = None,
+                   max_in_flight: int = 1) -> list[TrajectoryRecord]:
+    """`samples` trajectories per question, in question-id order. Up to
+    max_in_flight requests are out at once, which changes only the speed."""
+    ordered = sorted(questions, key=lambda q: q.question_id)
+    batches = map_concurrent(lambda q: client.sample_trajectories(SamplingRequest(
+        prompt=q.prompt, teacher_id=teacher_id, samples=samples,
+        temperature=temperature, seed=seed)), ordered, max_in_flight=max_in_flight)
+    return [TrajectoryRecord(trajectory_id=f"{q.question_id}:{teacher_id}:{i:03d}",
+                             question_id=q.question_id, teacher_id=teacher_id,
+                             sample_index=i, text=text)
+            for q, texts in zip(ordered, batches) for i, text in enumerate(texts)]
+
+
 def build_smoke_corpus(questions: Sequence[QuestionRecord],
                        teacher_ids: Sequence[str],
                        client: Client,
@@ -61,18 +76,9 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
     filter_config = filter_config or FilterConfig()
     results: dict[str, SmokeCorpus] = {}
     for teacher_id in teacher_ids:
-        trajectories: list[TrajectoryRecord] = []
-        for q in sorted(questions, key=lambda q: q.question_id):
-            texts = client.sample_trajectories(SamplingRequest(
-                prompt=q.prompt, teacher_id=teacher_id, samples=1,
-                temperature=temperature, seed=seed))
-            trajectories.append(TrajectoryRecord(
-                trajectory_id=f"{q.question_id}:{teacher_id}:000",
-                question_id=q.question_id,
-                teacher_id=teacher_id,
-                sample_index=0,
-                text=texts[0],
-            ))
+        trajectories = sample_teacher(questions, client, teacher_id, samples=1,
+                                      temperature=temperature, seed=seed,
+                                      max_in_flight=client.max_in_flight)
         gate = run_quality_gate(trajectories, questions, filter_config)
         kept_qids = {t.question_id for t in gate.kept}
         dropped = sorted(q.question_id for q in questions if q.question_id not in kept_qids)

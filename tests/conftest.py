@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ded.clients import Client, TransportError
 from ded.records import QuestionRecord, TrajectoryRecord
 
 
@@ -129,6 +132,40 @@ def build_pipeline_fixture(tmp_path: Path, out_name: str = "out") -> dict:
         "client": {"mode": "mock", "fixtures": str(fixtures_path)},
     }
     return config
+
+
+class ProbeClient(Client):
+    """Wraps a client for fan-out tests: a call waits `delay(request)`
+    seconds, a call whose request `fails` picks raises TransportError, and
+    `peak` is the most calls that were ever in flight at once."""
+
+    def __init__(self, inner: Client, delay=lambda request: 0.01,
+                 fails=lambda request: False):
+        self.inner = inner
+        self.delay = delay
+        self.fails = fails
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def _call(self, method, request):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.delay(request))
+            if self.fails(request):
+                raise TransportError("scripted failure")
+            return method(request)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def sample_trajectories(self, request):
+        return self._call(self.inner.sample_trajectories, request)
+
+    def judge(self, request):
+        return self._call(self.inner.judge, request)
 
 
 @pytest.fixture

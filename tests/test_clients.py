@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
-from ded.clients import (AuthenticationError, CachingClient, FaultInjector, HttpClient,
-                         JudgeRequest, MockClient, RetryBudgetExceededError, RetryPolicy,
-                         SamplingRequest, SchemaError, TransportError, load_mock_fixtures,
-                         map_concurrent, parse_judge_reply)
+from ded.clients import (AuthenticationError, CachingClient, Client, FaultInjector,
+                         HttpClient, JudgeRequest, MockClient, RetryBudgetExceededError,
+                         RetryPolicy, SamplingRequest, SchemaError, TransportError,
+                         load_mock_fixtures, map_concurrent, parse_judge_reply)
 
 
 def _request(m=1, prompt="p", teacher="t"):
@@ -200,7 +203,157 @@ class TestCachingClient:
         assert fresh.hits == 1
 
 
+    @pytest.mark.parametrize("content", ['{"responses": ["a", "b"', '{"other": 1}', "[1]", ""])
+    def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, content):
+        client = CachingClient(MockClient(seed=2), tmp_path / "cache")
+        path = client._path(_request(m=2).cache_key())
+        path.write_text(content, encoding="utf-8")
+        texts = client.sample_trajectories(_request(m=2))
+        assert texts == MockClient(seed=2).sample_trajectories(_request(m=2))
+        assert client.hits == 0 and client.misses == 1
+        assert json.loads(path.read_text(encoding="utf-8")) == {"responses": texts}
+        assert client.sample_trajectories(_request(m=2)) == texts
+        assert client.hits == 1
+
+    def test_judge_entry_without_status_is_a_miss(self, tmp_path):
+        client = CachingClient(MockClient(), tmp_path / "cache")
+        req = JudgeRequest(question="q", candidate_answer="1", ground_truth="1")
+        client._path(req.cache_key()).write_text('{"detail": "x"}', encoding="utf-8")
+        assert client.judge(req).status == "correct"
+        assert client.misses == 1
+        assert client.judge(req).status == "correct"
+        assert client.hits == 1
+
+    def test_writers_of_one_key_use_their_own_temp_files(self, tmp_path, monkeypatch):
+        # two processes sharing a cache directory, interleaved by hand: the
+        # second writes and renames its entry while the first is mid-write
+        cache = tmp_path / "cache"
+        first = CachingClient(MockClient(seed=4), cache)
+        second = CachingClient(MockClient(seed=4), cache)
+        real_dump = json.dump
+
+        def interleaved(value, fh, **kwargs):
+            monkeypatch.setattr(json, "dump", real_dump)
+            fh.write(" ")
+            fh.flush()
+            second.sample_trajectories(_request())
+            real_dump(value, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", interleaved)
+        texts = first.sample_trajectories(_request())
+        fresh = CachingClient(MockClient(seed=99), cache)
+        assert fresh.sample_trajectories(_request()) == texts
+        assert fresh.hits == 1
+        assert sorted(p.suffix for p in cache.iterdir()) == [".json"]
+
+
+class _Gate(Client):
+    """Inner client whose calls block until `release` is set; the first
+    `failures` calls then raise TransportError."""
+
+    def __init__(self, failures=0):
+        self.release = threading.Event()
+        self.calls = 0
+        self.failures = failures
+        self._lock = threading.Lock()
+
+    def sample_trajectories(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        assert self.release.wait(timeout=10)
+        if call <= self.failures:
+            raise TransportError("first call fails")
+        return [f"reply {call}"]
+
+
+def _call_together(client, threads):
+    """Run client.sample_trajectories(_request()) from `threads` threads that
+    start at once; return each thread's result or exception."""
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def work(i):
+        barrier.wait(timeout=10)
+        try:
+            results[i] = client.sample_trajectories(_request())
+        except TransportError as exc:
+            results[i] = exc
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    for w in workers:
+        w.start()
+    time.sleep(0.2)  # let every thread reach the inner call or the wait for it
+    client.inner.release.set()
+    for w in workers:
+        w.join(timeout=10)
+        assert not w.is_alive()
+    return results
+
+
+class TestSingleFlight:
+    def test_concurrent_identical_requests_make_one_call(self, tmp_path):
+        client = CachingClient(_Gate(), tmp_path / "cache")
+        results = _call_together(client, 8)
+        assert client.inner.calls == 1
+        assert results == [["reply 1"]] * 8
+        assert client.hits == 7 and client.misses == 1
+
+    def test_failed_call_is_not_handed_to_waiters(self, tmp_path):
+        client = CachingClient(_Gate(failures=1), tmp_path / "cache")
+        results = _call_together(client, 2)
+        errors = [r for r in results if isinstance(r, TransportError)]
+        assert len(errors) == 1
+        assert [r for r in results if not isinstance(r, TransportError)] == [["reply 2"]]
+        assert client.inner.calls == 2
+        assert client.hits == 0 and client.misses == 1
+
+
+def _flaky_http(faults, retry):
+    def transport(url, payload, headers):
+        faults.check("sample")
+        return 200, json.dumps({"choices": [{"message": {"content": "x"}}]}).encode()
+    return HttpClient(base_url="http://api.test", retry=retry, transport=transport)
+
+
+@pytest.mark.parametrize("backend", ["mock", "http"])
+def test_counters_are_exact_under_concurrency(backend):
+    calls, failures = 600, 150
+    faults = FaultInjector({"sample": [TransportError("flaky")] * failures})
+    retry = RetryPolicy(budget=1000, sleep=lambda _: None)
+    client = (MockClient(faults=faults, retry=retry) if backend == "mock"
+              else _flaky_http(faults, retry))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        map_concurrent(lambda i: client.sample_trajectories(_request(prompt=f"p{i}")),
+                       range(calls), max_in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faults.fired["sample"] == failures
+    assert client.retries_total == failures
+    assert client.requests_total == calls + failures
+
+
 def test_map_concurrent_preserves_order():
     items = list(range(40))
     assert map_concurrent(lambda x: x * x, items, max_in_flight=8) == [x * x for x in items]
     assert map_concurrent(lambda x: x * x, items, max_in_flight=1) == [x * x for x in items]
+    assert (map_concurrent(lambda x: x * x, items, max_in_flight=8, key=lambda x: x % 3)
+            == [x * x for x in items])
+
+
+def test_map_concurrent_starts_first_of_each_key_before_repeats():
+    started = []
+    lock = threading.Lock()
+
+    def record(item):
+        with lock:
+            started.append(item)
+        time.sleep(0.05)  # repeats can only start once a worker frees up
+        return item.upper()
+
+    items = ["a", "a", "a", "b", "b", "c"]
+    assert (map_concurrent(record, items, max_in_flight=3, key=str)
+            == ["A", "A", "A", "B", "B", "C"])
+    assert sorted(started[:3]) == ["a", "b", "c"]

@@ -99,6 +99,16 @@ class TestPipelineEndToEnd:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["cache_hits"] > 0
 
+    def test_checkpoint_rows_of_other_rollout_settings_are_not_reused(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        assert run_pipeline(config).exit_code == EXIT_OK
+        config.update(runs=2, student_id="s-other")
+        result = run_pipeline(config)
+        assert result.exit_code == EXIT_OK
+        rows = [json.loads(line) for line in
+                (result.out_dir / "pass_rates.jsonl").read_text().splitlines()]
+        assert rows and all(row["runs"] == 2 for row in rows)
+
     def test_missing_questions_is_stage_failure(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         config["questions"] = None
@@ -235,6 +245,40 @@ class TestJudgeAdjudication:
         log.close()
         assert kept == [] and rejected == []
         assert queued == [t]
+
+    def test_width_does_not_change_verdicts_or_error_order(self, tmp_path):
+        from ded.clients import CachingClient, MockClient
+        from ded.pipeline import EventLog, _adjudicate
+        from conftest import ProbeClient, make_question, make_trajectory
+        questions = [make_question(i, domain="code", gt="ok") for i in range(6)]
+        queue = [make_trajectory(q, j, f"<think>try {j}</think>{answer}")
+                 for i, q in enumerate(questions)
+                 for j, answer in enumerate(["ok", "no", "ok", f"down {i}"])]
+
+        def delay(request):
+            # failures come back fastest for the last questions
+            down = request.candidate_answer.startswith("down")
+            return 0.05 - 0.008 * int(request.candidate_answer[5:]) if down else 0.01
+
+        runs = {}
+        for width in (1, 4):
+            probe = ProbeClient(MockClient(), delay=delay,
+                                fails=lambda r: r.candidate_answer.startswith("down"))
+            client = CachingClient(probe, tmp_path / f"w{width}" / "cache")
+            path = tmp_path / f"w{width}" / "events.jsonl"
+            log = EventLog(path)
+            buckets = _adjudicate(queue, {q.question_id: q for q in questions}, client, log,
+                                  max_in_flight=width)
+            log.close()
+            errors = [json.loads(line)["trajectory_id"]
+                      for line in path.read_text(encoding="utf-8").splitlines()]
+            runs[width] = (buckets, errors, (client.hits, client.misses), probe.peak)
+        kept, rejected, queued = runs[1][0]
+        assert (len(kept), len(rejected), len(queued)) == (12, 6, 6)
+        assert runs[4][:3] == runs[1][:3]
+        assert runs[1][1] == [t.trajectory_id for t in queue[3::4]]
+        assert runs[1][2] == (6, 12)
+        assert runs[4][3] > 1
 
 
 class TestClientFailureExitCode:

@@ -9,9 +9,9 @@ import pytest
 from ded.clients import MockClient
 from ded.records import ScoreRecord
 from ded.teacher import (TeacherSelectError, build_smoke_corpus, ingest_scores,
-                         rank_teachers)
+                         rank_teachers, sample_teacher)
 
-from conftest import make_question
+from conftest import ProbeClient, make_question
 
 # Published evaluation block used as ranking input: per benchmark,
 # (teacher accuracy, base accuracy, teacher mean response length).
@@ -188,3 +188,38 @@ class TestBuildSmokeCorpus:
         assert corpus.dropped_questions == ["q001"]
         assert corpus.manifest.stage == "right"
         assert corpus.manifest.trajectory_count == 2
+
+
+class TestSampleTeacher:
+    def test_ids_and_question_order(self):
+        questions = [make_question(i) for i in (2, 0, 1)]
+        trajectories = sample_teacher(questions, MockClient(seed=3), "t-one", samples=2)
+        assert [t.trajectory_id for t in trajectories] == [
+            f"q00{i}:t-one:00{j}" for i in range(3) for j in range(2)]
+        assert [t.sample_index for t in trajectories] == [0, 1] * 3
+
+    def test_width_does_not_change_result(self):
+        questions = [make_question(i) for i in range(12)]
+        serial = sample_teacher(questions, MockClient(seed=3), "t-one", samples=3, seed=5)
+        probe = ProbeClient(MockClient(seed=3))
+        wide = sample_teacher(questions, probe, "t-one", samples=3, seed=5, max_in_flight=4)
+        assert wide == serial
+        assert probe.peak > 1
+
+    def test_smoke_corpus_width_does_not_change_result(self, tmp_path):
+        questions = [make_question(i) for i in range(8)]
+        serial = build_smoke_corpus(questions, ["t-one", "t-two"], MockClient(seed=1),
+                                    created_at="2025-01-01T00:00:00+00:00",
+                                    out_dir=tmp_path / "serial")
+        probe = ProbeClient(MockClient(seed=1))
+        probe.max_in_flight = 4
+        wide = build_smoke_corpus(questions, ["t-one", "t-two"], probe,
+                                  created_at="2025-01-01T00:00:00+00:00",
+                                  out_dir=tmp_path / "wide")
+        assert wide == serial
+        assert probe.peak > 1
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert sorted(p.name for p in (tmp_path / "wide").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "wide" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
