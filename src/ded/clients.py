@@ -8,13 +8,12 @@ lets tests script transport failures.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -146,12 +145,18 @@ class Client:
     """Contract shared by all sampler/judge backends.
 
     Implementations are safe to call from several threads at once.
-    `max_in_flight` is how many calls callers should keep in flight: an
-    in-process backend answers in microseconds, so threads would only add
-    interpreter-lock hand-offs, while a remote one spends each call waiting.
+    `max_in_flight` is how many requests the backend serves at once: 1 for
+    an in-process backend, which answers in microseconds, so threads would
+    only add interpreter-lock hand-offs; for a remote one, the bound on its
+    requests on the wire. `backend` names who answers, so that answers
+    stored for one backend are never served for another.
     """
 
     max_in_flight = 1
+
+    @property
+    def backend(self) -> str:
+        return type(self).__name__
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         """Exactly request.samples response texts, indexed 0..samples-1."""
@@ -166,6 +171,8 @@ class HttpClient(Client):
 
     Transport failures are retried with exponential backoff up to the
     policy budget; partial batches are an error, never silently truncated.
+    At most `max_in_flight` attempts are on the wire at once, whichever
+    threads make them; a request sleeping out its backoff holds no slot.
     """
 
     def __init__(self,
@@ -184,8 +191,15 @@ class HttpClient(Client):
         self.retries_total = 0
         self.requests_total = 0
         self._lock = threading.Lock()
+        self._wire = threading.BoundedSemaphore(max_in_flight)
+
+    @property
+    def backend(self) -> str:
+        return f"http {self.base_url}"
 
     def _urllib_transport(self, url: str, payload: dict, headers: dict) -> tuple[int, bytes]:
+        import urllib.error  # only http mode pays for importing these
+        import urllib.request
         req = urllib.request.Request(
             url, data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json", **headers}, method="POST")
@@ -204,9 +218,10 @@ class HttpClient(Client):
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
 
         def attempt() -> dict:
-            with self._lock:
-                self.requests_total += 1
-            status, body = self.transport(url, payload, headers)
+            with self._wire:
+                with self._lock:
+                    self.requests_total += 1
+                status, body = self.transport(url, payload, headers)
             if status in (401, 403):
                 raise AuthenticationError(f"authentication failed (HTTP {status})")
             if status == 429 or status >= 500:
@@ -315,6 +330,8 @@ class MockClient(Client):
     candidate against the reference with the rule normalizer.
     """
 
+    backend = "mock"
+
     def __init__(self,
                  fixtures: str | Path | dict[str, Any] | None = None,
                  seed: int = 0,
@@ -390,13 +407,13 @@ class MockClient(Client):
 class CachingClient(Client):
     """On-disk request cache so pipeline re-runs never re-bill sampling.
 
-    Keys cover prompt, model, seed, temperature, and batch shape; values
-    are JSON files under the cache directory. Requests are single-flight:
-    while one thread's call for a key is out, other callers of that key
-    wait for it and then read its entry as a hit, so hits and misses come
-    out as in a serial run. A call that fails leaves no entry, and the next
-    caller makes its own. An entry that cannot be read counts as a miss
-    and is rewritten.
+    Keys cover the backend, prompt, model, seed, temperature, and batch
+    shape; values are JSON files under the cache directory. Requests are
+    single-flight: while one thread's call for a key is out, other callers
+    of that key wait for it and then read its entry as a hit, so hits and
+    misses come out as in a serial run. A call that fails leaves no entry,
+    and the next caller makes its own. An entry that cannot be read counts
+    as a miss and is rewritten.
     """
 
     def __init__(self, inner: Client, cache_dir: str | Path):
@@ -408,9 +425,27 @@ class CachingClient(Client):
         self.misses = 0
         self._lock = threading.Lock()
         self._flights: dict[str, threading.Event] = {}
+        self._counted: tuple[CachingClient, ...] = (self,)
+
+    @property
+    def backend(self) -> str:
+        return self.inner.backend
+
+    def view(self) -> CachingClient:
+        """This client with hit and miss counts of its own. Its calls still
+        count here too, and it shares the cache and its flights."""
+        view = copy.copy(self)
+        view.hits = view.misses = 0
+        view._counted = (*self._counted, view)
+        return view
+
+    def _count(self, attr: str) -> None:
+        with self._lock:
+            for client in self._counted:
+                setattr(client, attr, getattr(client, attr) + 1)
 
     def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+        return self.cache_dir / f"{_digest({'backend': self.backend, 'request': key})}.json"
 
     def _read(self, key: str, decode: Callable[[Any], R]) -> R | None:
         try:
@@ -422,7 +457,7 @@ class CachingClient(Client):
     def _write(self, key: str, value: dict) -> None:
         path = self._path(key)
         # writers sharing a cache directory each fill their own temp file
-        tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
+        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(value, fh, sort_keys=True, ensure_ascii=False)
@@ -437,18 +472,17 @@ class CachingClient(Client):
         while True:
             with self._lock:
                 cached = self._read(key, decode)
-                if cached is not None:
-                    self.hits += 1
-                    return cached
                 flight = self._flights.get(key)
-                if flight is None:
+                if cached is None and flight is None:
                     flight = self._flights[key] = threading.Event()
                     break
+            if cached is not None:
+                self._count("hits")
+                return cached
             flight.wait()
         try:
             result = call()
-            with self._lock:
-                self.misses += 1
+            self._count("misses")
             self._write(key, encode(result))
             return result
         finally:
@@ -471,25 +505,10 @@ class CachingClient(Client):
                                 detail=entry["detail"]))
 
 
-def map_concurrent(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int = 1,
-                   key: Callable[[T], Any] | None = None) -> list[R]:
-    """Apply fn to every item with bounded concurrency, preserving input order.
-
-    With `key`, the first item of each key starts before any repeat of it,
-    so a repeated cached request finds its answer stored instead of holding
-    a worker while it waits on the first one's call.
-    """
+def map_concurrent(fn: Callable[[T], R], items: Sequence[T],
+                   max_in_flight: int = 1) -> list[R]:
+    """Apply fn to every item with bounded concurrency, preserving input order."""
     if max_in_flight <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    order = list(range(len(items)))
-    if key is not None:
-        firsts: dict[Any, int] = {}
-        for i, item in enumerate(items):
-            firsts.setdefault(key(item), i)
-        leaders = set(firsts.values())
-        order.sort(key=lambda i: i not in leaders)
-    results: list[Any] = [None] * len(items)
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        for i, result in zip(order, pool.map(lambda i: fn(items[i]), order)):
-            results[i] = result
-    return results
+        return list(pool.map(fn, items))

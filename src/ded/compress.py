@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .clients import Client, JudgeRequest, SamplingRequest, map_concurrent
+from .clients import Client, JudgeRequest, SamplingRequest
 from .filtering import candidate_answer, extract_final_answer, rule_verify
 from .records import PassRateStats, QuestionRecord
 
@@ -115,7 +115,8 @@ class RolloutCheckpoint:
 
     Each row records the rollout settings that produced it. Rows written
     under settings other than the given ones are skipped; with no settings
-    given, every row is read.
+    given, every row is read. One checkpoint may be shared by rollouts
+    running in several threads.
     """
 
     def __init__(self, path: str | Path | None, settings: dict[str, Any] | None = None):
@@ -143,36 +144,43 @@ class RolloutCheckpoint:
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def rollout_settings(client: Client, student_id: str, runs: int, temperature: float,
+                     seed: int | None) -> dict[str, Any]:
+    """Everything besides the question that a checkpointed pass rate depends on."""
+    return {"backend": client.backend, "student_id": student_id, "runs": runs,
+            "temperature": temperature, "seed": seed}
+
+
 def student_rollout(questions: Sequence[QuestionRecord],
                     client: Client,
                     runs: int = 16,
                     student_id: str = "student",
                     temperature: float = 0.7,
                     seed: int | None = None,
-                    checkpoint: str | Path | None = None,
-                    max_in_flight: int = 1) -> list[PassRateStats]:
+                    checkpoint: str | Path | RolloutCheckpoint | None = None
+                    ) -> list[PassRateStats]:
     """Sample the student on every question and verify each response.
 
     Each question gets `runs` independent samples in one batched request;
     results are checkpointed per question, and questions already
-    checkpointed under the same student, runs, temperature and seed are
-    skipped on resume.
+    checkpointed under the same backend, student, runs, temperature and
+    seed are skipped on resume. A `RolloutCheckpoint` passed in must have
+    been opened with those settings.
     """
     if runs < 1:
         raise CompressError("runs must be >= 1")
-    ckpt = RolloutCheckpoint(checkpoint, {"student_id": student_id, "runs": runs,
-                                          "temperature": temperature, "seed": seed})
-    pending = [q for q in questions if q.question_id not in ckpt.done]
-
-    def roll(question: QuestionRecord) -> PassRateStats:
+    settings = rollout_settings(client, student_id, runs, temperature, seed)
+    if not isinstance(checkpoint, RolloutCheckpoint):
+        checkpoint = RolloutCheckpoint(checkpoint, settings)
+    elif checkpoint.settings != settings:
+        raise CompressError("checkpoint was opened for other rollout settings")
+    for question in questions:
+        if question.question_id in checkpoint.done:
+            continue
         responses = client.sample_trajectories(SamplingRequest(
             prompt=question.prompt, teacher_id=student_id, samples=runs,
             temperature=temperature, seed=seed))
         outcomes = [response_is_correct(r, question, client) for r in responses]
-        stats = pass_rate(outcomes, runs, question_id=question.question_id)
-        ckpt.record(stats)
-        return stats
-
-    map_concurrent(roll, pending, max_in_flight=max_in_flight)
+        checkpoint.record(pass_rate(outcomes, runs, question_id=question.question_id))
     ordered = sorted(questions, key=lambda q: q.question_id)
-    return [ckpt.done[q.question_id] for q in ordered]
+    return [checkpoint.done[q.question_id] for q in ordered]

@@ -274,10 +274,6 @@ def emit_report(manifests: Sequence[CorpusManifest],
     lines: list[str] = ["# Corpus report", ""]
 
     lines += ["## Stage ledger", ""]
-    ledger_rows = [
-        [m.stage, m.question_count, m.trajectory_count,
-         m.parent_manifest or "-", m.content_hash[:12]]
-        for m in manifests]
     lines += ["| stage | questions | trajectories | parent | hash |",
               "| --- | --- | --- | --- | --- |"]
     for m in manifests:

@@ -11,29 +11,37 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import diagnostics
 from .clients import (CachingClient, Client, ClientError, HttpClient, JudgeRequest,
                       MockClient, RetryPolicy, map_concurrent)
-from .compress import select_hard, student_rollout
+from .compress import RolloutCheckpoint, rollout_settings, select_hard, student_rollout
 from .config import manifest_snapshot, validate_config
 from .diversity import diversify_corpus
 from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
 from .mixer import compose_mix
-from .records import (EPOCH_ISO, STAGES, CorpusManifest, QuestionRecord,
-                      TrajectoryRecord, VerificationVerdict, load_manifest, parse_corpus,
-                      save_manifest, write_corpus, write_manifest)
+from .records import (EPOCH_ISO, STAGES, CorpusManifest, PassRateStats, QuestionRecord,
+                      TrajectoryRecord, load_manifest, parse_corpus, save_manifest,
+                      write_corpus, write_manifest)
 from .teacher import sample_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_CLIENT = 4
+
+# The stages that call the model, run as one chain of steps per question.
+CHAIN_STAGES = ("sample", "filter", "compress")
+# In http mode, chains run at once per request the wire allows: a chain
+# that sleeps out a backoff, waits on the cache or gates its answers leaves
+# its slot on the wire to another.
+CHAINS_PER_SLOT = 8
 
 
 class StageError(RuntimeError):
@@ -90,42 +98,136 @@ def _filter_config(cfg: dict[str, Any]) -> FilterConfig:
                         token_estimator=cfg["token_estimator"])
 
 
+class _EventBuffer:
+    """A chain's events, held back until the pipeline logs them in order."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[str, str, dict[str, Any]]] = []
+
+    def emit(self, stage: str, event: str, **fields: Any) -> None:
+        self.rows.append((stage, event, fields))
+
+
 def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
                 questions: dict[str, QuestionRecord],
                 client: Client,
-                log: EventLog,
-                max_in_flight: int = 1) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord],
-                                                 list[TrajectoryRecord]]:
-    """Judge queued trajectories, up to max_in_flight at once. A client failure
-    keeps its item queued rather than fabricating a verdict, logged in input order."""
-    def judge(request: JudgeRequest) -> VerificationVerdict | ClientError:
-        try:
-            return client.judge(request)
-        except ClientError as exc:
-            return exc
-
-    requests = [JudgeRequest(question=questions[t.question_id].prompt,
-                             candidate_answer=candidate_answer(t.text) or "(empty)",
-                             ground_truth=str(questions[t.question_id].ground_truth
-                                              or "unspecified"))
-                for t in gate_needs_judge]
-    verdicts = map_concurrent(judge, requests, max_in_flight=max_in_flight,
-                              key=JudgeRequest.cache_key)
+                log: EventLog | _EventBuffer) -> tuple[list[TrajectoryRecord],
+                                                       list[TrajectoryRecord],
+                                                       list[TrajectoryRecord]]:
+    """Judge queued trajectories in order. A client failure keeps its item
+    queued rather than fabricating a verdict, and is logged."""
     kept, rejected, still_queued = [], [], []
     buckets = {"correct": kept, "incorrect": rejected}
-    for t, verdict in zip(gate_needs_judge, verdicts):
-        if isinstance(verdict, ClientError):
+    for t in gate_needs_judge:
+        question = questions[t.question_id]
+        try:
+            verdict = client.judge(JudgeRequest(
+                question=question.prompt,
+                candidate_answer=candidate_answer(t.text) or "(empty)",
+                ground_truth=str(question.ground_truth or "unspecified")))
+        except ClientError as exc:
             log.emit("filter", "judge_error", question_id=t.question_id,
-                     trajectory_id=t.trajectory_id, error=str(verdict))
+                     trajectory_id=t.trajectory_id, error=str(exc))
             still_queued.append(t)
-        else:
-            buckets.get(verdict.status, still_queued).append(replace(t, verdict=verdict))
+            continue
+        buckets.get(verdict.status, still_queued).append(replace(t, verdict=verdict))
     return kept, rejected, still_queued
+
+
+@dataclass
+class _Chain:
+    """One question's model-calling steps, and what each step produced."""
+
+    question: QuestionRecord
+    trajectories: list[TrajectoryRecord]  # the next step's input
+    sampled: list[TrajectoryRecord] = field(default_factory=list)
+    kept: list[TrajectoryRecord] = field(default_factory=list)
+    rejected: list[TrajectoryRecord] = field(default_factory=list)
+    queued: list[TrajectoryRecord] = field(default_factory=list)
+    events: _EventBuffer = field(default_factory=_EventBuffer)
+    stats: PassRateStats | None = None
+    ends: dict[str, float] = field(default_factory=dict)  # stage -> step end
+    failure: tuple[int, Exception] | None = None  # (step index, error)
+
+
+def _chain_steps(cfg: dict[str, Any], client: dict[str, CachingClient],
+                 qmap: dict[str, QuestionRecord], fconfig: FilterConfig,
+                 checkpoint_path: Path) -> list[tuple[str, Callable[[_Chain], None]]]:
+    """(stage, step) for each configured stage of CHAIN_STAGES, in order.
+    `client` maps each stage to the client its calls go through."""
+    checkpoint: list[RolloutCheckpoint] = []
+    checkpoint_lock = threading.Lock()
+
+    def sample(chain: _Chain) -> None:
+        chain.sampled = chain.trajectories = sample_teacher(
+            [chain.question], client["sample"], cfg["teacher_id"],
+            cfg["samples_per_question"], temperature=cfg["temperature"], seed=cfg["seed"])
+
+    def judge(chain: _Chain) -> None:
+        gate = run_quality_gate(chain.trajectories, [chain.question], fconfig)
+        kept, rejected, chain.queued = _adjudicate(gate.needs_judge, qmap, client["filter"],
+                                                   chain.events)
+        chain.trajectories = chain.kept = gate.kept + kept
+        chain.rejected = gate.rejected + rejected
+
+    def roll_out(chain: _Chain) -> None:
+        if not chain.trajectories:
+            return
+        with checkpoint_lock:  # the first roll-out reads it, so a bad file fails compress
+            if not checkpoint:
+                checkpoint.append(RolloutCheckpoint(checkpoint_path, rollout_settings(
+                    client["compress"], cfg["student_id"], cfg["runs"],
+                    cfg["temperature"], cfg["seed"])))
+        chain.stats = student_rollout(
+            [chain.question], client["compress"], runs=cfg["runs"],
+            student_id=cfg["student_id"], temperature=cfg["temperature"],
+            seed=cfg["seed"], checkpoint=checkpoint[0])[0]
+
+    steps = {"sample": sample, "filter": judge, "compress": roll_out}
+    return [(stage, steps[stage]) for stage in CHAIN_STAGES if stage in cfg["stages"]]
+
+
+def _run_chains(chains: list[_Chain], steps: list[tuple[str, Callable[[_Chain], None]]],
+                width: int) -> tuple[str, Exception] | None:
+    """Run every chain's steps in order, up to `width` chains at once.
+
+    Once a step fails, no step of its stage or a later one starts in any
+    chain, while earlier stages still run for every question. Returns the
+    earliest failed stage and its error, the first question's on a tie.
+    """
+    limit = len(steps)
+    lock = threading.Lock()
+
+    def run(chain: _Chain) -> None:
+        nonlocal limit
+        for index, (stage, step) in enumerate(steps):
+            if index >= limit:
+                return
+            try:
+                step(chain)
+            except Exception as exc:  # noqa: BLE001 - reported as its stage's failure
+                chain.failure = (index, exc)
+                with lock:
+                    limit = min(limit, index)
+                return
+            chain.ends[stage] = time.perf_counter()
+
+    map_concurrent(run, chains, max_in_flight=width)
+    failures = [c.failure for c in chains if c.failure is not None]
+    if not failures:
+        return None
+    index, exc = min(failures, key=lambda f: f[0])
+    return steps[index][0], exc
 
 
 def run_pipeline(config: str | Path | dict[str, Any],
                  out_dir: str | Path | None = None) -> PipelineResult:
-    """Execute the configured stages in order, writing a manifest per stage."""
+    """Execute the configured stages in order, writing a manifest per stage.
+
+    Sample, filter and compress make the model calls. They run as one chain
+    per question, several chains at once in http mode; their outputs are
+    then written stage by stage as if each stage had run alone.
+    """
     cfg = validate_config(config)
     out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -138,6 +240,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
     fconfig = _filter_config(cfg)
     result = PipelineResult(exit_code=EXIT_OK, out_dir=out)
     stages = cfg["stages"]
+    phase = [s for s in CHAIN_STAGES if s in stages]
 
     questions: list[QuestionRecord] = []
     trajectories: list[TrajectoryRecord] = []
@@ -160,24 +263,8 @@ def run_pipeline(config: str | Path | dict[str, Any],
             questions = parse_corpus(cfg["questions"], "questions")
             log.emit("ingest", "loaded", count=len(questions), path=str(cfg["questions"]))
 
-        if "sample" in stages:
-            current_stage = "sample"
-            t0 = time.perf_counter()
-            if not questions:
-                raise StageError("sample", ValueError("no questions configured"))
-            m = cfg["samples_per_question"]
-            trajectories = sample_teacher(questions, client, cfg["teacher_id"], m,
-                                          temperature=cfg["temperature"], seed=cfg["seed"],
-                                          max_in_flight=client.max_in_flight)
-            for q in sorted(questions, key=lambda q: q.question_id):
-                log.emit("sample", "question_done", question_id=q.question_id, samples=m)
-            write_corpus(out / "raw_trajectories.jsonl", trajectories)
-            save("raw", write_manifest("raw", questions + trajectories,
-                                       config=snapshot, created_at=stamp))
-            log.emit("sample", "stage_done", trajectories=len(trajectories),
-                     cache_hits=client.hits, cache_misses=client.misses,
-                     duration_ms=round(1000 * (time.perf_counter() - t0), 3))
-        elif any(s in stages for s in ("filter", "compress", "diversify")):
+        if "sample" not in stages and any(s in stages for s in ("filter", "compress",
+                                                                 "diversify")):
             current_stage = "ingest"
             raw_path = out / "raw_trajectories.jsonl"
             if raw_path.exists():
@@ -185,56 +272,99 @@ def run_pipeline(config: str | Path | dict[str, Any],
 
         qmap = {q.question_id: q for q in questions}
 
-        if "filter" in stages:
-            current_stage = "filter"
+        if phase:
             t0 = time.perf_counter()
-            gate = run_quality_gate(trajectories, questions, fconfig,
-                                    workers=cfg["workers"])
-            judged_kept, judged_rejected, still_queued = _adjudicate(
-                gate.needs_judge, qmap, client, log, max_in_flight=client.max_in_flight)
-            kept = sorted(gate.kept + judged_kept, key=lambda t: t.trajectory_id)
-            rejected = sorted(gate.rejected + judged_rejected, key=lambda t: t.trajectory_id)
-            write_corpus(out / "right_trajectories.jsonl", kept)
-            write_corpus(out / "rejected_trajectories.jsonl", rejected)
-            write_corpus(out / "needs_judge.jsonl", still_queued)
-            save("right", write_manifest("right", kept, parent=known.get("raw"),
-                                         config=snapshot, created_at=stamp))
-            trajectories = kept
-            log.emit("filter", "stage_done", kept=len(kept), rejected=len(rejected),
-                     needs_judge=len(still_queued),
-                     duration_ms=round(1000 * (time.perf_counter() - t0), 3))
+            current_stage = phase[0]
+            if "sample" in stages and not questions:
+                raise StageError("sample", ValueError("no questions configured"))
+            orphans = [t for t in trajectories if t.question_id not in qmap]
+            if "filter" in stages and orphans:
+                current_stage = "filter"
+                run_quality_gate(orphans, questions, fconfig)  # raises, naming them
+            views = {stage: client.view() for stage in phase}
+            by_question: dict[str, list[TrajectoryRecord]] = {}
+            for t in trajectories:
+                by_question.setdefault(t.question_id, []).append(t)
+            chains = [_Chain(q, by_question.get(q.question_id, []))
+                      for q in sorted(questions, key=lambda q: q.question_id)]
+            width = 1 if deterministic else min(CHAINS_PER_SLOT * client.max_in_flight,
+                                                len(chains))
+            failure = _run_chains(chains, _chain_steps(
+                cfg, views, qmap, fconfig, out / ".cache" / "rollout_checkpoint.jsonl"),
+                width)
+            bound = t0
 
-        if "compress" in stages:
-            current_stage = "compress"
-            t0 = time.perf_counter()
-            surviving_qids = sorted({t.question_id for t in trajectories})
-            rollout_questions = [qmap[qid] for qid in surviving_qids if qid in qmap]
-            stats = student_rollout(
-                rollout_questions, client, runs=cfg["runs"],
-                student_id=cfg["student_id"], temperature=cfg["temperature"],
-                seed=cfg["seed"],
-                checkpoint=out / ".cache" / "rollout_checkpoint.jsonl",
-                max_in_flight=client.max_in_flight)
-            with open(out / "pass_rates.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-                for s in stats:
-                    fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
-            retained, report = select_hard(rollout_questions, stats, cfg["pass_threshold"])
-            retained_qids = {q.question_id for q in retained}
-            trajectories = [t for t in trajectories if t.question_id in retained_qids]
-            write_corpus(out / "right_hard_questions.jsonl", retained)
-            write_corpus(out / "right_hard_trajectories.jsonl", trajectories)
-            with open(out / "compression_report.json", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            save("right_hard", write_manifest(
-                "right_hard", retained + trajectories, parent=known.get("right"),
-                config=snapshot, created_at=stamp))
-            questions = retained
-            qmap = {q.question_id: q for q in questions}
-            log.emit("compress", "stage_done", retained=len(retained),
-                     cache_hits=client.hits,
-                     duration_ms=round(1000 * (time.perf_counter() - t0), 3))
+            def enter(stage: str) -> None:
+                nonlocal current_stage
+                current_stage = stage
+                if failure is not None and failure[0] == stage:
+                    raise failure[1]
+
+            def stage_done(stage: str, **fields: Any) -> None:
+                """Log the stage's own client counts and its share of the phase:
+                up to its last step's end, and for the phase's last stage, up
+                to now."""
+                nonlocal bound
+                end = (time.perf_counter() if stage == phase[-1] else
+                       max([bound] + [c.ends[stage] for c in chains if stage in c.ends]))
+                log.emit(stage, "stage_done", **fields, cache_hits=views[stage].hits,
+                         cache_misses=views[stage].misses,
+                         duration_ms=round(1000 * (end - bound), 3))
+                bound = end
+
+            if "sample" in stages:
+                enter("sample")
+                trajectories = [t for c in chains for t in c.sampled]
+                for c in chains:
+                    log.emit("sample", "question_done", question_id=c.question.question_id,
+                             samples=cfg["samples_per_question"])
+                write_corpus(out / "raw_trajectories.jsonl", trajectories)
+                save("raw", write_manifest("raw", questions + trajectories,
+                                           config=snapshot, created_at=stamp))
+                stage_done("sample", trajectories=len(trajectories))
+
+            if "filter" in stages:
+                enter("filter")
+                kept, rejected, still_queued = (
+                    sorted((t for c in chains for t in getattr(c, bucket)),
+                           key=lambda t: t.trajectory_id)
+                    for bucket in ("kept", "rejected", "queued"))
+                for where, event, fields in sorted(
+                        (row for c in chains for row in c.events.rows),
+                        key=lambda row: row[2]["trajectory_id"]):
+                    log.emit(where, event, **fields)
+                write_corpus(out / "right_trajectories.jsonl", kept)
+                write_corpus(out / "rejected_trajectories.jsonl", rejected)
+                write_corpus(out / "needs_judge.jsonl", still_queued)
+                save("right", write_manifest("right", kept, parent=known.get("raw"),
+                                             config=snapshot, created_at=stamp))
+                trajectories = kept
+                stage_done("filter", kept=len(kept), rejected=len(rejected),
+                           needs_judge=len(still_queued))
+
+            if "compress" in stages:
+                enter("compress")
+                rolled = [c for c in chains if c.stats is not None]
+                rollout_questions = [c.question for c in rolled]
+                with open(out / "pass_rates.jsonl", "w", encoding="utf-8",
+                          newline="\n") as fh:
+                    for c in rolled:
+                        fh.write(json.dumps(c.stats.to_dict(), sort_keys=True) + "\n")
+                retained, report = select_hard(rollout_questions, [c.stats for c in rolled],
+                                               cfg["pass_threshold"])
+                retained_qids = {q.question_id for q in retained}
+                trajectories = [t for t in trajectories if t.question_id in retained_qids]
+                write_corpus(out / "right_hard_questions.jsonl", retained)
+                write_corpus(out / "right_hard_trajectories.jsonl", trajectories)
+                with open(out / "compression_report.json", "w", encoding="utf-8",
+                          newline="\n") as fh:
+                    json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                save("right_hard", write_manifest(
+                    "right_hard", retained + trajectories, parent=known.get("right"),
+                    config=snapshot, created_at=stamp))
+                questions = retained
+                stage_done("compress", retained=len(retained))
 
         if "diversify" in stages:
             current_stage = "diversify"

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -339,21 +342,108 @@ def test_map_concurrent_preserves_order():
     items = list(range(40))
     assert map_concurrent(lambda x: x * x, items, max_in_flight=8) == [x * x for x in items]
     assert map_concurrent(lambda x: x * x, items, max_in_flight=1) == [x * x for x in items]
-    assert (map_concurrent(lambda x: x * x, items, max_in_flight=8, key=lambda x: x % 3)
-            == [x * x for x in items])
 
 
-def test_map_concurrent_starts_first_of_each_key_before_repeats():
-    started = []
-    lock = threading.Lock()
+class TestWire:
+    def test_max_in_flight_bounds_attempts_under_nested_fan_out(self):
+        active, peak = [0], [0]
+        lock = threading.Lock()
 
-    def record(item):
-        with lock:
-            started.append(item)
-        time.sleep(0.05)  # repeats can only start once a worker frees up
-        return item.upper()
+        def transport(url, payload, headers):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.005)
+            with lock:
+                active[0] -= 1
+            return TestHttpClient._ok_body(["x"])
 
-    items = ["a", "a", "a", "b", "b", "c"]
-    assert (map_concurrent(record, items, max_in_flight=3, key=str)
-            == ["A", "A", "A", "B", "B", "C"])
-    assert sorted(started[:3]) == ["a", "b", "c"]
+        client = HttpClient(base_url="http://api.test", transport=transport,
+                            max_in_flight=2)
+
+        def outer(i):
+            return map_concurrent(
+                lambda j: client.sample_trajectories(_request(prompt=f"p{i}.{j}")),
+                range(4), max_in_flight=4)
+
+        assert map_concurrent(outer, range(4), max_in_flight=4) == [[["x"]] * 4] * 4
+        assert client.requests_total == 16
+        assert peak[0] == 2
+
+    def test_backoff_holds_no_slot(self):
+        # one slot: "b" can only reach the wire while "a" sleeps out its backoff
+        sleeping, b_sent = threading.Event(), threading.Event()
+        first_a = [True]
+
+        def transport(url, payload, headers):
+            prompt = payload["messages"][0]["content"]
+            if prompt == "a" and first_a[0]:
+                first_a[0] = False
+                return 429, b""
+            if prompt == "b":
+                b_sent.set()
+            return TestHttpClient._ok_body([prompt])
+
+        def backoff(seconds):
+            sleeping.set()
+            assert b_sent.wait(timeout=10)
+
+        client = HttpClient(base_url="http://api.test", transport=transport,
+                            retry=RetryPolicy(sleep=backoff), max_in_flight=1)
+        results = {}
+
+        def call(prompt):
+            results[prompt] = client.sample_trajectories(_request(prompt=prompt))
+
+        a = threading.Thread(target=call, args=("a",))
+        a.start()
+        assert sleeping.wait(timeout=10)
+        b = threading.Thread(target=call, args=("b",))
+        b.start()
+        for t in (a, b):
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert results == {"a": ["a"], "b": ["b"]}
+        assert client.retries_total == 1
+
+
+def test_cache_keys_cover_the_backend(tmp_path):
+    cache = tmp_path / "cache"
+    mock = CachingClient(MockClient(seed=1), cache)
+    mock.sample_trajectories(_request())
+    sent = []
+
+    def transport(url, payload, headers):
+        sent.append(url)
+        return TestHttpClient._ok_body(["from http"])
+
+    for base_url in ("http://one.test", "http://two.test", "http://one.test"):
+        http = CachingClient(HttpClient(base_url=base_url, transport=transport), cache)
+        assert http.sample_trajectories(_request()) == ["from http"]
+    assert sent == ["http://one.test/chat/completions", "http://two.test/chat/completions"]
+    assert CachingClient(MockClient(seed=1), cache).sample_trajectories(_request()) != [
+        "from http"]
+
+
+def test_views_count_their_own_calls_and_the_whole(tmp_path):
+    # 400 calls through two views, each view's over its own 25 prompts
+    client = CachingClient(MockClient(), tmp_path / "cache")
+    views = [client.view(), client.view()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        map_concurrent(lambda i: views[i % 2].sample_trajectories(
+            _request(prompt=f"p{i % 50}")), range(400), max_in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(v.hits, v.misses) for v in views] == [(175, 25), (175, 25)]
+    assert (client.hits, client.misses) == (350, 50)
+
+
+def test_importing_the_cli_leaves_urllib_request_out():
+    code = "import sys, ded.cli; print('urllib.request' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

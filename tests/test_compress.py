@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ded.clients import MockClient, TransportError, FaultInjector, RetryPolicy
-from ded.compress import (CompressError, RolloutCheckpoint, pass_rate, select_hard,
-                          student_rollout)
+from ded.clients import MockClient, TransportError, FaultInjector, RetryPolicy, map_concurrent
+from ded.compress import (CompressError, RolloutCheckpoint, pass_rate, rollout_settings,
+                          select_hard, student_rollout)
 from ded.records import PassRateStats
 
-from conftest import make_question
+from conftest import ProbeClient, make_question
 
 
 class TestPassRate:
@@ -160,11 +160,28 @@ class TestStudentRollout:
         assert "q000" in resumed.done
         assert len(resumed.done) < 3
 
-    def test_concurrent_rollout_matches_serial(self):
+    def test_concurrent_rollout_matches_serial(self, tmp_path):
+        # one rollout per question from several threads, sharing a checkpoint
         questions = [make_question(i) for i in range(8)]
         script = {q.question_id: i % 5 for i, q in enumerate(questions)}
         serial = student_rollout(questions, _rollout_client(questions, script),
-                                 runs=4, student_id="student")
-        threaded = student_rollout(questions, _rollout_client(questions, script),
-                                   runs=4, student_id="student", max_in_flight=4)
+                                 runs=4, student_id="student",
+                                 checkpoint=tmp_path / "serial.jsonl")
+        probe = ProbeClient(_rollout_client(questions, script))
+        shared = RolloutCheckpoint(tmp_path / "shared.jsonl",
+                                   rollout_settings(probe, "student", 4, 0.7, None))
+        threaded = map_concurrent(
+            lambda q: student_rollout([q], probe, runs=4, student_id="student",
+                                      checkpoint=shared)[0], questions, max_in_flight=4)
         assert serial == threaded
+        assert probe.peak > 1
+        assert sorted(RolloutCheckpoint(tmp_path / "shared.jsonl").done.values(),
+                      key=lambda s: s.question_id) == serial
+
+    def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
+        client = MockClient()
+        ckpt = RolloutCheckpoint(tmp_path / "ckpt.jsonl",
+                                 rollout_settings(client, "student", 4, 0.7, None))
+        with pytest.raises(CompressError):
+            student_rollout([make_question(0)], client, runs=2, student_id="student",
+                            checkpoint=ckpt)

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
 import json
+import re
+import threading
+import time
 
-from ded.pipeline import EXIT_OK, EXIT_STAGE, run_pipeline, tree_hash
-from ded.records import load_manifest, parse_corpus
+import pytest
+
+from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
+                         SamplingRequest)
+from ded.pipeline import EXIT_CLIENT, EXIT_OK, EXIT_STAGE, run_pipeline, tree_hash
+from ded.records import EPOCH_ISO, QuestionRecord, load_manifest, parse_corpus
 
 from conftest import build_pipeline_fixture
 
@@ -246,40 +253,6 @@ class TestJudgeAdjudication:
         assert kept == [] and rejected == []
         assert queued == [t]
 
-    def test_width_does_not_change_verdicts_or_error_order(self, tmp_path):
-        from ded.clients import CachingClient, MockClient
-        from ded.pipeline import EventLog, _adjudicate
-        from conftest import ProbeClient, make_question, make_trajectory
-        questions = [make_question(i, domain="code", gt="ok") for i in range(6)]
-        queue = [make_trajectory(q, j, f"<think>try {j}</think>{answer}")
-                 for i, q in enumerate(questions)
-                 for j, answer in enumerate(["ok", "no", "ok", f"down {i}"])]
-
-        def delay(request):
-            # failures come back fastest for the last questions
-            down = request.candidate_answer.startswith("down")
-            return 0.05 - 0.008 * int(request.candidate_answer[5:]) if down else 0.01
-
-        runs = {}
-        for width in (1, 4):
-            probe = ProbeClient(MockClient(), delay=delay,
-                                fails=lambda r: r.candidate_answer.startswith("down"))
-            client = CachingClient(probe, tmp_path / f"w{width}" / "cache")
-            path = tmp_path / f"w{width}" / "events.jsonl"
-            log = EventLog(path)
-            buckets = _adjudicate(queue, {q.question_id: q for q in questions}, client, log,
-                                  max_in_flight=width)
-            log.close()
-            errors = [json.loads(line)["trajectory_id"]
-                      for line in path.read_text(encoding="utf-8").splitlines()]
-            runs[width] = (buckets, errors, (client.hits, client.misses), probe.peak)
-        kept, rejected, queued = runs[1][0]
-        assert (len(kept), len(rejected), len(queued)) == (12, 6, 6)
-        assert runs[4][:3] == runs[1][:3]
-        assert runs[1][1] == [t.trajectory_id for t in queue[3::4]]
-        assert runs[1][2] == (6, 12)
-        assert runs[4][3] > 1
-
 
 class TestClientFailureExitCode:
     def test_http_without_endpoint_is_client_failure(self, tmp_path, monkeypatch):
@@ -290,3 +263,215 @@ class TestClientFailureExitCode:
         result = run_pipeline(config)
         assert result.exit_code == 4
         assert result.failed_stage == "sample"
+
+
+_JUDGE_PROMPT = re.compile("^" + "".join(
+    re.escape(part) if i % 2 == 0 else f"(?P<{part}>.*?)"
+    for i, part in enumerate(re.split(r"\{(\w+)\}", JUDGE_RUBRICS["default"]))) + "$",
+    re.DOTALL)
+
+
+class MockTransport:
+    """An in-process chat-completion endpoint for `HttpClient`: it answers
+    each request as `MockClient` over the same fixtures would. Each rule
+    takes the request's model and prompt: the first attempt of a request
+    `throttle` picks gets HTTP 429, every attempt of one `refuse` picks gets
+    HTTP 401, and `delay` gives the seconds before each reply. `peak` is the
+    most attempts ever in progress at once."""
+
+    def __init__(self, mock, throttle=lambda model, prompt: False,
+                 refuse=lambda model, prompt: False, delay=lambda model, prompt: 0.002):
+        self.mock = mock
+        self.throttle = throttle
+        self.refuse = refuse
+        self.delay = delay
+        self.requests = 0
+        self.throttled = 0
+        self.active = 0
+        self.peak = 0
+        self._seen = set()
+        self._lock = threading.Lock()
+
+    def _reply(self, model, prompt, payload):
+        if model == "judge":
+            fields = _JUDGE_PROMPT.match(prompt).groupdict()
+            return [self.mock.judge(JudgeRequest(**fields)).detail]
+        return self.mock.sample_trajectories(SamplingRequest(
+            prompt=prompt, teacher_id=model, samples=payload["n"],
+            temperature=payload["temperature"], max_tokens=payload["max_tokens"],
+            seed=payload.get("seed")))
+
+    def __call__(self, url, payload, headers):
+        model, prompt = payload["model"], payload["messages"][0]["content"]
+        with self._lock:
+            self.requests += 1
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            first = (model, prompt) not in self._seen
+            self._seen.add((model, prompt))
+        try:
+            time.sleep(self.delay(model, prompt))
+            if self.refuse(model, prompt):
+                return 401, b"denied"
+            if first and self.throttle(model, prompt):
+                with self._lock:
+                    self.throttled += 1
+                return 429, b""
+            texts = self._reply(model, prompt, payload)
+            return 200, json.dumps(
+                {"choices": [{"message": {"content": t}} for t in texts]}).encode()
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def _task(prompt):
+    return int(re.search(r"Task (\d+):", prompt).group(1))
+
+
+def _mixed_fixture(tmp_path):
+    """8 questions, the odd ones code, with 4 teacher samples and 4 student
+    runs each. Code answers go to the judge in filter, and student answers
+    that repeat a teacher's are judged again in compress."""
+    questions, rows = [], []
+    for i in range(8):
+        code = i % 2 == 1
+        gt = f"ok {i}" if code else str(7 * i + 3)
+        q = QuestionRecord(question_id=f"m{i:03d}", domain="code" if code else "math",
+                           prompt=f"Task {i}: produce the reference.", ground_truth=gt)
+        questions.append(q)
+
+        def answer(right, j):
+            if code:
+                return gt if right else f"no {i}.{j}"
+            return f"\\boxed{{{gt if right else int(gt) + 1}}}"
+        rows.append({"kind": "sample", "teacher_id": "t-mix", "prompt": q.prompt,
+                     "responses": [f"<think>route {j} for task {i}</think>"
+                                   f"{answer(j != i % 4, j)}" for j in range(4)]})
+        rows.append({"kind": "sample", "teacher_id": "s-mix", "prompt": q.prompt,
+                     "responses": [f"<think>try {r}</think>{answer(r < i % 5, r)}"
+                                   for r in range(4)]})
+    qpath = tmp_path / "mixed_questions.jsonl"
+    qpath.write_text("".join(json.dumps(q.to_dict(), sort_keys=True) + "\n"
+                             for q in questions), encoding="utf-8")
+    fpath = tmp_path / "mixed_fixtures.jsonl"
+    fpath.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+                     encoding="utf-8")
+    return {"questions": str(qpath), "out_dir": str(tmp_path / "out"),
+            "teacher_id": "t-mix", "student_id": "s-mix", "samples_per_question": 4,
+            "runs": 4, "diverse_per_question": 2, "seed": 3, "timestamp": EPOCH_ISO,
+            "client": {"mode": "mock", "fixtures": str(fpath)}}
+
+
+def _over_http(config, max_in_flight, out_dir):
+    return dict(config, out_dir=str(out_dir),
+                client={"mode": "http", "base_url": "http://model.test/v1",
+                        "max_in_flight": max_in_flight})
+
+
+def _done(out_dir):
+    return next(e for e in _read_events(out_dir) if e["event"] == "done")
+
+
+class TestQuestionChains:
+    """Sample, filter and compress run as one chain of calls per question."""
+
+    @pytest.fixture
+    def transport(self, monkeypatch):
+        def install(config, **rules):
+            fake = MockTransport(MockClient(fixtures=config["client"]["fixtures"],
+                                            seed=config["seed"]), **rules)
+            monkeypatch.setattr(HttpClient, "_urllib_transport", fake)
+            return fake
+        return install
+
+    def test_http_at_any_width_builds_the_mock_tree(self, tmp_path, transport):
+        config = _mixed_fixture(tmp_path)
+        mock = run_pipeline(config)
+        assert mock.exit_code == EXIT_OK
+        done = _done(mock.out_dir)
+        want = (tree_hash(mock.out_dir), done["cache_hits"], done["cache_misses"])
+        assert want[1] > 0
+        for width in (1, 4):
+            fake = transport(config, throttle=lambda model, prompt:
+                             model == "t-mix" and _task(prompt) == 3)
+            result = run_pipeline(_over_http(config, width, tmp_path / f"w{width}"))
+            assert result.exit_code == EXIT_OK
+            done = _done(result.out_dir)
+            assert (tree_hash(result.out_dir), done["cache_hits"],
+                    done["cache_misses"]) == want
+            assert fake.throttled == 1
+            assert fake.requests == want[2] + 1
+            assert fake.peak == 1 if width == 1 else 1 < fake.peak <= width
+
+    def test_stage_done_counts_its_own_calls(self, tmp_path):
+        result = run_pipeline(_mixed_fixture(tmp_path))
+        events = _read_events(result.out_dir)
+        done = {e["stage"]: e for e in events if e["event"] == "stage_done"}
+        # 8 teacher requests; 4 right and 4 wrong code answers to judge, the
+        # right ones 3 times each; student answers repeat judged ones
+        assert (done["sample"]["cache_hits"], done["sample"]["cache_misses"]) == (0, 8)
+        assert (done["filter"]["cache_hits"], done["filter"]["cache_misses"]) == (8, 8)
+        assert done["compress"]["cache_hits"] > 0
+        total = _done(result.out_dir)
+        for key in ("cache_hits", "cache_misses"):
+            assert sum(done[s][key] for s in ("sample", "filter", "compress")) == total[key]
+        assert all(e["duration_ms"] >= 0 for e in done.values())
+
+    def test_judge_errors_are_logged_in_queue_order_at_any_width(self, tmp_path,
+                                                                   transport):
+        config = dict(_mixed_fixture(tmp_path), stages=["sample", "filter"])
+        logged = {}
+        for width in (1, 4):
+            # every wrong code answer fails to be judged, fastest for the last tasks
+            transport(config, refuse=lambda model, prompt: model == "judge" and
+                      "Candidate answer:\nno " in prompt,
+                      delay=lambda model, prompt: 0.03 - 0.003 * _task(prompt))
+            result = run_pipeline(_over_http(config, width, tmp_path / f"w{width}"))
+            assert result.exit_code == EXIT_OK
+            logged[width] = [e["trajectory_id"] for e in _read_events(result.out_dir)
+                             if e["event"] == "judge_error"]
+            queued = parse_corpus(result.out_dir / "needs_judge.jsonl", "trajectories")
+            assert logged[width] == [t.trajectory_id for t in queued]
+        assert logged[1] == logged[4] == ["m001:t-mix:001", "m003:t-mix:003",
+                                          "m005:t-mix:001", "m007:t-mix:003"]
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_sample_client_error_writes_no_stage_files(self, tmp_path, transport, width):
+        config = _mixed_fixture(tmp_path)
+        transport(config, refuse=lambda model, prompt: model == "t-mix" and
+                  _task(prompt) == 5)
+        result = run_pipeline(_over_http(config, width, tmp_path / "http"))
+        assert result.exit_code == EXIT_CLIENT
+        assert result.failed_stage == "sample"
+        assert result.manifests == {}
+        assert sorted(p.name for p in result.out_dir.iterdir()) == [".cache", "logs"]
+        events = [e["event"] for e in _read_events(result.out_dir)
+                  if e["stage"] == "sample"]
+        assert events == ["client_failed"]
+
+    def test_compress_client_error_keeps_earlier_stages(self, tmp_path, transport):
+        config = _mixed_fixture(tmp_path)
+        full = run_pipeline(dict(config, stages=["sample", "filter"]))
+        transport(config, refuse=lambda model, prompt: model == "s-mix" and
+                  _task(prompt) == 6)
+        result = run_pipeline(_over_http(config, 4, tmp_path / "http"))
+        assert result.exit_code == EXIT_CLIENT
+        assert result.failed_stage == "compress"
+        assert set(result.manifests) == {"raw", "right"}
+        for name in ("raw_trajectories.jsonl", "right_trajectories.jsonl",
+                     "rejected_trajectories.jsonl", "needs_judge.jsonl",
+                     "manifest_raw.json", "manifest_right.json"):
+            assert (result.out_dir / name).read_bytes() == (full.out_dir / name).read_bytes()
+        assert not (result.out_dir / "pass_rates.jsonl").exists()
+        assert not (result.out_dir / "manifest_right_hard.json").exists()
+
+    def test_answers_of_another_backend_are_not_reused(self, tmp_path, transport):
+        config = _mixed_fixture(tmp_path)
+        mock = run_pipeline(config)
+        billed = _done(mock.out_dir)["cache_misses"]
+        fake = transport(config)
+        # same output directory, so the same .cache and rollout checkpoint
+        result = run_pipeline(_over_http(config, 2, mock.out_dir))
+        assert result.exit_code == EXIT_OK
+        assert _done(result.out_dir)["cache_misses"] == fake.requests == billed
