@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-token-len", type=int, default=16384)
     p.add_argument("--token-estimator", default="chars_div_4_fallback",
                    choices=["precomputed_only", "chars_div_4_fallback"])
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--rejects", required=True)
     p.add_argument("--needs-judge", dest="needs_judge", required=True)
@@ -151,7 +150,7 @@ def _cmd_filter(args) -> int:
     questions = parse_corpus(args.questions, "questions")
     config = FilterConfig(max_token_len=args.max_token_len,
                           token_estimator=args.token_estimator)
-    gate = run_quality_gate(trajectories, questions, config, workers=args.workers)
+    gate = run_quality_gate(trajectories, questions, config)
     write_corpus(args.out, gate.kept)
     write_corpus(args.rejects, gate.rejected)
     write_corpus(args.needs_judge, gate.needs_judge)
@@ -178,6 +177,7 @@ def _cmd_diversify(args) -> int:
     trajectories = parse_corpus(args.path, "trajectories")
     selected, report = diversify_corpus(trajectories, p=args.p, unit=args.unit,
                                         cap_ratio=args.cap_ratio, workers=args.workers)
+    report.pop("engine")  # run telemetry, not part of the report file
     write_corpus(args.out, selected)
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

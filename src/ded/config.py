@@ -139,6 +139,12 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
             order = [STAGE_SEQUENCE.index(s) for s in stages]
             if order != sorted(order):
                 errors.append(f"stages: must follow the order {list(STAGE_SEQUENCE)}")
+            # each corpus stage reads the one before it: a gap would feed a
+            # stage the wrong corpus under its parent's manifest
+            chain = [i for i in order if STAGE_SEQUENCE[i] not in ("mix", "stats")]
+            if chain and chain != list(range(chain[0], chain[-1] + 1)):
+                errors.append("stages: sample, filter, compress and diversify must run "
+                              "without a gap between them")
 
     if cfg["mix_sources"] is not None:
         if _check_type(errors, "mix_sources", cfg["mix_sources"], (list,), "list or null"):

@@ -1,14 +1,16 @@
 """Pairwise edit distances within a question and farthest-point selection.
 
 One engine computes the Levenshtein distance: Myers's bit-parallel column
-step run on a diagonal band of 2k+1 rows (Hyyrö 2003), which gives the exact
-distance when it is at most k and otherwise reports "more than k". The band
-starts at a hint, the previous pair's distance within a question, and doubles
-until the distance fits or k reaches the cap; a band too narrow is detected
-and widened, so the hint changes only the time taken, never a result. Once
-the band would span the shorter sequence, a full-width scanner runs instead.
-Selection is greedy max-min dispersion, deterministic under explicit
-tie-breaks.
+step on the diagonal band that any alignment of cost at most k stays in
+(Ukkonen 1985), about k+1 rows wide, which gives the exact distance when it
+is at most k and otherwise reports "more than k". One column step serves
+many pairs at once: each pair owns a segment of a single int. A question's
+first pair starts at a small band that doubles until its distance fits;
+every other pair then shares one pass at a band just above that distance,
+and a pair that does not fit is sent again at double the band. A band too
+narrow is detected and widened, so the starting band changes only the time
+taken, never a result. Selection is greedy max-min dispersion,
+deterministic under explicit tie-breaks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, count, repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,100 +27,166 @@ from .records import TrajectoryRecord
 
 # smallest starting band; narrower bands save little and double more often
 _MIN_BAND = 32
-# fills the rows past the end of the shorter sequence; equal to nothing
-_PAD = object()
+# columns whose match words are gathered at once
+_BLOCK = 64
 
 
 class DiversityError(ValueError):
     pass
 
 
-def _strip_common(a: Sequence, b: Sequence) -> tuple[Sequence, Sequence]:
+def _codes(seqs: Sequence[str | Sequence]) -> list[np.ndarray]:
+    """One array of symbol codes per sequence: equal symbols get equal codes,
+    in the narrowest unsigned dtype that leaves its two largest values
+    unused. Narrow codes make the engine's match words cheaper to gather."""
+    table: dict[Any, int] = {}
+    if all(isinstance(s, str) for s in seqs):
+        joined = "".join(seqs)
+        table = {ord(c): i for i, c in enumerate(set(joined))}
+        flat = np.frombuffer(joined.translate(table).encode("utf-32-le", "surrogatepass"),
+                             dtype=np.uint32)
+    else:
+        flat = np.fromiter((table.setdefault(x, len(table)) for s in seqs for x in s),
+                           dtype=np.int64)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if len(table) < np.iinfo(t).max)
+    return np.split(flat.astype(dtype), np.cumsum([len(s) for s in seqs[:-1]]))
+
+
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
+    n = min(len(a), len(b))
+    differ = np.flatnonzero(a[:n] != b[:n])
+    return int(differ[0]) if len(differ) else n
+
+
+def _strip_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop the shared prefix and suffix; neither affects the distance."""
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    return a[lo:hi_a], b[lo:hi_b]
+    lo = _common_prefix(a, b)
+    a, b = a[lo:], b[lo:]
+    hi = _common_prefix(a[::-1], b[::-1])
+    return a[:len(a) - hi], b[:len(b) - hi]
 
 
-def _myers_distance(a: Sequence, b: Sequence) -> int:
-    # Bit-parallel column scanner; one arbitrary-precision word spans all of a.
-    m = len(a)
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    peq: dict[Any, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    vp, vn, score = full, 0, m
-    get = peq.get
-    for ch in b:
-        eq = get(ch, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        ph = vn | (~(xh | vp) & full)
-        mh = vp & xh
-        if ph & top:
-            score += 1
-        if mh & top:
-            score -= 1
-        ph = ((ph << 1) | 1) & full
-        mh = (mh << 1) & full
-        vp = mh | (~(xv | ph) & full)
-        vn = ph & xv
-    return score
+def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                    k: int) -> list[int | None]:
+    """For each (shorter, longer) pair of code arrays from one _codes call,
+    the exact distance if it is at most k, else None.
 
-
-def _band_distance(a: Sequence, b: Sequence, k: int) -> int | None:
-    """Exact distance if it is at most k, else None; needs len(a) <= len(b),
-    len(b) - len(a) <= k and 2k+1 < len(a).
-
-    At column j (b[j-1]) bit r stands for row j-k+r, so the band slides down
-    one row per column and the vertical deltas are stored pre-shifted for
-    the next column. A cell just outside the band reads as a delta of 0 or
-    +1, which never undercuts the in-band minimum. score follows the band's
-    bottom diagonal, D[j+k][j].
+    One Myers column step serves every pair. With m <= n the pair's lengths
+    and gap = n - m, a path of cost at most k keeps to the rows j-kl..j+ku of
+    column j (Ukkonen 1985), where ku = (k - gap) // 2 and kl = gap + ku:
+    about k+1 rows, against 2k+1 for a band symmetric about the diagonal.
+    Each pair owns a slot of the same whole number of bytes in one int; its
+    band's bottom row sits just below the slot's top bit, a guard bit that
+    stops the add's carry, and the int is masked after the add and the
+    shift. Bit r of a band stands for row j-kl+r, so the band slides down
+    one row per column (Hyyrö 2003); a cell just outside it reads as a
+    delta of 0 or +1, which never undercuts the in-band minimum. Rows above
+    the pattern and below its end match nothing. The bottom row's score
+    D[j+ku][j] rises by one in every column whose diagonal delta is not 0,
+    so one add counts the zeros of every pair. After the last column each
+    pair's score is walked up kl rows to the cell on the diagonal of D[m][n].
     """
-    m, n = len(a), len(b)
-    mask = (1 << (2 * k + 1)) - 1
-    top = 1 << (2 * k)
-    # pm[ch] = [bits, column]: ch's rows in the band as of that column
-    pm = {ch: [0, -k] for ch in {*a, *b, _PAD}}
-    rows = chain(a, repeat(_PAD, n + k - m))
-    for j, ch in zip(range(1 - k, 1), rows):
-        e = pm[ch]
-        e[0] = (e[0] >> (j - e[1])) | top
-        e[1] = j
-    vp = (mask ^ ((1 << (k + 1)) - 1)) >> 1    # D[i][0] = i for rows 1..k
-    vn = 0
-    score = k
-    # score never falls along a diagonal, and the final walk up n+k-m rows
-    # to row m lowers it by at most one per row
-    give_up = 2 * k + n - m
-    for j, ach, bch in zip(count(1), rows, b):
-        e = pm[ach]
-        e[0] = (e[0] >> (j - e[1])) | top
-        e[1] = j
-        e = pm[bch]
-        x = e[0] >> (j - e[1])
-        d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
-        hp = vn | ((d0 | vp) ^ mask)
-        hn = d0 & vp
-        if not d0 & top:
-            score += 1
-            if score > give_up:
-                return None
-        d0 >>= 1
-        vp = hn | ((d0 | hp) ^ mask)
-        vn = d0 & hp
-    # walk up the last column from row n+k to row m; rows past m match
-    # nothing, so each of their vertical deltas is 0 or +1
-    below = ((1 << (n + k - m)) - 1) << (m - n + k)
-    score -= (vp & below).bit_count()
-    return score if score <= k else None
+    out: list[int | None] = [None] * len(pairs)
+    live = []  # (index, pattern, text, ku, kl)
+    for idx, (a, b) in enumerate(pairs):
+        gap = len(b) - len(a)
+        if gap > k:
+            continue
+        if not len(a):
+            out[idx] = gap
+            continue
+        ku = (k - gap) // 2
+        live.append((idx, a, b, ku, gap + ku))
+    if not live:
+        return out
+    cols = max(len(b) for _, _, b, _, _ in live)
+    # room for k+1 rows, the guard, one spare row, and a count of up to cols
+    slot = -(-max(k + 3, cols.bit_length() + 1) // 8) * 8
+    top = slot - 2
+    # rows and columns past either end of a pair match nothing, not even
+    # each other: they hold the two values no code uses
+    dtype = live[0][1].dtype
+    rows = np.full((len(live), cols + slot - 1), np.iinfo(dtype).max, dtype=dtype)
+    text = np.full((len(live), cols), np.iinfo(dtype).max - 1, dtype=dtype)
+    mask = tops = vp = 0
+    for p, (_, a, b, ku, kl) in enumerate(live):
+        base = p * slot + top
+        # rows[p, t] holds row t + ku + 1 - top, so column j's slot reads
+        # rows[p, j-1 : j-1+slot] and row j+ku lands on bit top
+        rows[p, top - ku:top - ku + len(a)] = a
+        text[p, :len(b)] = b
+        mask |= ((1 << (kl + ku + 1)) - 1) << (base - kl - ku)
+        tops |= 1 << base
+        vp |= ((1 << ku) - 1) << (base - ku)  # D[i][0] = i for rows 1..ku
+    windows = np.lib.stride_tricks.sliding_window_view(rows, slot, axis=1)
+    width = len(live) * slot // 8
+    vn = cnt = done = 0
+    while done < cols:
+        block = slice(done, done + _BLOCK)
+        match = windows[:, block] == text[:, block, None]
+        raw = np.packbits(match, axis=2, bitorder="little").transpose(1, 0, 2).tobytes()
+        for at in range(0, len(raw), width):
+            x = int.from_bytes(raw[at:at + width], "little")
+            d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
+            hp = vn | ((d0 | vp) ^ mask)
+            hn = d0 & vp
+            cnt += d0 & tops
+            d0 = (d0 >> 1) & mask
+            vp = hn | ((d0 | hp) ^ mask)
+            vn = d0 & hp
+        done = min(done + _BLOCK, cols)
+        # a score never falls along a diagonal and the walk up lowers it by
+        # at most kl, so a pair whose score passes k + kl is out of reach
+        if all(len(b) <= done or ku + done - ((cnt >> (p * slot + top)) & ((1 << slot) - 1))
+               > k + kl for p, (_, _, b, ku, kl) in enumerate(live)):
+            break
+    for p, (idx, _, b, ku, kl) in enumerate(live):
+        if len(b) > done:
+            continue
+        base = p * slot + top
+        # past column n nothing matches, so the diagonal through D[m][n]
+        # rises by exactly one per column: D[m][n] = D[m+t][n+t] - t
+        score = ku + len(b) - ((cnt >> base) & ((1 << slot) - 1))
+        # rows below match nothing: each vertical delta there is 0 or +1
+        score -= ((vp >> (base - kl)) & ((1 << kl) - 1)).bit_count()
+        out[idx] = score if score <= k else None
+    return out
+
+
+def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                       cap: int | float, k: int) -> tuple[list[int | None], int]:
+    """Each pair's exact distance when it is below cap, else None, and the
+    number of engine passes that took.
+
+    Every pair is stripped and starts in a band of k, at least its length
+    difference; a pair that does not fit is sent again at double the band
+    until it fits or the band reaches cap - 1. k changes the time taken,
+    never a result.
+    """
+    out: list[int | None] = [None] * len(pairs)
+    todo = []  # (index, shorter, longer, widest band it can need)
+    for idx, (a, b) in enumerate(pairs):
+        a, b = _strip_common(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(b) - len(a) < cap:
+            todo.append((idx, a, b, len(b) if cap > len(b) else math.ceil(cap) - 1))
+    passes = 0
+    k = max(k, 1)
+    while todo:
+        k = min(max(k, min(len(b) - len(a) for _, a, b, _ in todo)),
+                max(limit for *_, limit in todo))
+        found = _band_distances([(a, b) for _, a, b, _ in todo], k)
+        passes += 1
+        retry = []
+        for item, d in zip(todo, found):
+            if d is not None:
+                out[item[0]] = d if d < cap else None
+            elif k < item[3]:
+                retry.append(item)
+        todo = retry
+        k *= 2
+    return out, passes
 
 
 def levenshtein_bounded(a: str | Sequence, b: str | Sequence, cap: int | float,
@@ -132,25 +199,7 @@ def levenshtein_bounded(a: str | Sequence, b: str | Sequence, cap: int | float,
     """
     if cap < 0:
         raise DiversityError("cap must be >= 0")
-    a, b = _strip_common(a, b)
-    if len(a) > len(b):
-        a, b = b, a
-    m, n = len(a), len(b)
-    if n - m >= cap:
-        return None
-    if m == 0:
-        return n
-    limit = n if cap > n else math.ceil(cap) - 1
-    k = min(max(hint, n - m, 1), limit)
-    while 2 * k + 1 < m:
-        d = _band_distance(a, b, k)
-        if d is not None:
-            return d
-        if k >= limit:
-            return None
-        k = min(2 * k, limit)
-    d = _myers_distance(a, b)
-    return d if d < cap else None
+    return _bounded_distances([tuple(_codes([a, b]))], cap, hint)[0][0]
 
 
 def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
@@ -180,6 +229,7 @@ class DistanceMatrix:
     ids: list[str]
     distances: np.ndarray
     cap: int | None = None
+    band_passes: int = 0  # engine passes that computed the distances
 
     def validate(self) -> None:
         n = len(self.ids)
@@ -227,17 +277,27 @@ def pairwise_distances(trajectories: Sequence[TrajectoryRecord],
 
 def surface_distances(ids: Sequence[str], surfaces: Sequence,
                       cap: int | None = None) -> DistanceMatrix:
+    """Distance matrix over one question's surfaces, clamped at cap.
+
+    The first pair's band doubles from the smallest; one question's
+    trajectories lie at similar distances, so every other pair then starts
+    in one shared pass just above the first pair's distance.
+    """
     n = len(ids)
     dist = np.zeros((n, n), dtype=np.int64)
-    # one question's trajectories lie at similar distances, so each pair's
-    # band starts just above the previous pair's distance
-    hint = _MIN_BAND
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = clamped_distance(surfaces[i], surfaces[j], cap, hint=hint)
-            dist[i, j] = dist[j, i] = d
-            hint = max(_MIN_BAND, d + d // 4)
-    return DistanceMatrix(ids=list(ids), distances=dist, cap=cap)
+    index = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    passes = 0
+    if index and (cap is None or cap > 0):
+        limit = math.inf if cap is None else cap
+        codes = _codes(surfaces)
+        pairs = [(codes[i], codes[j]) for i, j in index]
+        first, passes = _bounded_distances(pairs[:1], limit, _MIN_BAND)
+        hint = cap if first[0] is None else first[0]
+        rest, more = _bounded_distances(pairs[1:], limit, max(_MIN_BAND, hint + hint // 4))
+        passes += more
+        for (i, j), d in zip(index, first + rest):
+            dist[i, j] = dist[j, i] = cap if d is None else d
+    return DistanceMatrix(ids=list(ids), distances=dist, cap=cap, band_passes=passes)
 
 
 def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
@@ -288,7 +348,7 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     return [matrix.ids[k] for k in selected]
 
 
-def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any]]:
+def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int]:
     qid, ids, surfaces, p, cap = args
     matrix = surface_distances(ids, surfaces, cap=cap)
     chosen = select_farthest(matrix, p)
@@ -303,7 +363,7 @@ def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any]]:
         "min_distance": pair_dists[0] if pair_dists else None,
         "median_distance": pair_dists[(len(pair_dists) - 1) // 2] if pair_dists else None,
     }
-    return qid, chosen, row
+    return qid, chosen, row, matrix.band_passes
 
 
 def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
@@ -316,7 +376,9 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
 
     Returns the diversified corpus sorted by (question_id, trajectory_id)
     and a report with per-question selection stats. Questions with no
-    surviving trajectory are recorded as dropped.
+    surviving trajectory are recorded as dropped. The report's "engine"
+    entry counts the pairs measured and the engine passes they took; it is
+    run telemetry, which callers log rather than write with the report.
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
@@ -347,8 +409,10 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
     by_id = {t.trajectory_id: t for t in trajectories}
     selected: list[TrajectoryRecord] = []
     per_question: dict[str, Any] = {}
-    for qid, chosen, row in outcomes:
+    passes = 0
+    for qid, chosen, row, band_passes in outcomes:
         per_question[qid] = row
+        passes += band_passes
         selected.extend(by_id[tid] for tid in chosen)
     selected.sort(key=lambda t: (t.question_id, t.trajectory_id))
 
@@ -364,5 +428,7 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         "selected_count": len(selected),
         "dropped_questions": dropped,
         "per_question": per_question,
+        "engine": {"pairs": sum(len(ids) * (len(ids) - 1) // 2 for _, ids, *_ in tasks),
+                   "band_passes": passes},
     }
     return selected, report

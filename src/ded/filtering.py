@@ -8,7 +8,6 @@ which convention produced a corpus.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -220,12 +219,11 @@ def _classify(trajectory: TrajectoryRecord,
 
 def run_quality_gate(trajectories: Sequence[TrajectoryRecord],
                      questions: Iterable[QuestionRecord],
-                     config: FilterConfig | None = None,
-                     workers: int = 1) -> GateResult:
+                     config: FilterConfig | None = None) -> GateResult:
     """Partition trajectories into kept / rejected / needs_judge.
 
-    Pure function of its inputs: the partition is identical for any worker
-    count and any input order, with each bucket sorted by trajectory_id.
+    Pure function of its inputs: the partition is identical for any input
+    order, with each bucket sorted by trajectory_id.
     """
     config = config or FilterConfig()
     config.validate()
@@ -234,17 +232,9 @@ def run_quality_gate(trajectories: Sequence[TrajectoryRecord],
     if dangling:
         raise FilterError(f"trajectories reference unknown question_ids: {dangling}")
 
-    def work(t: TrajectoryRecord) -> tuple[str, TrajectoryRecord]:
-        return _classify(t, qmap[t.question_id], config)
-
-    if workers > 1 and len(trajectories) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, trajectories))
-    else:
-        outcomes = [work(t) for t in trajectories]
-
     result = GateResult()
-    for bucket, record in outcomes:
+    for t in trajectories:
+        bucket, record = _classify(t, qmap[t.question_id], config)
         getattr(result, bucket).append(record)
     for bucket_list in (result.kept, result.rejected, result.needs_judge):
         bucket_list.sort(key=lambda t: t.trajectory_id)

@@ -26,9 +26,9 @@ from .config import manifest_snapshot, validate_config
 from .diversity import diversify_corpus
 from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
 from .mixer import compose_mix
-from .records import (EPOCH_ISO, STAGES, CorpusManifest, PassRateStats, QuestionRecord,
-                      TrajectoryRecord, load_manifest, parse_corpus, save_manifest,
-                      write_corpus, write_manifest)
+from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
+                      QuestionRecord, TrajectoryRecord, content_hash, load_manifest,
+                      parse_corpus, save_manifest, write_corpus, write_manifest)
 from .teacher import sample_teacher
 
 EXIT_OK = 0
@@ -90,6 +90,34 @@ def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
     cache_dir = (client_cfg["cache_dir"] or os.environ.get("DED_CACHE_DIR")
                  or (out_dir / ".cache"))
     return CachingClient(inner, cache_dir)
+
+
+# A run that starts after sample reads the output of the stage before its
+# first stage from out_dir: stage -> (that stage's manifest, its trajectories).
+_PARENT_OUTPUT = {"filter": ("raw", "raw_trajectories.jsonl"),
+                  "compress": ("right", "right_trajectories.jsonl"),
+                  "diversify": ("right_hard", "right_hard_trajectories.jsonl")}
+
+
+def _read_parent_output(out: Path, stage: str, known: dict[str, CorpusManifest],
+                        questions: list[QuestionRecord]) -> tuple[list[QuestionRecord],
+                                                                  list[TrajectoryRecord]]:
+    """The questions and trajectories `stage` reads when the stage before it
+    did not run in this invocation, refused unless they are the bytes that
+    stage's manifest describes."""
+    parent, path = _PARENT_OUTPUT[stage]
+    if stage == "diversify":
+        questions = parse_corpus(out / "right_hard_questions.jsonl", "questions")
+    trajectories = parse_corpus(out / path, "trajectories")
+    # the right manifest covers its trajectories only; raw's and right_hard's
+    # also cover the questions they were built on
+    covered = trajectories if parent == "right" else questions + trajectories
+    manifest = known.get(parent)
+    if manifest is None or content_hash(covered) != manifest.content_hash:
+        raise StageError(stage, CorpusError(
+            f"{path} does not match manifest_{parent}.json; run the stages before "
+            f"{stage} again"))
+    return questions, trajectories
 
 
 def _filter_config(cfg: dict[str, Any]) -> FilterConfig:
@@ -263,12 +291,10 @@ def run_pipeline(config: str | Path | dict[str, Any],
             questions = parse_corpus(cfg["questions"], "questions")
             log.emit("ingest", "loaded", count=len(questions), path=str(cfg["questions"]))
 
-        if "sample" not in stages and any(s in stages for s in ("filter", "compress",
-                                                                 "diversify")):
-            current_stage = "ingest"
-            raw_path = out / "raw_trajectories.jsonl"
-            if raw_path.exists():
-                trajectories = parse_corpus(raw_path, "trajectories")
+        first = next((s for s in ("sample", *_PARENT_OUTPUT) if s in stages), None)
+        if first in _PARENT_OUTPUT:
+            current_stage = first
+            questions, trajectories = _read_parent_output(out, first, known, questions)
 
         qmap = {q.question_id: q for q in questions}
 
@@ -373,6 +399,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
                 trajectories, p=cfg["diverse_per_question"], unit=cfg["unit"],
                 cap_ratio=cfg["cap_ratio"], questions=questions,
                 workers=cfg["workers"])
+            engine = report.pop("engine")
             write_corpus(out / "right_hard_diverse_trajectories.jsonl", selected)
             with open(out / "diversity_report.json", "w", encoding="utf-8",
                       newline="\n") as fh:
@@ -382,7 +409,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
                 "right_hard_diverse", selected, parent=known.get("right_hard"),
                 config=snapshot, created_at=stamp))
             trajectories = selected
-            log.emit("diversify", "stage_done", selected=len(selected),
+            log.emit("diversify", "stage_done", selected=len(selected), **engine,
                      duration_ms=round(1000 * (time.perf_counter() - t0), 3))
 
         if "mix" in stages and cfg["mix_sources"]:

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the real ones.
 
-These stay deliberately naive: the edit-distance oracle is the textbook
-recursion with memoization, and the dispersion oracle enumerates subsets.
-Neither shares code with the library.
+These stay deliberately simple: the short edit-distance oracle is the
+textbook recursion with memoization, the long one Myers's full-width
+bit-parallel scanner, and the dispersion oracle enumerates subsets. None
+shares code with the library.
 """
 
 from __future__ import annotations
@@ -26,6 +27,35 @@ def naive_levenshtein(a: str, b: str) -> int:
     result = rec(len(a), len(b))
     rec.cache_clear()
     return result
+
+
+def myers_distance(a, b) -> int:
+    """Edit distance by Myers's (1999) bit-parallel scanner, one
+    arbitrary-precision word spanning all of a."""
+    m = len(a)
+    if not m or not b:
+        return max(m, len(b))
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    peq: dict = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    vp, vn, score = full, 0, m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | (~(xh | vp) & full)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        if mh & top:
+            score -= 1
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        vp = mh | (~(xv | ph) & full)
+        vn = ph & xv
+    return score
 
 
 def brute_force_max_pair(ids: list[str], dist) -> tuple[int, int]:

@@ -52,6 +52,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config({"stages": ["train"]})
 
+    def test_gap_between_corpus_stages_refused(self):
+        validate_config({"stages": ["compress", "diversify", "stats"]})
+        validate_config({"stages": ["sample", "mix"]})
+        for stages in (["sample", "diversify"], ["filter", "diversify", "stats"],
+                       ["sample", "filter", "diversify"]):
+            with pytest.raises(ConfigError, match="gap"):
+                validate_config({"stages": stages})
+
     def test_type_errors(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"max_token_len": "big", "seed": 1.5,

@@ -9,28 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ded import diversity
-from ded.diversity import (DistanceMatrix, DiversityError, _myers_distance,
-                           clamped_distance, diversify_corpus, levenshtein,
-                           levenshtein_bounded, pairwise_distances, select_farthest,
-                           surface_distances, trajectory_surface)
+from ded.diversity import (DistanceMatrix, DiversityError, _band_distances,
+                           _bounded_distances, _codes, _strip_common, clamped_distance,
+                           diversify_corpus, levenshtein, levenshtein_bounded,
+                           pairwise_distances, select_farthest, surface_distances,
+                           trajectory_surface)
 
 from conftest import make_question, make_trajectory
-from oracles import (brute_force_max_pair, min_dist_to_set, naive_levenshtein,
-                     triangle_violated)
+from oracles import (brute_force_max_pair, min_dist_to_set, myers_distance,
+                     naive_levenshtein, triangle_violated)
 
 short_strings = st.text(alphabet="abcd", max_size=24)
 WORDS = ["lemma", "bound", "case", "sum", "root", "prime", "graph", "angle"]
 
 
 @st.composite
-def near_duplicates(draw, min_size: int, max_size: int, alphabet=tuple("abcd")):
-    """A base sequence and a copy with a few edits: the distance is far
-    below the length, which is the regime the band is for."""
-    base = draw(st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=max_size))
+def edited(draw, base: list, alphabet, max_edits: int) -> list:
+    """A copy of base with up to max_edits insertions, deletions and
+    substitutions."""
     other = list(base)
     for op, where, item in draw(st.lists(
             st.tuples(st.sampled_from("ids"), st.integers(0, 10 ** 6),
-                      st.sampled_from(alphabet)), max_size=12)):
+                      st.sampled_from(alphabet)), max_size=max_edits)):
         pos = where % (len(other) + 1)
         if op == "i":
             other.insert(pos, item)
@@ -38,14 +38,15 @@ def near_duplicates(draw, min_size: int, max_size: int, alphabet=tuple("abcd")):
             del other[pos]
         elif pos < len(other):
             other[pos] = item
-    return base, other
+    return other
 
 
-def full_width(a, b) -> int:
-    """The full-width scanner alone, as the reference for long inputs."""
-    if not a or not b:
-        return max(len(a), len(b))
-    return _myers_distance(a, b)
+@st.composite
+def near_duplicates(draw, min_size: int, max_size: int, alphabet=tuple("abcd")):
+    """A base sequence and a copy with a few edits: the distance is far
+    below the length, which is the regime the band is for."""
+    base = draw(st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=max_size))
+    return base, draw(edited(base, alphabet, 12))
 
 
 def near_duplicate_texts(seed: int) -> list[str]:
@@ -87,6 +88,11 @@ class TestLevenshtein:
     @given(short_strings, short_strings)
     @settings(max_examples=300)
     def test_matches_oracle(self, a, b):
+        assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+    @given(st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24),
+           st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24))
+    def test_any_code_point(self, a, b):
         assert levenshtein(a, b) == naive_levenshtein(a, b)
 
     @given(short_strings, short_strings)
@@ -163,7 +169,7 @@ class TestBandEngine:
     @settings(max_examples=150)
     def test_long_matches_full_width_under_any_hint(self, pair):
         a, b = ("".join(s) for s in pair)
-        true = full_width(a, b)
+        true = myers_distance(a, b)
         for hint in (1, max(1, true // 2), true + 3):
             for cap in (max(true - 1, 0), true, true + 1):
                 assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
@@ -173,7 +179,7 @@ class TestBandEngine:
     def test_length_gap_one_below_cap(self, pair, hint):
         a, b = ("".join(s) for s in pair)
         cap = abs(len(a) - len(b)) + 1
-        true = full_width(a, b)
+        true = myers_distance(a, b)
         assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
 
     @given(near_duplicates(20, 120, alphabet=tuple(WORDS)))
@@ -183,27 +189,166 @@ class TestBandEngine:
         ts = [make_trajectory(q, i, "<think>" + " ".join(words[:5]) + "</think>" +
                               " ".join(words[5:])) for i, words in enumerate(pair)]
         surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
-        true = full_width(*surfaces)
+        true = myers_distance(*surfaces)
         assert pairwise_distances(ts, unit="token").distances[0, 1] == true
         for cap in (max(true - 1, 1), true + 1):
             assert pairwise_distances(ts, unit="token", cap=cap).distances[0, 1] == min(true, cap)
 
     def test_band_doubles_from_a_narrow_hint(self, monkeypatch):
         widths = []
-        band = diversity._band_distance
+        band = diversity._band_distances
 
-        def recording(a, b, k):
+        def recording(pairs, k):
             widths.append(k)
-            return band(a, b, k)
+            return band(pairs, k)
 
-        monkeypatch.setattr(diversity, "_band_distance", recording)
+        monkeypatch.setattr(diversity, "_band_distances", recording)
         rng = random.Random(5)
         a = "".join(rng.choice("abcd") for _ in range(400))
         b = "".join("x" if i % 40 == 20 else ch for i, ch in enumerate(a))
-        true = full_width(a, b)
+        true = myers_distance(a, b)
         assert levenshtein_bounded(a, b, math.inf, hint=1) == true
         assert widths == [1 << i for i in range(len(widths))]
         assert widths[-2] < true <= widths[-1]
+
+
+def stripped_pairs(seqs, oracle=myers_distance) -> list[tuple]:
+    """Every ordered pair of seqs as the engine takes it: stripped code
+    arrays, shorter first, with the pair's distance by the oracle."""
+    codes = _codes(seqs)
+    pairs = []
+    for i, x in enumerate(seqs):
+        for j, y in enumerate(seqs):
+            if i != j:
+                a, b = _strip_common(codes[i], codes[j])
+                pairs.append((*sorted((a, b), key=len), oracle(x, y)))
+    return pairs
+
+
+def band_want(true: int, k: int) -> int | None:
+    return true if true <= k else None
+
+
+@st.composite
+def question_of_variants(draw, min_size: int, max_size: int, alphabet=tuple("abcd")):
+    """Several edited copies of one base: lengths, length gaps, distances
+    and so band widths differ from pair to pair."""
+    base = draw(st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=max_size))
+    copies = [draw(edited(base, alphabet, 30)) for _ in range(draw(st.integers(2, 5)))]
+    return ["".join(v) for v in [base, *copies]]
+
+
+class TestBatchedBand:
+    """One call of the engine runs many pairs, each in its own segment."""
+
+    @given(question_of_variants(4, 30), st.integers(0, 40))
+    @settings(max_examples=200)
+    def test_mixed_pairs_in_one_call_match_oracle(self, seqs, k):
+        pairs = stripped_pairs(seqs, naive_levenshtein)
+        got = _band_distances([(a, b) for a, b, _ in pairs], k)
+        assert got == [band_want(true, k) for *_, true in pairs]
+
+    @given(question_of_variants(60, 400))
+    @settings(max_examples=60)
+    def test_long_mixed_pairs_at_every_band_match_full_width(self, seqs):
+        pairs = stripped_pairs(seqs)
+        truths = sorted({true for *_, true in pairs})
+        for k in {1, truths[0], truths[-1], (truths[0] + truths[-1]) // 2 + 1}:
+            got = _band_distances([(a, b) for a, b, _ in pairs], k)
+            assert got == [band_want(true, k) for *_, true in pairs]
+
+    def test_neighbouring_segments_keep_their_own_counts(self):
+        # a near-duplicate pair beside pairs of far more edits and other
+        # lengths: a count read from the wrong segment changes a distance
+        rng = random.Random(2)
+        base = "".join(rng.choice("abcdef") for _ in range(300))
+        near = base[:150] + "z" + base[151:]
+        far = "".join(ch if i % 5 else "y" for i, ch in enumerate(base))
+        short = base[40:200] + "qq"
+        # two edits 298 symbols apart: a count of 298 in a band of k = 2
+        ends = "y" + base[1:-1] + "y"
+        seqs = [near, base, far, short, base[:260], ends]
+        pairs = stripped_pairs(seqs)
+        assert len({len(b) - len(a) for a, b, _ in pairs}) > 2
+        for k in (2, 3, 64, 160, 400):
+            got = _band_distances([(a, b) for a, b, _ in pairs], k)
+            assert got == [band_want(true, k) for *_, true in pairs]
+
+    def test_pairs_empty_after_stripping(self):
+        seqs = ["abcabc", "abcabc", "abc", "", "abcabcab"]
+        pairs = stripped_pairs(seqs, naive_levenshtein)
+        assert any(not len(a) for a, _, _ in pairs)
+        for k in (0, 1, 2, 3, 6, 10):
+            got = _band_distances([(a, b) for a, b, _ in pairs], k)
+            assert got == [band_want(true, k) for *_, true in pairs]
+        ids = [f"t{i}" for i in range(len(seqs))]
+        matrix = surface_distances(ids, seqs)
+        want = [[naive_levenshtein(x, y) for y in seqs] for x in seqs]
+        assert matrix.distances.tolist() == want
+
+    @given(question_of_variants(1, 12))
+    @settings(max_examples=100)
+    def test_band_at_or_above_the_shorter_length(self, seqs):
+        pairs = stripped_pairs(seqs, naive_levenshtein)
+        shortest = min(len(a) for a, _, _ in pairs)
+        longest = max(len(b) for _, b, _ in pairs)
+        for k in (shortest, shortest + 1, 2 * longest + 3):
+            got = _band_distances([(a, b) for a, b, _ in pairs], k)
+            assert got == [band_want(true, k) for *_, true in pairs]
+
+    @given(question_of_variants(20, 200), st.integers(1, 64))
+    @settings(max_examples=60)
+    def test_caps_around_each_distance(self, seqs, k):
+        codes = _codes(seqs)
+        index = [(i, j) for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
+        truths = [myers_distance(seqs[i], seqs[j]) for i, j in index]
+        for true in {truths[0], truths[-1]}:
+            for cap in (max(true - 1, 0), true, true + 1):
+                got, _ = _bounded_distances(
+                    [(codes[i], codes[j]) for i, j in index], cap, k)
+                assert got == [bounded_want(t, cap) for t in truths]
+
+    @given(st.lists(near_duplicates(20, 120, alphabet=tuple(WORDS)), min_size=1,
+                    max_size=2))
+    @settings(max_examples=40)
+    def test_token_surfaces_of_a_question(self, groups):
+        # at least three trajectories, so every pair after the first goes
+        # through one shared pass
+        q = make_question(0)
+        word_lists = [words for pair in groups for words in pair] + [list(WORDS)]
+        ts = [make_trajectory(q, i, "<think>" + " ".join(words[:5]) + "</think>" +
+                              " ".join(words[5:])) for i, words in enumerate(word_lists)]
+        surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
+        want = np.array([[myers_distance(x, y) for y in surfaces] for x in surfaces])
+        matrix = pairwise_distances(ts, unit="token")
+        assert (matrix.distances == want).all()
+        for cap in (max(int(want[0, 1]) - 1, 1), int(want[0, 1]) + 1):
+            got = pairwise_distances(ts, unit="token", cap=cap).distances
+            assert (got == np.minimum(want, cap)).all()
+
+    def test_codes_leave_two_values_for_padding(self):
+        # rows and columns past a pair's end hold the dtype's two largest
+        # values, which must match no symbol
+        for size in (253, 254, 255, 256, 65533, 65534, 65535):
+            for seqs in (["".join(map(chr, range(0x100, 0x100 + size)))],
+                         [list(range(size))]):
+                (codes,) = _codes(seqs)
+                assert len(set(codes.tolist())) == size
+                assert codes.max() < np.iinfo(codes.dtype).max - 1
+
+    def test_passes_count_every_engine_call(self, monkeypatch):
+        calls = []
+        band = diversity._band_distances
+
+        def recording(pairs, k):
+            calls.append(len(pairs))
+            return band(pairs, k)
+
+        monkeypatch.setattr(diversity, "_band_distances", recording)
+        texts = near_duplicate_texts(1)
+        matrix = surface_distances([f"t{i}" for i in range(len(texts))], texts)
+        assert matrix.band_passes == len(calls) >= 2
+        assert calls[0] == 1
 
 
 def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:

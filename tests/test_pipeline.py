@@ -167,6 +167,86 @@ class TestPipelineEndToEnd:
         assert [s["take"] for s in sources] == [4, 4]
 
 
+class TestPartialRuns:
+    """A run that starts after sample reads the output of the stage before
+    its first stage, and only if that output is what its manifest says."""
+
+    STAGE_FILES = {"compress": ("right_hard_questions.jsonl",
+                                "right_hard_trajectories.jsonl", "compression_report.json",
+                                "pass_rates.jsonl", "manifest_right_hard.json"),
+                   "diversify": ("right_hard_diverse_trajectories.jsonl",
+                                 "diversity_report.json",
+                                 "manifest_right_hard_diverse.json")}
+
+    @pytest.mark.parametrize("stage", ["compress", "diversify"])
+    def test_stage_alone_rebuilds_the_full_run_output(self, tmp_path, stage):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        before = {name: (out / name).read_bytes() for name in self.STAGE_FILES[stage]}
+        for name in before:
+            (out / name).unlink()
+        result = run_pipeline(dict(config, stages=[stage]))
+        assert result.exit_code == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_diversify_alone_keeps_to_right_hard(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        result = run_pipeline(dict(config, stages=["diversify"]))
+        assert result.exit_code == EXIT_OK
+        hard = load_manifest(out / "manifest_right_hard.json")
+        diverse = result.manifests["right_hard_diverse"]
+        assert diverse.parent_manifest == hard.content_hash
+        assert (diverse.question_count, diverse.trajectory_count) == (6, 12)
+        hard_ids = {t.trajectory_id for t in
+                    parse_corpus(out / "right_hard_trajectories.jsonl", "trajectories")}
+        kept = parse_corpus(out / "right_hard_diverse_trajectories.jsonl", "trajectories")
+        assert {t.trajectory_id for t in kept} <= hard_ids
+
+    @pytest.mark.parametrize("stage,changed", [
+        ("filter", "raw_trajectories.jsonl"),
+        ("compress", "right_trajectories.jsonl"),
+        ("diversify", "right_hard_trajectories.jsonl"),
+        ("diversify", "right_hard_questions.jsonl"),
+    ])
+    def test_output_unlike_its_manifest_is_refused(self, tmp_path, stage, changed):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        lines = (out / changed).read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / changed).write_text("".join(lines[:-1]), encoding="utf-8")
+        manifests = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
+        result = run_pipeline(dict(config, stages=[stage, "stats"]))
+        assert result.exit_code == EXIT_STAGE
+        assert result.failed_stage == stage
+        assert "manifest" in result.error
+        assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
+
+    def test_missing_parent_manifest_is_refused(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        (out / "manifest_right.json").unlink()
+        result = run_pipeline(dict(config, stages=["compress"]))
+        assert result.exit_code == EXIT_STAGE
+        assert result.failed_stage == "compress"
+
+
+def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
+    config = build_pipeline_fixture(tmp_path)
+    counts = []
+    for _ in range(2):
+        out = run_pipeline(config).out_dir
+        done = [e for e in _read_events(out)
+                if e["stage"] == "diversify" and e["event"] == "stage_done"]
+        counts.append((done[0]["pairs"], done[0]["band_passes"]))
+    sizes: dict[str, int] = {}
+    for t in parse_corpus(out / "right_hard_trajectories.jsonl", "trajectories"):
+        sizes[t.question_id] = sizes.get(t.question_id, 0) + 1
+    assert counts[0] == counts[1]
+    assert counts[0][0] == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
+    assert counts[0][1] >= sum(1 for n in sizes.values() if n > 1)
+    assert "engine" not in json.loads((out / "diversity_report.json").read_text())
+
+
 def test_tree_hash_ignores_logs_and_cache(tmp_path):
     (tmp_path / "a.txt").write_text("same", encoding="utf-8")
     (tmp_path / "logs").mkdir()
