@@ -14,14 +14,13 @@ import json
 import os
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .filtering import normalize_answer
-from .records import VerificationVerdict
+from .records import VerificationVerdict, replacing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -330,8 +329,6 @@ class MockClient(Client):
     candidate against the reference with the rule normalizer.
     """
 
-    backend = "mock"
-
     def __init__(self,
                  fixtures: str | Path | dict[str, Any] | None = None,
                  seed: int = 0,
@@ -350,6 +347,24 @@ class MockClient(Client):
         self.retries_total = 0
         self.requests_total = 0
         self._lock = threading.Lock()
+        # the answers depend on the fixture table, on whether synthesis is
+        # allowed and on the seed it uses, so the cache keys on all three.
+        # Sample texts, which can run to megabytes, are hashed as they are,
+        # each after its length, rather than encoded as JSON first
+        digest = hashlib.sha256(json.dumps(
+            [allow_synthesis, seed, sorted(self.judges.items(), key=lambda item: item[0])],
+            sort_keys=True).encode("ascii"))
+        for key, texts in sorted(self.samples.items(), key=lambda item: item[0]):
+            digest.update(json.dumps([key, len(texts)]).encode("ascii"))
+            for text in texts:
+                data = text.encode("utf-8", "surrogatepass")
+                digest.update(b"%d:" % len(data))
+                digest.update(data)
+        self._backend = f"mock {digest.hexdigest()}"
+
+    @property
+    def backend(self) -> str:
+        return self._backend
 
     def _synthesize(self, request: SamplingRequest, index: int) -> str:
         h = _stable_int(self.seed, request.teacher_id, request.prompt,
@@ -455,16 +470,9 @@ class CachingClient(Client):
             return None  # absent, truncated, or missing a field: a miss
 
     def _write(self, key: str, value: dict) -> None:
-        path = self._path(key)
         # writers sharing a cache directory each fill their own temp file
-        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(value, fh, sort_keys=True, ensure_ascii=False)
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with replacing(self._path(key)) as fh:
+            json.dump(value, fh, sort_keys=True, ensure_ascii=False)
 
     def _cached(self, key: str, call: Callable[[], R],
                 encode: Callable[[R], dict], decode: Callable[[Any], R]) -> R:

@@ -4,21 +4,23 @@ One engine computes the Levenshtein distance: Myers's bit-parallel column
 step on the diagonal band that any alignment of cost at most k stays in
 (Ukkonen 1985), about k+1 rows wide, which gives the exact distance when it
 is at most k and otherwise reports "more than k". One column step serves
-many pairs at once: each pair owns a segment of a single int. A question's
-first pair starts at a small band that doubles until its distance fits;
-every other pair then shares one pass at a band just above that distance,
-and a pair that does not fit is sent again at double the band. A band too
-narrow is detected and widened, so the starting band changes only the time
-taken, never a result. Selection is greedy max-min dispersion,
+many pairs at once: each pair owns a segment of a single int, and each
+column's match words are byte slices of per-symbol occurrence bitmaps. A
+question's first pair starts in a wide band that doubles until its distance
+fits; every other pair then shares one pass at a band just above that
+distance, and a pair that does not fit is sent again at double the band. A
+band too narrow is detected and widened, so the starting band changes only
+the time taken, never a result. Selection is greedy max-min dispersion,
 deterministic under explicit tie-breaks.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -27,8 +29,15 @@ from .records import TrajectoryRecord
 
 # smallest starting band; narrower bands save little and double more often
 _MIN_BAND = 32
-# columns whose match words are gathered at once
+# a question's first pair starts at this band, or at a sixteenth of its
+# longer surface if that is wider
+_FIRST_BAND = 256
+# columns whose match words are gathered, and whose scores are checked, at once
 _BLOCK = 64
+# each column's bit offset within its byte, over one block
+_SHIFTS = tuple(range(8)) * (_BLOCK // 8)
+# bytes a chunk's bitmaps may take before they are packed
+_SCRATCH = 1 << 20
 
 
 class DiversityError(ValueError):
@@ -66,6 +75,52 @@ def _strip_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a[:len(a) - hi], b[:len(b) - hi]
 
 
+def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
+                  slot: int) -> Iterator[bytes]:
+    """The match words of _BLOCK columns at a time, one slot of slot // 8
+    bytes per pair and column, pair 0 first.
+
+    Column c's slot for pair p holds bit r = rows[p, c - c % 8 + r] ==
+    text[p, c], taken from a bitmap of that symbol's occurrences in pair p's
+    rows that starts at a whole byte; columns past ends[p] match nothing.
+    The bitmaps are built per chunk of columns, only for the symbols in the
+    chunk's text, and a chunk takes as many columns as keep the unpacked
+    bitmaps within _SCRATCH bytes (at least 8), so scratch memory is
+    bounded whatever the alphabet.
+    """
+    pairs, cols = text.shape
+    step = slot // 8
+    span = cols
+    c0 = 0
+    while c0 < cols:
+        chunk = text[:, c0:c0 + span]
+        syms = np.flatnonzero(np.bincount(chunk.ravel()))
+        fit = _SCRATCH // (pairs * (len(syms) + 1)) - slot
+        if fit < chunk.shape[1] and span > 8:
+            # fewer columns may hold fewer symbols, so shrink by half at most
+            span = max(8, fit, span // 2) // 8 * 8
+            continue
+        c1 = c0 + chunk.shape[1]
+        nbytes = (c1 - 1) // 8 - c0 // 8 + step
+        # per pair, a bitmap of each symbol over the rows the chunk reads,
+        # and one of a value no row holds, all zero, for columns past ends
+        codes = np.append(syms, np.iinfo(rows.dtype).max - 1).astype(rows.dtype)
+        bitmaps = np.packbits(rows[:, None, c0:c0 + 8 * nbytes] == codes[:, None],
+                              axis=2, bitorder="little").ravel()
+        # column c reads pair p's bitmap of text[p, c] from byte c // 8 on
+        entry = np.zeros(syms[-1] + 1, dtype=np.intp)
+        entry[syms] = np.arange(0, len(syms) * nbytes, nbytes)
+        pair_start = np.arange(0, len(bitmaps), len(codes) * nbytes)
+        offsets = np.where(np.arange(c0, c1)[:, None] < ends,
+                           entry[chunk.T] + pair_start + (np.arange(c1 - c0) >> 3)[:, None],
+                           len(syms) * nbytes)
+        windows = np.lib.stride_tricks.as_strided(
+            bitmaps, (len(bitmaps) - step + 1, step), (1, 1), writeable=False)
+        for at in range(0, c1 - c0, _BLOCK):
+            yield windows[offsets[at:at + _BLOCK]].tobytes()
+        c0 = c1
+
+
 def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
                     k: int) -> list[int | None]:
     """For each (shorter, longer) pair of code arrays from one _codes call,
@@ -76,9 +131,9 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     column j (Ukkonen 1985), where ku = (k - gap) // 2 and kl = gap + ku:
     about k+1 rows, against 2k+1 for a band symmetric about the diagonal.
     Each pair owns a slot of the same whole number of bytes in one int; its
-    band's bottom row sits just below the slot's top bit, a guard bit that
-    stops the add's carry, and the int is masked after the add and the
-    shift. Bit r of a band stands for row j-kl+r, so the band slides down
+    band's bottom row sits just below a guard bit that stops the add's
+    carry, with a spare byte above, and the int is masked after the add and
+    the shift. Bit r of a band stands for row j-kl+r, so the band slides down
     one row per column (Hyyrö 2003); a cell just outside it reads as a
     delta of 0 or +1, which never undercuts the in-band minimum. Rows above
     the pattern and below its end match nothing. The bottom row's score
@@ -100,14 +155,17 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     if not live:
         return out
     cols = max(len(b) for _, _, b, _, _ in live)
-    # room for k+1 rows, the guard, one spare row, and a count of up to cols
-    slot = -(-max(k + 3, cols.bit_length() + 1) // 8) * 8
-    top = slot - 2
-    # rows and columns past either end of a pair match nothing, not even
-    # each other: they hold the two values no code uses
+    # room for k+1 rows, the guard, one spare row and a count of up to cols,
+    # plus the spare byte that a gather starting at a whole byte reads in
+    slot = (-(-max(k + 3, cols.bit_length() + 1) // 8) + 1) * 8
+    top = slot - 10
+    # rows past either end of a pattern hold a value that no code takes
     dtype = live[0][1].dtype
-    rows = np.full((len(live), cols + slot - 1), np.iinfo(dtype).max, dtype=dtype)
-    text = np.full((len(live), cols), np.iinfo(dtype).max - 1, dtype=dtype)
+    rows = np.full((len(live), -(-(cols + slot) // 8) * 8), np.iinfo(dtype).max, dtype=dtype)
+    # columns past a text's end match nothing whatever they hold: the
+    # gather reads them from an all-zero bitmap
+    text = np.zeros((len(live), cols), dtype=dtype)
+    ends = np.array([len(b) for _, _, b, _, _ in live])
     mask = tops = vp = 0
     for p, (_, a, b, ku, kl) in enumerate(live):
         base = p * slot + top
@@ -118,15 +176,13 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
         mask |= ((1 << (kl + ku + 1)) - 1) << (base - kl - ku)
         tops |= 1 << base
         vp |= ((1 << ku) - 1) << (base - ku)  # D[i][0] = i for rows 1..ku
-    windows = np.lib.stride_tricks.sliding_window_view(rows, slot, axis=1)
     width = len(live) * slot // 8
     vn = cnt = done = 0
-    while done < cols:
-        block = slice(done, done + _BLOCK)
-        match = windows[:, block] == text[:, block, None]
-        raw = np.packbits(match, axis=2, bitorder="little").transpose(1, 0, 2).tobytes()
-        for at in range(0, len(raw), width):
-            x = int.from_bytes(raw[at:at + width], "little")
+    for raw in _match_blocks(rows, text, ends, slot):
+        # each slot was gathered from the whole byte holding its first row,
+        # so one shift by the column's bit offset aligns them all
+        for at, shift in zip(range(0, len(raw), width), _SHIFTS):
+            x = int.from_bytes(raw[at:at + width], "little") >> shift
             d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
             hp = vn | ((d0 | vp) ^ mask)
             hn = d0 & vp
@@ -134,7 +190,7 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
             d0 = (d0 >> 1) & mask
             vp = hn | ((d0 | hp) ^ mask)
             vn = d0 & hp
-        done = min(done + _BLOCK, cols)
+        done += len(raw) // width
         # a score never falls along a diagonal and the walk up lowers it by
         # at most kl, so a pair whose score passes k + kl is out of reach
         if all(len(b) <= done or ku + done - ((cnt >> (p * slot + top)) & ((1 << slot) - 1))
@@ -279,9 +335,13 @@ def surface_distances(ids: Sequence[str], surfaces: Sequence,
                       cap: int | None = None) -> DistanceMatrix:
     """Distance matrix over one question's surfaces, clamped at cap.
 
-    The first pair's band doubles from the smallest; one question's
-    trajectories lie at similar distances, so every other pair then starts
-    in one shared pass just above the first pair's distance.
+    The first pair starts in a wide band: a pass over one pair costs about
+    the same at any band up to a few hundred rows, so a wide start saves
+    the narrow passes that would fail. One question's trajectories lie at
+    similar distances, so every other pair then shares one pass at the
+    first pair's distance plus 3/16: a wider band costs every pair in the
+    pass, a narrower one more often costs a second pass for the few beyond
+    it.
     """
     n = len(ids)
     dist = np.zeros((n, n), dtype=np.int64)
@@ -291,9 +351,11 @@ def surface_distances(ids: Sequence[str], surfaces: Sequence,
         limit = math.inf if cap is None else cap
         codes = _codes(surfaces)
         pairs = [(codes[i], codes[j]) for i, j in index]
-        first, passes = _bounded_distances(pairs[:1], limit, _MIN_BAND)
+        wide = max(_FIRST_BAND, max(len(codes[0]), len(codes[1])) // 16)
+        first, passes = _bounded_distances(pairs[:1], limit, wide)
         hint = cap if first[0] is None else first[0]
-        rest, more = _bounded_distances(pairs[1:], limit, max(_MIN_BAND, hint + hint // 4))
+        rest, more = _bounded_distances(pairs[1:], limit,
+                                        max(_MIN_BAND, hint + 3 * hint // 16))
         passes += more
         for (i, j), d in zip(index, first + rest):
             dist[i, j] = dist[j, i] = cap if d is None else d
@@ -348,9 +410,13 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     return [matrix.ids[k] for k in selected]
 
 
-def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int]:
+def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int, float]:
+    """One question's selection, its report row, and the engine passes and
+    milliseconds its distance matrix took."""
     qid, ids, surfaces, p, cap = args
+    t0 = time.perf_counter()
     matrix = surface_distances(ids, surfaces, cap=cap)
+    distance_ms = round(1000 * (time.perf_counter() - t0), 3)
     chosen = select_farthest(matrix, p)
     idx = {tid: k for k, tid in enumerate(matrix.ids)}
     pair_dists = sorted(
@@ -363,7 +429,7 @@ def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], i
         "min_distance": pair_dists[0] if pair_dists else None,
         "median_distance": pair_dists[(len(pair_dists) - 1) // 2] if pair_dists else None,
     }
-    return qid, chosen, row, matrix.band_passes
+    return qid, chosen, row, matrix.band_passes, distance_ms
 
 
 def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
@@ -377,8 +443,9 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
     Returns the diversified corpus sorted by (question_id, trajectory_id)
     and a report with per-question selection stats. Questions with no
     surviving trajectory are recorded as dropped. The report's "engine"
-    entry counts the pairs measured and the engine passes they took; it is
-    run telemetry, which callers log rather than write with the report.
+    entry counts the pairs measured and the engine passes they took, and
+    holds each question's distance time in milliseconds; it is run
+    telemetry, which callers log rather than write with the report.
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
@@ -410,9 +477,11 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
     selected: list[TrajectoryRecord] = []
     per_question: dict[str, Any] = {}
     passes = 0
-    for qid, chosen, row, band_passes in outcomes:
+    distance_ms = {}
+    for qid, chosen, row, band_passes, ms in outcomes:
         per_question[qid] = row
         passes += band_passes
+        distance_ms[qid] = ms
         selected.extend(by_id[tid] for tid in chosen)
     selected.sort(key=lambda t: (t.question_id, t.trajectory_id))
 
@@ -429,6 +498,6 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         "dropped_questions": dropped,
         "per_question": per_question,
         "engine": {"pairs": sum(len(ids) * (len(ids) - 1) // 2 for _, ids, *_ in tasks),
-                   "band_passes": passes},
+                   "band_passes": passes, "distance_ms": distance_ms},
     }
     return selected, report

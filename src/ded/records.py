@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 DOMAINS = ("math", "code")
 VERDICT_STATUSES = ("correct", "incorrect", "unverifiable", "malformed_format", "overlength")
@@ -472,12 +475,32 @@ def dumps_record(record: Record) -> str:
                       separators=(",", ":"))
 
 
-def write_corpus(path: str | Path, records: Iterable[Record]) -> int:
-    """Write records as JSONL in the given order. Returns the record count."""
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file that takes path's place only once it is written in full.
+
+    It is filled under a temp name of its own in the same directory and
+    renamed over path, so a reader, or a run killed midway, sees the old
+    bytes or the new ones, never a mix. If the write fails, path keeps its
+    old bytes and the temp file is removed.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_corpus(path: str | Path, records: Iterable[Record]) -> int:
+    """Write records as JSONL in the given order. Returns the record count.
+    The file is replaced whole (see `replacing`)."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         for record in records:
             fh.write(dumps_record(record) + "\n")
             n += 1
@@ -589,9 +612,8 @@ def write_manifest(stage: str,
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a manifest as JSON, replacing the file whole (see `replacing`)."""
+    with replacing(path) as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -244,7 +245,7 @@ class TestCachingClient:
 
         monkeypatch.setattr(json, "dump", interleaved)
         texts = first.sample_trajectories(_request())
-        fresh = CachingClient(MockClient(seed=99), cache)
+        fresh = CachingClient(MockClient(seed=4), cache)
         assert fresh.sample_trajectories(_request()) == texts
         assert fresh.hits == 1
         assert sorted(p.suffix for p in cache.iterdir()) == [".json"]
@@ -423,6 +424,26 @@ def test_cache_keys_cover_the_backend(tmp_path):
     assert sent == ["http://one.test/chat/completions", "http://two.test/chat/completions"]
     assert CachingClient(MockClient(seed=1), cache).sample_trajectories(_request()) != [
         "from http"]
+
+
+def test_mock_backend_covers_what_its_answers_depend_on(tmp_path):
+    fixtures = {"samples": {("t", "p"): ["canned reply"]},
+                "judges": {("q", "a"): {"status": "correct"}}}
+    base = MockClient(fixtures=fixtures, seed=1)
+    assert MockClient(fixtures=copy.deepcopy(fixtures), seed=1).backend == base.backend
+    edited = copy.deepcopy(fixtures)
+    edited["samples"][("t", "p")] = ["edited reply"]
+    judged = copy.deepcopy(fixtures)
+    judged["judges"][("q", "a")] = {"status": "incorrect"}
+    others = [MockClient(fixtures=edited, seed=1), MockClient(fixtures=judged, seed=1),
+              MockClient(fixtures=fixtures, seed=2),
+              MockClient(fixtures=fixtures, seed=1, allow_synthesis=False)]
+    assert len({base.backend, *(c.backend for c in others)}) == 5
+    # an entry written under one fixture table is not served under another
+    cache = tmp_path / "cache"
+    assert CachingClient(base, cache).sample_trajectories(_request()) == ["canned reply"]
+    assert CachingClient(others[0], cache).sample_trajectories(_request()) == [
+        "edited reply"]
 
 
 def test_views_count_their_own_calls_and_the_whole(tmp_path):

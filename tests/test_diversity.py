@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,89 @@ class TestBatchedBand:
         assert calls[0] == 1
 
 
+class TestMatchWords:
+    """Each column's match words are byte slices of per-symbol occurrence
+    bitmaps, shifted by the column's bit offset within its byte."""
+
+    def test_every_length_residue_mod_8(self):
+        # patterns and texts of every length mod 8, so windows start at
+        # every bit of a byte and straddle byte boundaries
+        rng = random.Random(8)
+        seqs = []
+        for r in range(8):
+            base = "".join(rng.choice("abcde") for _ in range(40 + 9 * r))
+            seqs += [base, base[:17] + "x" + base[18:] + "yz"[:r % 3]]
+        triples = stripped_pairs(seqs)
+        pairs = [(a, b) for a, b, _ in triples]
+        assert {len(a) % 8 for a, _ in pairs} == {len(b) % 8 for _, b in pairs} == set(range(8))
+        for k in (3, 12, 40, 200):
+            assert _band_distances(pairs, k) == [band_want(t, k) for *_, t in triples]
+        for a, b, true in triples[:30]:
+            assert _band_distances([(a, b)], 40) == [band_want(true, 40)]
+
+    @given(question_of_variants(10, 120))
+    @settings(max_examples=60)
+    def test_chunks_of_eight_columns(self, seqs):
+        # the smallest chunks: bitmaps are rebuilt every 8 columns and a
+        # block of match words never spans two chunks
+        pairs = stripped_pairs(seqs)
+        truths = sorted({true for *_, true in pairs})
+        wide = _band_distances([(a, b) for a, b, _ in pairs], truths[-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diversity, "_SCRATCH", 0)
+            assert _band_distances([(a, b) for a, b, _ in pairs], truths[-1]) == wide
+        assert wide == [true for *_, true in pairs]
+
+    def test_uint16_codes(self):
+        # more than 254 distinct tokens take two-byte codes
+        rng = random.Random(16)
+        vocab = [f"w{i}" for i in range(300)]
+        base = rng.sample(vocab, 300)
+        seqs = [base]
+        for n in (5, 20, 60):
+            words = list(base)
+            for _ in range(n):
+                words[rng.randrange(len(words))] = rng.choice(vocab)
+            seqs.append(words[:len(words) - n // 5])
+        assert _codes(seqs)[0].dtype == np.uint16
+        want = [[myers_distance(x, y) for y in seqs] for x in seqs]
+        ids = [f"t{i}" for i in range(len(seqs))]
+        assert surface_distances(ids, seqs).distances.tolist() == want
+
+    def test_thousands_of_distinct_tokens_in_bounded_scratch(self):
+        # over 3,000 distinct tokens: bitmaps of every symbol over whole
+        # rows would take 15 pairs x 3,000 symbols x ~3,000 rows, ~135 MB
+        # unpacked; chunks keep them within _SCRATCH
+        rng = random.Random(4)
+        vocab = [f"w{i}" for i in range(50000)]
+        base = rng.choices(vocab, k=3000)
+        seqs = []
+        for _ in range(6):
+            words = list(base)
+            for _ in range(40):
+                words[rng.randrange(len(words))] = rng.choice(vocab)
+            seqs.append(words)
+        assert len({w for s in seqs for w in s}) > 3000
+        ids = [f"t{i}" for i in range(len(seqs))]
+        tracemalloc.start()
+        try:
+            matrix = surface_distances(ids, seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * diversity._SCRATCH
+        want = [[myers_distance(x, y) for y in seqs] for x in seqs]
+        assert matrix.distances.tolist() == want
+
+    def test_near_duplicate_texts_take_fewer_passes(self):
+        # one wide pass for the first pair (doubling it from 32 took two
+        # more, six in all), one shared pass for the rest, and three
+        # doublings over their spread of distances, 54 to 420
+        texts = near_duplicate_texts(1)
+        matrix = surface_distances([f"t{i}" for i in range(len(texts))], texts)
+        assert matrix.band_passes <= 5
+
+
 def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
     q = make_question(0)
     trajectories = [make_trajectory(q, i, f"<think>r</think>{text}")
@@ -530,6 +614,11 @@ class TestDiversifyCorpus:
             parallel, report_p = diversify_corpus(trajectories, p=3, cap_ratio=0.6,
                                                   workers=2)
             assert serial == parallel
+            # distance times are wall-clock telemetry, one per question
+            for report in (report_s, report_p):
+                times = report["engine"].pop("distance_ms")
+                assert sorted(times) == sorted(report["per_question"])
+                assert all(ms >= 0 for ms in times.values())
             assert report_s == report_p
 
     def test_report_contains_distance_stats(self):

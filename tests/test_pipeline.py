@@ -4,6 +4,7 @@ import json
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +231,24 @@ class TestPartialRuns:
         assert result.failed_stage == "compress"
 
 
+def test_edited_fixtures_in_a_used_out_dir_build_the_fresh_tree(tmp_path):
+    # answers cached, and pass rates checkpointed, under the old fixture
+    # table must not be served once the table changes
+    config = build_pipeline_fixture(tmp_path)
+    used = run_pipeline(config).out_dir
+    before = tree_hash(used)
+    path = Path(config["client"]["fixtures"])
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows[0]["responses"][0] = rows[0]["responses"][0].replace("expand", "factor")
+    # question 6's student gets every run right, so it is no longer hard
+    rows[13]["responses"] = [f"<think>student try {r}.</think>\\boxed{{45}}" for r in range(4)]
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+                    encoding="utf-8")
+    assert run_pipeline(config).exit_code == EXIT_OK
+    fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
+    assert tree_hash(used) == tree_hash(fresh) != before
+
+
 def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
     config = build_pipeline_fixture(tmp_path)
     counts = []
@@ -245,6 +264,18 @@ def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
     assert counts[0][0] == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
     assert counts[0][1] >= sum(1 for n in sizes.values() if n > 1)
     assert "engine" not in json.loads((out / "diversity_report.json").read_text())
+
+
+def test_diversify_logs_each_questions_distance_time(tmp_path):
+    out = run_pipeline(build_pipeline_fixture(tmp_path)).out_dir
+    done = [e for e in _read_events(out)
+            if e["stage"] == "diversify" and e["event"] == "stage_done"]
+    questions = {q.question_id for q in parse_corpus(out / "right_hard_questions.jsonl",
+                                                     "questions")}
+    times = done[0]["distance_ms"]
+    assert set(times) == questions
+    assert all(isinstance(ms, float) and ms >= 0 for ms in times.values())
+    assert "distance_ms" not in (out / "diversity_report.json").read_text(encoding="utf-8")
 
 
 def test_tree_hash_ignores_logs_and_cache(tmp_path):

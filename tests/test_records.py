@@ -209,3 +209,40 @@ def test_manifest_from_dict_round_trip():
                        config_snapshot={"seed": 3}, content_hash="abc",
                        parent_manifest=None, created_at="t", notes=[])
     assert CorpusManifest.from_dict(m.to_dict()) == m
+
+
+class TestInterruptedWrites:
+    """A write that fails partway leaves the old file as it was and no
+    temp file beside it."""
+
+    def test_corpus(self, tmp_path):
+        q = make_question(2)
+        trajectories = [make_trajectory(q, j, well_formed_text(q, j)) for j in range(4)]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, trajectories[:2])
+        old = path.read_bytes()
+
+        def failing():
+            yield from trajectories
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            write_corpus(path, failing())
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+        assert write_corpus(path, trajectories) == 4
+        assert parse_corpus(path, "trajectories") == trajectories
+
+    def test_manifest(self, tmp_path):
+        m = CorpusManifest(stage="raw", question_count=1, trajectory_count=2,
+                           config_snapshot={"seed": 3}, content_hash="abc")
+        path = tmp_path / "manifest_raw.json"
+        save_manifest(m, path)
+        old = path.read_bytes()
+        # json.dump fails partway, at a value it cannot encode
+        broken = CorpusManifest(stage="raw", question_count=1, trajectory_count=2,
+                                config_snapshot={"seed": object()}, content_hash="def")
+        with pytest.raises(TypeError):
+            save_manifest(broken, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest_raw.json"]
