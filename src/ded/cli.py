@@ -12,15 +12,15 @@ import sys
 from pathlib import Path
 
 from . import diagnostics
-from .clients import ClientError, MockClient
-from .compress import select_hard, student_rollout
-from .config import ConfigError
-from .diversity import diversify_corpus
+from .clients import CachingClient, ClientError
+from .compress import student_rollout
+from .config import ConfigError, validate_config
 from .filtering import FilterConfig, run_quality_gate
 from .mixer import compose_mix
-from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
-from .records import (CorpusError, PassRateStats, parse_corpus, save_manifest,
-                      write_corpus, write_manifest)
+from .pipeline import (EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client,
+                       run_pipeline, write_diverse, write_filtered, write_hard)
+from .records import (STAGES, CorpusError, PassRateStats, load_manifest, parse_corpus,
+                      save_manifest, write_corpus, write_json, write_manifest)
 from .teacher import build_smoke_corpus, ingest_scores, rank_teachers, sample_teacher
 
 
@@ -30,12 +30,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate a corpus file and write a raw manifest")
+    p.set_defaults(handler=_cmd_ingest)
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--kind", default="questions",
                    choices=["questions", "trajectories", "logprobs", "embeddings", "scores"])
     p.add_argument("--manifest-out")
 
     p = sub.add_parser("sample", help="sample teacher trajectories (mock client)")
+    p.set_defaults(handler=_cmd_sample)
     p.add_argument("--questions", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--m", type=int, default=8)
@@ -45,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("filter", help="run the format/length/correctness gate")
+    p.set_defaults(handler=_cmd_filter)
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--questions", required=True)
     p.add_argument("--max-token-len", type=int, default=16384)
@@ -55,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--needs-judge", dest="needs_judge", required=True)
 
     p = sub.add_parser("compress", help="student rollouts and hard-question selection")
+    p.set_defaults(handler=_cmd_compress)
     p.add_argument("--questions", required=True)
     p.add_argument("--student", required=True)
     p.add_argument("--runs", type=int, default=16)
@@ -66,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
 
     p = sub.add_parser("diversify", help="farthest-P selection per question")
+    p.set_defaults(handler=_cmd_diversify)
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--unit", default="char", choices=["char", "token"])
@@ -75,12 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("mix", help="compose a mixed-domain corpus")
+    p.set_defaults(handler=_cmd_mix)
     p.add_argument("--source", action="append", required=True,
                    metavar="PATH:TAKE", help="trajectory file and question count")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("smoke", help="build one-sample-per-question teacher corpora")
+    p.set_defaults(handler=_cmd_smoke)
     p.add_argument("--questions", required=True)
     p.add_argument("--teachers", required=True, help="comma-separated teacher ids")
     p.add_argument("--temperature", type=float, default=0.7)
@@ -89,11 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("rank", help="rank teachers from a score file")
+    p.set_defaults(handler=_cmd_rank)
     p.add_argument("--scores", required=True)
     p.add_argument("--weights", default="uniform",
                    help='"uniform" or a path to a JSON benchmark->weight map')
 
     p = sub.add_parser("stats", help="corpus diagnostics")
+    p.set_defaults(handler=_cmd_stats)
     stats_sub = p.add_subparsers(dest="stat", required=True)
     q = stats_sub.add_parser("entropy")
     q.add_argument("--logprobs", required=True)
@@ -112,10 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSONL with question_id, runs, successes rows")
 
     p = sub.add_parser("report", help="render report.md from stage manifests")
+    p.set_defaults(handler=_cmd_report)
     p.add_argument("--manifest-dir", required=True)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
     return parser
@@ -135,11 +146,16 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _client(args, out_dir: str | Path) -> CachingClient:
+    """A sampling subcommand's mock client, cached under DED_CACHE_DIR or else out_dir/.cache."""
+    cfg = validate_config({"seed": args.seed, "client": {"fixtures": args.fixtures}})
+    return build_client(cfg, Path(out_dir))
+
+
 def _cmd_sample(args) -> int:
     questions = parse_corpus(args.questions, "questions")
-    client = MockClient(fixtures=args.fixtures, seed=args.seed)
-    trajectories = sample_teacher(questions, client, args.teacher, args.m,
-                                  temperature=args.temperature, seed=args.seed)
+    trajectories = sample_teacher(questions, _client(args, Path(args.out).parent), args.teacher,
+                                  args.m, temperature=args.temperature, seed=args.seed)
     write_corpus(args.out, trajectories)
     print(f"sampled {len(trajectories)} trajectories to {args.out}")
     return EXIT_OK
@@ -151,37 +167,26 @@ def _cmd_filter(args) -> int:
     config = FilterConfig(max_token_len=args.max_token_len,
                           token_estimator=args.token_estimator)
     gate = run_quality_gate(trajectories, questions, config)
-    write_corpus(args.out, gate.kept)
-    write_corpus(args.rejects, gate.rejected)
-    write_corpus(args.needs_judge, gate.needs_judge)
+    write_filtered([args.out, args.rejects, args.needs_judge], gate.kept, gate.rejected,
+                   gate.needs_judge)
     _emit(gate.counts)
     return EXIT_OK
 
 
 def _cmd_compress(args) -> int:
     questions = parse_corpus(args.questions, "questions")
-    client = MockClient(fixtures=args.fixtures, seed=args.seed)
-    stats = student_rollout(questions, client, runs=args.runs,
+    stats = student_rollout(questions, _client(args, Path(args.out).parent), runs=args.runs,
                             student_id=args.student, seed=args.seed,
                             checkpoint=args.checkpoint)
-    with open(args.stats, "w", encoding="utf-8", newline="\n") as fh:
-        for s in stats:
-            fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
-    retained, report = select_hard(questions, stats, args.tau)
-    write_corpus(args.out, retained)
+    _, report = write_hard([args.stats, args.out], questions, stats, args.tau)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def _cmd_diversify(args) -> int:
     trajectories = parse_corpus(args.path, "trajectories")
-    selected, report = diversify_corpus(trajectories, p=args.p, unit=args.unit,
-                                        cap_ratio=args.cap_ratio, workers=args.workers)
-    report.pop("engine")  # run telemetry, not part of the report file
-    write_corpus(args.out, selected)
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    selected, _ = write_diverse([args.out, args.report], trajectories, p=args.p, unit=args.unit,
+                                cap_ratio=args.cap_ratio, workers=args.workers)
     print(f"selected {len(selected)} of {len(trajectories)} trajectories")
     return EXIT_OK
 
@@ -204,8 +209,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_smoke(args) -> int:
     questions = parse_corpus(args.questions, "questions")
-    client = MockClient(fixtures=args.fixtures, seed=args.seed)
-    results = build_smoke_corpus(questions, args.teachers.split(","), client,
+    results = build_smoke_corpus(questions, args.teachers.split(","), _client(args, args.out_dir),
                                  temperature=args.temperature, seed=args.seed,
                                  out_dir=args.out_dir)
     for teacher_id, corpus in sorted(results.items()):
@@ -228,50 +232,33 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.stat == "pass1":
+        with open(args.outcomes, "r", encoding="utf-8") as fh:
+            rows = [PassRateStats.from_dict(json.loads(line)) for line in fh if line.strip()]
+        matrix = [[i < s.successes for i in range(s.runs)] for s in rows]
+        print(f"pass@1: {diagnostics.pass_at_1(matrix):.2f}")
+        return EXIT_OK
     if args.stat == "entropy":
         summary = diagnostics.entropy_summary(parse_corpus(args.logprobs, "logprobs"))
-        _emit(summary.to_dict())
-        if args.out:
-            Path(args.out).write_text(json.dumps(summary.to_dict(), indent=2,
-                                                 sort_keys=True) + "\n", encoding="utf-8")
         if args.svg:
             diagnostics.entropy_histogram_svg(summary, args.svg)
     elif args.stat == "lengths":
         summary = diagnostics.length_summary(parse_corpus(args.path, "trajectories"))
-        _emit(summary.to_dict())
-        if args.out:
-            Path(args.out).write_text(json.dumps(summary.to_dict(), indent=2,
-                                                 sort_keys=True) + "\n", encoding="utf-8")
-    elif args.stat == "pca-shift":
+    else:
         embeddings = parse_corpus(args.embeddings, "embeddings")
         before = [e for e in embeddings if e.phase == "before"]
         after = [e for e in embeddings if e.phase == "after"]
-        shift = diagnostics.pca_shift(before, after, k=args.k, fit_on=args.fit_on)
-        _emit(shift.to_dict())
-        if args.out:
-            Path(args.out).write_text(json.dumps(shift.to_dict(), indent=2,
-                                                 sort_keys=True) + "\n", encoding="utf-8")
-    elif args.stat == "pass1":
-        rows = []
-        with open(args.outcomes, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(PassRateStats.from_dict(json.loads(line)))
-        matrix = [[i < s.successes for i in range(s.runs)] for s in rows]
-        print(f"pass@1: {diagnostics.pass_at_1(matrix):.2f}")
+        summary = diagnostics.pca_shift(before, after, k=args.k, fit_on=args.fit_on)
+    _emit(summary.to_dict())
+    if args.out:
+        write_json(args.out, summary.to_dict())
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    from .records import load_manifest
-    manifest_dir = Path(args.manifest_dir)
-    manifests = []
-    for stage in ("raw", "right", "right_hard", "right_hard_diverse", "mixed"):
-        path = manifest_dir / f"manifest_{stage}.json"
-        if path.exists():
-            manifests.append(load_manifest(path))
-    path = diagnostics.emit_report(manifests, args.out_dir)
+    paths = [Path(args.manifest_dir) / f"manifest_{stage}.json" for stage in STAGES]
+    path = diagnostics.emit_report([load_manifest(p) for p in paths if p.exists()],
+                                   args.out_dir)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -288,26 +275,11 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "sample": _cmd_sample,
-    "filter": _cmd_filter,
-    "compress": _cmd_compress,
-    "diversify": _cmd_diversify,
-    "mix": _cmd_mix,
-    "smoke": _cmd_smoke,
-    "rank": _cmd_rank,
-    "stats": _cmd_stats,
-    "report": _cmd_report,
-    "run": _cmd_run,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .records import CorpusManifest, EmbeddingRecord, LogprobRecord, TrajectoryRecord
+from .records import (CorpusManifest, EmbeddingRecord, LogprobRecord, TrajectoryRecord,
+                      replacing)
 
 # Flag the single-bucket residual approximation once it stops being small.
 RESIDUAL_FLAG_THRESHOLD = 0.05
@@ -238,12 +239,13 @@ def _format_float(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _format_float(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    """Write a CSV table whole (see `records.replacing`)."""
+    with replacing(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                _format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def emit_report(manifests: Sequence[CorpusManifest],
@@ -259,7 +261,6 @@ def emit_report(manifests: Sequence[CorpusManifest],
     """
     out = Path(out_dir)
     tables = out / "tables"
-    tables.mkdir(parents=True, exist_ok=True)
 
     def as_map(value, default_key: str) -> dict:
         if value is None:
@@ -279,10 +280,10 @@ def emit_report(manifests: Sequence[CorpusManifest],
     for m in manifests:
         lines.append(f"| {m.stage} | {m.question_count} | {m.trajectory_count} "
                      f"| {(m.parent_manifest or '-')[:12]} | {m.content_hash[:12]} |")
-    (tables / "stage_ledger.csv").write_text(_csv_lines(
-        ["stage", "question_count", "trajectory_count", "parent_manifest", "content_hash"],
-        [[m.stage, m.question_count, m.trajectory_count, m.parent_manifest or "",
-          m.content_hash] for m in manifests]), encoding="utf-8")
+    _write_csv(tables / "stage_ledger.csv",
+               ["stage", "question_count", "trajectory_count", "parent_manifest", "content_hash"],
+               [[m.stage, m.question_count, m.trajectory_count, m.parent_manifest or "",
+                 m.content_hash] for m in manifests])
     lines.append("")
 
     if length_map:
@@ -298,9 +299,8 @@ def emit_report(manifests: Sequence[CorpusManifest],
                          s.percentiles["p5"], s.percentiles["p25"], s.percentiles["p50"],
                          s.percentiles["p75"], s.percentiles["p95"],
                          "yes" if s.estimated else "no"])
-        (tables / "lengths.csv").write_text(_csv_lines(
-            ["corpus", "count", "mean", "median", "min", "max",
-             "p5", "p25", "p50", "p75", "p95", "estimated"], rows), encoding="utf-8")
+        _write_csv(tables / "lengths.csv", ["corpus", "count", "mean", "median", "min", "max",
+                                            "p5", "p25", "p50", "p75", "p95", "estimated"], rows)
         lines.append("")
 
     if entropy_map:
@@ -319,9 +319,8 @@ def emit_report(manifests: Sequence[CorpusManifest],
                              f"{_format_float(s.mean_residual_mass)} > "
                              f"{RESIDUAL_FLAG_THRESHOLD}; entropies use a single-bucket "
                              "residual approximation and should be read as approximate.")
-        (tables / "entropy.csv").write_text(_csv_lines(
-            ["corpus", "mean_nats", "median_nats", "token_count", "mean_residual_mass"],
-            rows), encoding="utf-8")
+        _write_csv(tables / "entropy.csv", ["corpus", "mean_nats", "median_nats", "token_count",
+                                            "mean_residual_mass"], rows)
         lines.append("")
 
     if pca_map:
@@ -337,19 +336,16 @@ def emit_report(manifests: Sequence[CorpusManifest],
             rows.append([name, s.components, s.dis,
                          ";".join(_format_float(v) for v in s.explained_variance_ratio),
                          "yes" if s.degenerate else "no"])
-        (tables / "pca_shift.csv").write_text(_csv_lines(
-            ["analysis", "components", "dis", "explained_variance_ratio", "degenerate"],
-            rows), encoding="utf-8")
+        _write_csv(tables / "pca_shift.csv", ["analysis", "components", "dis",
+                                              "explained_variance_ratio", "degenerate"], rows)
         lines.append("")
 
     if pass1_map:
         lines += ["## pass@1", "", "| evaluation | pass@1 (%) |", "| --- | --- |"]
         for name in sorted(pass1_map):
             lines.append(f"| {name} | {pass1_map[name]:.2f} |")
-        (tables / "pass1.csv").write_text(_csv_lines(
-            ["evaluation", "pass_at_1_pct"],
-            [[name, f"{pass1_map[name]:.2f}"] for name in sorted(pass1_map)]),
-            encoding="utf-8")
+        _write_csv(tables / "pass1.csv", ["evaluation", "pass_at_1_pct"],
+                   [[name, f"{pass1_map[name]:.2f}"] for name in sorted(pass1_map)])
         lines.append("")
 
     lines += [
@@ -362,7 +358,8 @@ def emit_report(manifests: Sequence[CorpusManifest],
         "",
     ]
     report_path = out / "report.md"
-    report_path.write_text("\n".join(lines), encoding="utf-8")
+    with replacing(report_path) as fh:
+        fh.write("\n".join(lines))
     return report_path
 
 
@@ -370,7 +367,6 @@ def entropy_histogram_svg(summary: EntropySummary, path: str | Path,
                           width: int = 640, height: int = 240) -> Path:
     """Plot-ready SVG histogram of the entropy distribution."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     counts = summary.counts
     peak = max(counts) or 1
     n = len(counts)
@@ -391,5 +387,6 @@ def entropy_histogram_svg(summary: EntropySummary, path: str | Path,
     parts.append(f'<text x="{width - margin - 20}" y="{height - 8}" font-size="10">'
                  f'{_format_float(summary.edges[-1])}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write("\n".join(parts))
     return path

@@ -21,12 +21,11 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 DOMAINS = ("math", "code")
 VERDICT_STATUSES = ("correct", "incorrect", "unverifiable", "malformed_format", "overlength")
 CHECKERS = ("rule", "judge", "format", "length")
+# The linear lineage raw -> right -> right_hard -> right_hard_diverse;
+# "mixed" may follow any of these.
 STAGES = ("raw", "right", "right_hard", "right_hard_diverse", "mixed")
 PHASES = ("before", "after")
 CORPUS_KINDS = ("questions", "trajectories", "logprobs", "embeddings", "scores")
-
-# Linear part of the stage lineage; "mixed" may follow any of these.
-_STAGE_INDEX = {"raw": 0, "right": 1, "right_hard": 2, "right_hard_diverse": 3}
 
 EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
@@ -582,11 +581,10 @@ def write_manifest(stage: str,
         if parent is not None:
             raise CorpusError("stage regression: raw stage cannot have a parent")
     else:
-        want = _STAGE_INDEX[stage] - 1
-        if parent is None or _STAGE_INDEX.get(parent.stage, -1) != want:
+        want = STAGES[STAGES.index(stage) - 1]
+        if parent is None or parent.stage != want:
             got = parent.stage if parent else "none"
-            raise CorpusError(
-                f"stage regression: {stage} must be parented to {STAGES[want]}, got {got}")
+            raise CorpusError(f"stage regression: {stage} must be parented to {want}, got {got}")
 
     questions = [r for r in records if isinstance(r, QuestionRecord)]
     trajectories = [r for r in records if isinstance(r, TrajectoryRecord)]
@@ -611,11 +609,17 @@ def write_manifest(stage: str,
     )
 
 
+def write_json(path: str | Path, data: Any, ensure_ascii: bool = True) -> None:
+    """Write data as indented JSON with sorted keys and a final newline,
+    replacing the file whole (see `replacing`)."""
+    with replacing(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=ensure_ascii)
+        fh.write("\n")
+
+
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     """Write a manifest as JSON, replacing the file whole (see `replacing`)."""
-    with replacing(path) as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_json(path, manifest.to_dict(), ensure_ascii=False)
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from .clients import Client, SamplingRequest, map_concurrent
 from .filtering import FilterConfig, GateResult, run_quality_gate
 from .records import (CorpusManifest, QuestionRecord, ScoreRecord, TrajectoryRecord,
-                      write_corpus, write_manifest)
+                      write_corpus, write_json, write_manifest)
 
 # Echoed into every training manifest so the external fine-tuning step and
 # the corpus stay in one auditable bundle.
@@ -98,7 +98,6 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
                                           manifest=manifest, dropped_questions=dropped)
         if out_dir is not None:
             out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             corpus_path = out / f"smoke_{teacher_id}.jsonl"
             write_corpus(corpus_path, gate.kept)
             training_manifest = {
@@ -108,10 +107,7 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
                 "dropped_questions": dropped,
                 "hyperparameters": TRAINING_HYPERPARAMETERS,
             }
-            with open(out / f"training_{teacher_id}.json", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                json.dump(training_manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(out / f"training_{teacher_id}.json", training_manifest)
     return results
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ded.cli import main
+from ded.clients import MockClient
 from ded.records import parse_corpus
 
 from conftest import build_pipeline_fixture, make_gate_fixture
@@ -102,6 +103,35 @@ class TestCompressCommand:
         assert len(parse_corpus(out, "questions")) == 3
         lines = [json.loads(l) for l in stats.read_text().splitlines()]
         assert [l["successes"] for l in lines] == [0, 1, 2, 3]
+
+
+class TestSubcommandCache:
+    """Subcommands that sample build their client as `ded run` does, so a
+    repeated call is answered from the request cache."""
+
+    def test_sample_caches_beside_its_output(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+        qpath, _ = _write_corpus_files(tmp_path)
+        out = tmp_path / "sampled" / "trajectories.jsonl"
+        args = ["sample", "--questions", str(qpath), "--teacher", "t-x", "--m", "2",
+                "--out", str(out)]
+        assert main(args) == 0
+        assert len(list((out.parent / ".cache").glob("*.json"))) == 20  # one per question
+        first = out.read_bytes()
+        monkeypatch.setattr(MockClient, "sample_trajectories",
+                            lambda self, request: pytest.fail("sampled again"))
+        assert main(args) == 0
+        assert out.read_bytes() == first
+
+    def test_compress_caches_under_ded_cache_dir(self, tmp_path, monkeypatch):
+        cache = tmp_path / "shared_cache"
+        monkeypatch.setenv("DED_CACHE_DIR", str(cache))
+        qpath, _ = _write_corpus_files(tmp_path)
+        out = tmp_path / "hard" / "questions.jsonl"
+        assert main(["compress", "--questions", str(qpath), "--student", "s-x", "--runs", "2",
+                     "--out", str(out), "--stats", str(tmp_path / "rates.jsonl")]) == 0
+        assert len(list(cache.glob("*.json"))) == 20
+        assert not (out.parent / ".cache").exists()
 
 
 class TestMixCommand:

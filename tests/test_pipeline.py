@@ -10,10 +10,15 @@ import pytest
 
 from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
                          SamplingRequest)
-from ded.pipeline import EXIT_CLIENT, EXIT_OK, EXIT_STAGE, run_pipeline, tree_hash
-from ded.records import EPOCH_ISO, QuestionRecord, load_manifest, parse_corpus
+from ded.config import STAGE_SEQUENCE
+from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline,
+                          tree_hash)
+from ded.records import (EPOCH_ISO, PHASES, STAGES, EmbeddingRecord, LogprobRecord,
+                         QuestionRecord, lineage_chain, load_manifest, parse_corpus,
+                         write_corpus)
 
-from conftest import build_pipeline_fixture
+from conftest import (build_pipeline_fixture, make_question, make_trajectory,
+                      well_formed_text)
 
 
 def _read_events(out_dir):
@@ -209,6 +214,7 @@ class TestPartialRuns:
         ("compress", "right_trajectories.jsonl"),
         ("diversify", "right_hard_trajectories.jsonl"),
         ("diversify", "right_hard_questions.jsonl"),
+        ("stats", "right_hard_diverse_trajectories.jsonl"),
     ])
     def test_output_unlike_its_manifest_is_refused(self, tmp_path, stage, changed):
         config = build_pipeline_fixture(tmp_path)
@@ -216,7 +222,7 @@ class TestPartialRuns:
         lines = (out / changed).read_text(encoding="utf-8").splitlines(keepends=True)
         (out / changed).write_text("".join(lines[:-1]), encoding="utf-8")
         manifests = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
-        result = run_pipeline(dict(config, stages=[stage, "stats"]))
+        result = run_pipeline(dict(config, stages=list(dict.fromkeys([stage, "stats"]))))
         assert result.exit_code == EXIT_STAGE
         assert result.failed_stage == stage
         assert "manifest" in result.error
@@ -229,6 +235,89 @@ class TestPartialRuns:
         result = run_pipeline(dict(config, stages=["compress"]))
         assert result.exit_code == EXIT_STAGE
         assert result.failed_stage == "compress"
+
+
+def _outputs(out_dir):
+    """The files of out_dir outside logs/ and .cache/, relative to it."""
+    return {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+            if p.is_file() and p.relative_to(out_dir).parts[0] not in ("logs", ".cache")}
+
+
+def _report(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in _outputs(out_dir)
+            if name == "report.md" or name.startswith("tables")}
+
+
+class TestStageTable:
+    def test_rows_follow_the_config_and_manifest_orders(self):
+        assert tuple(row.name for row in STAGE_TABLE) == STAGE_SEQUENCE
+        assert tuple(row.manifest for row in STAGE_TABLE if row.manifest) == STAGES
+        written = set()
+        for row in STAGE_TABLE:
+            assert row.parent is None or row.parent in written
+            written.add(row.manifest)
+
+    def test_a_six_stage_run_writes_exactly_the_table_outputs(self, tmp_path):
+        # a new output file must be listed in the table, or a re-run that
+        # replaces its stage would leave the old one behind
+        config = build_pipeline_fixture(tmp_path)
+        q = make_question(40)
+        source = tmp_path / "other_domain.jsonl"
+        write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
+        logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
+        write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
+                                for i in range(3)])
+        write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
+                                  for i in range(4) for phase in PHASES])
+        result = run_pipeline(dict(config, stages=list(STAGE_SEQUENCE),
+                                   mix_sources=[{"path": str(source), "take": 1}],
+                                   logprobs=str(logprobs), embeddings=str(embeddings)))
+        assert result.exit_code == EXIT_OK
+        assert _outputs(result.out_dir) == {name for row in STAGE_TABLE for name in row.outputs}
+
+
+class TestUsedOutDir:
+    """A run in an out_dir that holds an earlier run's files builds what a
+    run in a fresh out_dir would, or refuses with exit 3."""
+
+    def test_a_run_removes_the_stages_it_makes_stale(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        edited = run_pipeline(dict(config, stages=["sample", "filter"], max_token_len=50))
+        assert edited.exit_code == EXIT_OK
+        manifests = [load_manifest(p) for p in out.glob("manifest_*.json")]
+        by_hash = {m.content_hash: m for m in manifests}
+        for manifest in manifests:
+            lineage_chain(manifest, by_hash)
+        assert sorted(m.stage for m in manifests) == ["raw", "right"]
+        removed = [e["path"] for e in _read_events(out) if e["event"] == "removed"]
+        assert "manifest_right_hard.json" in removed and "report.md" in removed
+        result = run_pipeline(dict(config, stages=["diversify"]))
+        assert result.exit_code == EXIT_STAGE
+        assert result.failed_stage == "diversify"
+
+    def test_stats_alone_reports_what_the_full_run_did(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        full = _report(out)
+        assert "tables/lengths.csv" in full
+        assert run_pipeline(dict(config, stages=["stats"])).exit_code == EXIT_OK
+        assert _report(out) == full
+
+    @pytest.mark.parametrize("first", ["sample", "filter", "compress", "diversify"])
+    def test_an_edited_run_builds_the_fresh_tree(self, tmp_path, first):
+        config = build_pipeline_fixture(tmp_path)
+        before = list(STAGE_SEQUENCE[:STAGE_SEQUENCE.index(first)])
+        for key, value in (("max_token_len", 50), ("pass_threshold", 0.25),
+                           ("diverse_per_question", 1)):
+            edited = dict(config, stages=[first, "stats"], **{key: value})
+            used, fresh = tmp_path / f"used_{key}", tmp_path / f"fresh_{key}"
+            assert run_pipeline(config, out_dir=used).exit_code == EXIT_OK
+            if before:
+                assert run_pipeline(dict(config, stages=before), out_dir=fresh).exit_code == EXIT_OK
+            assert run_pipeline(edited, out_dir=used).exit_code == EXIT_OK
+            assert run_pipeline(edited, out_dir=fresh).exit_code == EXIT_OK
+            assert tree_hash(used) == tree_hash(fresh), key
 
 
 def test_edited_fixtures_in_a_used_out_dir_build_the_fresh_tree(tmp_path):
@@ -560,6 +649,18 @@ class TestQuestionChains:
         events = [e["event"] for e in _read_events(result.out_dir)
                   if e["stage"] == "sample"]
         assert events == ["client_failed"]
+
+    def test_a_run_that_fails_before_its_first_write_removes_nothing(self, tmp_path,
+                                                                     transport):
+        config = _mixed_fixture(tmp_path)
+        used = run_pipeline(config).out_dir
+        before = tree_hash(used)
+        transport(config, refuse=lambda model, prompt: model == "t-mix" and
+                  _task(prompt) == 5)
+        result = run_pipeline(_over_http(config, 2, used))
+        assert (result.exit_code, result.failed_stage) == (EXIT_CLIENT, "sample")
+        assert tree_hash(used) == before
+        assert not [e for e in _read_events(used) if e["event"] == "removed"]
 
     def test_compress_client_error_keeps_earlier_stages(self, tmp_path, transport):
         config = _mixed_fixture(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from ded.records import (CorpusError, CorpusManifest, EmbeddingRecord, LogprobRecord,
                          PassRateStats, ScoreRecord, VerificationVerdict, content_hash,
                          lineage_chain, load_manifest, parse_corpus, save_manifest,
-                         write_corpus, write_manifest)
+                         write_corpus, write_json, write_manifest)
 
 from conftest import make_question, make_trajectory, well_formed_text
 
@@ -246,3 +246,13 @@ class TestInterruptedWrites:
             save_manifest(broken, path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["manifest_raw.json"]
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "diversity_report.json"
+        write_json(path, {"p": 2, "question_count": 6})
+        old = path.read_bytes()
+        # json.dump fails partway, at the value it cannot encode
+        with pytest.raises(TypeError):
+            write_json(path, {"p": 2, "question_count": object()})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["diversity_report.json"]
