@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -291,5 +292,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE
 
 
+def console_main() -> int:
+    """`main` for a process of its own (`python -m ded.cli`, the `ded`
+    script): the heap is frozen once it returns, so that interpreter
+    shutdown skips a full collection of it."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -5,7 +5,9 @@ step on the diagonal band that any alignment of cost at most k stays in
 (Ukkonen 1985), about k+1 rows wide, which gives the exact distance when it
 is at most k and otherwise reports "more than k". One column step serves
 many pairs at once: each pair owns a segment of a single int, and each
-column's match words are byte slices of per-symbol occurrence bitmaps. A
+column's match words are byte slices of per-symbol occurrence bitmaps. As
+the scan goes on, each band drops the rows that can no longer end within k
+(Ukkonen's cut-off) and the pairs are re-packed into a narrower int. A
 question's first pair starts in a wide band that doubles until its distance
 fits; every other pair then shares one pass at a band just above that
 distance, and a pair that does not fit is sent again at double the band. A
@@ -16,6 +18,7 @@ deterministic under explicit tie-breaks.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,12 +35,19 @@ _MIN_BAND = 32
 # a question's first pair starts at this band, or at a sixteenth of its
 # longer surface if that is wider
 _FIRST_BAND = 256
-# columns whose match words are gathered, and whose scores are checked, at once
+# columns whose match words are gathered at once
 _BLOCK = 64
 # each column's bit offset within its byte, over one block
 _SHIFTS = tuple(range(8)) * (_BLOCK // 8)
 # bytes a chunk's bitmaps may take before they are packed
 _SCRATCH = 1 << 20
+# columns between two reads of the bands' scores for the cut-off, a multiple
+# of _BLOCK: a read or a re-pack costs about as much as stepping a few dozen
+# columns of a wide int
+_CUT = 1024
+# bytes the packed int must lose before it is re-packed; an int of a pair or
+# two costs about the same to step whatever its size
+_REPACK = 64
 
 
 class DiversityError(ValueError):
@@ -76,22 +86,25 @@ def _strip_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
-                  slot: int) -> Iterator[bytes]:
-    """The match words of _BLOCK columns at a time, one slot of slot // 8
-    bytes per pair and column, pair 0 first.
+                  slot: int, start: int) -> Iterator[bytes]:
+    """The match words of _BLOCK columns at a time from column `start` (a
+    multiple of 8) on, one slot of slot // 8 bytes per pair and column,
+    pair 0 first.
 
     Column c's slot for pair p holds bit r = rows[p, c - c % 8 + r] ==
     text[p, c], taken from a bitmap of that symbol's occurrences in pair p's
     rows that starts at a whole byte; columns past ends[p] match nothing.
     The bitmaps are built per chunk of columns, only for the symbols in the
     chunk's text, and a chunk takes as many columns as keep the unpacked
-    bitmaps within _SCRATCH bytes (at least 8), so scratch memory is
-    bounded whatever the alphabet.
+    bitmaps within _SCRATCH bytes (at least 8), so scratch memory is bounded
+    whatever the alphabet. Chunks start at _CUT columns and grow by whole
+    intervals of _CUT, so that a re-pack at a cut-off check seldom throws
+    bitmaps away.
     """
     pairs, cols = text.shape
     step = slot // 8
-    span = cols
-    c0 = 0
+    span = _CUT
+    c0 = start
     while c0 < cols:
         chunk = text[:, c0:c0 + span]
         syms = np.flatnonzero(np.bincount(chunk.ravel()))
@@ -119,6 +132,28 @@ def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
         for at in range(0, c1 - c0, _BLOCK):
             yield windows[offsets[at:at + _BLOCK]].tobytes()
         c0 = c1
+        # the next chunk takes as many intervals as fit with this one's symbols
+        span = max(span, fit // _CUT * _CUT)
+
+
+def _slot_bits(rows: int, count: int) -> int:
+    """Bits per pair in the packed int: room for `rows` band rows, the guard,
+    one spare row and a count of up to `count`, plus the spare byte that a
+    gather starting at a whole byte reads in."""
+    return (-(-max(rows + 2, count.bit_length() + 1) // 8) + 1) * 8
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The int whose bits are a (pairs, slot) array's, pair 0 lowest."""
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
+
+
+class _Found(list):
+    """One pass's distances. `band_bytes` is the packed int's size in bytes
+    summed over every column the pass stepped: a count of its work that
+    repeats exactly from run to run."""
+
+    band_bytes = 0
 
 
 def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -138,81 +173,135 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     delta of 0 or +1, which never undercuts the in-band minimum. Rows above
     the pattern and below its end match nothing. The bottom row's score
     D[j+ku][j] rises by one in every column whose diagonal delta is not 0,
-    so one add counts the zeros of every pair. After the last column each
-    pair's score is walked up kl rows to the cell on the diagonal of D[m][n].
+    so one add counts the zeros of every pair.
+
+    Every _CUT columns each band's scores are read back, walking up from
+    its bottom row's. A cell D[i][j] still needs |gap - (j - i)| edits to
+    reach D[m][n], so once that sum passes k no path of cost at most k runs
+    through it, and the band drops it (Ukkonen's cut-off). The sum never
+    falls going away from the end diagonal, so each edge loses a run of
+    rows, and a pair whose end diagonal goes is out of reach. A pair past
+    its text's end is done: past column n nothing matches, so the diagonal
+    through D[m][n] rises by exactly one per column. Once the pairs left fit
+    in at least _REPACK fewer bytes, they are re-packed into the narrowest
+    slots that hold all their bands. Every cell of a path of cost at most k
+    passes the test, so the distances stay exact.
     """
-    out: list[int | None] = [None] * len(pairs)
-    live = []  # (index, pattern, text, ku, kl)
+    out = _Found([None] * len(pairs))
+    live = []  # index in pairs of each pair in the pass
     for idx, (a, b) in enumerate(pairs):
-        gap = len(b) - len(a)
-        if gap > k:
-            continue
-        if not len(a):
-            out[idx] = gap
-            continue
-        ku = (k - gap) // 2
-        live.append((idx, a, b, ku, gap + ku))
+        if len(b) - len(a) <= k:
+            if len(a):
+                live.append(idx)
+            else:
+                out[idx] = len(b)
     if not live:
         return out
-    cols = max(len(b) for _, _, b, _, _ in live)
-    # room for k+1 rows, the guard, one spare row and a count of up to cols,
-    # plus the spare byte that a gather starting at a whole byte reads in
-    slot = (-(-max(k + 3, cols.bit_length() + 1) // 8) + 1) * 8
-    top = slot - 10
-    # rows past either end of a pattern hold a value that no code takes
-    dtype = live[0][1].dtype
-    rows = np.full((len(live), -(-(cols + slot) // 8) * 8), np.iinfo(dtype).max, dtype=dtype)
+    patterns = [pairs[i][0] for i in live]
+    n = np.array([len(pairs[i][1]) for i in live])
+    gap = n - np.array([len(a) for a in patterns])
+    ku = (k - gap) // 2
+    kl = gap + ku
+    cols = int(n.max())
+    dtype = patterns[0].dtype
     # columns past a text's end match nothing whatever they hold: the
     # gather reads them from an all-zero bitmap
     text = np.zeros((len(live), cols), dtype=dtype)
-    ends = np.array([len(b) for _, _, b, _, _ in live])
-    mask = tops = vp = 0
-    for p, (_, a, b, ku, kl) in enumerate(live):
-        base = p * slot + top
+    for p, i in enumerate(live):
+        text[p, :n[p]] = pairs[i][1]
+    slot = _slot_bits(int((kl + ku).max()) + 1, cols)
+    top = slot - 10
+    bit = np.arange(slot)
+    band = (bit >= (top - kl - ku)[:, None]) & (bit <= top)
+    # each band's vertical deltas, +1 and -1, before column 1, bit top-1
+    # standing for row ku: D[i][0] = i for rows 1..ku
+    deltas = np.zeros((2, len(live), slot), dtype=np.uint8)
+    deltas[0] = (bit >= top - ku[:, None]) & (bit < top)
+    start = ku  # each bottom row's score where the pack starts: D[ku][0] = ku
+    done = 0
+    while True:
+        width = len(live) * slot // 8
+        mask = _pack(band)
+        tops = ((1 << len(live) * slot) - 1) // ((1 << slot) - 1) << top  # bit top of each slot
+        vp, vn, cnt = _pack(deltas[0]), _pack(deltas[1]), 0
+        # rows past either end of a pattern hold a value that no code takes;
         # rows[p, t] holds row t + ku + 1 - top, so column j's slot reads
         # rows[p, j-1 : j-1+slot] and row j+ku lands on bit top
-        rows[p, top - ku:top - ku + len(a)] = a
-        text[p, :len(b)] = b
-        mask |= ((1 << (kl + ku + 1)) - 1) << (base - kl - ku)
-        tops |= 1 << base
-        vp |= ((1 << ku) - 1) << (base - ku)  # D[i][0] = i for rows 1..ku
-    width = len(live) * slot // 8
-    vn = cnt = done = 0
-    for raw in _match_blocks(rows, text, ends, slot):
-        # each slot was gathered from the whole byte holding its first row,
-        # so one shift by the column's bit offset aligns them all
-        for at, shift in zip(range(0, len(raw), width), _SHIFTS):
-            x = int.from_bytes(raw[at:at + width], "little") >> shift
-            d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
-            hp = vn | ((d0 | vp) ^ mask)
-            hn = d0 & vp
-            cnt += d0 & tops
-            d0 = (d0 >> 1) & mask
-            vp = hn | ((d0 | hp) ^ mask)
-            vn = d0 & hp
-        done += len(raw) // width
-        # a score never falls along a diagonal and the walk up lowers it by
-        # at most kl, so a pair whose score passes k + kl is out of reach
-        if all(len(b) <= done or ku + done - ((cnt >> (p * slot + top)) & ((1 << slot) - 1))
-               > k + kl for p, (_, _, b, ku, kl) in enumerate(live)):
-            break
-    for p, (idx, _, b, ku, kl) in enumerate(live):
-        if len(b) > done:
-            continue
-        base = p * slot + top
-        # past column n nothing matches, so the diagonal through D[m][n]
-        # rises by exactly one per column: D[m][n] = D[m+t][n+t] - t
-        score = ku + len(b) - ((cnt >> base) & ((1 << slot) - 1))
-        # rows below match nothing: each vertical delta there is 0 or +1
-        score -= ((vp >> (base - kl)) & ((1 << kl) - 1)).bit_count()
-        out[idx] = score if score <= k else None
-    return out
+        rows = np.full((len(live), -(-(cols + slot) // 8) * 8), np.iinfo(dtype).max,
+                       dtype=dtype)
+        for p, a in enumerate(patterns):
+            rows[p, top - ku[p]:top - ku[p] + len(a)] = a
+        # at a check, bit b of a band holds the vertical delta of row
+        # done+ku-(top-1-b) in column done, on diagonal diag[p, b], whose
+        # cell needs[p, b] more edits to reach the end diagonal; bits
+        # outside the band's rows of column done are never alive
+        diag = (top - 1 - ku)[:, None] - bit
+        needs = np.where(np.roll(band, -1, axis=1), np.abs(gap[:, None] - diag), 1 << 40)
+        packed_at = done
+        gone = np.zeros(len(live), dtype=bool)  # done or out of reach
+        blocks = _match_blocks(rows, text, n, slot, done)
+        while True:
+            check = min(cols, done + _CUT)
+            for raw in blocks:
+                # each slot was gathered from the whole byte holding its first
+                # row, so one shift by the column's bit offset aligns them all
+                for at, shift in zip(range(0, len(raw), width), _SHIFTS):
+                    x = int.from_bytes(raw[at:at + width], "little") >> shift
+                    d0 = ((((x & vp) + vp) ^ vp) | x | vn) & mask
+                    hp = vn | ((d0 | vp) ^ mask)
+                    hn = d0 & vp
+                    cnt += d0 & tops
+                    d0 = (d0 >> 1) & mask
+                    vp = hn | ((d0 | hp) ^ mask)
+                    vn = d0 & hp
+                out.band_bytes += len(raw)
+                done += len(raw) // width
+                if done >= check:
+                    break
+            deltas = np.unpackbits(np.frombuffer(
+                vp.to_bytes(width, "little") + vn.to_bytes(width, "little"), dtype=np.uint8),
+                bitorder="little").reshape(2, len(live), slot)
+            # band p's score at bit b is base[p] + walk[p, b], walked up from
+            # its bottom row's, D[done+ku][done]
+            walk = np.cumsum(deltas[0].view(np.int8) - deltas[1].view(np.int8),
+                             dtype=np.int32).reshape(len(live), slot)
+            counts = np.array([(cnt >> (p * slot + top)) & ((1 << slot) - 1)
+                               for p in range(len(live))])
+            base = start + (done - packed_at) - counts - walk[:, top - 1]
+            finished = ~gone & (n <= done)
+            for p in np.flatnonzero(finished):
+                # D[m][n] = D[m+t][n+t] - t
+                d = base[p] + walk[p, top - 1 - ku[p] - gap[p]] - (done - n[p])
+                out[live[p]] = int(d) if d <= k else None
+            alive = walk + needs <= (k - base)[:, None]
+            gone |= finished | ~alive.any(axis=1)
+            keep = np.flatnonzero(~gone)
+            if not len(keep):
+                return out
+            # the rows that stay: from the first alive to the last
+            new_kl = diag[keep, alive.argmax(axis=1)[keep]]
+            new_ku = -diag[keep, slot - 1 - alive[:, ::-1].argmax(axis=1)[keep]]
+            narrow = _slot_bits(int((new_kl + new_ku).max()) + 1, cols - done)
+            if (len(live) * slot - len(keep) * narrow) // 8 >= _REPACK:
+                break
+        # re-pack: each row keeps its deltas, their bit moving from
+        # top-(done+1+ku-row) to narrow-10-(done+1+new_ku-row)
+        start = base[keep] + walk[keep, top - 1 - (ku[keep] - new_ku)]  # D[done+new_ku][done]
+        source = keep * slot + (slot - narrow) - ku[keep] + new_ku
+        slot, top, bit = narrow, narrow - 10, np.arange(narrow)
+        band = (bit >= (top - new_kl - new_ku)[:, None]) & (bit <= top)
+        deltas = deltas.reshape(2, -1).take(np.where(band, bit + source[:, None], 0),
+                                            axis=1) & band
+        live = [live[p] for p in keep]
+        patterns = [patterns[p] for p in keep]
+        n, gap, text = n[keep], gap[keep], text[keep]
+        ku, kl = new_ku, new_kl
 
 
 def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                       cap: int | float, k: int) -> tuple[list[int | None], int]:
+                       cap: int | float, k: int) -> tuple[list[int | None], tuple[int, int]]:
     """Each pair's exact distance when it is below cap, else None, and the
-    number of engine passes that took.
+    number of engine passes that took with their `band_bytes` (see _Found).
 
     Every pair is stripped and starts in a band of k, at least its length
     difference; a pair that does not fit is sent again at double the band
@@ -227,13 +316,14 @@ def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
             a, b = b, a
         if len(b) - len(a) < cap:
             todo.append((idx, a, b, len(b) if cap > len(b) else math.ceil(cap) - 1))
-    passes = 0
+    passes = band_bytes = 0
     k = max(k, 1)
     while todo:
         k = min(max(k, min(len(b) - len(a) for _, a, b, _ in todo)),
                 max(limit for *_, limit in todo))
         found = _band_distances([(a, b) for _, a, b, _ in todo], k)
         passes += 1
+        band_bytes += found.band_bytes
         retry = []
         for item, d in zip(todo, found):
             if d is not None:
@@ -242,7 +332,7 @@ def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
                 retry.append(item)
         todo = retry
         k *= 2
-    return out, passes
+    return out, (passes, band_bytes)
 
 
 def levenshtein_bounded(a: str | Sequence, b: str | Sequence, cap: int | float,
@@ -286,6 +376,7 @@ class DistanceMatrix:
     distances: np.ndarray
     cap: int | None = None
     band_passes: int = 0  # engine passes that computed the distances
+    band_bytes: int = 0  # bytes of packed int those passes stepped, over their columns
 
     def validate(self) -> None:
         n = len(self.ids)
@@ -346,20 +437,22 @@ def surface_distances(ids: Sequence[str], surfaces: Sequence,
     n = len(ids)
     dist = np.zeros((n, n), dtype=np.int64)
     index = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    passes = 0
+    passes = band_bytes = 0
     if index and (cap is None or cap > 0):
         limit = math.inf if cap is None else cap
         codes = _codes(surfaces)
         pairs = [(codes[i], codes[j]) for i, j in index]
         wide = max(_FIRST_BAND, max(len(codes[0]), len(codes[1])) // 16)
-        first, passes = _bounded_distances(pairs[:1], limit, wide)
+        first, (passes, band_bytes) = _bounded_distances(pairs[:1], limit, wide)
         hint = cap if first[0] is None else first[0]
-        rest, more = _bounded_distances(pairs[1:], limit,
-                                        max(_MIN_BAND, hint + 3 * hint // 16))
+        rest, (more, more_bytes) = _bounded_distances(
+            pairs[1:], limit, max(_MIN_BAND, hint + 3 * hint // 16))
         passes += more
+        band_bytes += more_bytes
         for (i, j), d in zip(index, first + rest):
             dist[i, j] = dist[j, i] = cap if d is None else d
-    return DistanceMatrix(ids=list(ids), distances=dist, cap=cap, band_passes=passes)
+    return DistanceMatrix(ids=list(ids), distances=dist, cap=cap, band_passes=passes,
+                          band_bytes=band_bytes)
 
 
 def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
@@ -410,9 +503,9 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     return [matrix.ids[k] for k in selected]
 
 
-def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int, float]:
-    """One question's selection, its report row, and the engine passes and
-    milliseconds its distance matrix took."""
+def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int, int, float]:
+    """One question's selection, its report row, and the engine passes,
+    band bytes and milliseconds its distance matrix took."""
     qid, ids, surfaces, p, cap = args
     t0 = time.perf_counter()
     matrix = surface_distances(ids, surfaces, cap=cap)
@@ -429,7 +522,7 @@ def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], i
         "min_distance": pair_dists[0] if pair_dists else None,
         "median_distance": pair_dists[(len(pair_dists) - 1) // 2] if pair_dists else None,
     }
-    return qid, chosen, row, matrix.band_passes, distance_ms
+    return qid, chosen, row, matrix.band_passes, matrix.band_bytes, distance_ms
 
 
 def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
@@ -443,9 +536,10 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
     Returns the diversified corpus sorted by (question_id, trajectory_id)
     and a report with per-question selection stats. Questions with no
     surviving trajectory are recorded as dropped. The report's "engine"
-    entry counts the pairs measured and the engine passes they took, and
-    holds each question's distance time in milliseconds; it is run
-    telemetry, which callers log rather than write with the report.
+    entry counts the pairs measured, the engine passes they took and the
+    bytes those passes stepped (`band_bytes`), and holds each question's
+    distance time in milliseconds; it is run telemetry, which callers log
+    rather than write with the report.
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
@@ -468,19 +562,27 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         tasks.append((qid, ids, surfaces, p, cap))
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_select_for_question, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            # the workers fork when the tasks are submitted: with the heap
+            # frozen, their collections leave the pages they share alone
+            gc.freeze()
+            try:
+                results = pool.map(_select_for_question, tasks, chunksize=1)
+            finally:
+                gc.unfreeze()
+            outcomes = list(results)
     else:
         outcomes = [_select_for_question(task) for task in tasks]
 
     by_id = {t.trajectory_id: t for t in trajectories}
     selected: list[TrajectoryRecord] = []
     per_question: dict[str, Any] = {}
-    passes = 0
+    passes = band_bytes = 0
     distance_ms = {}
-    for qid, chosen, row, band_passes, ms in outcomes:
+    for qid, chosen, row, band_passes, scanned, ms in outcomes:
         per_question[qid] = row
         passes += band_passes
+        band_bytes += scanned
         distance_ms[qid] = ms
         selected.extend(by_id[tid] for tid in chosen)
     selected.sort(key=lambda t: (t.question_id, t.trajectory_id))
@@ -498,6 +600,7 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         "dropped_questions": dropped,
         "per_question": per_question,
         "engine": {"pairs": sum(len(ids) * (len(ids) - 1) // 2 for _, ids, *_ in tasks),
-                   "band_passes": passes, "distance_ms": distance_ms},
+                   "band_passes": passes, "band_bytes": band_bytes,
+                   "distance_ms": distance_ms},
     }
     return selected, report

@@ -446,8 +446,13 @@ def run_pipeline(config: str | Path | dict[str, Any],
         first = next((row for row in rows if row.parent), None)
         if first is not None and _WRITERS[first.parent] not in rows:
             current_stage = first.name
-            run.questions, run.trajectories = _read_corpus(run, _WRITERS[first.parent],
-                                                           first.name)
+            parent = _WRITERS[first.parent]
+            if len(parent.corpus) == 1 and parent.parent:
+                # the parent's manifest covers its trajectories only; the
+                # configured questions are checked against raw's, which covers
+                # them and raw's trajectories
+                _read_corpus(run, _WRITERS[parent.parent], first.name)
+            run.questions, run.trajectories = _read_corpus(run, parent, first.name)
 
         views = {row.name: client.view() for row in phase}
         bound = time.perf_counter()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -435,6 +436,169 @@ class TestMatchWords:
         assert matrix.band_passes <= 5
 
 
+def long_variants(seed: int, size: int, copies: int, edits: int, clustered: bool = False,
+                  alphabet: str = "abcd") -> list[str]:
+    """A random base of `size` symbols and copies of it with up to `edits`
+    insertions, deletions and substitutions each, spread over the whole
+    base or clustered within 200 symbols of one point."""
+    rng = random.Random(seed)
+    base = rng.choices(alphabet, k=size)
+    seqs = ["".join(base)]
+    for _ in range(copies):
+        other = list(base)
+        centre = rng.randrange(size)
+        for _ in range(rng.randint(edits // 2, edits)):
+            pos = centre + rng.randint(-100, 100) if clustered else rng.randrange(len(other))
+            pos = min(max(pos, 0), len(other))
+            op = rng.choice("ids")
+            if op == "i":
+                other.insert(pos, rng.choice(alphabet))
+            elif pos < len(other) and op == "d":
+                del other[pos]
+            elif pos < len(other):
+                other[pos] = rng.choice(alphabet)
+        seqs.append("".join(other))
+    return seqs
+
+
+def long_pairs(seqs) -> list[tuple]:
+    """Each unordered pair of seqs as the engine takes it, with its distance
+    by the full-width oracle."""
+    codes = _codes(seqs)
+    pairs = []
+    for i in range(len(seqs)):
+        for j in range(i + 1, len(seqs)):
+            a, b = _strip_common(codes[i], codes[j])
+            pairs.append((*sorted((a, b), key=len), myers_distance(seqs[i], seqs[j])))
+    return pairs
+
+
+def assert_cut_off_exact(triples, k) -> None:
+    """The engine's distances at k match the oracle at its own cadence and
+    with a check after every block and a re-pack whenever a byte can go;
+    the cadence changes the time taken, never a result."""
+    want = [band_want(true, k) for *_, true in triples]
+    pairs = [(a, b) for a, b, _ in triples]
+    assert _band_distances(pairs, k) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diversity, "_CUT", diversity._BLOCK)
+        patch.setattr(diversity, "_REPACK", 1)
+        assert _band_distances(pairs, k) == want
+
+
+def record_packs(patch) -> list[tuple[int, int]]:
+    """(pairs, slot bits) of each pack of the engine's int, in order."""
+    packs = []
+    match_blocks = diversity._match_blocks
+
+    def recording(rows, text, ends, slot, start):
+        packs.append((len(text), slot))
+        return match_blocks(rows, text, ends, slot, start)
+
+    patch.setattr(diversity, "_match_blocks", recording)
+    return packs
+
+
+class TestCutOff:
+    """Every _CUT columns each band drops the rows that can no longer end
+    within k, and the pairs left are re-packed into a narrower int."""
+
+    @given(st.integers(0, 2 ** 32), st.integers(2000, 10000), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_near_duplicates_match_full_width(self, seed, size, clustered):
+        triples = long_pairs(long_variants(seed, size, 3, size // 25, clustered))
+        truths = sorted(true for *_, true in triples)
+        for k in {truths[len(truths) // 2], truths[-1]}:
+            assert_cut_off_exact(triples, k)
+
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=8, deadline=None)
+    def test_mixed_length_gaps_in_one_pass(self, seed):
+        rng = random.Random(seed)
+        base, *copies = long_variants(seed, rng.randint(2000, 6000), 3, 150)
+        # grow each copy at its start and cut either end, by up to 300 symbols
+        seqs = [base]
+        for c in copies:
+            head = "".join(rng.choices("abcd", k=rng.randint(0, 300)))
+            seqs.append(head + c[rng.randint(0, 300):len(c) - rng.randint(0, 300)])
+        triples = long_pairs(seqs)
+        assert len({len(b) - len(a) for a, b, _ in triples}) > 2
+        truths = sorted(true for *_, true in triples)
+        for k in {truths[0], truths[len(truths) // 2], truths[-1]}:
+            assert_cut_off_exact(triples, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_just_below_at_and_above_k(self, seed):
+        # copies with 300, 301 and 302 nested substitutions by a symbol the
+        # base lacks, 20 apart: pairs at distances 1, 2, 300, 301 and 302
+        rng = random.Random(seed)
+        base = rng.choices("abcd", k=7000)
+        spots = rng.sample(range(0, 7000, 20), 302)
+        seqs = ["".join(base)]
+        for s in (300, 301, 302):
+            other = list(base)
+            for pos in spots[:s]:
+                other[pos] = "x"
+            seqs.append("".join(other))
+        triples = long_pairs(seqs)
+        assert {300, 301, 302} <= {true for *_, true in triples}
+        assert_cut_off_exact(triples, 301)
+        with pytest.MonkeyPatch.context() as patch:
+            packs = record_packs(patch)
+            _band_distances([(a, b) for a, b, _ in triples], 301)
+        assert len(packs) > 2  # re-packed more than once
+
+    def test_a_pair_whose_end_diagonal_is_cut(self):
+        # the pairs with one far text are far beyond k among near ones: the
+        # cut-off drops them long before their texts end, and the pass goes
+        # on without them
+        rng = random.Random(7)
+        near = long_variants(3, 8000, 3, 120)
+        far = "".join(rng.choices("abcd", k=8000))
+        triples = long_pairs(near + [far])
+        k = max(true for *_, true in triples if true < 1000)
+        assert_cut_off_exact(triples, k)
+        with pytest.MonkeyPatch.context() as patch:
+            packs = record_packs(patch)
+            _band_distances([(a, b) for a, b, _ in triples], k)
+        assert [pairs for pairs, _ in packs[:2]] == [len(triples), len(triples) - len(near)]
+
+    @given(st.integers(0, 2 ** 32), st.integers(2000, 5000))
+    @settings(max_examples=6, deadline=None)
+    def test_token_surfaces(self, seed, size):
+        rng = random.Random(seed)
+        core = rng.choices(WORDS, k=size)
+        word_lists = [core]
+        for _ in range(3):
+            words = list(core)
+            for _ in range(rng.randint(20, 200)):
+                words[rng.randrange(len(words))] = rng.choice(WORDS + ["other"])
+            word_lists.append(words[:len(words) - rng.randint(0, 100)])
+        want = [[myers_distance(x, y) for y in word_lists] for x in word_lists]
+        ids = [f"t{i}" for i in range(len(word_lists))]
+        assert surface_distances(ids, word_lists).distances.tolist() == want
+
+    def test_band_bytes_fall_on_a_long_near_duplicate_question(self):
+        # eight ~7k-character variants of one core, 30 words apart
+        rng = random.Random(12)
+        core = rng.choices(WORDS, k=1150)
+        texts = []
+        for _ in range(8):
+            words = list(core)
+            for _ in range(30):
+                words[rng.randrange(len(words))] = rng.choice(WORDS)
+            texts.append(" ".join(words))
+        ids = [f"t{i}" for i in range(len(texts))]
+        cut = surface_distances(ids, texts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diversity, "_CUT", 1 << 30)  # no check before the end
+            whole = surface_distances(ids, texts)
+        assert (cut.distances == whole.distances).all()
+        assert cut.band_passes == whole.band_passes
+        assert cut.band_bytes < 0.8 * whole.band_bytes
+        assert surface_distances(ids, texts).band_bytes == cut.band_bytes
+
+
 def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
     q = make_question(0)
     trajectories = [make_trajectory(q, i, f"<think>r</think>{text}")
@@ -620,6 +784,14 @@ class TestDiversifyCorpus:
                 assert sorted(times) == sorted(report["per_question"])
                 assert all(ms >= 0 for ms in times.values())
             assert report_s == report_p
+
+    def test_pool_leaves_the_heap_unfrozen(self):
+        # the heap is frozen only while the pool's workers fork
+        long_corpus = [make_trajectory(make_question(qi), j, f"<think>{text}</think>ok")
+                       for qi in range(3) for j, text in enumerate(near_duplicate_texts(qi))]
+        assert gc.get_freeze_count() == 0
+        diversify_corpus(long_corpus, p=3, workers=2)
+        assert gc.get_freeze_count() == 0
 
     def test_report_contains_distance_stats(self):
         _, report = diversify_corpus(self._corpus(), p=3, cap_ratio=None)

@@ -228,6 +228,21 @@ class TestPartialRuns:
         assert "manifest" in result.error
         assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
+    def test_compress_first_refuses_edited_questions(self, tmp_path):
+        # right's manifest hashes its trajectories only; the configured
+        # questions are checked against raw's, which covers them too
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        questions = Path(config["questions"])
+        lines = questions.read_text(encoding="utf-8").splitlines(keepends=True)
+        questions.write_text("".join(lines[:-1]), encoding="utf-8")
+        manifests = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
+        result = run_pipeline(dict(config, stages=["compress", "diversify"]))
+        assert result.exit_code == EXIT_STAGE
+        assert result.failed_stage == "compress"
+        assert "manifest_raw.json" in result.error
+        assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
+
     def test_missing_parent_manifest_is_refused(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         out = run_pipeline(config).out_dir
@@ -353,6 +368,18 @@ def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
     assert counts[0][0] == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
     assert counts[0][1] >= sum(1 for n in sizes.values() if n > 1)
     assert "engine" not in json.loads((out / "diversity_report.json").read_text())
+
+
+def test_diversify_logs_its_band_bytes(tmp_path):
+    config = build_pipeline_fixture(tmp_path)
+    logged = []
+    for _ in range(2):
+        out = run_pipeline(config).out_dir
+        done = [e for e in _read_events(out)
+                if e["stage"] == "diversify" and e["event"] == "stage_done"]
+        logged.append(done[0]["band_bytes"])
+    assert logged[0] == logged[1] > 0
+    assert "band_bytes" not in (out / "diversity_report.json").read_text(encoding="utf-8")
 
 
 def test_diversify_logs_each_questions_distance_time(tmp_path):
