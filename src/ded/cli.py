@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixtures")
-    p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", required=True)
 
@@ -177,8 +176,7 @@ def _cmd_filter(args) -> int:
 def _cmd_compress(args) -> int:
     questions = parse_corpus(args.questions, "questions")
     stats = student_rollout(questions, _client(args, Path(args.out).parent), runs=args.runs,
-                            student_id=args.student, seed=args.seed,
-                            checkpoint=args.checkpoint)
+                            student_id=args.student, seed=args.seed)
     _, report = write_hard([args.stats, args.out], questions, stats, args.tau)
     _emit(report.to_dict())
     return EXIT_OK

@@ -165,7 +165,31 @@ class Client:
         raise NotImplementedError
 
 
-class HttpClient(Client):
+class _Backend(Client):
+    """A client that answers requests itself. Each request is tried under
+    its retry policy; `requests_total` counts the attempts and
+    `retries_total` the retries."""
+
+    def __init__(self, retry: RetryPolicy):
+        self.retry = retry
+        self.requests_total = 0
+        self.retries_total = 0
+        self._lock = threading.Lock()
+
+    def _retried(self, attempt: Callable[[], T]) -> T:
+        def counted() -> T:
+            with self._lock:
+                self.requests_total += 1
+            return attempt()
+
+        def count_retry() -> None:
+            with self._lock:
+                self.retries_total += 1
+
+        return self.retry.run(counted, on_retry=count_retry)
+
+
+class HttpClient(_Backend):
     """Chat-completion style JSON endpoint, configured via environment.
 
     Transport failures are retried with exponential backoff up to the
@@ -181,15 +205,12 @@ class HttpClient(Client):
                  timeout: float = 120.0,
                  transport: Callable[[str, dict, dict], tuple[int, bytes]] | None = None,
                  max_in_flight: int = 1):
+        super().__init__(retry or RetryPolicy())
         self.base_url = (base_url or os.environ.get("DED_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("DED_API_KEY", "")
-        self.retry = retry or RetryPolicy()
         self.timeout = timeout
         self.transport = transport or self._urllib_transport
         self.max_in_flight = max_in_flight
-        self.retries_total = 0
-        self.requests_total = 0
-        self._lock = threading.Lock()
         self._wire = threading.BoundedSemaphore(max_in_flight)
 
     @property
@@ -218,8 +239,6 @@ class HttpClient(Client):
 
         def attempt() -> dict:
             with self._wire:
-                with self._lock:
-                    self.requests_total += 1
                 status, body = self.transport(url, payload, headers)
             if status in (401, 403):
                 raise AuthenticationError(f"authentication failed (HTTP {status})")
@@ -232,11 +251,7 @@ class HttpClient(Client):
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SchemaError(f"response is not JSON: {exc}") from exc
 
-        def count_retry() -> None:
-            with self._lock:
-                self.retries_total += 1
-
-        return self.retry.run(attempt, on_retry=count_retry)
+        return self._retried(attempt)
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         payload = {
@@ -320,7 +335,7 @@ def _stable_int(*parts: Any) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class MockClient(Client):
+class MockClient(_Backend):
     """Deterministic offline stand-in for both teacher and judge roles.
 
     Responses come from a fixture table when one matches; otherwise a
@@ -333,8 +348,8 @@ class MockClient(Client):
                  fixtures: str | Path | dict[str, Any] | None = None,
                  seed: int = 0,
                  faults: FaultInjector | None = None,
-                 retry: RetryPolicy | None = None,
-                 allow_synthesis: bool = True):
+                 retry: RetryPolicy | None = None):
+        super().__init__(retry or RetryPolicy(sleep=lambda _: None))
         if isinstance(fixtures, (str, Path)):
             fixtures = load_mock_fixtures(fixtures)
         fixtures = fixtures or {}
@@ -342,17 +357,12 @@ class MockClient(Client):
         self.judges = dict(fixtures.get("judges", {}))
         self.seed = seed
         self.faults = faults or FaultInjector()
-        self.retry = retry or RetryPolicy(sleep=lambda _: None)
-        self.allow_synthesis = allow_synthesis
-        self.retries_total = 0
-        self.requests_total = 0
-        self._lock = threading.Lock()
-        # the answers depend on the fixture table, on whether synthesis is
-        # allowed and on the seed it uses, so the cache keys on all three.
-        # Sample texts, which can run to megabytes, are hashed as they are,
-        # each after its length, rather than encoded as JSON first
+        # the answers depend on the fixture table and on the seed of the
+        # synthesized ones, so the cache keys on both. Sample texts, which
+        # can run to megabytes, are hashed as they are, each after its
+        # length, rather than encoded as JSON first
         digest = hashlib.sha256(json.dumps(
-            [allow_synthesis, seed, sorted(self.judges.items(), key=lambda item: item[0])],
+            [seed, sorted(self.judges.items(), key=lambda item: item[0])],
             sort_keys=True).encode("ascii"))
         for key, texts in sorted(self.samples.items(), key=lambda item: item[0]):
             digest.update(json.dumps([key, len(texts)]).encode("ascii"))
@@ -377,29 +387,16 @@ class MockClient(Client):
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         def attempt() -> list[str]:
-            with self._lock:
-                self.requests_total += 1
             self.faults.check("sample")
             canned = self.samples.get((request.teacher_id, request.prompt), [])
             texts = list(canned[:request.samples])
-            if len(texts) < request.samples:
-                if not self.allow_synthesis and not canned:
-                    raise SchemaError(
-                        f"no fixture for teacher {request.teacher_id!r} and synthesis disabled")
-                texts += [self._synthesize(request, i)
-                          for i in range(len(texts), request.samples)]
-            return texts
+            return texts + [self._synthesize(request, i)
+                            for i in range(len(texts), request.samples)]
 
-        def count_retry() -> None:
-            with self._lock:
-                self.retries_total += 1
-
-        return self.retry.run(attempt, on_retry=count_retry)
+        return self._retried(attempt)
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
         def attempt() -> VerificationVerdict:
-            with self._lock:
-                self.requests_total += 1
             self.faults.check("judge")
             row = self.judges.get((request.question, request.candidate_answer))
             if row is not None:
@@ -412,11 +409,7 @@ class MockClient(Client):
             return VerificationVerdict(status=status, checker="judge",
                                        detail=f"VERDICT: {status}")
 
-        def count_retry() -> None:
-            with self._lock:
-                self.retries_total += 1
-
-        return self.retry.run(attempt, on_retry=count_retry)
+        return self._retried(attempt)
 
 
 class CachingClient(Client):

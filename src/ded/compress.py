@@ -8,11 +8,8 @@ considered too easy for the student.
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Sequence
 
 from .clients import Client, JudgeRequest, SamplingRequest
@@ -110,77 +107,27 @@ def response_is_correct(text: str, question: QuestionRecord,
     return verdict.status == "correct"
 
 
-class RolloutCheckpoint:
-    """Append-only per-question results so interrupted runs resume cheaply.
-
-    Each row records the rollout settings that produced it. Rows written
-    under settings other than the given ones are skipped; with no settings
-    given, every row is read. One checkpoint may be shared by rollouts
-    running in several threads.
-    """
-
-    def __init__(self, path: str | Path | None, settings: dict[str, Any] | None = None):
-        self.path = Path(path) if path else None
-        self.settings = settings
-        self._lock = threading.Lock()
-        self.done: dict[str, PassRateStats] = {}
-        if self.path and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        if settings is None or row.get("settings") == settings:
-                            stats = PassRateStats.from_dict(row)
-                            self.done[stats.question_id] = stats
-
-    def record(self, stats: PassRateStats) -> None:
-        row = {**stats.to_dict(), "settings": self.settings}
-        with self._lock:
-            self.done[stats.question_id] = stats
-            if self.path:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def rollout_settings(client: Client, student_id: str, runs: int, temperature: float,
-                     seed: int | None) -> dict[str, Any]:
-    """Everything besides the question that a checkpointed pass rate depends on."""
-    return {"backend": client.backend, "student_id": student_id, "runs": runs,
-            "temperature": temperature, "seed": seed}
-
-
 def student_rollout(questions: Sequence[QuestionRecord],
                     client: Client,
                     runs: int = 16,
                     student_id: str = "student",
                     temperature: float = 0.7,
-                    seed: int | None = None,
-                    checkpoint: str | Path | RolloutCheckpoint | None = None
-                    ) -> list[PassRateStats]:
+                    seed: int | None = None) -> list[PassRateStats]:
     """Sample the student on every question and verify each response.
 
-    Each question gets `runs` independent samples in one batched request;
-    results are checkpointed per question, and questions already
-    checkpointed under the same backend, student, runs, temperature and
-    seed are skipped on resume. A `RolloutCheckpoint` passed in must have
-    been opened with those settings.
+    Each question gets `runs` independent samples in one batched request.
+    Pass rates are ordered by question id. Through a `CachingClient`, an
+    interrupted roll-out resumes without re-billing: the samples and judge
+    calls that finished are answered from the cache, and only those that
+    never did go to the backend.
     """
     if runs < 1:
         raise CompressError("runs must be >= 1")
-    settings = rollout_settings(client, student_id, runs, temperature, seed)
-    if not isinstance(checkpoint, RolloutCheckpoint):
-        checkpoint = RolloutCheckpoint(checkpoint, settings)
-    elif checkpoint.settings != settings:
-        raise CompressError("checkpoint was opened for other rollout settings")
+    stats = []
     for question in questions:
-        if question.question_id in checkpoint.done:
-            continue
         responses = client.sample_trajectories(SamplingRequest(
             prompt=question.prompt, teacher_id=student_id, samples=runs,
             temperature=temperature, seed=seed))
         outcomes = [response_is_correct(r, question, client) for r in responses]
-        checkpoint.record(pass_rate(outcomes, runs, question_id=question.question_id))
-    ordered = sorted(questions, key=lambda q: q.question_id)
-    return [checkpoint.done[q.question_id] for q in ordered]
+        stats.append(pass_rate(outcomes, runs, question_id=question.question_id))
+    return sorted(stats, key=lambda s: s.question_id)

@@ -335,17 +335,17 @@ def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     return out, (passes, band_bytes)
 
 
-def levenshtein_bounded(a: str | Sequence, b: str | Sequence, cap: int | float,
-                        hint: int = _MIN_BAND) -> int | None:
+def levenshtein_bounded(a: str | Sequence, b: str | Sequence,
+                        cap: int | float) -> int | None:
     """Exact distance when it is below cap, else None meaning "at least cap".
 
-    The band starts at `hint` (at least the length difference) and doubles
-    until the distance fits or the band reaches cap - 1; `hint` changes the
-    time taken, never the result. cap may be math.inf.
+    The band starts at _MIN_BAND (at least the length difference) and
+    doubles until the distance fits or the band reaches cap - 1. cap may be
+    math.inf.
     """
     if cap < 0:
         raise DiversityError("cap must be >= 0")
-    return _bounded_distances([tuple(_codes([a, b]))], cap, hint)[0][0]
+    return _bounded_distances([tuple(_codes([a, b]))], cap, _MIN_BAND)[0][0]
 
 
 def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
@@ -353,18 +353,16 @@ def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
     return levenshtein_bounded(a, b, math.inf)
 
 
-def clamped_distance(a: str | Sequence, b: str | Sequence,
-                     cap: int | None, hint: int = _MIN_BAND) -> int:
+def clamped_distance(a: str | Sequence, b: str | Sequence, cap: int | None) -> int:
     """min(levenshtein(a, b), cap): the truncated metric used for selection.
 
-    A pair at or beyond the cap is treated as maximally distant. `hint` is
-    where the band search starts (see levenshtein_bounded).
+    A pair at or beyond the cap is treated as maximally distant.
     """
     if cap is None:
-        return levenshtein_bounded(a, b, math.inf, hint)
+        return levenshtein(a, b)
     if cap <= 0:
         return 0
-    d = levenshtein_bounded(a, b, cap, hint)
+    d = levenshtein_bounded(a, b, cap)
     return cap if d is None else d
 
 

@@ -23,8 +23,7 @@ from typing import Any, Callable
 from . import diagnostics
 from .clients import (CachingClient, Client, ClientError, HttpClient, JudgeRequest,
                       MockClient, RetryPolicy, map_concurrent)
-from .compress import (CompressionReport, RolloutCheckpoint, rollout_settings, select_hard,
-                       student_rollout)
+from .compress import CompressionReport, select_hard, student_rollout
 from .config import manifest_snapshot, validate_config
 from .diversity import diversify_corpus
 from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
@@ -184,8 +183,6 @@ class _Run:
     questions: list[QuestionRecord] = field(default_factory=list)
     trajectories: list[TrajectoryRecord] = field(default_factory=list)
     chains: list[_Chain] = field(default_factory=list)
-    checkpoint: RolloutCheckpoint | None = None  # opened by the first roll-out
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         self.snapshot = manifest_snapshot(self.cfg)
@@ -221,14 +218,9 @@ def _roll_out_step(run: _Run, client: Client, chain: _Chain) -> None:
     if not chain.trajectories:
         return
     cfg = run.cfg
-    with run.lock:  # the first roll-out reads it, so a bad file fails compress
-        if run.checkpoint is None:
-            run.checkpoint = RolloutCheckpoint(
-                run.out / ".cache" / "rollout_checkpoint.jsonl", rollout_settings(
-                    client, cfg["student_id"], cfg["runs"], cfg["temperature"], cfg["seed"]))
     chain.stats = student_rollout(
         [chain.question], client, runs=cfg["runs"], student_id=cfg["student_id"],
-        temperature=cfg["temperature"], seed=cfg["seed"], checkpoint=run.checkpoint)[0]
+        temperature=cfg["temperature"], seed=cfg["seed"])[0]
 
 
 # The write helpers of filter, compress and diversify, shared with the CLI.
@@ -430,12 +422,13 @@ def run_pipeline(config: str | Path | dict[str, Any],
     run = _Run(cfg, out, log, stamp, result)
     rows = [row for row in STAGE_TABLE if row.name in cfg["stages"]]
     phase = [row for row in rows if row.step]
-    # manifests from earlier partial runs let any stage suffix resume
-    priors = {stage: out / f"manifest_{stage}.json" for stage in STAGES}
-    run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
 
-    current_stage = ""
+    current_stage = rows[0].name if rows else ""
     try:
+        # manifests from earlier partial runs let any stage suffix resume
+        priors = {stage: out / f"manifest_{stage}.json" for stage in STAGES}
+        run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
+
         if cfg["questions"]:
             current_stage = "ingest"
             run.questions = parse_corpus(cfg["questions"], "questions")

@@ -623,8 +623,12 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
+    """The manifest at path; CorpusError naming the file if it is not one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return CorpusManifest.from_dict(json.load(fh))
+        try:
+            return CorpusManifest.from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{path} is not a manifest: {type(exc).__name__}: {exc}") from exc
 
 
 def lineage_chain(manifest: CorpusManifest,

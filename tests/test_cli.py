@@ -128,10 +128,17 @@ class TestSubcommandCache:
         monkeypatch.setenv("DED_CACHE_DIR", str(cache))
         qpath, _ = _write_corpus_files(tmp_path)
         out = tmp_path / "hard" / "questions.jsonl"
-        assert main(["compress", "--questions", str(qpath), "--student", "s-x", "--runs", "2",
-                     "--out", str(out), "--stats", str(tmp_path / "rates.jsonl")]) == 0
+        args = ["compress", "--questions", str(qpath), "--student", "s-x", "--runs", "2",
+                "--out", str(out), "--stats", str(tmp_path / "rates.jsonl")]
+        assert main(args) == 0
         assert len(list(cache.glob("*.json"))) == 20
         assert not (out.parent / ".cache").exists()
+        # a repeated or resumed compress is answered from the cache
+        first = out.read_bytes()
+        monkeypatch.setattr(MockClient, "sample_trajectories",
+                            lambda self, request: pytest.fail("rolled out again"))
+        assert main(args) == 0
+        assert out.read_bytes() == first
 
 
 class TestMixCommand:
@@ -223,6 +230,27 @@ class TestRunCommand:
         assert main(["report", "--manifest-dir", config["out_dir"],
                      "--out-dir", str(report_dir)]) == 0
         assert (report_dir / "report.md").exists()
+
+    @pytest.mark.parametrize("content", ["{}", "{not json"])
+    def test_unreadable_manifest_is_stage_failure(self, tmp_path, capsys, content):
+        config = build_pipeline_fixture(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        (out / "manifest_right.json").write_text(content, encoding="utf-8")
+        capsys.readouterr()
+
+        assert main(["report", "--manifest-dir", str(out),
+                     "--out-dir", str(tmp_path / "report_out")]) == 3
+        assert "manifest_right.json" in capsys.readouterr().err
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert "manifest_right.json" in capsys.readouterr().err
+        events = [json.loads(line) for line in
+                  (out / "logs" / "events.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(e["stage"], e["event"]) for e in events] == [
+            ("sample", "stage_failed"), ("pipeline", "done")]
+        assert events[-1]["exit_code"] == 3
 
     def test_config_error_exit_code(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -436,9 +436,8 @@ def test_mock_backend_covers_what_its_answers_depend_on(tmp_path):
     judged = copy.deepcopy(fixtures)
     judged["judges"][("q", "a")] = {"status": "incorrect"}
     others = [MockClient(fixtures=edited, seed=1), MockClient(fixtures=judged, seed=1),
-              MockClient(fixtures=fixtures, seed=2),
-              MockClient(fixtures=fixtures, seed=1, allow_synthesis=False)]
-    assert len({base.backend, *(c.backend for c in others)}) == 5
+              MockClient(fixtures=fixtures, seed=2)]
+    assert len({base.backend, *(c.backend for c in others)}) == 4
     # an entry written under one fixture table is not served under another
     cache = tmp_path / "cache"
     assert CachingClient(base, cache).sample_trajectories(_request()) == ["canned reply"]

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from ded.clients import MockClient, TransportError, FaultInjector, RetryPolicy, map_concurrent
-from ded.compress import (CompressError, RolloutCheckpoint, pass_rate, rollout_settings,
-                          select_hard, student_rollout)
+from ded.clients import (CachingClient, FaultInjector, MockClient, RetryBudgetExceededError,
+                         RetryPolicy, TransportError, map_concurrent)
+from ded.compress import CompressError, pass_rate, select_hard, student_rollout
 from ded.records import PassRateStats
 
 from conftest import ProbeClient, make_question
@@ -128,60 +128,52 @@ class TestStudentRollout:
         assert [s.successes for s in stats] == [0, 2, 2, 4]
         assert [s.question_id for s in stats] == ["q000", "q001", "q002", "q003"]
 
-    def test_checkpoint_resume_skips_sampling(self, tmp_path):
+    def test_resumed_rollout_bills_no_requests(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         script = {q.question_id: 2 for q in questions}
-        ckpt_path = tmp_path / "ckpt.jsonl"
-        client = _rollout_client(questions, script)
-        student_rollout(questions, client, runs=4, student_id="student",
-                        checkpoint=ckpt_path)
-        calls_after_first = client.requests_total
+        first = _rollout_client(questions, script)
+        stats = student_rollout(questions, CachingClient(first, tmp_path / "cache"), runs=4,
+                                student_id="student")
+        assert first.requests_total == 3
 
-        client2 = _rollout_client(questions, script)
-        stats = student_rollout(questions, client2, runs=4, student_id="student",
-                                checkpoint=ckpt_path)
-        assert client2.requests_total == 0
-        assert calls_after_first == 3
+        again = _rollout_client(questions, script)
+        assert student_rollout(questions, CachingClient(again, tmp_path / "cache"), runs=4,
+                               student_id="student") == stats
+        assert again.requests_total == 0
         assert [s.successes for s in stats] == [2, 2, 2]
 
-    def test_failure_preserves_partial_checkpoint(self, tmp_path):
+    def test_failed_rollout_rebills_only_unfinished_questions(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         script = {q.question_id: 1 for q in questions}
-        ckpt_path = tmp_path / "ckpt.jsonl"
         samples = _rollout_client(questions, script).samples
-        faults = FaultInjector({"sample": [None, TransportError("boom"),
-                                           TransportError("boom"), TransportError("boom")]})
-        client = MockClient(fixtures={"samples": samples}, faults=faults,
-                            retry=RetryPolicy(budget=2, sleep=lambda _: None))
-        with pytest.raises(Exception):
-            student_rollout(questions, client, runs=4, student_id="student",
-                            checkpoint=ckpt_path)
-        resumed = RolloutCheckpoint(ckpt_path)
-        assert "q000" in resumed.done
-        assert len(resumed.done) < 3
+        # q000 is answered; q001 fails both its attempts, and q002 never starts
+        faults = FaultInjector({"sample": [None, TransportError("boom"), TransportError("boom")]})
+        failing = MockClient(fixtures={"samples": samples}, faults=faults,
+                             retry=RetryPolicy(budget=2, sleep=lambda _: None))
+        with pytest.raises(RetryBudgetExceededError):
+            student_rollout(questions, CachingClient(failing, tmp_path / "cache"), runs=4,
+                            student_id="student")
+        assert failing.requests_total == 3
+
+        resumed = _rollout_client(questions, script)
+        stats = student_rollout(questions, CachingClient(resumed, tmp_path / "cache"), runs=4,
+                                student_id="student")
+        assert resumed.requests_total == 2
+        assert [s.successes for s in stats] == [1, 1, 1]
 
     def test_concurrent_rollout_matches_serial(self, tmp_path):
-        # one rollout per question from several threads, sharing a checkpoint
+        # one rollout per question from several threads, sharing a request cache
         questions = [make_question(i) for i in range(8)]
         script = {q.question_id: i % 5 for i, q in enumerate(questions)}
         serial = student_rollout(questions, _rollout_client(questions, script),
-                                 runs=4, student_id="student",
-                                 checkpoint=tmp_path / "serial.jsonl")
+                                 runs=4, student_id="student")
         probe = ProbeClient(_rollout_client(questions, script))
-        shared = RolloutCheckpoint(tmp_path / "shared.jsonl",
-                                   rollout_settings(probe, "student", 4, 0.7, None))
+        cached = CachingClient(probe, tmp_path / "cache")
         threaded = map_concurrent(
-            lambda q: student_rollout([q], probe, runs=4, student_id="student",
-                                      checkpoint=shared)[0], questions, max_in_flight=4)
+            lambda q: student_rollout([q], cached, runs=4, student_id="student")[0],
+            questions, max_in_flight=4)
         assert serial == threaded
         assert probe.peak > 1
-        assert sorted(RolloutCheckpoint(tmp_path / "shared.jsonl").done.values(),
-                      key=lambda s: s.question_id) == serial
-
-    def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
-        client = MockClient()
-        ckpt = RolloutCheckpoint(tmp_path / "ckpt.jsonl",
-                                 rollout_settings(client, "student", 4, 0.7, None))
-        with pytest.raises(CompressError):
-            student_rollout([make_question(0)], client, runs=2, student_id="student",
-                            checkpoint=ckpt)
+        # a serial re-run is answered from what the threads stored
+        assert student_rollout(questions, cached, runs=4, student_id="student") == serial
+        assert (cached.misses, cached.hits) == (8, 8)

@@ -158,6 +158,11 @@ class TestClampedDistance:
         assert clamped_distance("kitten", "sitting", None) == 3
 
 
+def bounded_from(a, b, cap, k) -> int | None:
+    """levenshtein_bounded with its band search started at k."""
+    return _bounded_distances([tuple(_codes([a, b]))], cap, k)[0][0]
+
+
 class TestBandEngine:
     @given(near_duplicates(4, 40), st.integers(1, 8))
     @settings(max_examples=300)
@@ -165,24 +170,25 @@ class TestBandEngine:
         a, b = ("".join(s) for s in pair)
         true = naive_levenshtein(a, b)
         for cap in (max(true - 1, 0), true, true + 1, math.inf):
-            assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
+            assert bounded_from(a, b, cap, hint) == bounded_want(true, cap)
 
     @given(near_duplicates(40, 400))
     @settings(max_examples=150)
     def test_long_matches_full_width_under_any_hint(self, pair):
         a, b = ("".join(s) for s in pair)
         true = myers_distance(a, b)
-        for hint in (1, max(1, true // 2), true + 3):
-            for cap in (max(true - 1, 0), true, true + 1):
-                assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
-                assert clamped_distance(a, b, cap, hint) == min(true, cap)
+        for cap in (max(true - 1, 0), true, true + 1):
+            for hint in (1, max(1, true // 2), true + 3):
+                assert bounded_from(a, b, cap, hint) == bounded_want(true, cap)
+            assert levenshtein_bounded(a, b, cap) == bounded_want(true, cap)
+            assert clamped_distance(a, b, cap) == min(true, cap)
 
     @given(near_duplicates(40, 400), st.integers(1, 64))
     def test_length_gap_one_below_cap(self, pair, hint):
         a, b = ("".join(s) for s in pair)
         cap = abs(len(a) - len(b)) + 1
         true = myers_distance(a, b)
-        assert levenshtein_bounded(a, b, cap, hint) == bounded_want(true, cap)
+        assert bounded_from(a, b, cap, hint) == bounded_want(true, cap)
 
     @given(near_duplicates(20, 120, alphabet=tuple(WORDS)))
     @settings(max_examples=60)
@@ -209,7 +215,7 @@ class TestBandEngine:
         a = "".join(rng.choice("abcd") for _ in range(400))
         b = "".join("x" if i % 40 == 20 else ch for i, ch in enumerate(a))
         true = myers_distance(a, b)
-        assert levenshtein_bounded(a, b, math.inf, hint=1) == true
+        assert bounded_from(a, b, math.inf, 1) == true
         assert widths == [1 << i for i in range(len(widths))]
         assert widths[-2] < true <= widths[-1]
 

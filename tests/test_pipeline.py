@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from ded import pipeline
 from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
                          SamplingRequest)
 from ded.config import STAGE_SEQUENCE
+from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline,
                           tree_hash)
 from ded.records import (EPOCH_ISO, PHASES, STAGES, EmbeddingRecord, LogprobRecord,
@@ -95,24 +97,25 @@ class TestPipelineEndToEnd:
         assert result2.exit_code == EXIT_OK
         assert set(result2.manifests) == {"right", "right_hard", "right_hard_diverse"}
 
-    def test_interrupted_compress_resumes_without_resampling(self, tmp_path):
+    def test_interrupted_compress_resumes_without_resampling(self, tmp_path, monkeypatch):
         config = build_pipeline_fixture(tmp_path)
-        result = run_pipeline(config)
-        assert result.exit_code == EXIT_OK
-        ckpt = result.out_dir / ".cache" / "rollout_checkpoint.jsonl"
-        assert ckpt.exists()
-        lines_before = ckpt.read_text().count("\n")
+        fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
 
-        # truncate the checkpoint to simulate an interruption mid-compress
-        content = ckpt.read_text().splitlines()[: lines_before // 2]
-        ckpt.write_text("\n".join(content) + "\n", encoding="utf-8")
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        # every roll-out finishes, then compress dies before writing its files
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "write_hard", disk_full)
+            interrupted = run_pipeline(config)
+        assert (interrupted.exit_code, interrupted.failed_stage) == (EXIT_STAGE, "compress")
         second = run_pipeline(config)
         assert second.exit_code == EXIT_OK
-        events = _read_events(second.out_dir)
-        done = [e for e in events if e["event"] == "done"][0]
-        assert done["cache_hits"] > 0
+        assert _done(second.out_dir)["cache_misses"] == 0
+        assert _done(second.out_dir)["cache_hits"] == _done(fresh)["cache_misses"]
+        assert tree_hash(second.out_dir) == tree_hash(fresh)
 
-    def test_checkpoint_rows_of_other_rollout_settings_are_not_reused(self, tmp_path):
+    def test_pass_rates_of_other_rollout_settings_are_not_reused(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         assert run_pipeline(config).exit_code == EXIT_OK
         config.update(runs=2, student_id="s-other")
@@ -336,8 +339,8 @@ class TestUsedOutDir:
 
 
 def test_edited_fixtures_in_a_used_out_dir_build_the_fresh_tree(tmp_path):
-    # answers cached, and pass rates checkpointed, under the old fixture
-    # table must not be served once the table changes
+    # answers cached under the old fixture table must not be served once
+    # the table changes
     config = build_pipeline_fixture(tmp_path)
     used = run_pipeline(config).out_dir
     before = tree_hash(used)
@@ -351,6 +354,33 @@ def test_edited_fixtures_in_a_used_out_dir_build_the_fresh_tree(tmp_path):
     assert run_pipeline(config).exit_code == EXIT_OK
     fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
     assert tree_hash(used) == tree_hash(fresh) != before
+
+
+def test_an_edited_question_in_a_used_out_dir_gets_a_fresh_pass_rate(tmp_path):
+    # a pass rate stored under a question id must not outlive the prompt and
+    # ground truth it was measured on
+    config = build_pipeline_fixture(tmp_path)
+    used = run_pipeline(config).out_dir
+    before = _pass_rates(used)["q000"]
+    # no fixture answers the new prompt: the teacher's first synthesized
+    # answer becomes the ground truth, so q000 still reaches compress
+    prompt = "Problem q000, edited: evaluate the expression."
+    first = MockClient(seed=config["seed"]).sample_trajectories(SamplingRequest(
+        prompt=prompt, teacher_id=config["teacher_id"], samples=1, seed=config["seed"]))[0]
+    path = Path(config["questions"])
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows[0].update(prompt=prompt, ground_truth=extract_final_answer(first))
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+                    encoding="utf-8")
+    assert run_pipeline(config).exit_code == EXIT_OK
+    fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
+    assert _pass_rates(used)["q000"] == _pass_rates(fresh)["q000"] != before
+    assert tree_hash(used) == tree_hash(fresh)
+
+
+def _pass_rates(out_dir):
+    lines = (out_dir / "pass_rates.jsonl").read_text(encoding="utf-8").splitlines()
+    return {row["question_id"]: row for row in map(json.loads, lines)}
 
 
 def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
@@ -710,7 +740,7 @@ class TestQuestionChains:
         mock = run_pipeline(config)
         billed = _done(mock.out_dir)["cache_misses"]
         fake = transport(config)
-        # same output directory, so the same .cache and rollout checkpoint
+        # same output directory, so the same .cache
         result = run_pipeline(_over_http(config, 2, mock.out_dir))
         assert result.exit_code == EXIT_OK
         assert _done(result.out_dir)["cache_misses"] == fake.requests == billed
