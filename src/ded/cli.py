@@ -177,14 +177,14 @@ def _cmd_compress(args) -> int:
     questions = parse_corpus(args.questions, "questions")
     stats = student_rollout(questions, _client(args, Path(args.out).parent), runs=args.runs,
                             student_id=args.student, seed=args.seed)
-    _, report = write_hard([args.stats, args.out], questions, stats, args.tau)
+    *_, report = write_hard([args.stats, args.out], questions, stats, args.tau)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def _cmd_diversify(args) -> int:
     trajectories = parse_corpus(args.path, "trajectories")
-    selected, _ = write_diverse([args.out, args.report], trajectories, p=args.p, unit=args.unit,
+    selected, *_ = write_diverse([args.out, args.report], trajectories, p=args.p, unit=args.unit,
                                 cap_ratio=args.cap_ratio, workers=args.workers)
     print(f"selected {len(selected)} of {len(trajectories)} trajectories")
     return EXIT_OK
@@ -198,8 +198,8 @@ def _cmd_mix(args) -> int:
             raise ConfigError([f"--source must look like PATH:TAKE, got {spec!r}"])
         sources.append((parse_corpus(path, "trajectories"), int(take)))
     mixed, provenance = compose_mix(sources, seed=args.seed)
-    write_corpus(args.out, mixed)
-    manifest = write_manifest("mixed", mixed, config={"mix": provenance})
+    lines = write_corpus(args.out, mixed)
+    manifest = write_manifest("mixed", mixed, config={"mix": provenance}, lines=lines)
     save_manifest(manifest, Path(args.out).with_suffix(".manifest.json"))
     print(f"mixed {len(mixed)} trajectories over "
           f"{manifest.question_count} questions to {args.out}")

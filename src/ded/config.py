@@ -3,47 +3,79 @@ validation. The normalized config is echoed into every stage manifest."""
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 from typing import Any
 
+from .records import Spec, at_least, field_error, one_of, within
+
 STAGE_SEQUENCE = ("sample", "filter", "compress", "diversify", "mix", "stats")
 
-_CLIENT_DEFAULTS: dict[str, Any] = {
-    "mode": "mock",
-    "fixtures": None,
-    "base_url": None,
-    "max_in_flight": 4,
-    "retry_budget": 3,
-    "cache_dir": None,
+
+def _stage_order(stages: list[Any]) -> str | None:
+    unknown = [s for s in stages if s not in STAGE_SEQUENCE]
+    if unknown:
+        return f"unknown stage names {unknown}"
+    order = [STAGE_SEQUENCE.index(s) for s in stages]
+    if order != sorted(set(order)):
+        return f"must follow the order {list(STAGE_SEQUENCE)}, each stage at most once"
+    # each corpus stage reads the one before it: a gap would feed a stage
+    # the wrong corpus under its parent's manifest
+    chain = [i for i in order if STAGE_SEQUENCE[i] not in ("mix", "stats")]
+    if chain and chain != list(range(chain[0], chain[-1] + 1)):
+        return "sample, filter, compress and diversify must run without a gap between them"
+    return None
+
+
+def _mix_sources(sources: list[Any]) -> str | None:
+    for i, src in enumerate(sources):
+        if not isinstance(src, dict) or "path" not in src or "take" not in src:
+            return f"item {i}: expected an object with path and take"
+        if not isinstance(src["take"], int) or src["take"] < 1:
+            return f"item {i}: take must be an integer >= 1"
+    return None
+
+
+CLIENT_FIELDS: dict[str, Spec] = {
+    "mode": Spec(str, "mock", one_of(("mock", "http"))),
+    "fixtures": Spec(str, None),
+    "base_url": Spec(str, None),
+    "max_in_flight": Spec(int, 4, at_least(1)),
+    "retry_budget": Spec(int, 3, at_least(1)),
+    "cache_dir": Spec(str, None),
 }
 
-DEFAULTS: dict[str, Any] = {
-    "questions": None,
-    "out_dir": "ded_out",
-    "teacher_id": "teacher-mock",
-    "student_id": "student-mock",
-    "stages": ["sample", "filter", "compress", "diversify", "stats"],
-    "max_token_len": 16384,
-    "require_single_think_pair": True,
-    "token_estimator": "chars_div_4_fallback",
-    "pass_threshold": 0.5,
-    "samples_per_question": 8,
-    "diverse_per_question": 4,
-    "runs": 16,
-    "unit": "char",
-    "cap_ratio": 0.6,
-    "temperature": 0.7,
-    "seed": 0,
-    "tokenizer": None,
-    "timestamp": None,
-    "workers": 1,
-    "pca_components": 2,
-    "logprobs": None,
-    "embeddings": None,
-    "mix_sources": None,
-    "client": dict(_CLIENT_DEFAULTS),
+FIELDS: dict[str, Spec] = {
+    "questions": Spec(str, None),
+    "out_dir": Spec(str, "ded_out"),
+    "teacher_id": Spec(str, "teacher-mock"),
+    "student_id": Spec(str, "student-mock"),
+    "stages": Spec(list, ["sample", "filter", "compress", "diversify", "stats"], _stage_order),
+    "max_token_len": Spec(int, 16384, at_least(1)),
+    "require_single_think_pair": Spec(bool, True),
+    "token_estimator": Spec(str, "chars_div_4_fallback",
+                            one_of(("precomputed_only", "chars_div_4_fallback"))),
+    "pass_threshold": Spec((int, float), 0.5, within(0, 1)),
+    "samples_per_question": Spec(int, 8, at_least(1)),
+    "diverse_per_question": Spec(int, 4, at_least(1)),
+    "runs": Spec(int, 16, at_least(1)),
+    "unit": Spec(str, "char", one_of(("char", "token"))),
+    "cap_ratio": Spec((int, float, type(None)), 0.6,
+                      lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}"),
+    "temperature": Spec((int, float), 0.7, at_least(0)),
+    "seed": Spec(int, 0),
+    "tokenizer": Spec(str, None),
+    "timestamp": Spec(str, None),
+    "workers": Spec(int, 1, at_least(1)),
+    "pca_components": Spec(int, 2, at_least(1)),
+    "logprobs": Spec(str, None),
+    "embeddings": Spec(str, None),
+    "mix_sources": Spec(list, None, _mix_sources),
 }
+
+DEFAULTS: dict[str, Any] = {**{key: spec.default for key, spec in FIELDS.items()},
+                            "client": {key: spec.default for key, spec in CLIENT_FIELDS.items()}}
 
 
 class ConfigError(ValueError):
@@ -54,137 +86,51 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-def _check_type(errors: list[str], key: str, value: Any, types: tuple, desc: str) -> bool:
-    if isinstance(value, bool) and bool not in types:
-        errors.append(f"{key}: expected {desc}, got boolean")
-        return False
-    if not isinstance(value, types):
-        errors.append(f"{key}: expected {desc}, got {type(value).__name__}")
-        return False
-    return True
+def _apply(specs: dict[str, Spec], raw: dict[str, Any], prefix: str,
+           errors: list[str]) -> dict[str, Any]:
+    """raw over the defaults of specs, with every problem appended to errors."""
+    errors.extend(f"unknown key {prefix + key!r}" for key in sorted(raw) if key not in specs)
+    out = {}
+    for key, spec in specs.items():
+        out[key] = raw[key] if key in raw else copy.copy(spec.default)
+        error = field_error(spec, out[key])
+        if error is not None:
+            errors.append(f"{prefix}{key}: {error}")
+    return out
 
 
 def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
     """Apply defaults and validate; raises ConfigError listing every problem."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+        try:
+            raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     else:
         raw = dict(source)
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
 
     errors: list[str] = []
-    for key in sorted(raw):
-        if key not in DEFAULTS:
-            errors.append(f"unknown key {key!r}")
-
-    cfg: dict[str, Any] = {k: (dict(v) if isinstance(v, dict) else
-                               list(v) if isinstance(v, list) else v)
-                           for k, v in DEFAULTS.items()}
-    for key, value in raw.items():
-        if key in DEFAULTS and key != "client":
-            cfg[key] = value
-    client_raw = raw.get("client", {})
-    if isinstance(client_raw, dict):
-        for key in sorted(client_raw):
-            if key not in _CLIENT_DEFAULTS:
-                errors.append(f"client: unknown key {key!r}")
-        cfg["client"].update({k: v for k, v in client_raw.items() if k in _CLIENT_DEFAULTS})
-    elif "client" in raw:
+    client = raw.pop("client", {})
+    cfg = _apply(FIELDS, raw, "", errors)
+    if not isinstance(client, dict):
         errors.append("client: expected an object")
-
-    for key in ("questions", "tokenizer", "timestamp", "logprobs", "embeddings"):
-        if cfg[key] is not None:
-            _check_type(errors, key, cfg[key], (str,), "string or null")
-    for key in ("out_dir", "teacher_id", "student_id"):
-        _check_type(errors, key, cfg[key], (str,), "string")
-
-    for key, low in (("max_token_len", 1), ("samples_per_question", 1),
-                     ("diverse_per_question", 1), ("runs", 1), ("workers", 1),
-                     ("pca_components", 1)):
-        if _check_type(errors, key, cfg[key], (int,), "integer") and cfg[key] < low:
-            errors.append(f"{key}: must be >= {low}, got {cfg[key]}")
-
-    if _check_type(errors, "pass_threshold", cfg["pass_threshold"], (int, float), "number"):
-        if not (0 <= cfg["pass_threshold"] <= 1):
-            errors.append(f"pass_threshold: must be in [0, 1], got {cfg['pass_threshold']}")
-    if _check_type(errors, "temperature", cfg["temperature"], (int, float), "number"):
-        if cfg["temperature"] < 0:
-            errors.append(f"temperature: must be >= 0, got {cfg['temperature']}")
-    if cfg["cap_ratio"] is not None:
-        if _check_type(errors, "cap_ratio", cfg["cap_ratio"], (int, float), "number or null"):
-            if not (0 < cfg["cap_ratio"] <= 1):
-                errors.append(f"cap_ratio: must be in (0, 1], got {cfg['cap_ratio']}")
-    _check_type(errors, "seed", cfg["seed"], (int,), "integer")
-    _check_type(errors, "require_single_think_pair", cfg["require_single_think_pair"],
-                (bool,), "boolean")
-
-    if cfg["token_estimator"] not in ("precomputed_only", "chars_div_4_fallback"):
-        errors.append(f"token_estimator: unknown value {cfg['token_estimator']!r}")
-    if cfg["unit"] not in ("char", "token"):
-        errors.append(f"unit: must be char or token, got {cfg['unit']!r}")
-
-    stages = cfg["stages"]
-    if _check_type(errors, "stages", stages, (list,), "list of stage names"):
-        unknown = [s for s in stages if s not in STAGE_SEQUENCE]
-        if unknown:
-            errors.append(f"stages: unknown stage names {unknown}")
-        elif len(set(stages)) != len(stages):
-            errors.append("stages: duplicate stage names")
-        else:
-            order = [STAGE_SEQUENCE.index(s) for s in stages]
-            if order != sorted(order):
-                errors.append(f"stages: must follow the order {list(STAGE_SEQUENCE)}")
-            # each corpus stage reads the one before it: a gap would feed a
-            # stage the wrong corpus under its parent's manifest
-            chain = [i for i in order if STAGE_SEQUENCE[i] not in ("mix", "stats")]
-            if chain and chain != list(range(chain[0], chain[-1] + 1)):
-                errors.append("stages: sample, filter, compress and diversify must run "
-                              "without a gap between them")
-
-    if cfg["mix_sources"] is not None:
-        if _check_type(errors, "mix_sources", cfg["mix_sources"], (list,), "list or null"):
-            for i, src in enumerate(cfg["mix_sources"]):
-                if not isinstance(src, dict) or "path" not in src or "take" not in src:
-                    errors.append(f"mix_sources[{i}]: expected an object with path and take")
-                elif not isinstance(src["take"], int) or src["take"] < 1:
-                    errors.append(f"mix_sources[{i}].take: must be an integer >= 1")
-
-    client = cfg["client"]
-    if client["mode"] not in ("mock", "http"):
-        errors.append(f"client.mode: must be mock or http, got {client['mode']!r}")
-    for key, low in (("max_in_flight", 1), ("retry_budget", 1)):
-        if _check_type(errors, f"client.{key}", client[key], (int,), "integer") and client[key] < low:
-            errors.append(f"client.{key}: must be >= {low}, got {client[key]}")
-    for key in ("fixtures", "base_url", "cache_dir"):
-        if client[key] is not None:
-            _check_type(errors, f"client.{key}", client[key], (str,), "string or null")
-
+        client = {}
+    cfg["client"] = _apply(CLIENT_FIELDS, client, "client.", errors)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
+# the keys of every stage's output (`ded.pipeline.STAGE_TABLE`), echoed
+# into every manifest
+SNAPSHOT_KEYS = ("teacher_id", "samples_per_question", "temperature", "seed", "max_token_len",
+                 "require_single_think_pair", "token_estimator", "tokenizer", "student_id",
+                 "runs", "pass_threshold", "diverse_per_question", "unit", "cap_ratio")
+
+
 def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
     """The parameter set echoed into every manifest."""
-    return {
-        "max_token_len": cfg["max_token_len"],
-        "pass_threshold": cfg["pass_threshold"],
-        "samples_per_question": cfg["samples_per_question"],
-        "diverse_per_question": cfg["diverse_per_question"],
-        "runs": cfg["runs"],
-        "unit": cfg["unit"],
-        "cap_ratio": cfg["cap_ratio"],
-        "temperature": cfg["temperature"],
-        "tokenizer": cfg["tokenizer"],
-        "seed": cfg["seed"],
-        "token_estimator": cfg["token_estimator"],
-        "require_single_think_pair": cfg["require_single_think_pair"],
-        "gate_order": ["format", "length", "correctness"],
-        "teacher_id": cfg["teacher_id"],
-        "student_id": cfg["student_id"],
-    }
+    return {**{key: cfg[key] for key in SNAPSHOT_KEYS},
+            "gate_order": ["format", "length", "correctness"]}

@@ -29,9 +29,9 @@ from .diversity import diversify_corpus
 from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
-                      QuestionRecord, TrajectoryRecord, content_hash, load_manifest,
-                      parse_corpus, replacing, save_manifest, write_corpus, write_json,
-                      write_manifest)
+                      QuestionRecord, TrajectoryRecord, content_hash, dumps_record,
+                      lineage_chain, load_manifest, parse_corpus, replacing, save_manifest,
+                      write_corpus, write_json, write_manifest)
 from .teacher import sample_teacher
 
 EXIT_OK = 0
@@ -192,9 +192,12 @@ class _Run:
     def paths(self, names: tuple[str, ...]) -> list[Path]:
         return [self.out / name for name in names]
 
-    def save(self, row: Stage, records: list, config: dict[str, Any] | None = None) -> None:
+    def save(self, row: Stage, records: list, lines: list[str],
+             config: dict[str, Any] | None = None) -> None:
+        """row's manifest, of records whose canonical lines are `lines`."""
         manifest = write_manifest(row.manifest, records, parent=self.known.get(row.parent),
-                                  config=config or self.snapshot, created_at=self.stamp)
+                                  config=config or self.snapshot, created_at=self.stamp,
+                                  lines=lines)
         self.known[row.manifest] = self.result.manifests[row.manifest] = manifest
         save_manifest(manifest, self.out / f"manifest_{row.manifest}.json")
 
@@ -225,31 +228,33 @@ def _roll_out_step(run: _Run, client: Client, chain: _Chain) -> None:
 
 # The write helpers of filter, compress and diversify, shared with the CLI.
 
-def write_filtered(paths: list[Path], *corpora: list[TrajectoryRecord]) -> None:
-    """Filter's kept, rejected and still-queued trajectories, in that order."""
-    for path, records in zip(paths, corpora):
-        write_corpus(path, records)
+def write_filtered(paths: list[Path], *corpora: list[TrajectoryRecord]) -> list[str]:
+    """Filter's kept, rejected and still-queued trajectories, in that order.
+    Returns the lines of the kept ones."""
+    lines = [write_corpus(path, records) for path, records in zip(paths, corpora)]
+    return lines[0]
 
 
 def write_hard(paths: list[Path], questions: list[QuestionRecord], stats: list[PassRateStats],
-               tau: float) -> tuple[list[QuestionRecord], CompressionReport]:
-    """The questions with a pass rate of at most tau, written after the pass rates."""
+               tau: float) -> tuple[list[QuestionRecord], list[str], CompressionReport]:
+    """The questions with a pass rate of at most tau, written after the pass
+    rates, and their lines."""
     with replacing(paths[0]) as fh:
         for s in stats:
             fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
     retained, report = select_hard(questions, stats, tau)
-    write_corpus(paths[1], retained)
-    return retained, report
+    return retained, write_corpus(paths[1], retained), report
 
 
 def write_diverse(paths: list[Path], trajectories: list[TrajectoryRecord],
-                  **params: Any) -> tuple[list[TrajectoryRecord], dict[str, Any]]:
-    """Diversify's selection and report, written; its engine telemetry is returned."""
+                  **params: Any) -> tuple[list[TrajectoryRecord], list[str], dict[str, Any]]:
+    """Diversify's selection and report, written; the selection's lines and
+    the engine telemetry are returned."""
     selected, report = diversify_corpus(trajectories, **params)
     engine = report.pop("engine")
-    write_corpus(paths[0], selected)
+    lines = write_corpus(paths[0], selected)
     write_json(paths[1], report)
-    return selected, engine
+    return selected, lines, engine
 
 
 def _sample(run: _Run, row: Stage) -> dict[str, Any]:
@@ -257,8 +262,9 @@ def _sample(run: _Run, row: Stage) -> dict[str, Any]:
     for c in run.chains:
         run.log.emit("sample", "question_done", question_id=c.question.question_id,
                      samples=run.cfg["samples_per_question"])
-    write_corpus(*run.paths(row.corpus), run.trajectories)
-    run.save(row, run.questions + run.trajectories)
+    lines = write_corpus(*run.paths(row.corpus), run.trajectories)
+    run.save(row, run.questions + run.trajectories,
+             [dumps_record(q) for q in run.questions] + lines)
     return {"trajectories": len(run.trajectories)}
 
 
@@ -270,8 +276,8 @@ def _filter(run: _Run, row: Stage) -> dict[str, Any]:
     for where, event, fields in sorted((r for c in run.chains for r in c.events.rows),
                                        key=lambda r: r[2]["trajectory_id"]):
         run.log.emit(where, event, **fields)
-    write_filtered(run.paths(row.corpus + row.writes), kept, rejected, still_queued)
-    run.save(row, kept)
+    lines = write_filtered(run.paths(row.corpus + row.writes), kept, rejected, still_queued)
+    run.save(row, kept, lines)
     run.trajectories = kept
     return {"kept": len(kept), "rejected": len(rejected), "needs_judge": len(still_queued)}
 
@@ -280,24 +286,25 @@ def _compress(run: _Run, row: Stage) -> dict[str, Any]:
     rolled = [c for c in run.chains if c.stats is not None]
     questions_path, trajectories_path, rates_path, report_path = run.paths(
         row.corpus + row.writes)
-    retained, report = write_hard([rates_path, questions_path], [c.question for c in rolled],
-                                  [c.stats for c in rolled], run.cfg["pass_threshold"])
+    retained, lines, report = write_hard([rates_path, questions_path],
+                                         [c.question for c in rolled],
+                                         [c.stats for c in rolled], run.cfg["pass_threshold"])
     retained_qids = {q.question_id for q in retained}
     run.trajectories = [t for t in run.trajectories if t.question_id in retained_qids]
-    write_corpus(trajectories_path, run.trajectories)
+    lines += write_corpus(trajectories_path, run.trajectories)
     write_json(report_path, report.to_dict())
-    run.save(row, retained + run.trajectories)
+    run.save(row, retained + run.trajectories, lines)
     run.questions = retained
     return {"retained": len(retained)}
 
 
 def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
     cfg = run.cfg
-    selected, engine = write_diverse(
+    selected, lines, engine = write_diverse(
         run.paths(row.corpus + row.writes), run.trajectories, p=cfg["diverse_per_question"],
         unit=cfg["unit"], cap_ratio=cfg["cap_ratio"], questions=run.questions,
         workers=cfg["workers"])
-    run.save(row, selected)
+    run.save(row, selected, lines)
     return {"selected": len(selected), **engine}
 
 
@@ -306,8 +313,8 @@ def _mix(run: _Run, row: Stage) -> dict[str, Any] | None:
         return None
     mixed, provenance = compose_mix([(parse_corpus(src["path"], "trajectories"), src["take"])
                                      for src in run.cfg["mix_sources"]], seed=run.cfg["seed"])
-    write_corpus(*run.paths(row.corpus), mixed)
-    run.save(row, mixed, config={**run.snapshot, "mix": provenance})
+    lines = write_corpus(*run.paths(row.corpus), mixed)
+    run.save(row, mixed, lines, config={**run.snapshot, "mix": provenance})
     return {"mixed": len(mixed)}
 
 
@@ -346,6 +353,8 @@ class Stage:
     # writes them all; returns its `stage_done` fields, or None if it did nothing
     run: Callable[[_Run, Stage], dict[str, Any] | None]
     step: Callable[[_Run, Client, _Chain], None] | None = None  # its calls per question
+    # the config keys its corpus depends on, checked when a later stage reads it
+    keys: tuple[str, ...] = ()
 
     @property
     def outputs(self) -> tuple[str, ...]:
@@ -354,14 +363,18 @@ class Stage:
 
 
 STAGE_TABLE = (
-    Stage("sample", "raw", None, ("raw_trajectories.jsonl",), (), _sample, _sample_step),
+    Stage("sample", "raw", None, ("raw_trajectories.jsonl",), (), _sample, _sample_step,
+          keys=("teacher_id", "samples_per_question", "temperature", "seed")),
     Stage("filter", "right", "raw", ("right_trajectories.jsonl",),
-          ("rejected_trajectories.jsonl", "needs_judge.jsonl"), _filter, _judge_step),
+          ("rejected_trajectories.jsonl", "needs_judge.jsonl"), _filter, _judge_step,
+          keys=("max_token_len", "require_single_think_pair", "token_estimator", "tokenizer")),
     Stage("compress", "right_hard", "right",
           ("right_hard_questions.jsonl", "right_hard_trajectories.jsonl"),
-          ("pass_rates.jsonl", "compression_report.json"), _compress, _roll_out_step),
+          ("pass_rates.jsonl", "compression_report.json"), _compress, _roll_out_step,
+          keys=("student_id", "runs", "temperature", "seed", "pass_threshold")),
     Stage("diversify", "right_hard_diverse", "right_hard",
-          ("right_hard_diverse_trajectories.jsonl",), ("diversity_report.json",), _diversify),
+          ("right_hard_diverse_trajectories.jsonl",), ("diversity_report.json",), _diversify,
+          keys=("diverse_per_question", "unit", "cap_ratio")),
     Stage("mix", "mixed", None, ("mixed_trajectories.jsonl",), (), _mix),
     Stage("stats", None, None, (),
           ("report.md", "tables/stage_ledger.csv", "tables/lengths.csv",
@@ -388,7 +401,9 @@ def _remove_replaced(run: _Run) -> None:
 def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecord],
                                                               list[TrajectoryRecord]]:
     """`row`'s questions and trajectories, read back from out_dir for the
-    stage `reader`, refused unless they are the bytes of `row`'s manifest."""
+    stage `reader`, refused unless they are the bytes of `row`'s manifest and
+    every manifest of its lineage records the configured values of its
+    stage's keys."""
     *question_file, trajectory_file = row.corpus
     questions = (parse_corpus(run.out / question_file[0], "questions") if question_file
                  else run.questions)
@@ -399,6 +414,15 @@ def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecor
     if manifest is None or content_hash(covered) != manifest.content_hash:
         raise CorpusError(f"{trajectory_file} does not match manifest_{row.manifest}.json; "
                           f"run the stages before {reader} again")
+    for built in lineage_chain(manifest, run.known.values()):
+        writer = _WRITERS[built.stage]
+        for key in writer.keys:
+            recorded = built.config_snapshot.get(key, "(not recorded)")
+            if recorded != run.snapshot[key]:
+                raise CorpusError(
+                    f"manifest_{built.stage}.json was built with {key} {recorded!r}, not the "
+                    f"configured {run.snapshot[key]!r}; run {writer.name} and the stages after "
+                    f"it again")
     return questions, trajectories
 
 

@@ -2,7 +2,9 @@
 
 Every pipeline stage exchanges data through the record types defined here.
 Files are newline-delimited JSON, UTF-8, one record per line; unknown fields
-survive a parse/write round trip via each record's ``extra`` mapping.
+survive a parse/write round trip via each record's ``extra`` mapping. Each
+field is declared once, by a `Spec` (also used by `ded.config`); `_record`
+derives `from_dict`, `to_dict` and `validate` from the declarations.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ import json
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 DOMAINS = ("math", "code")
 VERDICT_STATUSES = ("correct", "incorrect", "unverifiable", "malformed_format", "overlength")
 CHECKERS = ("rule", "judge", "format", "length")
+# format and length failures only come from their own checkers
+_STATUS_CHECKERS = {"malformed_format": ("format",), "overlength": ("length",),
+                    "correct": ("rule", "judge"), "incorrect": ("rule", "judge")}
 # The linear lineage raw -> right -> right_hard -> right_hard_diverse;
 # "mixed" may follow any of these.
 STAGES = ("raw", "right", "right_hard", "right_hard_diverse", "mixed")
@@ -45,96 +51,197 @@ class CorpusError(ValueError):
         self.offset = offset
 
 
-def _require(cond: bool, message: str) -> None:
+# ------------------------------------------------------------ declarations
+
+Check = Callable[[Any], str | None]
+_JSON_NAMES = {str: "string", int: "integer", float: "float", bool: "boolean", dict: "object",
+               list: "list", type(None): "null"}
+
+
+class Spec(NamedTuple):
+    """One field: its JSON types, its default when absent (MISSING: the field
+    is required; None also admits null), the check of a value of those types,
+    which returns what is wrong with it or None, and how the value loads."""
+
+    types: type | tuple[type, ...]
+    default: Any = MISSING
+    check: Check | None = None
+    load: Callable[[Any], Any] | None = None
+
+
+def field_error(spec: Spec, value: Any) -> str | None:
+    """What is wrong with a JSON value of a field declared by spec, or None."""
+    if value is None and spec.default is None:
+        return None
+    # a bool is an int to isinstance, but not a JSON integer
+    if isinstance(value, spec.types) and (type(value) is not bool or spec.types is bool):
+        return None if value is None or spec.check is None else spec.check(value)
+    types = spec.types if isinstance(spec.types, tuple) else (spec.types,)
+    got = "boolean" if isinstance(value, bool) else type(value).__name__
+    return f"expected {' or '.join(_JSON_NAMES[t] for t in types)}, got {got}"
+
+
+def at_least(low: int) -> Check:
+    return lambda v: None if v >= low else f"must be >= {low}, got {v}"
+
+
+def within(low: float, high: float) -> Check:
+    return lambda v: None if low <= v <= high else f"must be in [{low}, {high}], got {v}"
+
+
+def one_of(options: Sequence[str]) -> Check:
+    return lambda v: None if v in options else f"must be one of {list(options)}, got {v!r}"
+
+
+def _non_empty(value: Any) -> str | None:
+    return None if value else "must be non-empty"
+
+
+def _strings(value: list[Any]) -> str | None:
+    return None if all(isinstance(x, str) for x in value) else "must hold strings only"
+
+
+def _decimal(value: Any, low: int | None = None, high: int | None = None) -> str | None:
+    try:
+        number = Decimal(str(value))
+        if low is None or low <= number <= high:
+            return None
+    except InvalidOperation:
+        pass
+    return f"must be a decimal{'' if low is None else f' in [{low}, {high}]'}, got {value!r}"
+
+
+def _distribution(top_k: list[Any]) -> str | None:
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+               and type(pair[1]) in (int, float) and 0 < pair[1] <= 1 for pair in top_k):
+        return "must hold [token, probability] pairs, each probability in (0, 1]"
+    probs = [p for _, p in top_k]
+    if any(a < b for a, b in zip(probs, probs[1:])):
+        return f"probabilities must not increase, got {probs}"
+    return None
+
+
+def _field(types: type | tuple[type, ...], default: Any = MISSING, check: Check | None = None,
+           load: Callable[[Any], Any] | None = None) -> Any:
+    """A record's dataclass field, declared by its Spec."""
+    meta = {"spec": Spec(types, default, check, load)}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=type(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _where(label: str, key: Iterable[Any]) -> str:
+    ident = "/".join(str(part) for part in key if part not in (None, ""))
+    return f"{label} {ident}: " if ident else f"{label}: "
+
+
+def _require(record: Any, cond: bool, message: str) -> None:
     if not cond:
-        raise CorpusError(message)
+        raise CorpusError(_where(record._label, record.sort_key) + message)
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _from_dict(cls: type, data: dict[str, Any]) -> Any:
+    """The record of a JSON object, validated; unknown fields go to `extra`."""
+    if not isinstance(data, dict):
+        raise CorpusError(f"{cls._label}: expected a JSON object, got {type(data).__name__}")
+    extra = dict(data)
+    values = {}
+    for name, spec in cls._specs:
+        value = extra.pop(name, MISSING)
+        if value is not MISSING:
+            error = field_error(spec, value)
+        elif spec.default is MISSING:
+            error = "missing"
+        else:
+            continue  # the dataclass default
+        if error is not None:
+            where = _where(cls._label, (data.get(k) for k in cls._key))
+            raise CorpusError(f"{where}{name}: {error}")
+        values[name] = value if value is None or spec.load is None else spec.load(value)
+    for name in cls._derived:
+        extra.pop(name, None)
+    record = cls(**values, extra=extra)
+    if hasattr(record, "_invariants"):
+        record._invariants()
+    return record
 
 
-@dataclass
+def _to_dict(self: Any) -> dict[str, Any]:
+    """The JSON object of a record: its fields (a nested record that is None
+    left out), its derived fields and `extra`."""
+    out = dict(vars(self))  # the dataclass fields
+    extra = out.pop("extra")
+    for name in self._nested:
+        value = out.pop(name)
+        if value is not None:
+            out[name] = value.to_dict()
+    for name, derive in self._derived.items():
+        out[name] = derive(self)
+    out.update(extra)
+    return out
+
+
+def _validate(self: Any) -> None:
+    """CorpusError unless the record's JSON object loads back: each field's
+    type and check, and the invariants across fields."""
+    self.from_dict(self.to_dict())
+
+
+def _record(label: str, *key: str,
+            derived: dict[str, Callable[[Any], Any]] | None = None) -> Callable[[type], type]:
+    """Class decorator: a dataclass whose `from_dict`, `to_dict` and
+    `validate` follow its `_field` declarations, plus an `extra` mapping of
+    the JSON fields it does not declare. Its `sort_key` is the values of its
+    key fields; `label` and the key name a record in errors; `derived` fields
+    are written from the record and never read back."""
+    def make(cls: type) -> type:
+        cls.__annotations__["extra"] = "dict[str, Any]"
+        cls.extra = field(default_factory=dict)
+        cls = dataclass(cls)
+        cls._label, cls._key, cls._derived = label, key, derived or {}
+        cls._specs = tuple((f.name, f.metadata["spec"]) for f in fields(cls)
+                           if "spec" in f.metadata)
+        # a field that loads a JSON object into a record holds a nested record
+        cls._nested = tuple(name for name, spec in cls._specs
+                            if spec.types is dict and spec.load is not None)
+        cls.from_dict = classmethod(_from_dict)
+        cls.to_dict = _to_dict
+        cls.validate = _validate
+        cls.sort_key = property(lambda self: tuple(getattr(self, k) for k in key))
+        return cls
+    return make
+
+
+# ------------------------------------------------------------------ records
+
+
+@_record("verdict")
 class VerificationVerdict:
     """Outcome of one format/length/correctness gate."""
 
-    status: str
-    checker: str
-    detail: str = ""
+    status: str = _field(str, check=one_of(VERDICT_STATUSES))
+    checker: str = _field(str, check=one_of(CHECKERS))
+    detail: str = _field(str, "")
 
-    def validate(self) -> None:
-        _require(self.status in VERDICT_STATUSES, f"unknown verdict status {self.status!r}")
-        _require(self.checker in CHECKERS, f"unknown checker {self.checker!r}")
-        if self.status == "malformed_format":
-            _require(self.checker == "format", "malformed_format requires checker=format")
-        if self.status == "overlength":
-            _require(self.checker == "length", "overlength requires checker=length")
-        if self.status in ("correct", "incorrect"):
-            _require(self.checker in ("rule", "judge"),
-                     f"status {self.status} requires checker rule or judge")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"status": self.status, "checker": self.checker, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "VerificationVerdict":
-        v = cls(status=data.get("status", ""), checker=data.get("checker", ""),
-                detail=data.get("detail", ""))
-        v.validate()
-        return v
+    def _invariants(self) -> None:
+        checkers = _STATUS_CHECKERS.get(self.status, CHECKERS)
+        _require(self, self.checker in checkers,
+                 f"status {self.status} requires checker {' or '.join(checkers)}")
 
 
-@dataclass
+@_record("question", "question_id")
 class QuestionRecord:
     """One seed problem; the unit of compression."""
 
-    question_id: str
-    domain: str
-    prompt: str
-    ground_truth: str | None = None
-    source: str = ""
-    tags: list[str] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        _require(bool(self.question_id), "question_id must be non-empty")
-        _require(self.domain in DOMAINS,
-                 f"question {self.question_id}: domain must be one of {DOMAINS}, got {self.domain!r}")
-        _require(isinstance(self.prompt, str), f"question {self.question_id}: prompt must be a string")
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.question_id,)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "question_id": self.question_id,
-            "domain": self.domain,
-            "prompt": self.prompt,
-            "ground_truth": self.ground_truth,
-            "source": self.source,
-            "tags": list(self.tags),
-        }
-        out.update(self.extra)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QuestionRecord":
-        data = dict(data)
-        rec = cls(
-            question_id=data.pop("question_id", ""),
-            domain=data.pop("domain", ""),
-            prompt=data.pop("prompt", ""),
-            ground_truth=data.pop("ground_truth", None),
-            source=data.pop("source", ""),
-            tags=list(data.pop("tags", [])),
-            extra=data,
-        )
-        rec.validate()
-        return rec
+    question_id: str = _field(str, check=_non_empty)
+    domain: str = _field(str, check=one_of(DOMAINS))
+    prompt: str = _field(str)
+    ground_truth: str | None = _field(str, None)
+    source: str = _field(str, "")
+    tags: list[str] = _field(list, [], _strings)
 
 
-@dataclass
+@_record("trajectory", "trajectory_id")
 class TrajectoryRecord:
     """One teacher-sampled response tied to a question.
 
@@ -143,115 +250,43 @@ class TrajectoryRecord:
     config, never computed here.
     """
 
-    trajectory_id: str
-    question_id: str
-    teacher_id: str
-    sample_index: int
-    text: str
-    token_len: int | None = None
-    char_len: int | None = None
-    verdict: VerificationVerdict | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    trajectory_id: str = _field(str, check=_non_empty)
+    question_id: str = _field(str, check=_non_empty)
+    teacher_id: str = _field(str)
+    sample_index: int = _field(int, check=at_least(0))
+    text: str = _field(str)
+    token_len: int | None = _field(int, None, at_least(0))
+    char_len: int | None = _field(int, None)
+    verdict: VerificationVerdict | None = _field(dict, None,
+                                                 load=VerificationVerdict.from_dict)
 
     def __post_init__(self) -> None:
         if self.char_len is None:
             self.char_len = len(self.text)
 
-    def validate(self) -> None:
-        _require(bool(self.trajectory_id), "trajectory_id must be non-empty")
-        _require(bool(self.question_id), f"trajectory {self.trajectory_id}: question_id must be non-empty")
-        _require(_is_int(self.sample_index) and self.sample_index >= 0,
-                 f"trajectory {self.trajectory_id}: sample_index must be an integer >= 0")
-        _require(self.char_len == len(self.text),
-                 f"trajectory {self.trajectory_id}: char_len {self.char_len} != len(text) {len(self.text)}")
-        if self.token_len is not None:
-            _require(_is_int(self.token_len) and self.token_len >= 0,
-                     f"trajectory {self.trajectory_id}: token_len must be an integer >= 0")
-        if self.verdict is not None:
-            self.verdict.validate()
-
-    @property
-    def sample_key(self) -> tuple[str, str, int]:
-        return (self.question_id, self.teacher_id, self.sample_index)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.trajectory_id,)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "trajectory_id": self.trajectory_id,
-            "question_id": self.question_id,
-            "teacher_id": self.teacher_id,
-            "sample_index": self.sample_index,
-            "text": self.text,
-            "token_len": self.token_len,
-            "char_len": self.char_len,
-        }
-        if self.verdict is not None:
-            out["verdict"] = self.verdict.to_dict()
-        out.update(self.extra)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TrajectoryRecord":
-        data = dict(data)
-        verdict_data = data.pop("verdict", None)
-        rec = cls(
-            trajectory_id=data.pop("trajectory_id", ""),
-            question_id=data.pop("question_id", ""),
-            teacher_id=data.pop("teacher_id", ""),
-            sample_index=data.pop("sample_index", 0),
-            text=data.pop("text", ""),
-            token_len=data.pop("token_len", None),
-            char_len=data.pop("char_len", None),
-            verdict=VerificationVerdict.from_dict(verdict_data) if verdict_data else None,
-            extra=data,
-        )
-        rec.validate()
-        return rec
+    def _invariants(self) -> None:
+        _require(self, self.char_len == len(self.text),
+                 f"char_len {self.char_len} != len(text) {len(self.text)}")
 
 
-@dataclass
+@_record("stats", "question_id", derived={"pass_rate": lambda s: float(s.pass_rate)})
 class PassRateStats:
     """Per-question student success counts; exact rational pass rate."""
 
-    question_id: str
-    runs: int
-    successes: int
+    question_id: str = _field(str)
+    runs: int = _field(int, check=at_least(1))
+    successes: int = _field(int, check=at_least(0))
 
-    def validate(self) -> None:
-        _require(_is_int(self.runs) and self.runs >= 1,
-                 f"stats {self.question_id}: runs must be an integer >= 1")
-        _require(_is_int(self.successes) and 0 <= self.successes <= self.runs,
-                 f"stats {self.question_id}: successes must be in [0, runs]")
+    def _invariants(self) -> None:
+        _require(self, self.successes <= self.runs,
+                 f"successes {self.successes} must be at most runs {self.runs}")
 
     @property
     def pass_rate(self) -> Fraction:
         return Fraction(self.successes, self.runs)
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.question_id,)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "runs": self.runs,
-            "successes": self.successes,
-            "pass_rate": float(self.pass_rate),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PassRateStats":
-        rec = cls(question_id=data.get("question_id", ""),
-                  runs=data.get("runs", 0),
-                  successes=data.get("successes", 0))
-        rec.validate()
-        return rec
-
-
-@dataclass
+@_record("score", "teacher_id", "student_id", "benchmark")
 class ScoreRecord:
     """One (teacher, student, benchmark) evaluation row.
 
@@ -259,133 +294,39 @@ class ScoreRecord:
     that delta arithmetic matches the input precision digit for digit.
     """
 
-    teacher_id: str
-    student_id: str
-    benchmark: str
-    acc: str
-    mean_response_len: float
-    delta_acc: str
-
-    def validate(self) -> None:
-        from decimal import Decimal, InvalidOperation
-        for name in ("teacher_id", "student_id", "benchmark"):
-            _require(bool(getattr(self, name)), f"score record: {name} must be non-empty")
-        try:
-            acc = Decimal(self.acc)
-            Decimal(self.delta_acc)
-        except InvalidOperation as exc:
-            raise CorpusError(f"score {self.teacher_id}/{self.benchmark}: bad decimal: {exc}") from exc
-        _require(Decimal(0) <= acc <= Decimal(100),
-                 f"score {self.teacher_id}/{self.benchmark}: acc {self.acc} outside [0, 100]")
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.teacher_id, self.student_id, self.benchmark)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "teacher_id": self.teacher_id,
-            "student_id": self.student_id,
-            "benchmark": self.benchmark,
-            "acc": self.acc,
-            "mean_response_len": self.mean_response_len,
-            "delta_acc": self.delta_acc,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScoreRecord":
-        rec = cls(
-            teacher_id=data.get("teacher_id", ""),
-            student_id=data.get("student_id", ""),
-            benchmark=data.get("benchmark", ""),
-            acc=str(data.get("acc", "")),
-            mean_response_len=float(data.get("mean_response_len", 0.0)),
-            delta_acc=str(data.get("delta_acc", "")),
-        )
-        rec.validate()
-        return rec
+    teacher_id: str = _field(str, check=_non_empty)
+    student_id: str = _field(str, check=_non_empty)
+    benchmark: str = _field(str, check=_non_empty)
+    acc: str = _field((str, int, float), check=lambda v: _decimal(v, 0, 100), load=str)
+    mean_response_len: float = _field((int, float), load=float)
+    delta_acc: str = _field((str, int, float), check=_decimal, load=str)
 
 
-@dataclass
+@_record("logprob", "trajectory_id", "position")
 class LogprobRecord:
     """Truncated next-token distribution at one position of a trajectory."""
 
-    trajectory_id: str
-    position: int
-    top_k: list[tuple[str, float]]
-    residual_mass: float = 0.0
+    trajectory_id: str = _field(str, check=_non_empty)
+    position: int = _field(int, check=at_least(0))
+    top_k: list[tuple[str, float]] = _field(list, check=_distribution,
+                                             load=lambda v: [(t, float(p)) for t, p in v])
+    residual_mass: float = _field((int, float), 0.0, lambda v: None if 0 <= v < 1
+                                  else f"must be in [0, 1), got {v}", float)
 
-    def validate(self) -> None:
-        _require(bool(self.trajectory_id), "logprob record: trajectory_id must be non-empty")
-        _require(_is_int(self.position) and self.position >= 0,
-                 f"logprob {self.trajectory_id}: position must be an integer >= 0")
-        probs = [p for _, p in self.top_k]
-        for p in probs:
-            _require(0.0 < p <= 1.0,
-                     f"logprob {self.trajectory_id}@{self.position}: probability {p} outside (0, 1]")
-        _require(all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)),
-                 f"logprob {self.trajectory_id}@{self.position}: probabilities not sorted non-increasing")
-        _require(0.0 <= self.residual_mass < 1.0,
-                 f"logprob {self.trajectory_id}@{self.position}: residual_mass outside [0, 1)")
-        total = sum(probs) + self.residual_mass
-        _require(1.0 - 1e-6 <= total <= 1.0 + 1e-6,
-                 f"logprob {self.trajectory_id}@{self.position}: mass sums to {total}, not 1")
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.trajectory_id, self.position)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trajectory_id": self.trajectory_id,
-            "position": self.position,
-            "top_k": [[tok, p] for tok, p in self.top_k],
-            "residual_mass": self.residual_mass,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LogprobRecord":
-        top_k = [(str(tok), float(p)) for tok, p in data.get("top_k", [])]
-        rec = cls(
-            trajectory_id=data.get("trajectory_id", ""),
-            position=data.get("position", 0),
-            top_k=top_k,
-            residual_mass=float(data.get("residual_mass", 0.0)),
-        )
-        rec.validate()
-        return rec
+    def _invariants(self) -> None:
+        total = sum(p for _, p in self.top_k) + self.residual_mass
+        _require(self, 1.0 - 1e-6 <= total <= 1.0 + 1e-6, f"mass sums to {total}, not 1")
 
 
-@dataclass
+@_record("embedding", "item_id", "phase")
 class EmbeddingRecord:
     """One latent vector, tagged with its before/after phase."""
 
-    item_id: str
-    phase: str
-    vector: list[float]
-
-    def validate(self) -> None:
-        _require(bool(self.item_id), "embedding record: item_id must be non-empty")
-        _require(self.phase in PHASES,
-                 f"embedding {self.item_id}: phase must be one of {PHASES}, got {self.phase!r}")
-        _require(len(self.vector) >= 1, f"embedding {self.item_id}: vector must have dimension >= 1")
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.item_id, self.phase)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"item_id": self.item_id, "phase": self.phase, "vector": list(self.vector)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EmbeddingRecord":
-        rec = cls(
-            item_id=data.get("item_id", ""),
-            phase=data.get("phase", ""),
-            vector=[float(x) for x in data.get("vector", [])],
-        )
-        rec.validate()
-        return rec
+    item_id: str = _field(str, check=_non_empty)
+    phase: str = _field(str, check=one_of(PHASES))
+    vector: list[float] = _field(list, check=lambda v: None if v and {*map(type, v)} <= {int, float}
+                                 else "must be a non-empty list of numbers",
+                                 load=lambda v: list(map(float, v)))
 
 
 _RECORD_TYPES = {
@@ -414,56 +355,40 @@ def parse_corpus(path: str | Path, kind: str) -> list[Record]:
         raise CorpusError(f"no such file: {path}")
 
     records: list[Record] = []
-    seen_ids: dict[Any, int] = {}
-    seen_sample_keys: dict[Any, int] = {}
+    seen: dict[Any, int] = {}  # record ids and trajectory sample keys -> line
     embed_dim: int | None = None
     offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line_offset = offset
             offset += len(raw)
-            stripped = raw.strip()
-            if not stripped:
+            if not raw.strip():
                 continue
             try:
-                text = stripped.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"invalid UTF-8: {exc}", line=lineno, offset=line_offset) from exc
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"unterminated or invalid JSON object: {exc.msg}",
-                                  line=lineno, offset=line_offset) from exc
-            if not isinstance(data, dict):
-                raise CorpusError("record must be a JSON object", line=lineno, offset=line_offset)
-            try:
+                try:
+                    data = json.loads(raw.strip().decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise CorpusError(f"invalid UTF-8: {exc}") from exc
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"unterminated or invalid JSON object: {exc.msg}") from exc
                 record = record_type.from_dict(data)
+                keys = [("record id", record.sort_key)]
+                if kind == "trajectories":
+                    keys.append(("(question_id, teacher_id, sample_index)",
+                                 (record.question_id, record.teacher_id, record.sample_index)))
+                for what, key in keys:
+                    if (what, key) in seen:
+                        raise CorpusError(f"duplicate {what} {key!r} "
+                                          f"(lines {seen[what, key]} and {lineno})")
+                    seen[what, key] = lineno
+                if kind == "embeddings":
+                    embed_dim = embed_dim or len(record.vector)
+                    if len(record.vector) != embed_dim:
+                        raise CorpusError(
+                            f"embedding {record.item_id}: dimension {len(record.vector)} "
+                            f"differs from {embed_dim} established earlier in the file")
             except CorpusError as exc:
                 raise CorpusError(str(exc), line=lineno, offset=line_offset) from exc
-
-            rid = record.sort_key
-            if rid in seen_ids:
-                raise CorpusError(
-                    f"duplicate record id {rid!r} (lines {seen_ids[rid]} and {lineno})",
-                    line=lineno, offset=line_offset)
-            seen_ids[rid] = lineno
-
-            if kind == "trajectories":
-                key = record.sample_key
-                if key in seen_sample_keys:
-                    raise CorpusError(
-                        f"duplicate (question_id, teacher_id, sample_index) {key!r} "
-                        f"(lines {seen_sample_keys[key]} and {lineno})",
-                        line=lineno, offset=line_offset)
-                seen_sample_keys[key] = lineno
-            elif kind == "embeddings":
-                if embed_dim is None:
-                    embed_dim = len(record.vector)
-                elif len(record.vector) != embed_dim:
-                    raise CorpusError(
-                        f"embedding {record.item_id}: dimension {len(record.vector)} "
-                        f"differs from {embed_dim} established earlier in the file",
-                        line=lineno, offset=line_offset)
             records.append(record)
     return records
 
@@ -495,77 +420,68 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_corpus(path: str | Path, records: Iterable[Record]) -> int:
-    """Write records as JSONL in the given order. Returns the record count.
-    The file is replaced whole (see `replacing`)."""
-    n = 0
+def write_corpus(path: str | Path, records: Iterable[Record]) -> list[str]:
+    """Write records as JSONL in the given order, replacing the file whole
+    (see `replacing`). Returns the lines written, newlines left off, for
+    `content_hash` to hash without serialising the records again."""
+    lines = []
     with replacing(path) as fh:
         for record in records:
-            fh.write(dumps_record(record) + "\n")
-            n += 1
-    return n
+            lines.append(dumps_record(record))
+            fh.write(lines[-1] + "\n")
+    return lines
 
 
-_KIND_ORDINAL = {QuestionRecord: 0, TrajectoryRecord: 1, LogprobRecord: 2,
-                 EmbeddingRecord: 3, ScoreRecord: 4}
+_KIND_ORDINAL = {record_type: i for i, record_type in enumerate(_RECORD_TYPES.values())}
 
 
-def content_hash(records: Sequence[Record]) -> str:
+def content_hash(records: Sequence[Record], lines: Sequence[str] | None = None) -> str:
     """SHA-256 over canonicalized record bytes, hex-encoded.
 
     Records are sorted lexicographically by primary id first, so the hash is
-    insensitive to input order but sensitive to any field change.
+    insensitive to input order but sensitive to any field change. `lines`,
+    if given, are the records' canonical lines (`dumps_record`), in the
+    records' order.
     """
-    ordered = sorted(records, key=lambda r: (_KIND_ORDINAL[type(r)], r.sort_key))
-    payload = "\n".join(dumps_record(r) for r in ordered).encode("utf-8")
+    if lines is None:
+        lines = [dumps_record(r) for r in records]
+    order = sorted(range(len(records)),
+                   key=lambda i: (_KIND_ORDINAL[type(records[i])], records[i].sort_key))
+    payload = "\n".join(lines[i] for i in order).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass
+@_record("manifest", "stage")
 class CorpusManifest:
     """Ledger of one corpus stage: counts, lineage, and config snapshot."""
 
-    stage: str
-    question_count: int
-    trajectory_count: int
-    config_snapshot: dict[str, Any]
-    content_hash: str
-    parent_manifest: str | None = None
-    created_at: str = ""
-    notes: list[str] = field(default_factory=list)
+    stage: str = _field(str, check=one_of(STAGES))
+    question_count: int = _field(int, check=at_least(0))
+    trajectory_count: int = _field(int, check=at_least(0))
+    config_snapshot: dict[str, Any] = _field(dict)
+    content_hash: str = _field(str)
+    parent_manifest: str | None = _field(str, None)
+    created_at: str = _field(str, "")
+    notes: list[str] = _field(list, [], _strings)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "question_count": self.question_count,
-            "trajectory_count": self.trajectory_count,
-            "config_snapshot": self.config_snapshot,
-            "content_hash": self.content_hash,
-            "parent_manifest": self.parent_manifest,
-            "created_at": self.created_at,
-            "notes": list(self.notes),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CorpusManifest":
-        return cls(
-            stage=data["stage"],
-            question_count=data["question_count"],
-            trajectory_count=data["trajectory_count"],
-            config_snapshot=data.get("config_snapshot", {}),
-            content_hash=data["content_hash"],
-            parent_manifest=data.get("parent_manifest"),
-            created_at=data.get("created_at", ""),
-            notes=list(data.get("notes", [])),
-        )
+def _parent_stages(stage: str) -> tuple[str | None, ...]:
+    """The stages a manifest of stage may follow, None for no parent."""
+    if stage == "raw":
+        return (None,)
+    if stage == "mixed":
+        return (None, *STAGES[:-1])
+    return (STAGES[STAGES.index(stage) - 1],)
 
 
 def write_manifest(stage: str,
                    records: Sequence[Record],
                    parent: CorpusManifest | None = None,
                    config: dict[str, Any] | None = None,
-                   created_at: str | None = None) -> CorpusManifest:
-    """Build the manifest for a corpus stage.
+                   created_at: str | None = None,
+                   lines: Sequence[str] | None = None) -> CorpusManifest:
+    """Build the manifest for a corpus stage; `lines`, if given, are the
+    records' canonical lines (see `content_hash`).
 
     Both question and trajectory counts are always recorded: for trajectory
     corpora the question count is the number of distinct question ids.
@@ -574,17 +490,9 @@ def write_manifest(stage: str,
     """
     if stage not in STAGES:
         raise CorpusError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    if stage == "mixed":
-        if parent is not None and parent.stage == "mixed":
-            raise CorpusError("stage regression: mixed cannot be parented to mixed")
-    elif stage == "raw":
-        if parent is not None:
-            raise CorpusError("stage regression: raw stage cannot have a parent")
-    else:
-        want = STAGES[STAGES.index(stage) - 1]
-        if parent is None or parent.stage != want:
-            got = parent.stage if parent else "none"
-            raise CorpusError(f"stage regression: {stage} must be parented to {want}, got {got}")
+    if (parent.stage if parent else None) not in _parent_stages(stage):
+        raise CorpusError(f"stage regression: {stage} cannot follow "
+                          f"{parent.stage if parent else 'no stage'}")
 
     questions = [r for r in records if isinstance(r, QuestionRecord)]
     trajectories = [r for r in records if isinstance(r, TrajectoryRecord)]
@@ -593,19 +501,15 @@ def write_manifest(stage: str,
     else:
         question_count = len({t.question_id for t in trajectories})
 
-    notes: list[str] = []
-    if not records:
-        notes.append("empty record set")
-
     return CorpusManifest(
         stage=stage,
         question_count=question_count,
         trajectory_count=len(trajectories),
         config_snapshot=dict(config or {}),
-        content_hash=content_hash(records),
+        content_hash=content_hash(records, lines),
         parent_manifest=parent.content_hash if parent else None,
         created_at=created_at or datetime.now(timezone.utc).isoformat(),
-        notes=notes,
+        notes=[] if records else ["empty record set"],
     )
 
 
@@ -623,31 +527,28 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    """The manifest at path; CorpusError naming the file if it is not one."""
+    """The manifest at path; CorpusError naming the file (and field) if it is not one."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return CorpusManifest.from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorpusError(f"{path} is not a manifest: {type(exc).__name__}: {exc}") from exc
+        except ValueError as exc:  # CorpusError and JSONDecodeError among them
+            raise CorpusError(f"{path} is not a manifest: {exc}") from exc
 
 
 def lineage_chain(manifest: CorpusManifest,
-                  by_hash: dict[str, CorpusManifest]) -> list[CorpusManifest]:
-    """Follow parent hashes back to the raw stage. Errors on cycles or gaps.
-
-    Mixed manifests without a linear parent record their sources in the
-    config snapshot instead and are valid chain terminals.
-    """
+                  manifests: Collection[CorpusManifest]) -> list[CorpusManifest]:
+    """manifest and its ancestors among manifests, back to the raw stage:
+    each parent is of a stage the child may follow (`_parent_stages`), so
+    stages of equal content hashes are told apart. Errors on a gap. Mixed
+    manifests without a parent are valid chain terminals."""
     chain = [manifest]
-    cur = manifest
-    while cur.parent_manifest is not None:
-        parent = by_hash.get(cur.parent_manifest)
+    while chain[-1].parent_manifest is not None:
+        cur = chain[-1]
+        parent = next((m for m in manifests if m.stage in _parent_stages(cur.stage)
+                       and m.content_hash == cur.parent_manifest), None)
         if parent is None:
             raise CorpusError(f"manifest lineage broken: missing parent {cur.parent_manifest}")
         chain.append(parent)
-        if len(chain) > len(STAGES):
-            raise CorpusError("manifest lineage too deep; expected <= 4 hops to raw")
-        cur = parent
     if chain[-1].stage not in ("raw", "mixed"):
         raise CorpusError(f"lineage terminates at {chain[-1].stage}, not raw")
     return chain

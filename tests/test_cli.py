@@ -252,6 +252,24 @@ class TestRunCommand:
             ("sample", "stage_failed"), ("pipeline", "done")]
         assert events[-1]["exit_code"] == 3
 
+    def test_manifest_field_of_the_wrong_type_is_stage_failure(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "manifest_right.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["question_count"] = "twelve"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+
+        assert main(["report", "--manifest-dir", str(tmp_path / "out"),
+                     "--out-dir", str(tmp_path / "report_out")]) == 3
+        err = capsys.readouterr().err
+        assert "manifest_right.json" in err and "question_count" in err
+        assert not (tmp_path / "report_out" / "report.md").exists()
+        assert main(["run", "--config", str(config_path)]) == 3
+
     def test_config_error_exit_code(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"pass_threshold": 2}), encoding="utf-8")

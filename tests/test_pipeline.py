@@ -11,7 +11,7 @@ import pytest
 from ded import pipeline
 from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
                          SamplingRequest)
-from ded.config import STAGE_SEQUENCE
+from ded.config import STAGE_SEQUENCE, manifest_snapshot, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline,
                           tree_hash)
@@ -246,6 +246,25 @@ class TestPartialRuns:
         assert "manifest_raw.json" in result.error
         assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
+    @pytest.mark.parametrize("key,value,stages,refused_by", [
+        ("teacher_id", "t-beta", ["compress", "diversify", "stats"], "manifest_raw.json"),
+        ("samples_per_question", 4, ["compress", "diversify", "stats"], "manifest_raw.json"),
+        ("max_token_len", 4096, ["compress", "diversify", "stats"], "manifest_right.json"),
+        ("diverse_per_question", 1, ["stats"], "manifest_right_hard_diverse.json"),
+    ])
+    def test_input_built_under_other_settings_is_refused(self, tmp_path, key, value, stages,
+                                                         refused_by):
+        # the corpus it would read is what its manifest says, but was built
+        # under another value of a key of the stage that wrote it
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        manifests = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
+        result = run_pipeline(dict(config, stages=stages, **{key: value}))
+        assert result.exit_code == EXIT_STAGE
+        assert result.failed_stage == stages[0]
+        assert refused_by in result.error and key in result.error
+        assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
+
     def test_missing_parent_manifest_is_refused(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         out = run_pipeline(config).out_dir
@@ -274,6 +293,10 @@ class TestStageTable:
         for row in STAGE_TABLE:
             assert row.parent is None or row.parent in written
             written.add(row.manifest)
+
+    def test_manifests_record_every_stage_key(self):
+        snapshot = manifest_snapshot(validate_config({}))
+        assert {key for row in STAGE_TABLE for key in row.keys} == set(snapshot) - {"gate_order"}
 
     def test_a_six_stage_run_writes_exactly_the_table_outputs(self, tmp_path):
         # a new output file must be listed in the table, or a re-run that
@@ -304,9 +327,8 @@ class TestUsedOutDir:
         edited = run_pipeline(dict(config, stages=["sample", "filter"], max_token_len=50))
         assert edited.exit_code == EXIT_OK
         manifests = [load_manifest(p) for p in out.glob("manifest_*.json")]
-        by_hash = {m.content_hash: m for m in manifests}
         for manifest in manifests:
-            lineage_chain(manifest, by_hash)
+            lineage_chain(manifest, manifests)
         assert sorted(m.stage for m in manifests) == ["raw", "right"]
         removed = [e["path"] for e in _read_events(out) if e["event"] == "removed"]
         assert "manifest_right_hard.json" in removed and "report.md" in removed
@@ -324,8 +346,11 @@ class TestUsedOutDir:
 
     @pytest.mark.parametrize("first", ["sample", "filter", "compress", "diversify"])
     def test_an_edited_run_builds_the_fresh_tree(self, tmp_path, first):
+        # a run that reads a corpus built under another value of a key of the
+        # stage that wrote it, or of an earlier one, refuses and writes nothing
         config = build_pipeline_fixture(tmp_path)
         before = list(STAGE_SEQUENCE[:STAGE_SEQUENCE.index(first)])
+        read_keys = {key for row in STAGE_TABLE if row.name in before for key in row.keys}
         for key, value in (("max_token_len", 50), ("pass_threshold", 0.25),
                            ("diverse_per_question", 1)):
             edited = dict(config, stages=[first, "stats"], **{key: value})
@@ -333,6 +358,12 @@ class TestUsedOutDir:
             assert run_pipeline(config, out_dir=used).exit_code == EXIT_OK
             if before:
                 assert run_pipeline(dict(config, stages=before), out_dir=fresh).exit_code == EXIT_OK
+            if key in read_keys:
+                built = tree_hash(used)
+                assert run_pipeline(edited, out_dir=used).exit_code == EXIT_STAGE, key
+                assert run_pipeline(edited, out_dir=fresh).exit_code == EXIT_STAGE, key
+                assert tree_hash(used) == built, key
+                continue
             assert run_pipeline(edited, out_dir=used).exit_code == EXIT_OK
             assert run_pipeline(edited, out_dir=fresh).exit_code == EXIT_OK
             assert tree_hash(used) == tree_hash(fresh), key

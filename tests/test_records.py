@@ -109,18 +109,58 @@ def test_parse_embeddings_rejects_mixed_dimension(tmp_path):
 
 
 def test_round_trip_all_kinds(tmp_path):
+    # one field no kind declares rides along on each, a verdict's included
+    unknown = {"model": "m-1"}
     q = make_question(4)
+    q.extra.update(unknown)
+    t = make_trajectory(q, 0, well_formed_text(q, 0))
+    t.extra.update(unknown)
+    t.verdict = VerificationVerdict("correct", "rule", "matched", extra=dict(unknown))
     cases = {
         "questions": [q],
-        "trajectories": [make_trajectory(q, 0, well_formed_text(q, 0))],
-        "logprobs": [LogprobRecord("t", 0, [("x", 0.9), ("y", 0.05)], 0.05)],
-        "embeddings": [EmbeddingRecord("a", "before", [0.5, -1.5])],
-        "scores": [ScoreRecord("t1", "s1", "bench", "79.58", 14096.0, "13.95")],
+        "trajectories": [t],
+        "logprobs": [LogprobRecord("t", 0, [("x", 0.9), ("y", 0.05)], 0.05, extra=unknown)],
+        "embeddings": [EmbeddingRecord("a", "before", [0.5, -1.5], extra=unknown)],
+        "scores": [ScoreRecord("t1", "s1", "bench", "79.58", 14096.0, "13.95", extra=unknown)],
     }
     for kind, records in cases.items():
         path = tmp_path / f"{kind}.jsonl"
         write_corpus(path, records)
-        assert parse_corpus(path, kind) == records
+        parsed = parse_corpus(path, kind)
+        assert parsed == records
+        assert parsed[0].extra == unknown
+        records[0].validate()
+        assert json.loads(path.read_text(encoding="utf-8"))["model"] == "m-1"
+    assert parse_corpus(tmp_path / "trajectories.jsonl", "trajectories")[0].verdict.extra == unknown
+
+
+def test_pass_rates_keep_unknown_fields_and_derive_pass_rate():
+    stats = PassRateStats("q", runs=4, successes=3, extra={"model": "m-1"})
+    row = json.loads(json.dumps(stats.to_dict()))
+    assert row["pass_rate"] == 0.75 and row["model"] == "m-1"
+    assert PassRateStats.from_dict(row) == stats
+
+
+@pytest.mark.parametrize("kind,row,field", [
+    ("questions", {"question_id": "q1", "domain": "math"}, "prompt"),
+    ("questions", {"question_id": "q1", "domain": "math", "prompt": 7}, "prompt"),
+    ("questions", {"question_id": "q1", "domain": "math", "prompt": "p", "tags": "a"}, "tags"),
+    ("trajectories", {"trajectory_id": "t1", "question_id": "q1", "teacher_id": "t",
+                      "sample_index": "0", "text": "x"}, "sample_index"),
+    ("trajectories", {"trajectory_id": "t1", "question_id": "q1", "teacher_id": "t",
+                      "sample_index": 0, "text": "x", "verdict": "correct"}, "verdict"),
+    ("logprobs", {"trajectory_id": "t", "position": 0, "top_k": [["a", 0.5, 1]],
+                  "residual_mass": 0.5}, "top_k"),
+    ("embeddings", {"item_id": "a", "phase": "before", "vector": ["1"]}, "vector"),
+    ("scores", {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "high",
+                "mean_response_len": 1, "delta_acc": "1"}, "acc"),
+])
+def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
+    path = tmp_path / f"{kind}.jsonl"
+    _write_lines(path, [row])
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(path, kind)
+    assert err.value.line == 1 and field in str(err.value)
 
 
 def test_verdict_invariants():
@@ -141,11 +181,14 @@ def test_pass_rate_stats_exactness():
         PassRateStats("q", runs=16, successes=17).validate()
 
 
-def test_content_hash_order_insensitive_and_field_sensitive():
+def test_content_hash_order_insensitive_and_field_sensitive(tmp_path):
     q = make_question(5)
     a = make_trajectory(q, 0, well_formed_text(q, 0))
     b = make_trajectory(q, 1, well_formed_text(q, 1))
     assert content_hash([a, b]) == content_hash([b, a])
+    # the lines write_corpus wrote hash as their records do
+    lines = write_corpus(tmp_path / "q.jsonl", [q]) + write_corpus(tmp_path / "t.jsonl", [b, a])
+    assert content_hash([q, b, a], lines) == content_hash([a, q, b])
     mutated = make_trajectory(q, 1, well_formed_text(q, 1) + " ")
     assert content_hash([a, b]) != content_hash([a, mutated])
 
@@ -198,10 +241,50 @@ def test_manifest_save_load_and_lineage(tmp_path):
     save_manifest(diverse, path)
     loaded = load_manifest(path)
     assert loaded == diverse
-    by_hash = {m.content_hash: m for m in (raw, right, hard)}
-    chain = lineage_chain(loaded, by_hash)
+    chain = lineage_chain(loaded, [raw, right, hard])
     assert [m.stage for m in chain] == ["right_hard_diverse", "right_hard", "right", "raw"]
     assert len(chain) <= 4
+
+
+@pytest.mark.parametrize("field,value", [
+    ("question_count", "twelve"), ("trajectory_count", -1), ("stage", "cooked"),
+    ("config_snapshot", []), ("notes", "none"), ("parent_manifest", 3), ("content_hash", None),
+])
+def test_load_manifest_names_a_field_of_the_wrong_type(tmp_path, field, value):
+    path = tmp_path / "manifest_right.json"
+    save_manifest(write_manifest("raw", [make_question(9)], config={"seed": 1}), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data[field] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_manifest(path)
+    assert str(path) in str(err.value) and field in str(err.value)
+
+
+def test_load_manifest_names_a_missing_field(tmp_path):
+    path = tmp_path / "manifest_raw.json"
+    save_manifest(write_manifest("raw", [make_question(9)]), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["content_hash"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CorpusError, match="content_hash: missing"):
+        load_manifest(path)
+
+
+def test_lineage_chain_tells_stages_of_equal_hashes_apart():
+    # every trajectory passes filter and every question is hard: right_hard
+    # hashes the same records as raw
+    q = make_question(10)
+    trajectories = [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)]
+    raw = write_manifest("raw", [q] + trajectories)
+    right = write_manifest("right", trajectories, parent=raw)
+    hard = write_manifest("right_hard", [q] + trajectories, parent=right)
+    diverse = write_manifest("right_hard_diverse", trajectories[:1], parent=hard)
+    assert hard.content_hash == raw.content_hash
+    chain = lineage_chain(diverse, [diverse, hard, right, raw])
+    assert [m.stage for m in chain] == ["right_hard_diverse", "right_hard", "right", "raw"]
+    with pytest.raises(CorpusError, match="missing parent"):
+        lineage_chain(diverse, [diverse, hard, raw])
 
 
 def test_manifest_from_dict_round_trip():
@@ -230,7 +313,8 @@ class TestInterruptedWrites:
             write_corpus(path, failing())
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
-        assert write_corpus(path, trajectories) == 4
+        lines = write_corpus(path, trajectories)
+        assert len(lines) == 4 and lines == path.read_text(encoding="utf-8").splitlines()
         assert parse_corpus(path, "trajectories") == trajectories
 
     def test_manifest(self, tmp_path):
