@@ -239,114 +239,72 @@ def _format_float(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    """Write a CSV table whole (see `records.replacing`)."""
-    with replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def _cell(value: Any) -> str:
+    return _format_float(value) if isinstance(value, float) else str(value)
 
 
 def emit_report(manifests: Sequence[CorpusManifest],
                 out_dir: str | Path,
-                entropy: EntropySummary | dict[str, EntropySummary] | None = None,
-                lengths: LengthSummary | dict[str, LengthSummary] | None = None,
-                pca: PcaShift | dict[str, PcaShift] | None = None,
-                pass1: float | dict[str, float] | None = None) -> Path:
+                entropy: EntropySummary | None = None,
+                lengths: LengthSummary | None = None,
+                pca: PcaShift | None = None,
+                pass1: float | None = None) -> Path:
     """Render the stage ledger and diagnostics as Markdown plus CSV tables.
 
-    Output is deterministic for fixed inputs; the Markdown file path is
-    returned.
+    Each analysis given gets a section and a table under tables/. Output is
+    deterministic for fixed inputs; the Markdown file path is returned.
     """
     out = Path(out_dir)
-    tables = out / "tables"
-
-    def as_map(value, default_key: str) -> dict:
-        if value is None:
-            return {}
-        return value if isinstance(value, dict) else {default_key: value}
-
-    entropy_map = as_map(entropy, "corpus")
-    length_map = as_map(lengths, "corpus")
-    pca_map = as_map(pca, "corpus")
-    pass1_map = as_map(pass1, "corpus")
-
     lines: list[str] = ["# Corpus report", ""]
 
-    lines += ["## Stage ledger", ""]
-    lines += ["| stage | questions | trajectories | parent | hash |",
-              "| --- | --- | --- | --- | --- |"]
-    for m in manifests:
-        lines.append(f"| {m.stage} | {m.question_count} | {m.trajectory_count} "
-                     f"| {(m.parent_manifest or '-')[:12]} | {m.content_hash[:12]} |")
-    _write_csv(tables / "stage_ledger.csv",
-               ["stage", "question_count", "trajectory_count", "parent_manifest", "content_hash"],
-               [[m.stage, m.question_count, m.trajectory_count, m.parent_manifest or "",
-                 m.content_hash] for m in manifests])
-    lines.append("")
+    def section(title: str, columns: list[str], rows: list[list[Any]], csv_name: str,
+                csv_columns: list[str], csv_rows: list[list[Any]], note: str = "") -> None:
+        """A Markdown table under title, then note, and the CSV table written whole."""
+        lines.extend([f"## {title}", ""] + ["| " + " | ".join(map(_cell, row)) + " |"
+                                             for row in [columns, ["---"] * len(columns), *rows]])
+        lines.extend(["", note, ""] if note else [""])
+        with replacing(out / "tables" / csv_name) as fh:
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in [csv_columns, *csv_rows])
 
-    if length_map:
-        lines += ["## Token lengths", "",
-                  "| corpus | count | mean | median | p95 | estimated |",
-                  "| --- | --- | --- | --- | --- | --- |"]
-        rows = []
-        for name in sorted(length_map):
-            s = length_map[name]
-            lines.append(f"| {name} | {s.count} | {_format_float(s.mean)} | {s.median} "
-                         f"| {s.percentiles['p95']} | {'yes' if s.estimated else 'no'} |")
-            rows.append([name, s.count, s.mean, s.median, s.minimum, s.maximum,
-                         s.percentiles["p5"], s.percentiles["p25"], s.percentiles["p50"],
-                         s.percentiles["p75"], s.percentiles["p95"],
-                         "yes" if s.estimated else "no"])
-        _write_csv(tables / "lengths.csv", ["corpus", "count", "mean", "median", "min", "max",
-                                            "p5", "p25", "p50", "p75", "p95", "estimated"], rows)
-        lines.append("")
-
-    if entropy_map:
-        lines += ["## Token entropy (nats)", "",
-                  "| corpus | mean | median | tokens | mean residual |",
-                  "| --- | --- | --- | --- | --- |"]
-        rows = []
-        for name in sorted(entropy_map):
-            s = entropy_map[name]
-            lines.append(f"| {name} | {_format_float(s.mean)} | {_format_float(s.median)} "
-                         f"| {s.token_count} | {_format_float(s.mean_residual_mass)} |")
-            rows.append([name, s.mean, s.median, s.token_count, s.mean_residual_mass])
-            if s.residual_flagged:
-                lines.append("")
-                lines.append(f"Note: {name} carries mean residual mass "
-                             f"{_format_float(s.mean_residual_mass)} > "
-                             f"{RESIDUAL_FLAG_THRESHOLD}; entropies use a single-bucket "
-                             "residual approximation and should be read as approximate.")
-        _write_csv(tables / "entropy.csv", ["corpus", "mean_nats", "median_nats", "token_count",
-                                            "mean_residual_mass"], rows)
-        lines.append("")
-
-    if pca_map:
-        lines += ["## Latent centroid shift (PCA)", "",
-                  "| analysis | components | dis | explained variance |",
-                  "| --- | --- | --- | --- |"]
-        rows = []
-        for name in sorted(pca_map):
-            s = pca_map[name]
-            evr = ", ".join(_format_float(v) for v in s.explained_variance_ratio)
-            flag = " (degenerate: zero variance)" if s.degenerate else ""
-            lines.append(f"| {name} | {s.components} | {_format_float(s.dis)} | {evr}{flag} |")
-            rows.append([name, s.components, s.dis,
-                         ";".join(_format_float(v) for v in s.explained_variance_ratio),
-                         "yes" if s.degenerate else "no"])
-        _write_csv(tables / "pca_shift.csv", ["analysis", "components", "dis",
-                                              "explained_variance_ratio", "degenerate"], rows)
-        lines.append("")
-
-    if pass1_map:
-        lines += ["## pass@1", "", "| evaluation | pass@1 (%) |", "| --- | --- |"]
-        for name in sorted(pass1_map):
-            lines.append(f"| {name} | {pass1_map[name]:.2f} |")
-        _write_csv(tables / "pass1.csv", ["evaluation", "pass_at_1_pct"],
-                   [[name, f"{pass1_map[name]:.2f}"] for name in sorted(pass1_map)])
-        lines.append("")
+    section("Stage ledger", ["stage", "questions", "trajectories", "parent", "hash"],
+            [[m.stage, m.question_count, m.trajectory_count, (m.parent_manifest or "-")[:12],
+              m.content_hash[:12]] for m in manifests],
+            "stage_ledger.csv",
+            ["stage", "question_count", "trajectory_count", "parent_manifest", "content_hash"],
+            [[m.stage, m.question_count, m.trajectory_count, m.parent_manifest or "",
+              m.content_hash] for m in manifests])
+    if lengths is not None:
+        s, estimated = lengths, "yes" if lengths.estimated else "no"
+        section("Token lengths", ["corpus", "count", "mean", "median", "p95", "estimated"],
+                [["corpus", s.count, s.mean, s.median, s.percentiles["p95"], estimated]],
+                "lengths.csv", ["corpus", "count", "mean", "median", "min", "max",
+                                *s.percentiles, "estimated"],
+                [["corpus", s.count, s.mean, s.median, s.minimum, s.maximum,
+                  *s.percentiles.values(), estimated]])
+    if entropy is not None:
+        row = ["corpus", entropy.mean, entropy.median, entropy.token_count,
+               entropy.mean_residual_mass]
+        note = (f"Note: corpus carries mean residual mass "
+                f"{_format_float(entropy.mean_residual_mass)} > {RESIDUAL_FLAG_THRESHOLD}; "
+                "entropies use a single-bucket residual approximation and should be read as "
+                "approximate.") if entropy.residual_flagged else ""
+        section("Token entropy (nats)", ["corpus", "mean", "median", "tokens", "mean residual"],
+                [row], "entropy.csv",
+                ["corpus", "mean_nats", "median_nats", "token_count", "mean_residual_mass"],
+                [row], note)
+    if pca is not None:
+        ratios = [_format_float(v) for v in pca.explained_variance_ratio]
+        flag = " (degenerate: zero variance)" if pca.degenerate else ""
+        section("Latent centroid shift (PCA)",
+                ["analysis", "components", "dis", "explained variance"],
+                [["corpus", pca.components, pca.dis, ", ".join(ratios) + flag]], "pca_shift.csv",
+                ["analysis", "components", "dis", "explained_variance_ratio", "degenerate"],
+                [["corpus", pca.components, pca.dis, ";".join(ratios),
+                  "yes" if pca.degenerate else "no"]])
+    if pass1 is not None:
+        row = ["corpus", f"{pass1:.2f}"]
+        section("pass@1", ["evaluation", "pass@1 (%)"], [row], "pass1.csv",
+                ["evaluation", "pass_at_1_pct"], [row])
 
     lines += [
         "---",

@@ -457,48 +457,27 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     """Greedy max-min dispersion: seed with the farthest pair, then grow.
 
     Ties break toward the lexicographically smallest pair and then the
-    smallest id, making the selection fully deterministic.
+    smallest id, making the selection fully deterministic: in id order, the
+    seed is the first maximum of the upper triangle in row-major order and
+    each next pick the first maximum of the distance to the picks so far.
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
     n = len(matrix.ids)
     if p >= n:
         return sorted(matrix.ids)
-
-    order = sorted(range(n), key=lambda i: matrix.ids[i])
-    d = matrix.distances
-    best_pair: tuple[int, int] | None = None
-    best_val = -1
-    for oi in range(n):
-        for oj in range(oi + 1, n):
-            i, j = order[oi], order[oj]
-            val = int(d[i, j])
-            if val > best_val:
-                best_val = val
-                best_pair = (i, j)
-    assert best_pair is not None
-    i, j = best_pair
-    if p == 1:
-        return [matrix.ids[i]]
-
-    selected = [i, j]
-    chosen = {i, j}
-    min_dist = np.minimum(d[i], d[j])
+    order = sorted(range(n), key=matrix.ids.__getitem__)
+    d = matrix.distances[np.ix_(order, order)]
+    upper = np.where(np.triu(np.ones((n, n), dtype=bool), 1), d, -1)
+    selected = list(divmod(int(np.argmax(upper)), n))[:p]
+    nearest = d[selected].min(axis=0)
+    nearest[selected] = -1
     while len(selected) < p:
-        best_idx = -1
-        best_min = -1
-        for oi in range(n):
-            c = order[oi]
-            if c in chosen:
-                continue
-            val = int(min_dist[c])
-            if val > best_min:
-                best_min = val
-                best_idx = c
-        selected.append(best_idx)
-        chosen.add(best_idx)
-        np.minimum(min_dist, d[best_idx], out=min_dist)
-    return [matrix.ids[k] for k in selected]
+        k = int(np.argmax(nearest))
+        selected.append(k)
+        np.minimum(nearest, d[k], out=nearest)
+        nearest[k] = -1
+    return [matrix.ids[order[k]] for k in selected]
 
 
 def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int, int, float]:

@@ -85,25 +85,14 @@ def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
     return CachingClient(inner, cache_dir)
 
 
-class _EventBuffer:
-    """A chain's events, held back until the pipeline logs them in order."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[str, str, dict[str, Any]]] = []
-
-    def emit(self, stage: str, event: str, **fields: Any) -> None:
-        self.rows.append((stage, event, fields))
-
-
 def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
                 questions: dict[str, QuestionRecord],
-                client: Client,
-                log: EventLog | _EventBuffer) -> tuple[list[TrajectoryRecord],
-                                                       list[TrajectoryRecord],
-                                                       list[TrajectoryRecord]]:
+                client: Client) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord],
+                                         list[TrajectoryRecord], list[dict[str, str]]]:
     """Judge queued trajectories in order. A client failure keeps its item
-    queued rather than fabricating a verdict, and is logged."""
-    kept, rejected, still_queued = [], [], []
+    queued rather than fabricating a verdict; its `judge_error` event's
+    fields are returned last."""
+    kept, rejected, still_queued, errors = [], [], [], []
     buckets = {"correct": kept, "incorrect": rejected}
     for t in gate_needs_judge:
         question = questions[t.question_id]
@@ -113,12 +102,12 @@ def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
                 candidate_answer=candidate_answer(t.text) or "(empty)",
                 ground_truth=str(question.ground_truth or "unspecified")))
         except ClientError as exc:
-            log.emit("filter", "judge_error", question_id=t.question_id,
-                     trajectory_id=t.trajectory_id, error=str(exc))
+            errors.append({"question_id": t.question_id, "trajectory_id": t.trajectory_id,
+                           "error": str(exc)})
             still_queued.append(t)
             continue
         buckets.get(verdict.status, still_queued).append(replace(t, verdict=verdict))
-    return kept, rejected, still_queued
+    return kept, rejected, still_queued, errors
 
 
 @dataclass
@@ -131,7 +120,7 @@ class _Chain:
     kept: list[TrajectoryRecord] = field(default_factory=list)
     rejected: list[TrajectoryRecord] = field(default_factory=list)
     queued: list[TrajectoryRecord] = field(default_factory=list)
-    events: _EventBuffer = field(default_factory=_EventBuffer)
+    judge_errors: list[dict[str, str]] = field(default_factory=list)
     stats: PassRateStats | None = None
     ends: dict[str, float] = field(default_factory=dict)  # stage -> step end
     failure: tuple[int, Exception] | None = None  # (step index, error)
@@ -211,8 +200,8 @@ def _sample_step(run: _Run, client: Client, chain: _Chain) -> None:
 
 def _judge_step(run: _Run, client: Client, chain: _Chain) -> None:
     gate = run_quality_gate(chain.trajectories, [chain.question], run.fconfig)
-    kept, rejected, chain.queued = _adjudicate(
-        gate.needs_judge, {chain.question.question_id: chain.question}, client, chain.events)
+    kept, rejected, chain.queued, chain.judge_errors = _adjudicate(
+        gate.needs_judge, {chain.question.question_id: chain.question}, client)
     chain.trajectories = chain.kept = gate.kept + kept
     chain.rejected = gate.rejected + rejected
 
@@ -273,9 +262,9 @@ def _filter(run: _Run, row: Stage) -> dict[str, Any]:
         sorted((t for c in run.chains for t in getattr(c, bucket)),
                key=lambda t: t.trajectory_id)
         for bucket in ("kept", "rejected", "queued"))
-    for where, event, fields in sorted((r for c in run.chains for r in c.events.rows),
-                                       key=lambda r: r[2]["trajectory_id"]):
-        run.log.emit(where, event, **fields)
+    for fields in sorted((e for c in run.chains for e in c.judge_errors),
+                         key=lambda e: e["trajectory_id"]):
+        run.log.emit("filter", "judge_error", **fields)
     lines = write_filtered(run.paths(row.corpus + row.writes), kept, rejected, still_queued)
     run.save(row, kept, lines)
     run.trajectories = kept
@@ -305,6 +294,7 @@ def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
         unit=cfg["unit"], cap_ratio=cfg["cap_ratio"], questions=run.questions,
         workers=cfg["workers"])
     run.save(row, selected, lines)
+    run.trajectories = selected
     return {"selected": len(selected), **engine}
 
 
@@ -329,13 +319,12 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
         after = [e for e in embeddings if e.phase == "after"]
         if before and after:
             pca = diagnostics.pca_shift(before, after, k=cfg["pca_components"])
-    # token lengths of the last corpus on disk of the raw ... right_hard_diverse lineage
-    last = next((_WRITERS[s] for s in reversed(STAGES[:-1]) if s in run.known), None)
-    trajectories = _read_corpus(run, last, row.name)[1] if last else []
-    if trajectories:
-        estimated = any(t.token_len is None for t in trajectories)
-        lens = [effective_token_len(t, run.fconfig)[0] for t in trajectories]
-        lengths = diagnostics.length_summary(trajectories, lengths=lens, estimated=estimated)
+    # token lengths of the last corpus of the raw ... right_hard_diverse lineage
+    if run.trajectories:
+        estimated = any(t.token_len is None for t in run.trajectories)
+        lens = [effective_token_len(t, run.fconfig)[0] for t in run.trajectories]
+        lengths = diagnostics.length_summary(run.trajectories, lengths=lens,
+                                             estimated=estimated)
     diagnostics.emit_report([run.known[s] for s in STAGES if s in run.known], run.out,
                             entropy=entropy, lengths=lengths, pca=pca)
     return {}
@@ -381,6 +370,7 @@ STAGE_TABLE = (
            "tables/entropy.csv", "tables/pca_shift.csv"), _stats),
 )
 _WRITERS = {row.manifest: row for row in STAGE_TABLE if row.manifest}
+_LINEAGE = STAGES[:-1]  # raw ... right_hard_diverse; mixed stands apart
 
 
 def _remove_replaced(run: _Run) -> None:
@@ -470,6 +460,13 @@ def run_pipeline(config: str | Path | dict[str, Any],
                 # them and raw's trajectories
                 _read_corpus(run, _WRITERS[parent.parent], first.name)
             run.questions, run.trajectories = _read_corpus(run, parent, first.name)
+        # stats reports on the last corpus of the lineage; one this run does
+        # not write is read back before the run removes the old report
+        last = next((_WRITERS[s] for s in reversed(_LINEAGE) if s in run.known), None)
+        if (last and "stats" in cfg["stages"]
+                and not any(row.manifest in _LINEAGE for row in rows)):
+            current_stage = "stats"
+            run.trajectories = _read_corpus(run, last, "stats")[1]
 
         views = {row.name: client.view() for row in phase}
         bound = time.perf_counter()

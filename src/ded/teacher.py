@@ -92,14 +92,11 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
         }
         raw_manifest = write_manifest("raw", list(questions) + trajectories,
                                       config=config_snapshot, created_at=created_at)
-        manifest = write_manifest("right", gate.kept, parent=raw_manifest,
-                                  config=config_snapshot, created_at=created_at)
-        results[teacher_id] = SmokeCorpus(teacher_id=teacher_id, gate=gate,
-                                          manifest=manifest, dropped_questions=dropped)
+        lines = None
         if out_dir is not None:
             out = Path(out_dir)
             corpus_path = out / f"smoke_{teacher_id}.jsonl"
-            write_corpus(corpus_path, gate.kept)
+            lines = write_corpus(corpus_path, gate.kept)
             training_manifest = {
                 "teacher_id": teacher_id,
                 "corpus_files": [corpus_path.name],
@@ -108,6 +105,10 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
                 "hyperparameters": TRAINING_HYPERPARAMETERS,
             }
             write_json(out / f"training_{teacher_id}.json", training_manifest)
+        manifest = write_manifest("right", gate.kept, parent=raw_manifest,
+                                  config=config_snapshot, created_at=created_at, lines=lines)
+        results[teacher_id] = SmokeCorpus(teacher_id=teacher_id, gate=gate,
+                                          manifest=manifest, dropped_questions=dropped)
     return results
 
 

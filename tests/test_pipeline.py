@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from ded import pipeline
 from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
                          SamplingRequest)
-from ded.config import STAGE_SEQUENCE, manifest_snapshot, validate_config
+from ded.config import SNAPSHOT_KEYS, STAGE_SEQUENCE, manifest_snapshot, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline,
                           tree_hash)
@@ -344,29 +345,52 @@ class TestUsedOutDir:
         assert run_pipeline(dict(config, stages=["stats"])).exit_code == EXIT_OK
         assert _report(out) == full
 
-    @pytest.mark.parametrize("first", ["sample", "filter", "compress", "diversify"])
-    def test_an_edited_run_builds_the_fresh_tree(self, tmp_path, first):
+    @pytest.mark.parametrize("first", STAGE_SEQUENCE)
+    def test_an_edited_run_builds_the_fresh_tree(self, tmp_path, full_run, first):
         # a run that reads a corpus built under another value of a key of the
         # stage that wrote it, or of an earlier one, refuses and writes nothing
-        config = build_pipeline_fixture(tmp_path)
+        config, full = full_run
         before = list(STAGE_SEQUENCE[:STAGE_SEQUENCE.index(first)])
         read_keys = {key for row in STAGE_TABLE if row.name in before for key in row.keys}
-        for key, value in (("max_token_len", 50), ("pass_threshold", 0.25),
-                           ("diverse_per_question", 1)):
-            edited = dict(config, stages=[first, "stats"], **{key: value})
+        prefix = tmp_path / "prefix"
+        if before:
+            assert run_pipeline(dict(config, stages=before), out_dir=prefix).exit_code == EXIT_OK
+        for key, value in _EDITS.items():
+            edited = dict(config, stages=sorted({first, "stats"}, key=STAGE_SEQUENCE.index),
+                          **{key: value})
             used, fresh = tmp_path / f"used_{key}", tmp_path / f"fresh_{key}"
-            assert run_pipeline(config, out_dir=used).exit_code == EXIT_OK
+            shutil.copytree(full, used)
             if before:
-                assert run_pipeline(dict(config, stages=before), out_dir=fresh).exit_code == EXIT_OK
-            if key in read_keys:
-                built = tree_hash(used)
-                assert run_pipeline(edited, out_dir=used).exit_code == EXIT_STAGE, key
-                assert run_pipeline(edited, out_dir=fresh).exit_code == EXIT_STAGE, key
-                assert tree_hash(used) == built, key
-                continue
-            assert run_pipeline(edited, out_dir=used).exit_code == EXIT_OK
-            assert run_pipeline(edited, out_dir=fresh).exit_code == EXIT_OK
-            assert tree_hash(used) == tree_hash(fresh), key
+                shutil.copytree(prefix, fresh)
+            built = tree_hash(used)
+            code = run_pipeline(edited, out_dir=used).exit_code
+            # an edit may fail a stage, but in the used out_dir as in a fresh one
+            assert code == run_pipeline(edited, out_dir=fresh).exit_code, key
+            refused = code == EXIT_STAGE and tree_hash(used) == built
+            assert refused or key not in read_keys, key
+            assert refused or tree_hash(used) == tree_hash(fresh), key
+
+    def test_every_snapshot_key_is_edited(self):
+        assert sorted(_EDITS) == sorted(SNAPSHOT_KEYS)
+
+
+# One other value for each key a stage's corpus depends on. timestamp and
+# mix_sources are left out: created_at is provenance, and mix's files are
+# kept across runs.
+_EDITS = {"teacher_id": "t-beta", "samples_per_question": 4, "temperature": 0.3, "seed": 8,
+          "max_token_len": 50, "require_single_think_pair": False,
+          "token_estimator": "precomputed_only", "tokenizer": "tok-b", "student_id": "s-other",
+          "runs": 2, "pass_threshold": 0.25, "diverse_per_question": 1, "unit": "token",
+          "cap_ratio": 0.3}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The pipeline fixture's config and the out_dir of a full run of it."""
+    root = tmp_path_factory.mktemp("full_run")
+    config = build_pipeline_fixture(root)
+    assert run_pipeline(config).exit_code == EXIT_OK
+    return config, Path(config["out_dir"])
 
 
 def test_edited_fixtures_in_a_used_out_dir_build_the_fresh_tree(tmp_path):
@@ -528,18 +552,19 @@ class TestJudgeAdjudication:
 
     def test_client_error_keeps_item_queued(self, tmp_path):
         from ded.clients import FaultInjector, MockClient, RetryPolicy, TransportError
-        from ded.pipeline import EventLog, _adjudicate
+        from ded.pipeline import _adjudicate
         from conftest import make_question, make_trajectory
         q = make_question(0, domain="code", gt="ref")
         t = make_trajectory(q, 0, "<think>plan</think>candidate code")
         faults = FaultInjector({"judge": [TransportError("down")] * 5})
         client = MockClient(faults=faults,
                             retry=RetryPolicy(budget=2, sleep=lambda _: None))
-        log = EventLog(tmp_path / "logs" / "events.jsonl")
-        kept, rejected, queued = _adjudicate([t], {q.question_id: q}, client, log)
-        log.close()
+        kept, rejected, queued, errors = _adjudicate([t], {q.question_id: q}, client)
         assert kept == [] and rejected == []
         assert queued == [t]
+        assert [(e["question_id"], e["trajectory_id"]) for e in errors] == [
+            (q.question_id, t.trajectory_id)]
+        assert "down" in errors[0]["error"]
 
 
 class TestClientFailureExitCode:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ded import records
 from ded.clients import MockClient
 from ded.records import ScoreRecord
 from ded.teacher import (TeacherSelectError, build_smoke_corpus, ingest_scores,
@@ -174,6 +175,22 @@ class TestBuildSmokeCorpus:
         manifest = json.loads((tmp_path / "training_t-one.json").read_text())
         assert manifest["hyperparameters"]["context_window"] == 16384
         assert manifest["hyperparameters"]["batch_size"] == 48
+
+    def test_each_kept_trajectory_is_serialised_once(self, tmp_path, monkeypatch):
+        # the right manifest hashes the lines the corpus file was written from
+        questions = [make_question(i) for i in range(3)]
+        samples = {("t-one", q.prompt): [f"<think>s</think>\\boxed{{{q.ground_truth}}}"]
+                   for q in questions[:2]}
+        calls = []
+        dumps = records.dumps_record
+        monkeypatch.setattr(records, "dumps_record", lambda r: calls.append(r) or dumps(r))
+        results = build_smoke_corpus(questions, ["t-one"],
+                                     MockClient(fixtures={"samples": samples}), out_dir=tmp_path)
+        kept = results["t-one"].gate.kept
+        assert len(kept) == 2
+        # raw's manifest hashes the questions and every sample, once each
+        assert len(calls) == len(questions) + len(questions) + len(kept)
+        assert results["t-one"].manifest.content_hash == records.content_hash(kept)
 
     def test_failed_question_reported(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
