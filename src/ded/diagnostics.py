@@ -260,11 +260,17 @@ def emit_report(manifests: Sequence[CorpusManifest],
     def section(title: str, columns: list[str], rows: list[list[Any]], csv_name: str,
                 csv_columns: list[str], csv_rows: list[list[Any]], note: str = "") -> None:
         """A Markdown table under title, then note, and the CSV table written whole."""
-        lines.extend([f"## {title}", ""] + ["| " + " | ".join(map(_cell, row)) + " |"
-                                             for row in [columns, ["---"] * len(columns), *rows]])
-        lines.extend(["", note, ""] if note else [""])
+        lines.append(f"## {title}")
+        lines.append("")
+        for row in [columns, ["---"] * len(columns), *rows]:
+            lines.append("| " + " | ".join(map(_cell, row)) + " |")
+        lines.append("")
+        if note:
+            lines.append(note)
+            lines.append("")
         with replacing(out / "tables" / csv_name) as fh:
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in [csv_columns, *csv_rows])
+            for row in [csv_columns, *csv_rows]:
+                fh.write(",".join(map(_cell, row)) + "\n")
 
     section("Stage ledger", ["stage", "questions", "trajectories", "parent", "hash"],
             [[m.stage, m.question_count, m.trajectory_count, (m.parent_manifest or "-")[:12],
@@ -274,13 +280,14 @@ def emit_report(manifests: Sequence[CorpusManifest],
             [[m.stage, m.question_count, m.trajectory_count, m.parent_manifest or "",
               m.content_hash] for m in manifests])
     if lengths is not None:
-        s, estimated = lengths, "yes" if lengths.estimated else "no"
+        estimated = "yes" if lengths.estimated else "no"
         section("Token lengths", ["corpus", "count", "mean", "median", "p95", "estimated"],
-                [["corpus", s.count, s.mean, s.median, s.percentiles["p95"], estimated]],
+                [["corpus", lengths.count, lengths.mean, lengths.median,
+                  lengths.percentiles["p95"], estimated]],
                 "lengths.csv", ["corpus", "count", "mean", "median", "min", "max",
-                                *s.percentiles, "estimated"],
-                [["corpus", s.count, s.mean, s.median, s.minimum, s.maximum,
-                  *s.percentiles.values(), estimated]])
+                                *lengths.percentiles, "estimated"],
+                [["corpus", lengths.count, lengths.mean, lengths.median, lengths.minimum,
+                  lengths.maximum, *lengths.percentiles.values(), estimated]])
     if entropy is not None:
         row = ["corpus", entropy.mean, entropy.median, entropy.token_count,
                entropy.mean_residual_mass]

@@ -26,7 +26,8 @@ from .clients import (CachingClient, Client, ClientError, HttpClient, JudgeReque
 from .compress import CompressionReport, select_hard, student_rollout
 from .config import manifest_snapshot, validate_config
 from .diversity import diversify_corpus
-from .filtering import FilterConfig, candidate_answer, effective_token_len, run_quality_gate
+from .filtering import (FilterConfig, FilterError, candidate_answer, effective_token_len,
+                        run_quality_gate)
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
                       QuestionRecord, TrajectoryRecord, content_hash, dumps_record,
@@ -170,6 +171,8 @@ class _Run:
     result: PipelineResult
     known: dict[str, CorpusManifest] = field(default_factory=dict)  # manifests by stage
     questions: list[QuestionRecord] = field(default_factory=list)
+    # those of the last corpus of the raw ... right_hard_diverse lineage: the
+    # next stage's input, and what stats reports on; set by save
     trajectories: list[TrajectoryRecord] = field(default_factory=list)
     chains: list[_Chain] = field(default_factory=list)
 
@@ -189,6 +192,8 @@ class _Run:
                                   lines=lines)
         self.known[row.manifest] = self.result.manifests[row.manifest] = manifest
         save_manifest(manifest, self.out / f"manifest_{row.manifest}.json")
+        if row.manifest in _LINEAGE:
+            self.trajectories = [r for r in records if isinstance(r, TrajectoryRecord)]
 
 
 def _sample_step(run: _Run, client: Client, chain: _Chain) -> None:
@@ -247,14 +252,14 @@ def write_diverse(paths: list[Path], trajectories: list[TrajectoryRecord],
 
 
 def _sample(run: _Run, row: Stage) -> dict[str, Any]:
-    run.trajectories = [t for c in run.chains for t in c.sampled]
+    trajectories = [t for c in run.chains for t in c.sampled]
     for c in run.chains:
         run.log.emit("sample", "question_done", question_id=c.question.question_id,
                      samples=run.cfg["samples_per_question"])
-    lines = write_corpus(*run.paths(row.corpus), run.trajectories)
-    run.save(row, run.questions + run.trajectories,
+    lines = write_corpus(*run.paths(row.corpus), trajectories)
+    run.save(row, run.questions + trajectories,
              [dumps_record(q) for q in run.questions] + lines)
-    return {"trajectories": len(run.trajectories)}
+    return {"trajectories": len(trajectories)}
 
 
 def _filter(run: _Run, row: Stage) -> dict[str, Any]:
@@ -267,7 +272,6 @@ def _filter(run: _Run, row: Stage) -> dict[str, Any]:
         run.log.emit("filter", "judge_error", **fields)
     lines = write_filtered(run.paths(row.corpus + row.writes), kept, rejected, still_queued)
     run.save(row, kept, lines)
-    run.trajectories = kept
     return {"kept": len(kept), "rejected": len(rejected), "needs_judge": len(still_queued)}
 
 
@@ -279,10 +283,10 @@ def _compress(run: _Run, row: Stage) -> dict[str, Any]:
                                          [c.question for c in rolled],
                                          [c.stats for c in rolled], run.cfg["pass_threshold"])
     retained_qids = {q.question_id for q in retained}
-    run.trajectories = [t for t in run.trajectories if t.question_id in retained_qids]
-    lines += write_corpus(trajectories_path, run.trajectories)
+    trajectories = [t for t in run.trajectories if t.question_id in retained_qids]
+    lines += write_corpus(trajectories_path, trajectories)
     write_json(report_path, report.to_dict())
-    run.save(row, retained + run.trajectories, lines)
+    run.save(row, retained + trajectories, lines)
     run.questions = retained
     return {"retained": len(retained)}
 
@@ -294,7 +298,6 @@ def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
         unit=cfg["unit"], cap_ratio=cfg["cap_ratio"], questions=run.questions,
         workers=cfg["workers"])
     run.save(row, selected, lines)
-    run.trajectories = selected
     return {"selected": len(selected), **engine}
 
 
@@ -319,10 +322,14 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
         after = [e for e in embeddings if e.phase == "after"]
         if before and after:
             pca = diagnostics.pca_shift(before, after, k=cfg["pca_components"])
-    # token lengths of the last corpus of the raw ... right_hard_diverse lineage
-    if run.trajectories:
-        estimated = any(t.token_len is None for t in run.trajectories)
+    # token lengths of the last corpus of the raw ... right_hard_diverse lineage,
+    # left out when precomputed_only meets a trajectory without token_len
+    try:
         lens = [effective_token_len(t, run.fconfig)[0] for t in run.trajectories]
+    except FilterError:
+        lens = []
+    if lens:
+        estimated = any(t.token_len is None for t in run.trajectories)
         lengths = diagnostics.length_summary(run.trajectories, lengths=lens,
                                              estimated=estimated)
     diagnostics.emit_report([run.known[s] for s in STAGES if s in run.known], run.out,
