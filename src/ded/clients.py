@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .filtering import normalize_answer
-from .records import VerificationVerdict, replacing
+from .records import CorpusError, VerificationVerdict, replacing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -314,19 +314,28 @@ class FaultInjector:
 
 def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
     """Fixture JSONL: sample lines carry (teacher_id, prompt, responses),
-    judge lines carry (question, candidate_answer, status and/or reply)."""
+    judge lines carry (question, candidate_answer, status and/or reply).
+    Raises CorpusError naming the file and line of a row that is not a JSON
+    object or lacks a field its kind needs."""
     samples: dict[tuple[str, str], list[str]] = {}
     judges: dict[tuple[str, str], dict[str, Any]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            if row.get("kind") == "sample":
-                samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
-            elif row.get("kind") == "judge":
-                judges[(row["question"], row["candidate_answer"])] = row
+            where = f"mock fixtures {path} line {lineno}"
+            try:
+                row = json.loads(line)
+                if row.get("kind") == "sample":
+                    samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
+                elif row.get("kind") == "judge":
+                    judges[(row["question"], row["candidate_answer"])] = row
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{where}: invalid JSON: {exc.msg}") from exc
+            except AttributeError as exc:
+                raise CorpusError(f"{where}: not a JSON object") from exc
+            except KeyError as exc:
+                raise CorpusError(f"{where}: {row['kind']} row without field {exc}") from exc
     return {"samples": samples, "judges": judges}
 
 

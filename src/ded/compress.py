@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .clients import Client, JudgeRequest, SamplingRequest
+from .clients import Client, JudgeRequest
 from .filtering import candidate_answer, extract_final_answer, rule_verify
 from .records import PassRateStats, QuestionRecord
+from .teacher import sample_teacher
 
 
 class CompressError(ValueError):
@@ -82,6 +83,12 @@ def select_hard(questions: Sequence[QuestionRecord],
     return retained, report
 
 
+def judge_request(question: QuestionRecord, candidate: str) -> JudgeRequest:
+    """The judge's request for one candidate answer to question."""
+    return JudgeRequest(question=question.prompt, candidate_answer=candidate,
+                        ground_truth=str(question.ground_truth or "unspecified"))
+
+
 def response_is_correct(text: str, question: QuestionRecord,
                         client: Client | None = None) -> bool:
     """Correctness path shared with the quality gate.
@@ -100,11 +107,7 @@ def response_is_correct(text: str, question: QuestionRecord,
     candidate = candidate_answer(text)
     if not candidate:
         return False
-    verdict = client.judge(JudgeRequest(
-        question=question.prompt,
-        candidate_answer=candidate,
-        ground_truth=str(question.ground_truth or "unspecified")))
-    return verdict.status == "correct"
+    return client.judge(judge_request(question, candidate)).status == "correct"
 
 
 def student_rollout(questions: Sequence[QuestionRecord],
@@ -125,9 +128,8 @@ def student_rollout(questions: Sequence[QuestionRecord],
         raise CompressError("runs must be >= 1")
     stats = []
     for question in questions:
-        responses = client.sample_trajectories(SamplingRequest(
-            prompt=question.prompt, teacher_id=student_id, samples=runs,
-            temperature=temperature, seed=seed))
-        outcomes = [response_is_correct(r, question, client) for r in responses]
+        responses = sample_teacher([question], client, student_id, runs,
+                                   temperature=temperature, seed=seed)
+        outcomes = [response_is_correct(r.text, question, client) for r in responses]
         stats.append(pass_rate(outcomes, runs, question_id=question.question_id))
     return sorted(stats, key=lambda s: s.question_id)

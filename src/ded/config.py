@@ -122,15 +122,3 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(errors)
     return cfg
 
-
-# the keys of every stage's output (`ded.pipeline.STAGE_TABLE`), echoed
-# into every manifest
-SNAPSHOT_KEYS = ("teacher_id", "samples_per_question", "temperature", "seed", "max_token_len",
-                 "require_single_think_pair", "token_estimator", "tokenizer", "student_id",
-                 "runs", "pass_threshold", "diverse_per_question", "unit", "cap_ratio")
-
-
-def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
-    """The parameter set echoed into every manifest."""
-    return {**{key: cfg[key] for key in SNAPSHOT_KEYS},
-            "gate_order": ["format", "length", "correctness"]}

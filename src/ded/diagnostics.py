@@ -79,8 +79,7 @@ class EntropySummary:
                 "residual_flagged": self.residual_flagged}
 
 
-def entropy_summary(records: Sequence[LogprobRecord],
-                    edges: Sequence[float] | None = None) -> EntropySummary:
+def entropy_summary(records: Sequence[LogprobRecord]) -> EntropySummary:
     """Mean, median, and histogram of per-token entropies for a corpus.
 
     Every token lands in exactly one bucket; values at or beyond the last
@@ -89,9 +88,7 @@ def entropy_summary(records: Sequence[LogprobRecord],
     """
     if not records:
         raise DiagnosticsError("entropy summary needs at least one logprob record")
-    edges = list(edges) if edges is not None else list(DEFAULT_ENTROPY_EDGES)
-    if len(edges) < 2 or any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
-        raise DiagnosticsError("histogram edges must be strictly increasing, length >= 2")
+    edges = list(DEFAULT_ENTROPY_EDGES)
     entropies = [token_entropy(r) for r in records]
     buckets = np.searchsorted(edges, entropies, side="right") - 1
     buckets = np.clip(buckets, 0, len(edges) - 2)

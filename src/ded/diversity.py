@@ -348,18 +348,13 @@ def levenshtein_bounded(a: str | Sequence, b: str | Sequence,
     return _bounded_distances([tuple(_codes([a, b]))], cap, _MIN_BAND)[0][0]
 
 
-def levenshtein(a: str | Sequence, b: str | Sequence) -> int:
-    """Unit-cost edit distance between two sequences (characters or tokens)."""
-    return levenshtein_bounded(a, b, math.inf)
-
-
 def clamped_distance(a: str | Sequence, b: str | Sequence, cap: int | None) -> int:
-    """min(levenshtein(a, b), cap): the truncated metric used for selection.
+    """min(edit distance, cap): the truncated metric used for selection.
 
     A pair at or beyond the cap is treated as maximally distant.
     """
     if cap is None:
-        return levenshtein(a, b)
+        return levenshtein_bounded(a, b, math.inf)
     if cap <= 0:
         return 0
     d = levenshtein_bounded(a, b, cap)
@@ -372,7 +367,6 @@ class DistanceMatrix:
 
     ids: list[str]
     distances: np.ndarray
-    cap: int | None = None
     band_passes: int = 0  # engine passes that computed the distances
     band_bytes: int = 0  # bytes of packed int those passes stepped, over their columns
 
@@ -387,10 +381,6 @@ class DistanceMatrix:
         if (self.distances != self.distances.T).any():
             raise DiversityError("matrix must be symmetric")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"ids": list(self.ids), "distances": self.distances.tolist(),
-                "cap": self.cap}
-
 
 def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
     """Comparison surface: the think delimiters themselves carry no signal.
@@ -403,21 +393,6 @@ def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
     if unit == "token":
         return text.replace(THINK_OPEN, " ").replace(THINK_CLOSE, " ").split()
     raise DiversityError(f"unknown unit {unit!r}; expected char or token")
-
-
-def pairwise_distances(trajectories: Sequence[TrajectoryRecord],
-                       unit: str = "char",
-                       cap: int | None = None) -> DistanceMatrix:
-    """Full symmetric distance matrix over one question's trajectories."""
-    if not trajectories:
-        raise DiversityError("at least one trajectory required")
-    qids = {t.question_id for t in trajectories}
-    if len(qids) > 1:
-        raise DiversityError(f"mixed question_ids in one distance matrix: {sorted(qids)}")
-    ordered = sorted(trajectories, key=lambda t: t.trajectory_id)
-    ids = [t.trajectory_id for t in ordered]
-    surfaces = [trajectory_surface(t.text, unit) for t in ordered]
-    return surface_distances(ids, surfaces, cap=cap)
 
 
 def surface_distances(ids: Sequence[str], surfaces: Sequence,
@@ -449,7 +424,7 @@ def surface_distances(ids: Sequence[str], surfaces: Sequence,
         band_bytes += more_bytes
         for (i, j), d in zip(index, first + rest):
             dist[i, j] = dist[j, i] = cap if d is None else d
-    return DistanceMatrix(ids=list(ids), distances=dist, cap=cap, band_passes=passes,
+    return DistanceMatrix(ids=list(ids), distances=dist, band_passes=passes,
                           band_bytes=band_bytes)
 
 

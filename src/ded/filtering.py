@@ -8,18 +8,17 @@ which convention produced a corpus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict
+from .config import FIELDS
+from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict, field_error
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 
 GATE_ORDER = ("format", "length", "correctness")
-
-TOKEN_ESTIMATORS = ("precomputed_only", "chars_div_4_fallback")
 
 
 class FilterError(ValueError):
@@ -28,15 +27,15 @@ class FilterError(ValueError):
 
 @dataclass
 class FilterConfig:
-    max_token_len: int = 16384
-    require_single_think_pair: bool = True
-    token_estimator: str = "chars_div_4_fallback"
+    max_token_len: int = FIELDS["max_token_len"].default
+    require_single_think_pair: bool = FIELDS["require_single_think_pair"].default
+    token_estimator: str = FIELDS["token_estimator"].default
 
     def validate(self) -> None:
-        if self.max_token_len < 1:
-            raise FilterError("max_token_len must be >= 1")
-        if self.token_estimator not in TOKEN_ESTIMATORS:
-            raise FilterError(f"token_estimator must be one of {TOKEN_ESTIMATORS}")
+        for f in fields(self):
+            error = field_error(FIELDS[f.name], getattr(self, f.name))
+            if error is not None:
+                raise FilterError(f"{f.name}: {error}")
 
 
 def check_format(trajectory: TrajectoryRecord,
@@ -56,22 +55,20 @@ def check_format(trajectory: TrajectoryRecord,
     def fail(detail: str) -> VerificationVerdict:
         return VerificationVerdict(status="malformed_format", checker="format", detail=detail)
 
-    opens = [m.start() for m in re.finditer(re.escape(THINK_OPEN), text)]
-    closes = [m.start() for m in re.finditer(re.escape(THINK_CLOSE), text)]
-    if not opens and not closes:
+    tags = re.findall(r"</?think>", text)
+    opens, closes = tags.count(THINK_OPEN), tags.count(THINK_CLOSE)
+    if not tags:
         return fail("missing think pair")
-    if len(opens) > len(closes):
+    if opens > closes:
         return fail("unclosed think tag")
-    if len(closes) > len(opens):
+    if closes > opens:
         return fail("unopened think closer")
-    if require_single and len(opens) > 1:
+    if require_single and opens > 1:
         return fail("multiple think pairs")
-    # pairs must strictly alternate: open < close < open < close ...
-    for i, (o, c) in enumerate(zip(opens, closes)):
-        if o > c:
-            return fail("think closer precedes opener")
-        if i + 1 < len(opens) and opens[i + 1] < c:
-            return fail("nested think pair")
+    # tags must strictly alternate: open, close, open, close ...
+    for i, tag in enumerate(tags):
+        if (tag == THINK_OPEN) != (i % 2 == 0):
+            return fail("nested think pair" if i % 2 else "think closer precedes opener")
     if not candidate_answer(text):
         return fail("no answer after think block")
     return None

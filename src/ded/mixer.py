@@ -38,6 +38,8 @@ def compose_mix(sources: Sequence[tuple[Sequence[TrajectoryRecord], int]],
     provenance: list[dict[str, Any]] = []
     for idx, (records, take) in enumerate(sources):
         qids = sorted({t.question_id for t in records})
+        if take < 1:
+            raise MixError(f"source {idx}: take must be >= 1, got {take}")
         if take > len(qids):
             raise MixError(f"source {idx}: take {take} > {len(qids)} available questions")
         chosen = set(rng.sample(qids, take))

@@ -14,20 +14,20 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
 from . import diagnostics
-from .clients import (CachingClient, Client, ClientError, HttpClient, JudgeRequest,
-                      MockClient, RetryPolicy, map_concurrent)
-from .compress import CompressionReport, select_hard, student_rollout
-from .config import manifest_snapshot, validate_config
+from .clients import (CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy,
+                      map_concurrent)
+from .compress import CompressionReport, judge_request, select_hard, student_rollout
+from .config import validate_config
 from .diversity import diversify_corpus
-from .filtering import (FilterConfig, FilterError, candidate_answer, effective_token_len,
-                        run_quality_gate)
+from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
+                        effective_token_len, run_quality_gate)
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
                       QuestionRecord, TrajectoryRecord, content_hash, dumps_record,
@@ -96,12 +96,9 @@ def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
     kept, rejected, still_queued, errors = [], [], [], []
     buckets = {"correct": kept, "incorrect": rejected}
     for t in gate_needs_judge:
-        question = questions[t.question_id]
         try:
-            verdict = client.judge(JudgeRequest(
-                question=question.prompt,
-                candidate_answer=candidate_answer(t.text) or "(empty)",
-                ground_truth=str(question.ground_truth or "unspecified")))
+            verdict = client.judge(judge_request(questions[t.question_id],
+                                                 candidate_answer(t.text) or "(empty)"))
         except ClientError as exc:
             errors.append({"question_id": t.question_id, "trajectory_id": t.trajectory_id,
                            "error": str(exc)})
@@ -178,8 +175,7 @@ class _Run:
 
     def __post_init__(self) -> None:
         self.snapshot = manifest_snapshot(self.cfg)
-        self.fconfig = FilterConfig(**{key: self.cfg[key] for key in (
-            "max_token_len", "require_single_think_pair", "token_estimator")})
+        self.fconfig = FilterConfig(**{f.name: self.cfg[f.name] for f in fields(FilterConfig)})
 
     def paths(self, names: tuple[str, ...]) -> list[Path]:
         return [self.out / name for name in names]
@@ -378,6 +374,13 @@ STAGE_TABLE = (
 )
 _WRITERS = {row.manifest: row for row in STAGE_TABLE if row.manifest}
 _LINEAGE = STAGES[:-1]  # raw ... right_hard_diverse; mixed stands apart
+# the keys of every stage's corpus, echoed into every manifest
+SNAPSHOT_KEYS = tuple(dict.fromkeys(key for row in STAGE_TABLE for key in row.keys))
+
+
+def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
+    """The parameter set echoed into every manifest."""
+    return {**{key: cfg[key] for key in SNAPSHOT_KEYS}, "gate_order": list(GATE_ORDER)}
 
 
 def _remove_replaced(run: _Run) -> None:
@@ -435,7 +438,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
     out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     log = EventLog(out / "logs" / "events.jsonl")
-    client = build_client(cfg, out)
+    client: CachingClient | None = None
     deterministic = cfg["client"]["mode"] == "mock"
     stamp = cfg["timestamp"] or (EPOCH_ISO if deterministic
                                  else datetime.now(timezone.utc).isoformat())
@@ -446,6 +449,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
 
     current_stage = rows[0].name if rows else ""
     try:
+        client = build_client(cfg, out)
         # manifests from earlier partial runs let any stage suffix resume
         priors = {stage: out / f"manifest_{stage}.json" for stage in STAGES}
         run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
@@ -526,7 +530,8 @@ def run_pipeline(config: str | Path | dict[str, Any],
         result.failed_stage, result.error = current_stage, str(exc)
     finally:
         log.emit("pipeline", "done", exit_code=result.exit_code,
-                 cache_hits=client.hits, cache_misses=client.misses)
+                 cache_hits=client.hits if client else 0,
+                 cache_misses=client.misses if client else 0)
         log.close()
     return result
 

@@ -149,19 +149,21 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
     path = Path(path)
     if not path.exists():
         raise TeacherSelectError(f"no such score file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if path.suffix.lower() == ".csv":
+            rows = list(enumerate(csv.DictReader(fh), start=2))
+        else:
+            rows = [(i, json.loads(line)) for i, line in enumerate(fh, start=1) if line.strip()]
     records: list[ScoreRecord] = []
-    if path.suffix.lower() == ".csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for i, row in enumerate(reader, start=2):
-                records.append(_score_from_row(row, f"{path.name} line {i}"))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                records.append(_score_from_row(json.loads(line), f"{path.name} line {i}"))
+    seen: dict[tuple[str, str, str], int] = {}  # (teacher, student, benchmark) -> line
+    for i, row in rows:
+        record = _score_from_row(row, f"{path.name} line {i}")
+        key = (record.teacher_id, record.student_id, record.benchmark)
+        if key in seen:
+            raise TeacherSelectError(f"{path.name}: duplicate score row {key!r} "
+                                     f"(lines {seen[key]} and {i})")
+        seen[key] = i
+        records.append(record)
     return records
 
 
@@ -188,16 +190,20 @@ def rank_teachers(records: Sequence[ScoreRecord],
         raise TeacherSelectError("no score records")
     teachers = sorted({r.teacher_id for r in records})
     benchmarks = sorted({r.benchmark for r in records})
-    if weights is None:
-        weights = {b: Fraction(1, len(benchmarks)) for b in benchmarks}
-    wsum = sum(Fraction(str(w)) if not isinstance(w, Fraction) else w
-               for w in weights.values())
+    weights = ({b: Fraction(1, len(benchmarks)) for b in benchmarks} if weights is None
+               else {b: Fraction(str(w)) for b, w in weights.items()})
+    wsum = sum(weights.values())
     if abs(wsum - 1) > Fraction(1, 10 ** 9):
         raise TeacherSelectError(f"benchmark weights must sum to 1, got {float(wsum)}")
 
-    cell: dict[tuple[str, str], ScoreRecord] = {}
+    rows: dict[tuple[str, str], list[ScoreRecord]] = {}
     for r in records:
-        cell[(r.teacher_id, r.benchmark)] = r
+        rows.setdefault((r.teacher_id, r.benchmark), []).append(r)
+    # one student's scores per cell: scores of different students do not average
+    shared = {k: sorted(r.student_id for r in rs) for k, rs in rows.items() if len(rs) > 1}
+    if shared:
+        raise TeacherSelectError(f"more than one score row per (teacher, benchmark): {shared}")
+    cell = {k: rs[0] for k, rs in rows.items()}
     missing = [(t, b) for t in teachers for b in weights if (t, b) not in cell]
     if missing:
         raise TeacherSelectError(f"incomplete score matrix, missing cells: {missing}")
@@ -207,7 +213,6 @@ def rank_teachers(records: Sequence[ScoreRecord],
         score = Fraction(0)
         lens = []
         for b, w in weights.items():
-            w = Fraction(str(w)) if not isinstance(w, Fraction) else w
             r = cell[(t, b)]
             score += w * Fraction(Decimal(r.delta_acc))
             lens.append(r.mean_response_len)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,30 @@ class TestSampleAndDiversify:
         assert len(parse_corpus(diverse, "trajectories")) == 40
         data = json.loads(report.read_text())
         assert data["p"] == 2 and len(data["per_question"]) == 20
+
+
+_BAD_FIXTURE = '{"kind": "sample", "prompt": "p", "responses": ["r"]}\n'
+
+
+class TestBadFixtures:
+    def test_sample_exits_3_naming_the_row(self, tmp_path, capsys):
+        qpath, _ = _write_corpus_files(tmp_path)
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text(_BAD_FIXTURE, encoding="utf-8")
+        assert main(["sample", "--questions", str(qpath), "--teacher", "t", "--fixtures",
+                     str(fx), "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert f"{fx} line 1: sample row without field 'teacher_id'" in capsys.readouterr().err
+
+    def test_run_exits_3_and_logs_the_failure(self, tmp_path, capsys):
+        config = build_pipeline_fixture(tmp_path)
+        Path(config["client"]["fixtures"]).write_text(_BAD_FIXTURE, encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert "sample row without field 'teacher_id'" in capsys.readouterr().err
+        log = Path(config["out_dir"]) / "logs" / "events.jsonl"
+        events = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [e["event"] for e in events] == ["stage_failed", "done"]
 
 
 class TestCompressCommand:
@@ -160,6 +188,15 @@ class TestMixCommand:
         assert len({t.question_id for t in mixed}) == 6
         assert out.with_suffix(".manifest.json").exists()
 
+    def test_take_of_zero_is_refused(self, tmp_path, capsys):
+        qpath, _ = _write_corpus_files(tmp_path)
+        a = tmp_path / "a.jsonl"
+        main(["sample", "--questions", str(qpath), "--teacher", "t1", "--m", "1", "--out", str(a)])
+        out = tmp_path / "mixed.jsonl"
+        assert main(["mix", "--source", f"{a}:0", "--seed", "5", "--out", str(out)]) == 3
+        assert "take must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRankCommand:
     def test_rank_prints_order(self, tmp_path, capsys):
@@ -169,6 +206,19 @@ class TestRankCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("1. QwQ-32B")
         assert out[-1].startswith("4. DeepSeek-R1")
+
+
+    def test_repeated_score_rows_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        "ta,s1,aime,80,100,50\nta,s1,aime,90,100,50\nta,s2,aime,10,100,50\n",
+                        encoding="utf-8")
+        assert main(["rank", "--scores", str(path)]) == 3
+        assert "(lines 2 and 3)" in capsys.readouterr().err
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        "ta,s1,aime,80,100,50\nta,s2,aime,10,100,50\n", encoding="utf-8")
+        assert main(["rank", "--scores", str(path)]) == 3
+        assert "['s1', 's2']" in capsys.readouterr().err
 
 
 class TestStatsCommands:
@@ -274,6 +324,21 @@ class TestRunCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"pass_threshold": 2}), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 2
+
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m ded.cli` runs console_main, as the installed `ded` script does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"no_such_key": 1}), encoding="utf-8")
+    good.write_text(json.dumps(build_pipeline_fixture(tmp_path)), encoding="utf-8")
+    for path, code in ((bad, 2), (good, 0)):
+        run = subprocess.run([sys.executable, "-m", "ded.cli", "run", "--config", str(path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
 
 
 class TestSmokeCommand:

@@ -15,6 +15,7 @@ from ded.clients import (AuthenticationError, CachingClient, Client, FaultInject
                          HttpClient, JudgeRequest, MockClient, RetryBudgetExceededError,
                          RetryPolicy, SamplingRequest, SchemaError, TransportError,
                          load_mock_fixtures, map_concurrent, parse_judge_reply)
+from ded.records import CorpusError
 
 
 def _request(m=1, prompt="p", teacher="t"):
@@ -117,6 +118,22 @@ class TestMockClient:
         assert client.sample_trajectories(_request(m=2)) == ["r1", "r2"]
         assert client.judge(JudgeRequest(question="q", candidate_answer="c",
                                          ground_truth="x")).status == "incorrect"
+
+
+    @pytest.mark.parametrize("line,problem", [
+        ('{"kind": "sample", "prompt": "p", "responses": []}',
+         "sample row without field 'teacher_id'"),
+        ('{"kind": "judge", "question": "q"}', "judge row without field 'candidate_answer'"),
+        ('{"kind": "sample", ', "invalid JSON"),
+        ('["sample"]', "not a JSON object"),
+    ])
+    def test_bad_fixture_row_names_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "fx.jsonl"
+        good = {"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": ["r"]}
+        path.write_text(json.dumps(good) + "\n\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_mock_fixtures(path)
+        assert f"{path} line 3: {problem}" in str(err.value)
 
 
 class TestJudgeReplyParsing:

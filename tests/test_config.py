@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ded.config import ConfigError, DEFAULTS, manifest_snapshot, validate_config
+from ded.config import ConfigError, DEFAULTS, validate_config
+from ded.pipeline import manifest_snapshot
 
 
 class TestValidateConfig:

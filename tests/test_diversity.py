@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from ded import diversity
 from ded.diversity import (DistanceMatrix, DiversityError, _band_distances,
                            _bounded_distances, _codes, _strip_common, clamped_distance,
-                           diversify_corpus, levenshtein, levenshtein_bounded,
-                           pairwise_distances, select_farthest, surface_distances,
-                           trajectory_surface)
+                           diversify_corpus, levenshtein_bounded, select_farthest,
+                           surface_distances, trajectory_surface)
 
 from conftest import make_question, make_trajectory
 from oracles import (brute_force_max_pair, min_dist_to_set, myers_distance,
@@ -66,54 +65,62 @@ def near_duplicate_texts(seed: int) -> list[str]:
     return texts
 
 
+def question_matrix(trajectories, unit: str = "char", cap=None) -> DistanceMatrix:
+    """One question's distance matrix, built the way diversify_corpus builds it."""
+    ordered = sorted(trajectories, key=lambda t: t.trajectory_id)
+    return surface_distances([t.trajectory_id for t in ordered],
+                             [trajectory_surface(t.text, unit) for t in ordered], cap=cap)
+
+
 def bounded_want(true: int, cap) -> int | None:
     return true if true < cap else None
 
 
 class TestLevenshtein:
     def test_identity(self):
-        assert levenshtein("abc", "abc") == 0
+        assert levenshtein_bounded("abc", "abc", math.inf) == 0
 
     def test_pure_insertions(self):
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "") == 3
+        assert levenshtein_bounded("", "abc", math.inf) == 3
+        assert levenshtein_bounded("abc", "", math.inf) == 3
 
     def test_kitten_sitting(self):
         assert naive_levenshtein("kitten", "sitting") == 3
-        assert levenshtein("kitten", "sitting") == 3
+        assert levenshtein_bounded("kitten", "sitting", math.inf) == 3
 
     def test_token_sequences(self):
         a = "the quick brown fox".split()
         b = "the slow brown dog".split()
-        assert levenshtein(a, b) == 2
+        assert levenshtein_bounded(a, b, math.inf) == 2
 
     @given(short_strings, short_strings)
     @settings(max_examples=300)
     def test_matches_oracle(self, a, b):
-        assert levenshtein(a, b) == naive_levenshtein(a, b)
+        assert levenshtein_bounded(a, b, math.inf) == naive_levenshtein(a, b)
 
     @given(st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24),
            st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24))
     def test_any_code_point(self, a, b):
-        assert levenshtein(a, b) == naive_levenshtein(a, b)
+        assert levenshtein_bounded(a, b, math.inf) == naive_levenshtein(a, b)
 
     @given(short_strings, short_strings)
     def test_bounds(self, a, b):
-        d = levenshtein(a, b)
+        d = levenshtein_bounded(a, b, math.inf)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
     @given(short_strings, short_strings)
     def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
+        assert levenshtein_bounded(a, b, math.inf) == levenshtein_bounded(b, a, math.inf)
 
     @given(short_strings, short_strings, short_strings)
     @settings(max_examples=150)
     def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+        ac, ab, bc = (levenshtein_bounded(x, y, math.inf) for x, y in ((a, c), (a, b), (b, c)))
+        assert ac <= ab + bc
 
     @given(short_strings, short_strings)
     def test_identity_of_indiscernibles(self, a, b):
-        assert (levenshtein(a, b) == 0) == (a == b)
+        assert (levenshtein_bounded(a, b, math.inf) == 0) == (a == b)
 
 
 class TestLevenshteinBounded:
@@ -133,7 +140,7 @@ class TestLevenshteinBounded:
         for _ in range(40):
             a = "".join(rng.choice("abcdef") for _ in range(rng.randint(0, 60)))
             b = "".join(rng.choice("abcdef") for _ in range(rng.randint(0, 60)))
-            assert levenshtein_bounded(a, b, math.inf) == levenshtein(a, b)
+            assert levenshtein_bounded(a, b, math.inf) == myers_distance(a, b)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(DiversityError):
@@ -198,9 +205,9 @@ class TestBandEngine:
                               " ".join(words[5:])) for i, words in enumerate(pair)]
         surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
         true = myers_distance(*surfaces)
-        assert pairwise_distances(ts, unit="token").distances[0, 1] == true
+        assert question_matrix(ts, unit="token").distances[0, 1] == true
         for cap in (max(true - 1, 1), true + 1):
-            assert pairwise_distances(ts, unit="token", cap=cap).distances[0, 1] == min(true, cap)
+            assert question_matrix(ts, unit="token", cap=cap).distances[0, 1] == min(true, cap)
 
     def test_band_doubles_from_a_narrow_hint(self, monkeypatch):
         widths = []
@@ -328,10 +335,10 @@ class TestBatchedBand:
                               " ".join(words[5:])) for i, words in enumerate(word_lists)]
         surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
         want = np.array([[myers_distance(x, y) for y in surfaces] for x in surfaces])
-        matrix = pairwise_distances(ts, unit="token")
+        matrix = question_matrix(ts, unit="token")
         assert (matrix.distances == want).all()
         for cap in (max(int(want[0, 1]) - 1, 1), int(want[0, 1]) + 1):
-            got = pairwise_distances(ts, unit="token", cap=cap).distances
+            got = question_matrix(ts, unit="token", cap=cap).distances
             assert (got == np.minimum(want, cap)).all()
 
     def test_codes_leave_two_values_for_padding(self):
@@ -611,13 +618,13 @@ def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
                     for i, text in enumerate(texts.values())]
     for t, tid in zip(trajectories, texts.keys()):
         t.trajectory_id = tid
-    return pairwise_distances(trajectories, unit="char", cap=cap)
+    return question_matrix(trajectories, unit="char", cap=cap)
 
 
 class TestPairwiseDistances:
     def test_single_trajectory_zero_matrix(self):
         q = make_question(0)
-        matrix = pairwise_distances([make_trajectory(q, 0, "<think>a</think>x")])
+        matrix = question_matrix([make_trajectory(q, 0, "<think>a</think>x")])
         assert matrix.distances.tolist() == [[0]]
 
     def test_identical_texts_zero_off_diagonal(self):
@@ -639,13 +646,6 @@ class TestPairwiseDistances:
         assert trajectory_surface("<think>abc</think>xyz") == "abcxyz"
         assert trajectory_surface("<think>a b</think>c d", unit="token") == ["a", "b", "c", "d"]
 
-    def test_mixed_questions_rejected(self):
-        qa, qb = make_question(0), make_question(1)
-        ts = [make_trajectory(qa, 0, "<think>a</think>x"),
-              make_trajectory(qb, 0, "<think>a</think>x")]
-        with pytest.raises(DiversityError):
-            pairwise_distances(ts)
-
     def test_capped_matrix_is_truncated_metric(self):
         texts = {"a": "aaaaaaaaaa", "b": "bbbbbbbbbb", "c": "ababababab"}
         matrix = _matrix_from_texts(texts, cap=4)
@@ -657,7 +657,7 @@ class TestPairwiseDistances:
         q = make_question(0)
         ts = [make_trajectory(q, 0, "<think>x</think>one two three"),
               make_trajectory(q, 1, "<think>x</think>one two four")]
-        matrix = pairwise_distances(ts, unit="token")
+        matrix = question_matrix(ts, unit="token")
         assert matrix.distances[0, 1] == 1
 
 
@@ -752,7 +752,7 @@ class TestDiversifyCorpus:
         for t in trajectories:
             by_q.setdefault(t.question_id, []).append(t)
         for qid, members in by_q.items():
-            matrix = pairwise_distances(members)
+            matrix = question_matrix(members)
             chosen = [t.trajectory_id for t in selected if t.question_id == qid]
             idx = {tid: k for k, tid in enumerate(matrix.ids)}
             got = min(int(matrix.distances[idx[a], idx[b]])

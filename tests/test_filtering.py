@@ -36,6 +36,17 @@ class TestCheckFormat:
     def test_closer_before_opener(self):
         assert check_format(_traj("</think>x<think>y")).detail == "think closer precedes opener"
 
+    # the details the tests above leave out, and a later pair out of order
+    @pytest.mark.parametrize("text,single,detail", [
+        ("<think>a</think>b</think>x", False, "unopened think closer"),
+        ("<think>a<think>b</think>c</think>x", False, "nested think pair"),
+        ("<think>a</think>b</think><think>c<think>d</think>x", False,
+         "think closer precedes opener"),
+    ])
+    def test_each_detail(self, text, single, detail):
+        config = FilterConfig(require_single_think_pair=single)
+        assert check_format(_traj(text), config).detail == detail
+
     def test_no_answer_after_close(self):
         assert check_format(_traj("<think>a</think>   ")).detail == "no answer after think block"
 

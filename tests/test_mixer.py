@@ -61,6 +61,11 @@ class TestComposeMix:
             compose_mix([(_corpus("m", 2), 3)], seed=0)
         assert "take 3 > 2" in str(err.value)
 
+    def test_take_below_one_errors(self):
+        with pytest.raises(MixError) as err:
+            compose_mix([(_corpus("m", 2), 1), (_corpus("c", 2), 0)], seed=0)
+        assert "source 1: take must be >= 1, got 0" in str(err.value)
+
     def test_duplicate_question_across_sources_errors(self):
         a = _corpus("m", 3)
         b = _corpus("m", 3)

@@ -12,10 +12,10 @@ import pytest
 from ded import pipeline
 from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
                          SamplingRequest)
-from ded.config import SNAPSHOT_KEYS, STAGE_SEQUENCE, manifest_snapshot, validate_config
+from ded.config import STAGE_SEQUENCE, validate_config
 from ded.filtering import extract_final_answer
-from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline,
-                          tree_hash)
+from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
+                          manifest_snapshot, run_pipeline, tree_hash)
 from ded.records import (EPOCH_ISO, PHASES, STAGES, EmbeddingRecord, LogprobRecord,
                          QuestionRecord, lineage_chain, load_manifest, parse_corpus,
                          write_corpus)
@@ -132,6 +132,23 @@ class TestPipelineEndToEnd:
         result = run_pipeline(config)
         assert result.exit_code == EXIT_STAGE
         assert result.failed_stage == "sample"
+
+    @pytest.mark.parametrize("fixtures,problem", [
+        ('{"kind": "sample", "prompt": "p", "responses": []}\n', "line 1: sample row without"),
+        (None, "No such file"),
+    ])
+    def test_bad_fixtures_file_is_a_logged_stage_failure(self, tmp_path, fixtures, problem):
+        config = build_pipeline_fixture(tmp_path)
+        path = tmp_path / "fixtures.jsonl"
+        if fixtures is None:
+            path.unlink()
+        else:
+            path.write_text(fixtures, encoding="utf-8")
+        result = run_pipeline(config)
+        assert result.exit_code == EXIT_STAGE and problem in result.error
+        events = [(e["stage"], e["event"], e.get("exit_code"))
+                  for e in _read_events(result.out_dir)]
+        assert events == [("sample", "stage_failed", None), ("pipeline", "done", EXIT_STAGE)]
 
     def test_structured_log_fields(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)

@@ -95,6 +95,24 @@ class TestIngestScores:
         assert "base_acc" in str(err.value)
 
 
+    def test_repeated_score_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        "ta,s1,aime,80,100,50\nta,s1,aime,90,100,50\nta,s2,aime,10,100,50\n",
+                        encoding="utf-8")
+        with pytest.raises(TeacherSelectError) as err:
+            ingest_scores(path)
+        assert "duplicate score row ('ta', 's1', 'aime') (lines 2 and 3)" in str(err.value)
+
+    def test_repeated_jsonl_score_row_is_refused(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        row = {"teacher_id": "t", "student_id": "s", "benchmark": "b",
+               "acc": "50", "mean_response_len": 100, "base_acc": "40"}
+        path.write_text(json.dumps(row) + "\n\n" + json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(TeacherSelectError, match="lines 1 and 3"):
+            ingest_scores(path)
+
+
 class TestRankTeachers:
     def _records(self, tmp_path):
         return ingest_scores(write_score_csv(tmp_path / "scores.csv"))
@@ -132,6 +150,14 @@ class TestRankTeachers:
         with pytest.raises(TeacherSelectError) as err:
             rank_teachers(records)
         assert "Qwen3-32B" in str(err.value) and "GPQA" in str(err.value)
+
+    def test_cell_scored_on_two_students_names_them(self):
+        records = [ScoreRecord("ta", "s1", "aime", "80", 100.0, "30"),
+                   ScoreRecord("ta", "s2", "aime", "10", 100.0, "-40"),
+                   ScoreRecord("tb", "s1", "aime", "60", 100.0, "10")]
+        with pytest.raises(TeacherSelectError) as err:
+            rank_teachers(records)
+        assert "('ta', 'aime'): ['s1', 's2']" in str(err.value)
 
     def test_weights_must_sum_to_one(self, tmp_path):
         with pytest.raises(TeacherSelectError):
