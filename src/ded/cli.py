@@ -20,9 +20,10 @@ from .filtering import FilterConfig, run_quality_gate
 from .mixer import compose_mix
 from .pipeline import (EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client,
                        run_pipeline, write_diverse, write_filtered, write_hard)
-from .records import (STAGES, CorpusError, PassRateStats, load_manifest, parse_corpus,
-                      save_manifest, write_corpus, write_json, write_manifest)
-from .teacher import build_smoke_corpus, ingest_scores, rank_teachers, sample_teacher
+from .records import (CORPUS_KINDS, STAGES, PassRateStats, load_manifest, parse_corpus,
+                      read_jsonl, save_manifest, write_corpus, write_json, write_manifest)
+from .teacher import (TeacherSelectError, build_smoke_corpus, ingest_scores, rank_teachers,
+                      sample_teacher)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,8 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate a corpus file and write a raw manifest")
     p.set_defaults(handler=_cmd_ingest)
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--kind", default="questions",
-                   choices=["questions", "trajectories", "logprobs", "embeddings", "scores"])
+    p.add_argument("--kind", default="questions", choices=CORPUS_KINDS)
     p.add_argument("--manifest-out")
 
     p = sub.add_parser("sample", help="sample teacher trajectories (mock client)")
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rank)
     p.add_argument("--scores", required=True)
     p.add_argument("--weights", default="uniform",
-                   help='"uniform" or a path to a JSON benchmark->weight map')
+                   help='"uniform" or a path to a JSON object mapping benchmarks to weights')
 
     p = sub.add_parser("stats", help="corpus diagnostics")
     p.set_defaults(handler=_cmd_stats)
@@ -222,7 +222,12 @@ def _cmd_rank(args) -> int:
     weights = None
     if args.weights != "uniform":
         with open(args.weights, "r", encoding="utf-8") as fh:
-            weights = json.load(fh)
+            try:
+                weights = json.load(fh)
+                if not isinstance(weights, dict) or {*map(type, weights.values())} - {int, float}:
+                    raise ValueError("not a JSON object mapping benchmarks to numbers")
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+                raise TeacherSelectError(f"{args.weights}: {exc}") from exc
     rankings = rank_teachers(records, weights)
     for i, r in enumerate(rankings, start=1):
         print(f"{i}. {r.teacher_id}  score={float(r.score):+.4f}  "
@@ -232,8 +237,8 @@ def _cmd_rank(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.stat == "pass1":
-        with open(args.outcomes, "r", encoding="utf-8") as fh:
-            rows = [PassRateStats.from_dict(json.loads(line)) for line in fh if line.strip()]
+        rows: list[PassRateStats] = []
+        read_jsonl(args.outcomes, lambda _, row: rows.append(PassRateStats.from_dict(row)))
         matrix = [[i < s.successes for i in range(s.runs)] for s in rows]
         print(f"pass@1: {diagnostics.pass_at_1(matrix):.2f}")
         return EXIT_OK
@@ -285,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except ClientError as exc:
         print(f"client failure: {exc}", file=sys.stderr)
         return EXIT_CLIENT
-    except (CorpusError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .filtering import normalize_answer
-from .records import CorpusError, VerificationVerdict, replacing
+from .records import CorpusError, VerificationVerdict, read_jsonl, replacing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -316,26 +316,23 @@ def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
     """Fixture JSONL: sample lines carry (teacher_id, prompt, responses),
     judge lines carry (question, candidate_answer, status and/or reply).
     Raises CorpusError naming the file and line of a row that is not a JSON
-    object or lacks a field its kind needs."""
+    object, is of a kind other than sample or judge, or lacks a field its
+    kind needs."""
     samples: dict[tuple[str, str], list[str]] = {}
     judges: dict[tuple[str, str], dict[str, Any]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"mock fixtures {path} line {lineno}"
-            try:
-                row = json.loads(line)
-                if row.get("kind") == "sample":
-                    samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
-                elif row.get("kind") == "judge":
-                    judges[(row["question"], row["candidate_answer"])] = row
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON: {exc.msg}") from exc
-            except AttributeError as exc:
-                raise CorpusError(f"{where}: not a JSON object") from exc
-            except KeyError as exc:
-                raise CorpusError(f"{where}: {row['kind']} row without field {exc}") from exc
+
+    def load(lineno: int, row: dict[str, Any]) -> None:
+        try:
+            if row.get("kind") == "sample":
+                samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
+            elif row.get("kind") == "judge":
+                judges[(row["question"], row["candidate_answer"])] = row
+            else:
+                raise CorpusError(f"kind must be sample or judge, got {row.get('kind')!r}")
+        except KeyError as exc:
+            raise CorpusError(f"{row['kind']} row without field {exc}") from exc
+
+    read_jsonl(path, load)
     return {"samples": samples, "judges": judges}
 
 

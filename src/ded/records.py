@@ -37,18 +37,12 @@ EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
 class CorpusError(ValueError):
-    """Malformed corpus file or record invariant violation.
+    """Malformed corpus file or record invariant violation. Raised by
+    `read_jsonl`, it carries the 1-based line number and byte offset of the
+    offending line."""
 
-    Carries the 1-based line number and byte offset of the offending line
-    when raised during parsing.
-    """
-
-    def __init__(self, message: str, line: int | None = None, offset: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.offset = offset
+    line: int | None = None
+    offset: int | None = None
 
 
 # ------------------------------------------------------------ declarations
@@ -340,56 +334,60 @@ _RECORD_TYPES = {
 Record = Any  # any of the record dataclasses above
 
 
-def parse_corpus(path: str | Path, kind: str) -> list[Record]:
-    """Parse a JSONL corpus file into validated records, in file order.
-
-    Raises CorpusError naming the 1-based line number and byte offset for
-    malformed lines, and naming field and record id for invariant
-    violations. Duplicate primary keys report both line numbers.
-    """
-    if kind not in _RECORD_TYPES:
-        raise CorpusError(f"unknown corpus kind {kind!r}; expected one of {CORPUS_KINDS}")
-    record_type = _RECORD_TYPES[kind]
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"no such file: {path}")
-
-    records: list[Record] = []
-    seen: dict[Any, int] = {}  # record ids and trajectory sample keys -> line
-    embed_dim: int | None = None
-    offset = 0
+def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> None:
+    """Call load(line number, object) on each line of a JSONL file that is
+    not blank, in file order. A line that is not a UTF-8 JSON object is a
+    CorpusError. Each refusal, this function's or load's, is raised again as
+    its own type with "<path> line <n>: " in front, and the line's number
+    and byte offset as its `line` and `offset`."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line_offset = offset
-            offset += len(raw)
-            if not raw.strip():
+            if raw.isspace():
                 continue
             try:
                 try:
                     data = json.loads(raw.strip().decode("utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise CorpusError(f"invalid UTF-8: {exc}") from exc
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"unterminated or invalid JSON object: {exc.msg}") from exc
-                record = record_type.from_dict(data)
-                keys = [("record id", record.sort_key)]
-                if kind == "trajectories":
-                    keys.append(("(question_id, teacher_id, sample_index)",
-                                 (record.question_id, record.teacher_id, record.sample_index)))
-                for what, key in keys:
-                    if (what, key) in seen:
-                        raise CorpusError(f"duplicate {what} {key!r} "
-                                          f"(lines {seen[what, key]} and {lineno})")
-                    seen[what, key] = lineno
-                if kind == "embeddings":
-                    embed_dim = embed_dim or len(record.vector)
-                    if len(record.vector) != embed_dim:
-                        raise CorpusError(
-                            f"embedding {record.item_id}: dimension {len(record.vector)} "
-                            f"differs from {embed_dim} established earlier in the file")
-            except CorpusError as exc:
-                raise CorpusError(str(exc), line=lineno, offset=line_offset) from exc
-            records.append(record)
+                except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                    raise CorpusError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+                if not isinstance(data, dict):
+                    raise CorpusError(f"not a JSON object, got {type(data).__name__}")
+                load(lineno, data)
+            except ValueError as exc:
+                error = type(exc)(f"{path} line {lineno}: {exc}")
+                error.line, error.offset = lineno, fh.tell() - len(raw)
+                raise error from exc
+
+
+def parse_corpus(path: str | Path, kind: str) -> list[Record]:
+    """Parse a JSONL corpus file into validated records, in file order.
+
+    Raises CorpusError naming the file, 1-based line number and byte offset
+    of a malformed line (see `read_jsonl`), and naming field and record id
+    for invariant violations. Duplicate primary keys report both line numbers.
+    """
+    if kind not in _RECORD_TYPES:
+        raise CorpusError(f"unknown corpus kind {kind!r}; expected one of {CORPUS_KINDS}")
+    record_type = _RECORD_TYPES[kind]
+
+    records: list[Record] = []
+    seen: dict[Any, int] = {}  # record ids and trajectory sample keys -> line
+
+    def load(lineno: int, data: dict[str, Any]) -> None:
+        record = record_type.from_dict(data)
+        keys = [("record id", record.sort_key)]
+        if kind == "trajectories":
+            keys.append(("(question_id, teacher_id, sample_index)",
+                         (record.question_id, record.teacher_id, record.sample_index)))
+        for what, key in keys:
+            first = seen.setdefault((what, key), lineno)
+            if first != lineno:
+                raise CorpusError(f"duplicate {what} {key!r} (lines {first} and {lineno})")
+        if kind == "embeddings" and records and len(record.vector) != len(records[0].vector):
+            raise CorpusError(f"embedding {record.item_id}: dimension {len(record.vector)} differs"
+                              f" from {len(records[0].vector)} established earlier in the file")
+        records.append(record)
+
+    read_jsonl(path, load)
     return records
 
 

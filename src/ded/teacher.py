@@ -10,7 +10,6 @@ benchmark numbers.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Any, Sequence
 from .clients import Client, SamplingRequest, map_concurrent
 from .filtering import FilterConfig, GateResult, run_quality_gate
 from .records import (CorpusManifest, QuestionRecord, ScoreRecord, TrajectoryRecord,
-                      write_corpus, write_json, write_manifest)
+                      read_jsonl, write_corpus, write_json, write_manifest)
 
 # Echoed into every training manifest so the external fine-tuning step and
 # the corpus stay in one auditable bundle.
@@ -115,27 +114,22 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
 _SCORE_FIELDS = ("teacher_id", "student_id", "benchmark", "acc", "mean_response_len", "base_acc")
 
 
-def _score_from_row(row: dict[str, Any], where: str) -> ScoreRecord:
+def _score_from_row(row: dict[str, Any]) -> ScoreRecord:
     missing = [f for f in _SCORE_FIELDS if row.get(f) in (None, "")]
     if missing:
-        raise TeacherSelectError(f"{where}: missing fields {missing}")
+        raise TeacherSelectError(f"missing fields {missing}")
     try:
         acc = Decimal(str(row["acc"]))
         base = Decimal(str(row["base_acc"]))
-    except InvalidOperation as exc:
-        raise TeacherSelectError(f"{where}: bad decimal: {exc}") from exc
-    if not (Decimal(0) <= acc <= Decimal(100)):
-        raise TeacherSelectError(f"{where}: acc {acc} outside [0, 100]")
-    if not (Decimal(0) <= base <= Decimal(100)):
-        raise TeacherSelectError(f"{where}: base_acc {base} outside [0, 100]")
-    record = ScoreRecord(
-        teacher_id=str(row["teacher_id"]),
-        student_id=str(row["student_id"]),
-        benchmark=str(row["benchmark"]),
-        acc=str(acc),
-        mean_response_len=float(row["mean_response_len"]),
-        delta_acc=str(acc - base),
-    )
+        mean_response_len = float(row["mean_response_len"])
+    except (InvalidOperation, TypeError, ValueError) as exc:
+        raise TeacherSelectError(f"bad number: {exc}") from exc
+    for name, value in (("acc", acc), ("base_acc", base)):
+        if not (value.is_finite() and 0 <= value <= 100):
+            raise TeacherSelectError(f"{name} {value} outside [0, 100]")
+    record = ScoreRecord(teacher_id=str(row["teacher_id"]), student_id=str(row["student_id"]),
+                         benchmark=str(row["benchmark"]), acc=str(acc),
+                         mean_response_len=mean_response_len, delta_acc=str(acc - base))
     record.validate()
     return record
 
@@ -146,24 +140,29 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
     Accuracies are percentages; delta_acc = acc - base_acc with exact
     decimal arithmetic, so 79.58 - 65.63 really is 13.95.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TeacherSelectError(f"no such score file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if path.suffix.lower() == ".csv":
-            rows = list(enumerate(csv.DictReader(fh), start=2))
-        else:
-            rows = [(i, json.loads(line)) for i, line in enumerate(fh, start=1) if line.strip()]
     records: list[ScoreRecord] = []
     seen: dict[tuple[str, str, str], int] = {}  # (teacher, student, benchmark) -> line
-    for i, row in rows:
-        record = _score_from_row(row, f"{path.name} line {i}")
+
+    def load(i: int, row: dict[str, Any]) -> None:
+        record = _score_from_row(row)
         key = (record.teacher_id, record.student_id, record.benchmark)
-        if key in seen:
-            raise TeacherSelectError(f"{path.name}: duplicate score row {key!r} "
-                                     f"(lines {seen[key]} and {i})")
-        seen[key] = i
+        first = seen.setdefault(key, i)
+        if first != i:
+            raise TeacherSelectError(f"duplicate score row {key!r} (lines {first} and {i})")
         records.append(record)
+
+    if Path(path).suffix.lower() != ".csv":
+        read_jsonl(path, load)
+        return records
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                load(reader.line_num, row)
+        except UnicodeDecodeError as exc:
+            raise TeacherSelectError(f"{path}: invalid UTF-8: {exc}") from exc
+        except ValueError as exc:
+            raise type(exc)(f"{path} line {reader.line_num}: {exc}") from exc
     return records
 
 

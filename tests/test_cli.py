@@ -12,7 +12,8 @@ from ded.cli import main
 from ded.clients import MockClient
 from ded.records import parse_corpus
 
-from conftest import build_pipeline_fixture, make_gate_fixture
+from conftest import (build_pipeline_fixture, make_gate_fixture, make_question,
+                      make_trajectory, well_formed_text)
 
 
 def _write_corpus_files(tmp_path):
@@ -220,6 +221,15 @@ class TestRankCommand:
         assert main(["rank", "--scores", str(path)]) == 3
         assert "['s1', 's2']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["[1]", '{"AIME2024": "half"}', "{oops"])
+    def test_weights_that_are_not_a_benchmark_map_are_refused(self, tmp_path, capsys, weights):
+        from test_teacher import write_score_csv
+        scores = write_score_csv(tmp_path / "scores.csv")
+        path = tmp_path / "weights.json"
+        path.write_text(weights, encoding="utf-8")
+        assert main(["rank", "--scores", str(scores), "--weights", str(path)]) == 3
+        assert f"{path}: " in capsys.readouterr().err
+
 
 class TestStatsCommands:
     def test_entropy_and_svg(self, tmp_path, capsys):
@@ -364,3 +374,49 @@ class TestSmokeCommand:
         assert "tb: kept 2 of 3" in output
         assert (out_dir / "smoke_ta.jsonl").exists()
         assert (out_dir / "training_tb.json").exists()
+
+
+_SCORE = {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "50",
+          "mean_response_len": 100}
+_Q = make_question(0)
+# each entry point that reads a JSONL file: a valid row of the file, and the
+# arguments that come before the file's path ({tmp} is the test's directory)
+_LINE_FILES = {
+    "ingest questions": (_Q.to_dict(), ["ingest", "--kind", "questions", "--in"]),
+    "ingest trajectories": (make_trajectory(_Q, 0, well_formed_text(_Q, 0)).to_dict(),
+                            ["ingest", "--kind", "trajectories", "--in"]),
+    "ingest logprobs": ({"trajectory_id": "t", "position": 0, "top_k": [["a", 1.0]]},
+                        ["ingest", "--kind", "logprobs", "--in"]),
+    "ingest embeddings": ({"item_id": "a", "phase": "before", "vector": [1.0]},
+                          ["ingest", "--kind", "embeddings", "--in"]),
+    "ingest scores": ({**_SCORE, "delta_acc": "10"}, ["ingest", "--kind", "scores", "--in"]),
+    "sample --fixtures": ({"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": ["r"]},
+                          ["sample", "--questions", "{tmp}/questions.jsonl", "--teacher", "t",
+                           "--m", "1", "--out", "{tmp}/sampled.jsonl", "--fixtures"]),
+    "rank --scores": ({**_SCORE, "base_acc": "40"}, ["rank", "--scores"]),
+    "stats pass1": ({"question_id": "q", "runs": 2, "successes": 1},
+                    ["stats", "pass1", "--outcomes"]),
+}
+_BAD_LINES = {"invalid JSON": b"{oops", "invalid UTF-8": b'{"x": "\xff"}',
+              "not an object": b"[1, 2]", "misspelt kind": b'{"kind": "samples"}'}
+
+
+@pytest.mark.parametrize("entry,line", [
+    *((entry, line) for entry in _LINE_FILES for line in ["invalid JSON", "invalid UTF-8",
+                                                          "not an object", "blank"]),
+    ("sample --fixtures", "misspelt kind"),
+])
+def test_every_line_file_refuses_a_bad_line_naming_file_and_line(tmp_path, capsys, entry, line):
+    """A JSONL input's second line: blank is skipped, anything else that is
+    not a row of the file exits 3 naming the file and the line."""
+    from ded.records import write_corpus
+    write_corpus(tmp_path / "questions.jsonl", [_Q])
+    row, args = _LINE_FILES[entry]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(json.dumps(row).encode() + b"\n" + _BAD_LINES.get(line, b" \t") + b"\n")
+    code = main([arg.format(tmp=tmp_path) for arg in args] + [str(path)])
+    err = capsys.readouterr().err
+    if line == "blank":
+        assert code == 0, err
+    else:
+        assert code == 3 and f"{path} line 2: " in err, err

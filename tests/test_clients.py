@@ -126,6 +126,8 @@ class TestMockClient:
         ('{"kind": "judge", "question": "q"}', "judge row without field 'candidate_answer'"),
         ('{"kind": "sample", ', "invalid JSON"),
         ('["sample"]', "not a JSON object"),
+        ('{"kind": "samples", "teacher_id": "t", "prompt": "p", "responses": []}',
+         "kind must be sample or judge, got 'samples'"),
     ])
     def test_bad_fixture_row_names_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "fx.jsonl"

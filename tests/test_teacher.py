@@ -85,6 +85,29 @@ class TestIngestScores:
             ingest_scores(path)
         assert "outside [0, 100]" in str(err.value)
 
+    @pytest.mark.parametrize("name,row", [
+        ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
+                         '"acc": "NaN", "mean_response_len": 1, "base_acc": "40"}'),
+        ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
+                         '"acc": "50", "mean_response_len": [1], "base_acc": "40"}'),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,50,1,40\nt,s,b2,50,long,40"),
+    ], ids=["acc NaN", "length a list", "length a word"])
+    def test_bad_number_names_file_and_line(self, tmp_path, name, row):
+        path = tmp_path / name
+        path.write_text(row + "\n", encoding="utf-8")
+        with pytest.raises(TeacherSelectError) as err:
+            ingest_scores(path)
+        assert f"{path} line {row.count(chr(10)) + 1}: " in str(err.value)
+
+    def test_csv_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                         b"t\xff,s,b,50,1,40\n")
+        with pytest.raises(TeacherSelectError) as err:
+            ingest_scores(path)
+        assert f"{path}: invalid UTF-8" in str(err.value)
+
     def test_missing_base_errors(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         row = {"teacher_id": "t", "student_id": "s", "benchmark": "b",
