@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import diagnostics
 from .clients import CachingClient, ClientError
 from .compress import student_rollout
 from .config import ConfigError, validate_config
@@ -236,6 +235,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import diagnostics
     if args.stat == "pass1":
         rows: list[PassRateStats] = []
         read_jsonl(args.outcomes, lambda _, row: rows.append(PassRateStats.from_dict(row)))
@@ -260,6 +260,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import diagnostics
     paths = [Path(args.manifest_dir) / f"manifest_{stage}.json" for stage in STAGES]
     path = diagnostics.emit_report([load_manifest(p) for p in paths if p.exists()],
                                    args.out_dir)

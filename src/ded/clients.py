@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .filtering import normalize_answer
-from .records import CorpusError, VerificationVerdict, read_jsonl, replacing
+from .records import (CorpusError, Spec, VerificationVerdict, field_error, read_jsonl, replacing,
+                      strings_only)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -312,25 +313,37 @@ class FaultInjector:
             raise nxt
 
 
+# the fields each kind of fixture row needs
+_FIXTURE_FIELDS = {
+    "sample": {"teacher_id": Spec(str), "prompt": Spec(str),
+               "responses": Spec(list, check=strings_only)},
+    "judge": {"question": Spec(str), "candidate_answer": Spec(str)},
+}
+
+
 def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
     """Fixture JSONL: sample lines carry (teacher_id, prompt, responses),
     judge lines carry (question, candidate_answer, status and/or reply).
     Raises CorpusError naming the file and line of a row that is not a JSON
     object, is of a kind other than sample or judge, or lacks a field its
-    kind needs."""
+    kind needs or holds it with the wrong JSON type."""
     samples: dict[tuple[str, str], list[str]] = {}
     judges: dict[tuple[str, str], dict[str, Any]] = {}
 
     def load(lineno: int, row: dict[str, Any]) -> None:
-        try:
-            if row.get("kind") == "sample":
-                samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
-            elif row.get("kind") == "judge":
-                judges[(row["question"], row["candidate_answer"])] = row
-            else:
-                raise CorpusError(f"kind must be sample or judge, got {row.get('kind')!r}")
-        except KeyError as exc:
-            raise CorpusError(f"{row['kind']} row without field {exc}") from exc
+        kind = row.get("kind")
+        if kind not in _FIXTURE_FIELDS:
+            raise CorpusError(f"kind must be sample or judge, got {kind!r}")
+        for name, spec in _FIXTURE_FIELDS[kind].items():
+            if name not in row:
+                raise CorpusError(f"{kind} row without field {name!r}")
+            error = field_error(spec, row[name])
+            if error is not None:
+                raise CorpusError(f"{kind} row field {name}: {error}")
+        if kind == "sample":
+            samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
+        else:
+            judges[(row["question"], row["candidate_answer"])] = row
 
     read_jsonl(path, load)
     return {"samples": samples, "judges": judges}

@@ -514,15 +514,11 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         tasks.append((qid, ids, surfaces, p, cap))
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            # the workers fork when the tasks are submitted: with the heap
-            # frozen, their collections leave the pages they share alone
-            gc.freeze()
-            try:
-                results = pool.map(_select_for_question, tasks, chunksize=1)
-            finally:
-                gc.unfreeze()
-            outcomes = list(results)
+        # each worker freezes the heap it forked with, so that its collections
+        # leave the pages it shares with this process alone
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=gc.freeze) as pool:
+            outcomes = list(pool.map(_select_for_question, tasks, chunksize=1))
     else:
         outcomes = [_select_for_question(task) for task in tasks]
 

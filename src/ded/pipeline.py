@@ -9,23 +9,26 @@ timing, so they are excluded from output-tree comparisons.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import pickle
+import select
+import sys
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from . import diagnostics
 from .clients import (CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy,
                       map_concurrent)
 from .compress import CompressionReport, judge_request, select_hard, student_rollout
 from .config import validate_config
-from .diversity import diversify_corpus
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
                         effective_token_len, run_quality_gate)
 from .mixer import compose_mix
@@ -70,6 +73,86 @@ class PipelineResult:
     manifests: dict[str, CorpusManifest] = field(default_factory=dict)
     failed_stage: str | None = None
     error: str | None = None
+
+
+def _outcome(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[bool, Any]:
+    """(True, fn's result) or (False, the exception it raised)."""
+    try:
+        return True, fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - raised again where the result is used
+        return False, exc
+
+
+def _serve(requests: int, replies: int, cfg: dict[str, Any] | None) -> None:
+    """The helper's loop: run each pickled (fn, args, kwargs) call read from
+    `requests` and write back its `_outcome`. While no call waits, it makes
+    stats's analyses of cfg's inputs, if cfg is given."""
+    global _analysed
+    # the heap forked from the coordinator is never collected here, so its
+    # pages stay shared
+    gc.freeze()
+    from . import diversity  # noqa: F401 - numpy loads here
+    with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
+        while True:
+            if cfg is not None and not select.select([inbox], [], [], 0)[0]:
+                _analysed = _outcome(_analyse, cfg)
+                cfg = None
+            try:
+                fn, args, kwargs = pickle.load(inbox)
+            except EOFError:  # the coordinator closed the pipe
+                return
+            outbox.write(pickle.dumps(_outcome(fn, *args, **kwargs)))
+            outbox.flush()
+
+
+class _Helper:
+    """The one process of a run that imports numpy: it runs diversify's and
+    stats's code, and diversify's engine workers fork from it.
+
+    It is forked before the run starts any thread and loads numpy at once,
+    on another core while the run makes its model calls. Calls run one at
+    a time; an exception raised in one is raised again here as itself."""
+
+    def __init__(self, analyse: dict[str, Any] | None) -> None:
+        """`analyse`: the config whose stats analyses it makes ahead, if any."""
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+        # what is still buffered would be written again by the helper
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._requests)
+                os.close(self._replies)
+                _serve(requests, replies, analyse)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
+        self._send = open(self._requests, "wb")
+        self._recv = open(self._replies, "rb")
+
+    def __call__(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """fn(*args, **kwargs), run in the helper; fn is sent by name."""
+        try:
+            pickle.dump((fn, args, kwargs), self._send)
+            self._send.flush()
+            ok, value = pickle.load(self._recv)
+        except (EOFError, BrokenPipeError) as exc:
+            raise RuntimeError("the helper process of diversify and stats died") from exc
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Let the helper finish its call and exit, and wait for it."""
+        with suppress(BrokenPipeError):  # the rest of a call the helper died in
+            self._send.close()
+        self._recv.close()
+        os.waitpid(self.pid, 0)
 
 
 def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
@@ -172,6 +255,8 @@ class _Run:
     # next stage's input, and what stats reports on; set by save
     trajectories: list[TrajectoryRecord] = field(default_factory=list)
     chains: list[_Chain] = field(default_factory=list)
+    # runs diversify's and stats's code: the helper process, or this one
+    helper: Callable[..., Any] = field(default=lambda fn, *args, **kwargs: fn(*args, **kwargs))
 
     def __post_init__(self) -> None:
         self.snapshot = manifest_snapshot(self.cfg)
@@ -236,6 +321,14 @@ def write_hard(paths: list[Path], questions: list[QuestionRecord], stats: list[P
     return retained, write_corpus(paths[1], retained), report
 
 
+def diversify_corpus(trajectories: list[TrajectoryRecord],
+                     **params: Any) -> tuple[list[TrajectoryRecord], dict[str, Any]]:
+    """`ded.diversity.diversify_corpus`, imported on the first call, so that
+    numpy loads only in a process that diversifies."""
+    from .diversity import diversify_corpus
+    return diversify_corpus(trajectories, **params)
+
+
 def write_diverse(paths: list[Path], trajectories: list[TrajectoryRecord],
                   **params: Any) -> tuple[list[TrajectoryRecord], list[str], dict[str, Any]]:
     """Diversify's selection and report, written; the selection's lines and
@@ -289,10 +382,10 @@ def _compress(run: _Run, row: Stage) -> dict[str, Any]:
 
 def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
     cfg = run.cfg
-    selected, lines, engine = write_diverse(
-        run.paths(row.corpus + row.writes), run.trajectories, p=cfg["diverse_per_question"],
-        unit=cfg["unit"], cap_ratio=cfg["cap_ratio"], questions=run.questions,
-        workers=cfg["workers"])
+    selected, lines, engine = run.helper(
+        write_diverse, run.paths(row.corpus + row.writes), run.trajectories,
+        p=cfg["diverse_per_question"], unit=cfg["unit"], cap_ratio=cfg["cap_ratio"],
+        questions=run.questions, workers=cfg["workers"])
     run.save(row, selected, lines)
     return {"selected": len(selected), **engine}
 
@@ -307,9 +400,10 @@ def _mix(run: _Run, row: Stage) -> dict[str, Any] | None:
     return {"mixed": len(mixed)}
 
 
-def _stats(run: _Run, row: Stage) -> dict[str, Any]:
-    cfg = run.cfg
-    entropy = pca = lengths = None
+def _analyse(cfg: dict[str, Any]) -> tuple[Any, Any]:
+    """Stats's analyses of the configured logprobs and embeddings."""
+    from . import diagnostics
+    entropy = pca = None
     if cfg["logprobs"]:
         entropy = diagnostics.entropy_summary(parse_corpus(cfg["logprobs"], "logprobs"))
     if cfg["embeddings"]:
@@ -318,18 +412,37 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
         after = [e for e in embeddings if e.phase == "after"]
         if before and after:
             pca = diagnostics.pca_shift(before, after, k=cfg["pca_components"])
+    return entropy, pca
+
+
+# set in the helper process only: the `_outcome` of `_analyse`, made there
+# while the run's model calls went out
+_analysed: tuple[bool, Any] | None = None
+
+
+def _write_report(out: Path, manifests: list[CorpusManifest], cfg: dict[str, Any],
+                  lens: list[int], estimated: bool) -> None:
+    """Stats's report of `manifests`, of the analyses of cfg's inputs and of
+    the token lengths `lens`."""
+    from . import diagnostics
+    ok, analyses = _analysed or _outcome(_analyse, cfg)
+    if not ok:
+        raise analyses
+    entropy, pca = analyses
+    lengths = (diagnostics.length_summary((), lengths=lens, estimated=estimated) if lens
+               else None)
+    diagnostics.emit_report(manifests, out, entropy=entropy, lengths=lengths, pca=pca)
+
+
+def _stats(run: _Run, row: Stage) -> dict[str, Any]:
     # token lengths of the last corpus of the raw ... right_hard_diverse lineage,
     # left out when precomputed_only meets a trajectory without token_len
     try:
         lens = [effective_token_len(t, run.fconfig)[0] for t in run.trajectories]
     except FilterError:
         lens = []
-    if lens:
-        estimated = any(t.token_len is None for t in run.trajectories)
-        lengths = diagnostics.length_summary(run.trajectories, lengths=lens,
-                                             estimated=estimated)
-    diagnostics.emit_report([run.known[s] for s in STAGES if s in run.known], run.out,
-                            entropy=entropy, lengths=lengths, pca=pca)
+    run.helper(_write_report, run.out, [run.known[s] for s in STAGES if s in run.known],
+               run.cfg, lens, any(t.token_len is None for t in run.trajectories))
     return {}
 
 
@@ -347,6 +460,7 @@ class Stage:
     step: Callable[[_Run, Client, _Chain], None] | None = None  # its calls per question
     # the config keys its corpus depends on, checked when a later stage reads it
     keys: tuple[str, ...] = ()
+    helper: bool = False  # runs its numpy code in the helper process
 
     @property
     def outputs(self) -> tuple[str, ...]:
@@ -366,11 +480,11 @@ STAGE_TABLE = (
           keys=("student_id", "runs", "temperature", "seed", "pass_threshold")),
     Stage("diversify", "right_hard_diverse", "right_hard",
           ("right_hard_diverse_trajectories.jsonl",), ("diversity_report.json",), _diversify,
-          keys=("diverse_per_question", "unit", "cap_ratio")),
+          keys=("diverse_per_question", "unit", "cap_ratio"), helper=True),
     Stage("mix", "mixed", None, ("mixed_trajectories.jsonl",), (), _mix),
     Stage("stats", None, None, (),
           ("report.md", "tables/stage_ledger.csv", "tables/lengths.csv",
-           "tables/entropy.csv", "tables/pca_shift.csv"), _stats),
+           "tables/entropy.csv", "tables/pca_shift.csv"), _stats, helper=True),
 )
 _WRITERS = {row.manifest: row for row in STAGE_TABLE if row.manifest}
 _LINEAGE = STAGES[:-1]  # raw ... right_hard_diverse; mixed stands apart
@@ -448,7 +562,13 @@ def run_pipeline(config: str | Path | dict[str, Any],
     phase = [row for row in rows if row.step]
 
     current_stage = rows[0].name if rows else ""
+    helper: _Helper | None = None
     try:
+        # a caller that holds numpy already gains nothing from the helper, and
+        # one with other threads running cannot fork it safely
+        if (any(row.helper for row in rows) and "numpy" not in sys.modules
+                and threading.active_count() == 1):
+            run.helper = helper = _Helper(cfg if "stats" in cfg["stages"] else None)
         client = build_client(cfg, out)
         # manifests from earlier partial runs let any stage suffix resume
         priors = {stage: out / f"manifest_{stage}.json" for stage in STAGES}
@@ -529,6 +649,8 @@ def run_pipeline(config: str | Path | dict[str, Any],
         result.exit_code = EXIT_CLIENT if client_failed else EXIT_STAGE
         result.failed_stage, result.error = current_stage, str(exc)
     finally:
+        if helper is not None:
+            helper.close()
         log.emit("pipeline", "done", exit_code=result.exit_code,
                  cache_hits=client.hits if client else 0,
                  cache_misses=client.misses if client else 0)

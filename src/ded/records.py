@@ -91,7 +91,7 @@ def _non_empty(value: Any) -> str | None:
     return None if value else "must be non-empty"
 
 
-def _strings(value: list[Any]) -> str | None:
+def strings_only(value: list[Any]) -> str | None:
     return None if all(isinstance(x, str) for x in value) else "must hold strings only"
 
 
@@ -232,7 +232,7 @@ class QuestionRecord:
     prompt: str = _field(str)
     ground_truth: str | None = _field(str, None)
     source: str = _field(str, "")
-    tags: list[str] = _field(list, [], _strings)
+    tags: list[str] = _field(list, [], strings_only)
 
 
 @_record("trajectory", "trajectory_id")
@@ -460,7 +460,7 @@ class CorpusManifest:
     content_hash: str = _field(str)
     parent_manifest: str | None = _field(str, None)
     created_at: str = _field(str, "")
-    notes: list[str] = _field(list, [], _strings)
+    notes: list[str] = _field(list, [], strings_only)
 
 
 def _parent_stages(stage: str) -> tuple[str | None, ...]:

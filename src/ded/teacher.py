@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .clients import Client, SamplingRequest, map_concurrent
 from .filtering import FilterConfig, GateResult, run_quality_gate
@@ -118,12 +118,16 @@ def _score_from_row(row: dict[str, Any]) -> ScoreRecord:
     missing = [f for f in _SCORE_FIELDS if row.get(f) in (None, "")]
     if missing:
         raise TeacherSelectError(f"missing fields {missing}")
-    try:
-        acc = Decimal(str(row["acc"]))
-        base = Decimal(str(row["base_acc"]))
-        mean_response_len = float(row["mean_response_len"])
-    except (InvalidOperation, TypeError, ValueError) as exc:
-        raise TeacherSelectError(f"bad number: {exc}") from exc
+
+    def number(name: str, convert: Callable[[Any], Any]) -> Any:
+        try:
+            return convert(row[name])
+        except (InvalidOperation, TypeError, ValueError) as exc:
+            raise TeacherSelectError(f"{name}: not a number: {row[name]!r}") from exc
+
+    acc = number("acc", lambda v: Decimal(str(v)))
+    base = number("base_acc", lambda v: Decimal(str(v)))
+    mean_response_len = number("mean_response_len", float)
     for name, value in (("acc", acc), ("base_acc", base)):
         if not (value.is_finite() and 0 <= value <= 100):
             raise TeacherSelectError(f"{name} {value} outside [0, 100]")

@@ -398,13 +398,16 @@ _LINE_FILES = {
                     ["stats", "pass1", "--outcomes"]),
 }
 _BAD_LINES = {"invalid JSON": b"{oops", "invalid UTF-8": b'{"x": "\xff"}',
-              "not an object": b"[1, 2]", "misspelt kind": b'{"kind": "samples"}'}
+              "not an object": b"[1, 2]", "misspelt kind": b'{"kind": "samples"}',
+              "responses a number": b'{"kind": "sample", "teacher_id": "t", "prompt": "p", '
+                                    b'"responses": 5}'}
 
 
 @pytest.mark.parametrize("entry,line", [
     *((entry, line) for entry in _LINE_FILES for line in ["invalid JSON", "invalid UTF-8",
                                                           "not an object", "blank"]),
     ("sample --fixtures", "misspelt kind"),
+    ("sample --fixtures", "responses a number"),
 ])
 def test_every_line_file_refuses_a_bad_line_naming_file_and_line(tmp_path, capsys, entry, line):
     """A JSONL input's second line: blank is skipped, anything else that is

@@ -128,6 +128,20 @@ class TestMockClient:
         ('["sample"]', "not a JSON object"),
         ('{"kind": "samples", "teacher_id": "t", "prompt": "p", "responses": []}',
          "kind must be sample or judge, got 'samples'"),
+        ('{"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": 5}',
+         "sample row field responses: expected list, got int"),
+        ('{"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": "abc"}',
+         "sample row field responses: expected list, got str"),
+        ('{"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": ["r", 5]}',
+         "sample row field responses: must hold strings only"),
+        ('{"kind": "sample", "teacher_id": 1, "prompt": "p", "responses": []}',
+         "sample row field teacher_id: expected string, got int"),
+        ('{"kind": "sample", "teacher_id": "t", "prompt": null, "responses": []}',
+         "sample row field prompt: expected string, got NoneType"),
+        ('{"kind": "judge", "question": ["q"], "candidate_answer": "c"}',
+         "judge row field question: expected string, got list"),
+        ('{"kind": "judge", "question": "q", "candidate_answer": 2.5}',
+         "judge row field candidate_answer: expected string, got float"),
     ])
     def test_bad_fixture_row_names_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "fx.jsonl"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -303,6 +306,23 @@ def _report(out_dir):
             if name == "report.md" or name.startswith("tables")}
 
 
+def _six_stage_config(tmp_path: Path) -> dict:
+    """The pipeline fixture's config, with a mix source and the logprobs and
+    embeddings stats analyses, running all six stages."""
+    config = build_pipeline_fixture(tmp_path)
+    q = make_question(40)
+    source = tmp_path / "other_domain.jsonl"
+    write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
+    logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
+    write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
+                            for i in range(3)])
+    write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
+                              for i in range(4) for phase in PHASES])
+    return dict(config, stages=list(STAGE_SEQUENCE),
+                mix_sources=[{"path": str(source), "take": 1}],
+                logprobs=str(logprobs), embeddings=str(embeddings))
+
+
 class TestStageTable:
     def test_rows_follow_the_config_and_manifest_orders(self):
         assert tuple(row.name for row in STAGE_TABLE) == STAGE_SEQUENCE
@@ -319,20 +339,109 @@ class TestStageTable:
     def test_a_six_stage_run_writes_exactly_the_table_outputs(self, tmp_path):
         # a new output file must be listed in the table, or a re-run that
         # replaces its stage would leave the old one behind
-        config = build_pipeline_fixture(tmp_path)
-        q = make_question(40)
-        source = tmp_path / "other_domain.jsonl"
-        write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
-        logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
-        write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
-                                for i in range(3)])
-        write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
-                                  for i in range(4) for phase in PHASES])
-        result = run_pipeline(dict(config, stages=list(STAGE_SEQUENCE),
-                                   mix_sources=[{"path": str(source), "take": 1}],
-                                   logprobs=str(logprobs), embeddings=str(embeddings)))
+        result = run_pipeline(_six_stage_config(tmp_path))
         assert result.exit_code == EXIT_OK
         assert _outputs(result.out_dir) == {name for row in STAGE_TABLE for name in row.outputs}
+
+
+# `ded run` in an interpreter of its own, as the `ded` script runs it, after
+# the statement in argv[2]; prints its exit code, whether numpy was loaded,
+# the count of multiprocessing children alive, and whether any child
+# process is left that was not waited for
+_FRESH_RUN = """
+import json, multiprocessing, os, sys
+from ded import cli, pipeline
+exec(sys.argv[2])
+try:
+    code = cli.main(["run", "--config", sys.argv[1]])
+except KeyboardInterrupt:
+    code = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    unjoined = True
+except ChildProcessError:
+    unjoined = False
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "children": len(multiprocessing.active_children()), "unjoined": unjoined}))
+"""
+_CLEAN = {"numpy": False, "children": 0, "unjoined": False}
+
+
+def _fresh_run(tmp_path: Path, config: dict, before: str = "") -> tuple[dict, str]:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(path), before], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+class TestProcessLayout:
+    """`ded run` imports numpy only in the helper process that runs diversify
+    and stats, and leaves no process behind."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_of_its_own_builds_the_tree_without_numpy(self, tmp_path, workers):
+        config = dict(_six_stage_config(tmp_path), workers=workers)
+        fresh, err = _fresh_run(tmp_path, dict(config, out_dir=str(tmp_path / "fresh")))
+        assert fresh == {"code": EXIT_OK, **_CLEAN}, err
+        here = run_pipeline(config, out_dir=tmp_path / "here")
+        assert here.exit_code == EXIT_OK
+        assert tree_hash(tmp_path / "fresh") == tree_hash(here.out_dir)
+
+    def test_a_caller_that_holds_numpy_runs_diversify_and_stats_itself(self, tmp_path,
+                                                                        monkeypatch):
+        import numpy  # noqa: F401 - the caller holds numpy
+        monkeypatch.setattr(pipeline, "_Helper", None)  # forking a helper would fail
+        assert run_pipeline(_six_stage_config(tmp_path)).exit_code == EXIT_OK
+
+    def test_a_caller_with_other_threads_runs_diversify_and_stats_itself(self, tmp_path):
+        config = _six_stage_config(tmp_path)
+        fresh, err = _fresh_run(tmp_path, config, "import threading; threading.Thread("
+                                "target=threading.Event().wait, daemon=True).start()")
+        assert fresh == {"code": EXIT_OK, **_CLEAN, "numpy": True}, err
+
+    def test_importing_the_cli_leaves_numpy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", "import sys, ded.cli; "
+                              "print('numpy' in sys.modules)"],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_a_bad_logprobs_line_fails_stats_naming_file_and_line(self, tmp_path):
+        config = _six_stage_config(tmp_path)
+        with open(config["logprobs"], "a", encoding="utf-8") as fh:
+            fh.write("{oops\n")
+        fresh, err = _fresh_run(tmp_path, config)
+        assert fresh == {"code": EXIT_STAGE, **_CLEAN}, err
+        assert f"failed at stage stats: {config['logprobs']} line 4: invalid JSON" in err
+        assert (Path(config["out_dir"]) / "manifest_right_hard_diverse.json").exists()
+
+    def test_a_helper_that_dies_fails_its_stage(self, tmp_path):
+        config = _six_stage_config(tmp_path)
+        fresh, err = _fresh_run(tmp_path, config,
+                                "pipeline.diversify_corpus = lambda *a, **k: os._exit(9)")
+        assert fresh == {"code": EXIT_STAGE, **_CLEAN}, err
+        assert "failed at stage diversify: the helper process" in err
+        failed = [e for e in _read_events(Path(config["out_dir"]))
+                  if e["event"] == "stage_failed"]
+        assert [e["stage"] for e in failed] == ["diversify"]
+
+    @pytest.mark.parametrize("before,code", [
+        ('os.environ.pop("DED_API_BASE", None)', EXIT_CLIENT),
+        ("def interrupt(*args, **kwargs):\n    raise KeyboardInterrupt\n"
+         "pipeline.compose_mix = interrupt", "interrupted"),
+    ], ids=["client failure", "interrupt"])
+    def test_a_run_that_ends_early_joins_the_helper(self, tmp_path, before, code):
+        config = _six_stage_config(tmp_path)
+        if code == EXIT_CLIENT:
+            config["client"] = {"mode": "http"}
+        fresh, err = _fresh_run(tmp_path, config, before)
+        assert fresh == {"code": code, **_CLEAN}, err
 
 
 class TestUsedOutDir:

@@ -85,20 +85,27 @@ class TestIngestScores:
             ingest_scores(path)
         assert "outside [0, 100]" in str(err.value)
 
-    @pytest.mark.parametrize("name,row", [
+    @pytest.mark.parametrize("name,row,problem", [
         ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
-                         '"acc": "NaN", "mean_response_len": 1, "base_acc": "40"}'),
+                         '"acc": "NaN", "mean_response_len": 1, "base_acc": "40"}',
+         "acc NaN outside [0, 100]"),
         ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
-                         '"acc": "50", "mean_response_len": [1], "base_acc": "40"}'),
+                         '"acc": "50", "mean_response_len": [1], "base_acc": "40"}',
+         "mean_response_len: not a number: [1]"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
-                       "t,s,b,50,1,40\nt,s,b2,50,long,40"),
-    ], ids=["acc NaN", "length a list", "length a word"])
-    def test_bad_number_names_file_and_line(self, tmp_path, name, row):
+                       "t,s,b,50,1,40\nt,s,b2,50,long,40",
+         "mean_response_len: not a number: 'long'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,50,1,4\x000", "base_acc: not a number: '4\\x000'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,5O,1,40", "acc: not a number: '5O'"),
+    ], ids=["acc NaN", "length a list", "length a word", "base a NUL byte", "acc a letter"])
+    def test_bad_number_names_file_and_line(self, tmp_path, name, row, problem):
         path = tmp_path / name
         path.write_text(row + "\n", encoding="utf-8")
         with pytest.raises(TeacherSelectError) as err:
             ingest_scores(path)
-        assert f"{path} line {row.count(chr(10)) + 1}: " in str(err.value)
+        assert str(err.value) == f"{path} line {row.count(chr(10)) + 1}: {problem}"
 
     def test_csv_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "scores.csv"
