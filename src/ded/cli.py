@@ -12,17 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .clients import CachingClient, ClientError
-from .compress import student_rollout
+from .clients import ClientError
 from .config import ConfigError, validate_config
-from .filtering import FilterConfig, run_quality_gate
+from .filtering import FilterConfig, token_lengths
 from .mixer import compose_mix
-from .pipeline import (EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client,
-                       run_pipeline, write_diverse, write_filtered, write_hard)
+from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client, run_pipeline
 from .records import (CORPUS_KINDS, STAGES, PassRateStats, load_manifest, parse_corpus,
                       read_jsonl, save_manifest, write_corpus, write_json, write_manifest)
-from .teacher import (TeacherSelectError, build_smoke_corpus, ingest_scores, rank_teachers,
-                      sample_teacher)
+from .teacher import TeacherSelectError, build_smoke_corpus, ingest_scores, rank_teachers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,47 +33,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="questions", choices=CORPUS_KINDS)
     p.add_argument("--manifest-out")
 
-    p = sub.add_parser("sample", help="sample teacher trajectories (mock client)")
-    p.set_defaults(handler=_cmd_sample)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixtures")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("filter", help="run the format/length/correctness gate")
-    p.set_defaults(handler=_cmd_filter)
-    p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--max-token-len", type=int, default=16384)
-    p.add_argument("--token-estimator", default="chars_div_4_fallback",
-                   choices=["precomputed_only", "chars_div_4_fallback"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--rejects", required=True)
-    p.add_argument("--needs-judge", dest="needs_judge", required=True)
-
-    p = sub.add_parser("compress", help="student rollouts and hard-question selection")
-    p.set_defaults(handler=_cmd_compress)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--student", required=True)
-    p.add_argument("--runs", type=int, default=16)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixtures")
-    p.add_argument("--out", required=True)
-    p.add_argument("--stats", required=True)
-
-    p = sub.add_parser("diversify", help="farthest-P selection per question")
-    p.set_defaults(handler=_cmd_diversify)
-    p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--unit", default="char", choices=["char", "token"])
-    p.add_argument("--cap-ratio", type=float, default=0.6)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True)
+    for stage, summary in (("sample", "sample teacher trajectories"),
+                           ("filter", "run the quality gate and the judge"),
+                           ("compress", "student roll-outs and hard-question selection"),
+                           ("diversify", "farthest-P selection per question")):
+        p = sub.add_parser(stage, help=f"{summary}: `ded run` with stages [{stage}]")
+        p.set_defaults(handler=_cmd_run, stages=[stage])
+        p.add_argument("--config", required=True)
+        p.add_argument("--out-dir")
 
     p = sub.add_parser("mix", help="compose a mixed-domain corpus")
     p.set_defaults(handler=_cmd_mix)
@@ -125,14 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
-    p.set_defaults(handler=_cmd_run)
+    p.set_defaults(handler=_cmd_run, stages=None)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
     return parser
-
-
-def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _cmd_ingest(args) -> int:
@@ -142,50 +102,6 @@ def _cmd_ingest(args) -> int:
         manifest = write_manifest("raw", records, config={"source": args.path})
         save_manifest(manifest, args.manifest_out)
         print(f"wrote manifest {args.manifest_out}")
-    return EXIT_OK
-
-
-def _client(args, out_dir: str | Path) -> CachingClient:
-    """A sampling subcommand's mock client, cached under DED_CACHE_DIR or else out_dir/.cache."""
-    cfg = validate_config({"seed": args.seed, "client": {"fixtures": args.fixtures}})
-    return build_client(cfg, Path(out_dir))
-
-
-def _cmd_sample(args) -> int:
-    questions = parse_corpus(args.questions, "questions")
-    trajectories = sample_teacher(questions, _client(args, Path(args.out).parent), args.teacher,
-                                  args.m, temperature=args.temperature, seed=args.seed)
-    write_corpus(args.out, trajectories)
-    print(f"sampled {len(trajectories)} trajectories to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_filter(args) -> int:
-    trajectories = parse_corpus(args.path, "trajectories")
-    questions = parse_corpus(args.questions, "questions")
-    config = FilterConfig(max_token_len=args.max_token_len,
-                          token_estimator=args.token_estimator)
-    gate = run_quality_gate(trajectories, questions, config)
-    write_filtered([args.out, args.rejects, args.needs_judge], gate.kept, gate.rejected,
-                   gate.needs_judge)
-    _emit(gate.counts)
-    return EXIT_OK
-
-
-def _cmd_compress(args) -> int:
-    questions = parse_corpus(args.questions, "questions")
-    stats = student_rollout(questions, _client(args, Path(args.out).parent), runs=args.runs,
-                            student_id=args.student, seed=args.seed)
-    *_, report = write_hard([args.stats, args.out], questions, stats, args.tau)
-    _emit(report.to_dict())
-    return EXIT_OK
-
-
-def _cmd_diversify(args) -> int:
-    trajectories = parse_corpus(args.path, "trajectories")
-    selected, *_ = write_diverse([args.out, args.report], trajectories, p=args.p, unit=args.unit,
-                                cap_ratio=args.cap_ratio, workers=args.workers)
-    print(f"selected {len(selected)} of {len(trajectories)} trajectories")
     return EXIT_OK
 
 
@@ -207,7 +123,11 @@ def _cmd_mix(args) -> int:
 
 def _cmd_smoke(args) -> int:
     questions = parse_corpus(args.questions, "questions")
-    results = build_smoke_corpus(questions, args.teachers.split(","), _client(args, args.out_dir),
+    # cached under DED_CACHE_DIR or else out_dir/.cache, as `ded run` caches
+    client = build_client(validate_config({"seed": args.seed,
+                                           "client": {"fixtures": args.fixtures}}),
+                          Path(args.out_dir))
+    results = build_smoke_corpus(questions, args.teachers.split(","), client,
                                  temperature=args.temperature, seed=args.seed,
                                  out_dir=args.out_dir)
     for teacher_id, corpus in sorted(results.items()):
@@ -247,13 +167,14 @@ def _cmd_stats(args) -> int:
         if args.svg:
             diagnostics.entropy_histogram_svg(summary, args.svg)
     elif args.stat == "lengths":
-        summary = diagnostics.length_summary(parse_corpus(args.path, "trajectories"))
+        summary = diagnostics.length_summary(
+            (), *token_lengths(parse_corpus(args.path, "trajectories"), FilterConfig()))
     else:
         embeddings = parse_corpus(args.embeddings, "embeddings")
         before = [e for e in embeddings if e.phase == "before"]
         after = [e for e in embeddings if e.phase == "after"]
         summary = diagnostics.pca_shift(before, after, k=args.k, fit_on=args.fit_on)
-    _emit(summary.to_dict())
+    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, summary.to_dict())
     return EXIT_OK
@@ -269,7 +190,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_pipeline(args.config, out_dir=args.out_dir)
+    cfg = validate_config(args.config)
+    if args.stages:
+        cfg["stages"] = args.stages
+    result = run_pipeline(cfg, out_dir=args.out_dir)
     if result.exit_code != EXIT_OK:
         print(f"pipeline failed at stage {result.failed_stage}: {result.error}",
               file=sys.stderr)

@@ -89,6 +89,13 @@ def effective_token_len(trajectory: TrajectoryRecord,
     return -(-(trajectory.char_len or 0) // 4), True
 
 
+def token_lengths(trajectories: Sequence[TrajectoryRecord],
+                  config: FilterConfig) -> tuple[list[int], bool]:
+    """Each trajectory's `effective_token_len`, and whether any was estimated."""
+    counted = [effective_token_len(t, config) for t in trajectories]
+    return [length for length, _ in counted], any(estimated for _, estimated in counted)
+
+
 def check_length(trajectory: TrajectoryRecord,
                  config: FilterConfig) -> VerificationVerdict | None:
     """Return an overlength verdict, or None when within the budget.

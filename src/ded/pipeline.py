@@ -27,10 +27,10 @@ from typing import Any, Callable
 
 from .clients import (CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy,
                       map_concurrent)
-from .compress import CompressionReport, judge_request, select_hard, student_rollout
+from .compress import judge_request, select_hard, student_rollout
 from .config import validate_config
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
-                        effective_token_len, run_quality_gate)
+                        run_quality_gate, token_lengths)
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
                       QuestionRecord, TrajectoryRecord, content_hash, dumps_record,
@@ -301,26 +301,6 @@ def _roll_out_step(run: _Run, client: Client, chain: _Chain) -> None:
         temperature=cfg["temperature"], seed=cfg["seed"])[0]
 
 
-# The write helpers of filter, compress and diversify, shared with the CLI.
-
-def write_filtered(paths: list[Path], *corpora: list[TrajectoryRecord]) -> list[str]:
-    """Filter's kept, rejected and still-queued trajectories, in that order.
-    Returns the lines of the kept ones."""
-    lines = [write_corpus(path, records) for path, records in zip(paths, corpora)]
-    return lines[0]
-
-
-def write_hard(paths: list[Path], questions: list[QuestionRecord], stats: list[PassRateStats],
-               tau: float) -> tuple[list[QuestionRecord], list[str], CompressionReport]:
-    """The questions with a pass rate of at most tau, written after the pass
-    rates, and their lines."""
-    with replacing(paths[0]) as fh:
-        for s in stats:
-            fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
-    retained, report = select_hard(questions, stats, tau)
-    return retained, write_corpus(paths[1], retained), report
-
-
 def diversify_corpus(trajectories: list[TrajectoryRecord],
                      **params: Any) -> tuple[list[TrajectoryRecord], dict[str, Any]]:
     """`ded.diversity.diversify_corpus`, imported on the first call, so that
@@ -359,8 +339,9 @@ def _filter(run: _Run, row: Stage) -> dict[str, Any]:
     for fields in sorted((e for c in run.chains for e in c.judge_errors),
                          key=lambda e: e["trajectory_id"]):
         run.log.emit("filter", "judge_error", **fields)
-    lines = write_filtered(run.paths(row.corpus + row.writes), kept, rejected, still_queued)
-    run.save(row, kept, lines)
+    lines = [write_corpus(path, records) for path, records
+             in zip(run.paths(row.corpus + row.writes), (kept, rejected, still_queued))]
+    run.save(row, kept, lines[0])
     return {"kept": len(kept), "rejected": len(rejected), "needs_judge": len(still_queued)}
 
 
@@ -368,12 +349,14 @@ def _compress(run: _Run, row: Stage) -> dict[str, Any]:
     rolled = [c for c in run.chains if c.stats is not None]
     questions_path, trajectories_path, rates_path, report_path = run.paths(
         row.corpus + row.writes)
-    retained, lines, report = write_hard([rates_path, questions_path],
-                                         [c.question for c in rolled],
-                                         [c.stats for c in rolled], run.cfg["pass_threshold"])
+    retained, report = select_hard([c.question for c in rolled], [c.stats for c in rolled],
+                                   run.cfg["pass_threshold"])
+    with replacing(rates_path) as fh:
+        for c in rolled:
+            fh.write(json.dumps(c.stats.to_dict(), sort_keys=True) + "\n")
     retained_qids = {q.question_id for q in retained}
     trajectories = [t for t in run.trajectories if t.question_id in retained_qids]
-    lines += write_corpus(trajectories_path, trajectories)
+    lines = write_corpus(questions_path, retained) + write_corpus(trajectories_path, trajectories)
     write_json(report_path, report.to_dict())
     run.save(row, retained + trajectories, lines)
     run.questions = retained
@@ -438,11 +421,11 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
     # token lengths of the last corpus of the raw ... right_hard_diverse lineage,
     # left out when precomputed_only meets a trajectory without token_len
     try:
-        lens = [effective_token_len(t, run.fconfig)[0] for t in run.trajectories]
+        lens, estimated = token_lengths(run.trajectories, run.fconfig)
     except FilterError:
-        lens = []
+        lens, estimated = [], False
     run.helper(_write_report, run.out, [run.known[s] for s in STAGES if s in run.known],
-               run.cfg, lens, any(t.token_len is None for t in run.trajectories))
+               run.cfg, lens, estimated)
     return {}
 
 
@@ -518,14 +501,19 @@ def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecor
     stage `reader`, refused unless they are the bytes of `row`'s manifest and
     every manifest of its lineage records the configured values of its
     stage's keys."""
+    missing = next((name for name in (f"manifest_{row.manifest}.json", *row.corpus)
+                    if not (run.out / name).exists()), None)
+    if missing is not None:
+        raise CorpusError(f"{missing} is missing from {run.out}; "
+                          f"run the stages before {reader} again")
     *question_file, trajectory_file = row.corpus
     questions = (parse_corpus(run.out / question_file[0], "questions") if question_file
                  else run.questions)
     trajectories = parse_corpus(run.out / trajectory_file, "trajectories")
     # raw's manifest also covers the configured questions, right_hard's its own
     covered = questions + trajectories if question_file or not row.parent else trajectories
-    manifest = run.known.get(row.manifest)
-    if manifest is None or content_hash(covered) != manifest.content_hash:
+    manifest = run.known[row.manifest]
+    if content_hash(covered) != manifest.content_hash:
         raise CorpusError(f"{trajectory_file} does not match manifest_{row.manifest}.json; "
                           f"run the stages before {reader} again")
     for built in lineage_chain(manifest, run.known.values()):

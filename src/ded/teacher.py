@@ -59,6 +59,11 @@ def sample_teacher(questions: Sequence[QuestionRecord], client: Client, teacher_
             for q, texts in zip(ordered, batches) for i, text in enumerate(texts)]
 
 
+def _smoke_paths(out: Path, teacher_id: str) -> tuple[Path, Path]:
+    """A teacher's smoke corpus and training manifest under out."""
+    return out / f"smoke_{teacher_id}.jsonl", out / f"training_{teacher_id}.json"
+
+
 def build_smoke_corpus(questions: Sequence[QuestionRecord],
                        teacher_ids: Sequence[str],
                        client: Client,
@@ -70,9 +75,17 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
     """One trajectory per question per teacher, passed through the gate.
 
     When out_dir is given, each teacher gets a corpus file, a manifest, and
-    a training manifest listing the files and fine-tuning hyperparameters.
+    a training manifest listing the corpus file, relative to out_dir, and the
+    fine-tuning hyperparameters.
     """
     filter_config = filter_config or FilterConfig()
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        # an id may name subdirectories, as in org/model, but may not climb out
+        outside = [t for t in teacher_ids if not all(
+            path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
+        if outside:
+            raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
     results: dict[str, SmokeCorpus] = {}
     for teacher_id in teacher_ids:
         trajectories = sample_teacher(questions, client, teacher_id, samples=1,
@@ -92,18 +105,17 @@ def build_smoke_corpus(questions: Sequence[QuestionRecord],
         raw_manifest = write_manifest("raw", list(questions) + trajectories,
                                       config=config_snapshot, created_at=created_at)
         lines = None
-        if out_dir is not None:
-            out = Path(out_dir)
-            corpus_path = out / f"smoke_{teacher_id}.jsonl"
+        if out is not None:
+            corpus_path, training_path = _smoke_paths(out, teacher_id)
             lines = write_corpus(corpus_path, gate.kept)
             training_manifest = {
                 "teacher_id": teacher_id,
-                "corpus_files": [corpus_path.name],
+                "corpus_files": [corpus_path.relative_to(out).as_posix()],
                 "trajectory_count": len(gate.kept),
                 "dropped_questions": dropped,
                 "hyperparameters": TRAINING_HYPERPARAMETERS,
             }
-            write_json(out / f"training_{teacher_id}.json", training_manifest)
+            write_json(training_path, training_manifest)
         manifest = write_manifest("right", gate.kept, parent=raw_manifest,
                                   config=config_snapshot, created_at=created_at, lines=lines)
         results[teacher_id] = SmokeCorpus(teacher_id=teacher_id, gate=gate,

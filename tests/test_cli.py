@@ -10,6 +10,7 @@ import pytest
 
 from ded.cli import main
 from ded.clients import MockClient
+from ded.pipeline import tree_hash
 from ded.records import parse_corpus
 
 from conftest import (build_pipeline_fixture, make_gate_fixture, make_question,
@@ -26,28 +27,12 @@ def _write_corpus_files(tmp_path):
     return qpath, tpath
 
 
-class TestFilterCommand:
-    def test_filter_partitions(self, tmp_path, capsys):
-        qpath, tpath = _write_corpus_files(tmp_path)
-        code = main(["filter", "--in", str(tpath), "--questions", str(qpath),
-                     "--max-token-len", "16384",
-                     "--out", str(tmp_path / "kept.jsonl"),
-                     "--rejects", str(tmp_path / "rejects.jsonl"),
-                     "--needs-judge", str(tmp_path / "judge.jsonl")])
-        assert code == 0
-        counts = json.loads(capsys.readouterr().out)
-        assert counts == {"kept": 151, "rejected": 9, "needs_judge": 0}
-        assert len(parse_corpus(tmp_path / "kept.jsonl", "trajectories")) == 151
-
-    def test_bad_input_is_stage_failure(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("{\n", encoding="utf-8")
-        qpath, _ = _write_corpus_files(tmp_path)
-        code = main(["filter", "--in", str(bad), "--questions", str(qpath),
-                     "--out", str(tmp_path / "k.jsonl"),
-                     "--rejects", str(tmp_path / "r.jsonl"),
-                     "--needs-judge", str(tmp_path / "j.jsonl")])
-        assert code == 3
+def _config_file(tmp_path, **overrides) -> Path:
+    """`build_pipeline_fixture`'s config with overrides, written to a file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**build_pipeline_fixture(tmp_path), **overrides}),
+                    encoding="utf-8")
+    return path
 
 
 class TestIngestCommand:
@@ -62,34 +47,15 @@ class TestIngestCommand:
         assert data["question_count"] == 20
 
 
-class TestSampleAndDiversify:
-    def test_sample_then_diversify(self, tmp_path):
-        qpath, _ = _write_corpus_files(tmp_path)
-        out = tmp_path / "sampled.jsonl"
-        assert main(["sample", "--questions", str(qpath), "--teacher", "t-x",
-                     "--m", "5", "--seed", "3", "--out", str(out)]) == 0
-        sampled = parse_corpus(out, "trajectories")
-        assert len(sampled) == 100  # 20 questions x 5
-
-        diverse = tmp_path / "diverse.jsonl"
-        report = tmp_path / "div_report.json"
-        assert main(["diversify", "--in", str(out), "--p", "2",
-                     "--out", str(diverse), "--report", str(report)]) == 0
-        assert len(parse_corpus(diverse, "trajectories")) == 40
-        data = json.loads(report.read_text())
-        assert data["p"] == 2 and len(data["per_question"]) == 20
-
-
 _BAD_FIXTURE = '{"kind": "sample", "prompt": "p", "responses": ["r"]}\n'
 
 
 class TestBadFixtures:
     def test_sample_exits_3_naming_the_row(self, tmp_path, capsys):
-        qpath, _ = _write_corpus_files(tmp_path)
-        fx = tmp_path / "fx.jsonl"
+        config = _config_file(tmp_path)
+        fx = tmp_path / "fixtures.jsonl"
         fx.write_text(_BAD_FIXTURE, encoding="utf-8")
-        assert main(["sample", "--questions", str(qpath), "--teacher", "t", "--fixtures",
-                     str(fx), "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert main(["sample", "--config", str(config)]) == 3
         assert f"{fx} line 1: sample row without field 'teacher_id'" in capsys.readouterr().err
 
     def test_run_exits_3_and_logs_the_failure(self, tmp_path, capsys):
@@ -104,78 +70,132 @@ class TestBadFixtures:
         assert [e["event"] for e in events] == ["stage_failed", "done"]
 
 
-class TestCompressCommand:
-    def test_compress_with_fixture_student(self, tmp_path, capsys):
-        from conftest import make_question
-        from ded.records import write_corpus
-        questions = [make_question(i) for i in range(4)]
-        qpath = tmp_path / "q.jsonl"
-        write_corpus(qpath, questions)
-        rows = []
-        for i, q in enumerate(questions):
-            responses = []
-            for r in range(4):
-                ans = q.ground_truth if r < i else "999999"
-                responses.append(f"<think>t</think>\\boxed{{{ans}}}")
-            rows.append({"kind": "sample", "teacher_id": "stu", "prompt": q.prompt,
-                         "responses": responses})
-        fx = tmp_path / "fx.jsonl"
-        fx.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
-
-        out = tmp_path / "hard.jsonl"
-        stats = tmp_path / "rates.jsonl"
-        code = main(["compress", "--questions", str(qpath), "--student", "stu",
-                     "--runs", "4", "--tau", "0.5", "--fixtures", str(fx),
-                     "--out", str(out), "--stats", str(stats)])
-        assert code == 0
-        # pass rates 0, .25, .5, .75 -> first three retained at tau=0.5
-        assert len(parse_corpus(out, "questions")) == 3
-        lines = [json.loads(l) for l in stats.read_text().splitlines()]
-        assert [l["successes"] for l in lines] == [0, 1, 2, 3]
+def _stage_done(out):
+    """Each `stage_done` event of the last run in out, by stage, without its timing."""
+    events = [json.loads(line) for line in
+              (out / "logs" / "events.jsonl").read_text(encoding="utf-8").splitlines()]
+    return {e["stage"]: {k: v for k, v in e.items()
+                         if k not in ("ts", "stage", "event", "duration_ms", "distance_ms")}
+            for e in events if e["event"] == "stage_done"}
 
 
-class TestSubcommandCache:
-    """Subcommands that sample build their client as `ded run` does, so a
-    repeated call is answered from the request cache."""
+_STAGE_MANIFESTS = {"sample": "raw", "filter": "right", "compress": "right_hard",
+                    "diversify": "right_hard_diverse"}
 
-    def test_sample_caches_beside_its_output(self, tmp_path, monkeypatch):
+
+class TestStageCommands:
+    """`ded <stage> --config C` is `ded run` with `stages: [<stage>]`."""
+
+    def test_four_stage_commands_build_the_tree_of_one_run(self, tmp_path):
+        config = _config_file(tmp_path, stages=list(_STAGE_MANIFESTS))
+        out = tmp_path / "stepwise"
+        done = {}
+        for stage, manifest in _STAGE_MANIFESTS.items():
+            assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 0
+            assert (out / f"manifest_{manifest}.json").exists()
+            (fields,) = _stage_done(out).values()
+            done[stage] = fields
+        assert done == {
+            "sample": {"trajectories": 96, "cache_hits": 0, "cache_misses": 12},
+            "filter": {"kept": 87, "rejected": 9, "needs_judge": 0,
+                       "cache_hits": 0, "cache_misses": 0},
+            "compress": {"retained": 6, "cache_hits": 0, "cache_misses": 12},
+            "diversify": {**done["diversify"], "selected": 12},
+        }
+        assert len(parse_corpus(out / "rejected_trajectories.jsonl", "trajectories")) == 9
+        rates = [json.loads(line) for line in (out / "pass_rates.jsonl").read_text().splitlines()]
+        assert [r["successes"] for r in rates] == [3] * 6 + [0, 1, 2] * 2
+        report = json.loads((out / "diversity_report.json").read_text())
+        assert report["p"] == 2 and len(report["per_question"]) == 6
+
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(config), "--out-dir", str(fresh)]) == 0
+        assert set(_stage_done(fresh)) == set(_STAGE_MANIFESTS)
+        assert tree_hash(out) == tree_hash(fresh)
+
+    def test_a_bad_input_line_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        config = _config_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", str(config), "--out-dir", str(out)]) == 0
+        raw = out / "raw_trajectories.jsonl"
+        raw.write_text(raw.read_text(encoding="utf-8") + "{\n", encoding="utf-8")
+        assert main(["filter", "--config", str(config), "--out-dir", str(out)]) == 3
+        assert f"{raw} line 97: " in capsys.readouterr().err
+        assert not (out / "manifest_right.json").exists()
+
+    @pytest.mark.parametrize("stage,missing", [("filter", "manifest_raw.json"),
+                                               ("compress", "manifest_raw.json"),
+                                               ("diversify", "manifest_right_hard.json")])
+    def test_a_stage_alone_in_an_empty_out_dir_names_the_missing_manifest(
+            self, tmp_path, capsys, stage, missing):
+        out = tmp_path / "out"
+        assert main([stage, "--config", str(_config_file(tmp_path)), "--out-dir", str(out)]) == 3
+        assert (f"{missing} is missing from {out}; run the stages before {stage} again"
+                in capsys.readouterr().err)
+        assert [p for p in out.rglob("*")
+                if not {"logs", ".cache"} & set(p.relative_to(out).parts)] == []
+
+    def test_a_missing_parent_corpus_is_named(self, tmp_path, capsys):
+        config = _config_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", str(config), "--out-dir", str(out)]) == 0
+        (out / "raw_trajectories.jsonl").unlink()
+        assert main(["filter", "--config", str(config), "--out-dir", str(out)]) == 3
+        assert ("raw_trajectories.jsonl is missing from" in capsys.readouterr().err)
+
+    def test_stage_commands_take_only_config_and_out_dir(self):
+        from ded.cli import _build_parser
+        (commands,) = [a.choices for a in _build_parser()._actions if a.choices]
+        for stage in _STAGE_MANIFESTS:
+            assert ({o for a in commands[stage]._actions for o in a.option_strings}
+                    == {"-h", "--help", "--config", "--out-dir"})
+
+
+class TestStageCommandCache:
+    """Stage commands build their client as `ded run` does, so a repeated
+    call is answered from the request cache."""
+
+    def test_sample_caches_in_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DED_CACHE_DIR", raising=False)
-        qpath, _ = _write_corpus_files(tmp_path)
-        out = tmp_path / "sampled" / "trajectories.jsonl"
-        args = ["sample", "--questions", str(qpath), "--teacher", "t-x", "--m", "2",
-                "--out", str(out)]
+        out = tmp_path / "out"
+        args = ["sample", "--config", str(_config_file(tmp_path)), "--out-dir", str(out)]
         assert main(args) == 0
-        assert len(list((out.parent / ".cache").glob("*.json"))) == 20  # one per question
-        first = out.read_bytes()
+        assert len(list((out / ".cache").glob("*.json"))) == 12  # one per question
+        first = (out / "raw_trajectories.jsonl").read_bytes()
         monkeypatch.setattr(MockClient, "sample_trajectories",
                             lambda self, request: pytest.fail("sampled again"))
         assert main(args) == 0
-        assert out.read_bytes() == first
+        assert (out / "raw_trajectories.jsonl").read_bytes() == first
 
     def test_compress_caches_under_ded_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "shared_cache"
         monkeypatch.setenv("DED_CACHE_DIR", str(cache))
-        qpath, _ = _write_corpus_files(tmp_path)
-        out = tmp_path / "hard" / "questions.jsonl"
-        args = ["compress", "--questions", str(qpath), "--student", "s-x", "--runs", "2",
-                "--out", str(out), "--stats", str(tmp_path / "rates.jsonl")]
+        config = _config_file(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("sample", "filter"):
+            assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 0
+        args = ["compress", "--config", str(config), "--out-dir", str(out)]
         assert main(args) == 0
-        assert len(list(cache.glob("*.json"))) == 20
-        assert not (out.parent / ".cache").exists()
+        assert len(list(cache.glob("*.json"))) == 24  # 12 samples, then 12 roll-outs
+        assert not (out / ".cache").exists()
         # a repeated or resumed compress is answered from the cache
-        first = out.read_bytes()
+        first = (out / "right_hard_questions.jsonl").read_bytes()
         monkeypatch.setattr(MockClient, "sample_trajectories",
                             lambda self, request: pytest.fail("rolled out again"))
         assert main(args) == 0
-        assert out.read_bytes() == first
+        assert (out / "right_hard_questions.jsonl").read_bytes() == first
+
+
+def _sampled(tmp_path, samples: int) -> Path:
+    """The trajectories `ded sample` writes with `samples` per question."""
+    assert main(["sample", "--config", str(_config_file(tmp_path,
+                                                        samples_per_question=samples))]) == 0
+    return tmp_path / "out" / "raw_trajectories.jsonl"
 
 
 class TestMixCommand:
     def test_mix_sources(self, tmp_path):
-        qpath, _ = _write_corpus_files(tmp_path)
-        a = tmp_path / "a.jsonl"
-        main(["sample", "--questions", str(qpath), "--teacher", "t1",
-              "--m", "2", "--out", str(a)])
+        a = _sampled(tmp_path, 2)
         rows = [json.loads(l) for l in a.read_text().splitlines()]
         for row in rows:
             row["question_id"] = row["question_id"].replace("q", "z")
@@ -190,9 +210,7 @@ class TestMixCommand:
         assert out.with_suffix(".manifest.json").exists()
 
     def test_take_of_zero_is_refused(self, tmp_path, capsys):
-        qpath, _ = _write_corpus_files(tmp_path)
-        a = tmp_path / "a.jsonl"
-        main(["sample", "--questions", str(qpath), "--teacher", "t1", "--m", "1", "--out", str(a)])
+        a = _sampled(tmp_path, 1)
         out = tmp_path / "mixed.jsonl"
         assert main(["mix", "--source", f"{a}:0", "--seed", "5", "--out", str(out)]) == 3
         assert "take must be >= 1, got 0" in capsys.readouterr().err
@@ -275,6 +293,20 @@ class TestStatsCommands:
         assert main(["stats", "lengths", "--in", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mean"] == 1001.5
+
+    def test_lengths_of_a_run_corpus_equal_its_lengths_row(self, tmp_path, capsys):
+        import csv
+        assert main(["run", "--config", str(_config_file(tmp_path))]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["stats", "lengths", "--in",
+                     str(out / "right_hard_diverse_trajectories.jsonl")]) == 0
+        data = json.loads(capsys.readouterr().out)
+        with open(out / "tables" / "lengths.csv", encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["estimated"] == "yes" and data["estimated"]
+        assert ([data["count"], data["median"], data["percentiles"]["p95"]]
+                == [int(row["count"]), int(row["median"]), int(row["p95"])])
 
 
 class TestRunCommand:
@@ -375,27 +407,49 @@ class TestSmokeCommand:
         assert (out_dir / "smoke_ta.jsonl").exists()
         assert (out_dir / "training_tb.json").exists()
 
+    def test_a_slashed_teacher_id_lists_its_corpus_relative_to_out_dir(self, tmp_path):
+        from ded.records import write_corpus
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(i) for i in range(2)])
+        out_dir = tmp_path / "smoke"
+        assert main(["smoke", "--questions", str(qpath), "--teachers", "org/model",
+                     "--out-dir", str(out_dir)]) == 0
+        training = json.loads((out_dir / "training_org" / "model.json").read_text())
+        assert training["corpus_files"] == ["smoke_org/model.jsonl"]
+        assert (out_dir / training["corpus_files"][0]).is_file()
+
+    def test_a_teacher_id_that_leaves_out_dir_is_refused(self, tmp_path, capsys):
+        from ded.records import write_corpus
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(0)])
+        out_dir = tmp_path / "a" / "smoke"
+        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,a/../../x",
+                     "--out-dir", str(out_dir)]) == 3
+        assert "['a/../../x'] would write outside" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*smoke_*")) and not list(tmp_path.rglob("x.json*"))
+
 
 _SCORE = {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "50",
           "mean_response_len": 100}
 _Q = make_question(0)
 # each entry point that reads a JSONL file: a valid row of the file, and the
-# arguments that come before the file's path ({tmp} is the test's directory)
+# arguments ({input} is the file's path, {tmp} the test's directory, where
+# sample.json configures `ded sample` with the file as its fixtures)
 _LINE_FILES = {
-    "ingest questions": (_Q.to_dict(), ["ingest", "--kind", "questions", "--in"]),
+    "ingest questions": (_Q.to_dict(), ["ingest", "--kind", "questions", "--in", "{input}"]),
     "ingest trajectories": (make_trajectory(_Q, 0, well_formed_text(_Q, 0)).to_dict(),
-                            ["ingest", "--kind", "trajectories", "--in"]),
+                            ["ingest", "--kind", "trajectories", "--in", "{input}"]),
     "ingest logprobs": ({"trajectory_id": "t", "position": 0, "top_k": [["a", 1.0]]},
-                        ["ingest", "--kind", "logprobs", "--in"]),
+                        ["ingest", "--kind", "logprobs", "--in", "{input}"]),
     "ingest embeddings": ({"item_id": "a", "phase": "before", "vector": [1.0]},
-                          ["ingest", "--kind", "embeddings", "--in"]),
-    "ingest scores": ({**_SCORE, "delta_acc": "10"}, ["ingest", "--kind", "scores", "--in"]),
+                          ["ingest", "--kind", "embeddings", "--in", "{input}"]),
+    "ingest scores": ({**_SCORE, "delta_acc": "10"},
+                      ["ingest", "--kind", "scores", "--in", "{input}"]),
     "sample --fixtures": ({"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": ["r"]},
-                          ["sample", "--questions", "{tmp}/questions.jsonl", "--teacher", "t",
-                           "--m", "1", "--out", "{tmp}/sampled.jsonl", "--fixtures"]),
-    "rank --scores": ({**_SCORE, "base_acc": "40"}, ["rank", "--scores"]),
+                          ["sample", "--config", "{tmp}/sample.json", "--out-dir", "{tmp}/out"]),
+    "rank --scores": ({**_SCORE, "base_acc": "40"}, ["rank", "--scores", "{input}"]),
     "stats pass1": ({"question_id": "q", "runs": 2, "successes": 1},
-                    ["stats", "pass1", "--outcomes"]),
+                    ["stats", "pass1", "--outcomes", "{input}"]),
 }
 _BAD_LINES = {"invalid JSON": b"{oops", "invalid UTF-8": b'{"x": "\xff"}',
               "not an object": b"[1, 2]", "misspelt kind": b'{"kind": "samples"}',
@@ -417,7 +471,10 @@ def test_every_line_file_refuses_a_bad_line_naming_file_and_line(tmp_path, capsy
     row, args = _LINE_FILES[entry]
     path = tmp_path / "input.jsonl"
     path.write_bytes(json.dumps(row).encode() + b"\n" + _BAD_LINES.get(line, b" \t") + b"\n")
-    code = main([arg.format(tmp=tmp_path) for arg in args] + [str(path)])
+    (tmp_path / "sample.json").write_text(json.dumps({
+        "questions": str(tmp_path / "questions.jsonl"), "teacher_id": "t",
+        "samples_per_question": 1, "client": {"fixtures": str(path)}}), encoding="utf-8")
+    code = main([arg.format(tmp=tmp_path, input=path) for arg in args])
     err = capsys.readouterr().err
     if line == "blank":
         assert code == 0, err

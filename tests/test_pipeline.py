@@ -110,7 +110,7 @@ class TestPipelineEndToEnd:
 
         # every roll-out finishes, then compress dies before writing its files
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "write_hard", disk_full)
+            patch.setattr(pipeline, "select_hard", disk_full)
             interrupted = run_pipeline(config)
         assert (interrupted.exit_code, interrupted.failed_stage) == (EXIT_STAGE, "compress")
         second = run_pipeline(config)

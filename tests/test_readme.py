@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from ded.cli import _build_parser
 from ded.config import CLIENT_FIELDS, FIELDS
 from ded.pipeline import STAGE_TABLE
 from ded.records import (CorpusManifest, EmbeddingRecord, LogprobRecord, PassRateStats,
@@ -57,3 +60,33 @@ def test_schema_table_lists_every_declared_field(heading, record_type):
 def test_stage_keys_table_lists_every_stage_key():
     documented = {row[0]: tuple(_names(row[1])) for row in _rows("Such a run also refuses")}
     assert documented == {row.name: row.keys for row in STAGE_TABLE if row.keys}
+
+
+def _cli_lines() -> list[list[str]]:
+    """The arguments of each command line in the README's CLI block."""
+    block = README.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("ded ")]
+
+
+def _commands(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
+    """The path of every command of parser that takes no further subcommand,
+    as ("stats", "entropy")."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, prefix + (name,))
+
+
+@pytest.mark.parametrize("args", _cli_lines(), ids=" ".join)
+def test_cli_block_line_parses(args):
+    _build_parser().parse_args(args)
+
+
+def test_cli_block_shows_every_command():
+    lines = _cli_lines()
+    missing = [path for path in _commands(_build_parser())
+               if not any(tuple(args[:len(path)]) == path for args in lines)]
+    assert missing == []
