@@ -15,10 +15,9 @@ from pathlib import Path
 from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
-from .mixer import compose_mix
 from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client, run_pipeline
-from .records import (CORPUS_KINDS, STAGES, PassRateStats, load_manifest, parse_corpus,
-                      read_jsonl, save_manifest, write_corpus, write_json, write_manifest)
+from .records import (CORPUS_KINDS, PassRateStats, parse_corpus, read_jsonl, save_manifest,
+                      write_json, write_manifest)
 from .teacher import TeacherSelectError, build_smoke_corpus, ingest_scores, rank_teachers
 
 
@@ -33,21 +32,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="questions", choices=CORPUS_KINDS)
     p.add_argument("--manifest-out")
 
-    for stage, summary in (("sample", "sample teacher trajectories"),
-                           ("filter", "run the quality gate and the judge"),
-                           ("compress", "student roll-outs and hard-question selection"),
-                           ("diversify", "farthest-P selection per question")):
-        p = sub.add_parser(stage, help=f"{summary}: `ded run` with stages [{stage}]")
+    for command, summary in (("sample", "sample teacher trajectories"),
+                             ("filter", "run the quality gate and the judge"),
+                             ("compress", "student roll-outs and hard-question selection"),
+                             ("diversify", "farthest-P selection per question"),
+                             ("mix", "compose the mixed-domain corpus of mix_sources"),
+                             ("report", "render report.md and tables/ from the manifests")):
+        stage = "stats" if command == "report" else command
+        p = sub.add_parser(command, help=f"{summary}: `ded run` with stages [{stage}]")
         p.set_defaults(handler=_cmd_run, stages=[stage])
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir")
-
-    p = sub.add_parser("mix", help="compose a mixed-domain corpus")
-    p.set_defaults(handler=_cmd_mix)
-    p.add_argument("--source", action="append", required=True,
-                   metavar="PATH:TAKE", help="trajectory file and question count")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("smoke", help="build one-sample-per-question teacher corpora")
     p.set_defaults(handler=_cmd_smoke)
@@ -83,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--outcomes", required=True,
                    help="JSONL with question_id, runs, successes rows")
 
-    p = sub.add_parser("report", help="render report.md from stage manifests")
-    p.set_defaults(handler=_cmd_report)
-    p.add_argument("--manifest-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-
     p = sub.add_parser("run", help="run the configured pipeline end to end")
     p.set_defaults(handler=_cmd_run, stages=None)
     p.add_argument("--config", required=True)
@@ -102,22 +92,6 @@ def _cmd_ingest(args) -> int:
         manifest = write_manifest("raw", records, config={"source": args.path})
         save_manifest(manifest, args.manifest_out)
         print(f"wrote manifest {args.manifest_out}")
-    return EXIT_OK
-
-
-def _cmd_mix(args) -> int:
-    sources = []
-    for spec in args.source:
-        path, _, take = spec.rpartition(":")
-        if not path or not take.isdigit():
-            raise ConfigError([f"--source must look like PATH:TAKE, got {spec!r}"])
-        sources.append((parse_corpus(path, "trajectories"), int(take)))
-    mixed, provenance = compose_mix(sources, seed=args.seed)
-    lines = write_corpus(args.out, mixed)
-    manifest = write_manifest("mixed", mixed, config={"mix": provenance}, lines=lines)
-    save_manifest(manifest, Path(args.out).with_suffix(".manifest.json"))
-    print(f"mixed {len(mixed)} trajectories over "
-          f"{manifest.question_count} questions to {args.out}")
     return EXIT_OK
 
 
@@ -177,15 +151,6 @@ def _cmd_stats(args) -> int:
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, summary.to_dict())
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    from . import diagnostics
-    paths = [Path(args.manifest_dir) / f"manifest_{stage}.json" for stage in STAGES]
-    path = diagnostics.emit_report([load_manifest(p) for p in paths if p.exists()],
-                                   args.out_dir)
-    print(f"wrote {path}")
     return EXIT_OK
 
 

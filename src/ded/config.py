@@ -104,8 +104,10 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
     if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"cannot read config {source}: {exc}"]) from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+            raise ConfigError([f"config {source} is not valid JSON: {exc}"]) from exc
     else:
         raw = dict(source)
     if not isinstance(raw, dict):

@@ -50,14 +50,16 @@ CHAINS_PER_SLOT = 8
 
 
 class EventLog:
-    """JSONL event stream with stage, ids, and timing fields."""
+    """JSONL event stream with stage, ids, and timing fields, appended to the
+    log of earlier runs; every event carries `run`, a random id of this run."""
 
     def __init__(self, path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._fh = open(path, "a", encoding="utf-8", newline="\n")
+        self.run = os.urandom(6).hex()
 
     def emit(self, stage: str, event: str, **fields: Any) -> None:
-        row = {"ts": datetime.now(timezone.utc).isoformat(), "stage": stage,
+        row = {"ts": datetime.now(timezone.utc).isoformat(), "run": self.run, "stage": stage,
                "event": event, **fields}
         self._fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
         self._fh.flush()

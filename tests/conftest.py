@@ -11,7 +11,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ded.clients import Client, TransportError
-from ded.records import QuestionRecord, TrajectoryRecord
+from ded.config import STAGE_SEQUENCE
+from ded.records import (PHASES, EmbeddingRecord, LogprobRecord, QuestionRecord,
+                         TrajectoryRecord, write_corpus)
 
 
 def make_question(i: int, domain: str = "math", gt: str | None = None) -> QuestionRecord:
@@ -132,6 +134,31 @@ def build_pipeline_fixture(tmp_path: Path, out_name: str = "out") -> dict:
         "client": {"mode": "mock", "fixtures": str(fixtures_path)},
     }
     return config
+
+
+def six_stage_config(tmp_path: Path) -> dict:
+    """The pipeline fixture's config, with a mix source and the logprobs and
+    embeddings stats analyses, running all six stages."""
+    config = build_pipeline_fixture(tmp_path)
+    q = make_question(40)
+    source = tmp_path / "other_domain.jsonl"
+    write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
+    logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
+    write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
+                            for i in range(3)])
+    write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
+                              for i in range(4) for phase in PHASES])
+    return dict(config, stages=list(STAGE_SEQUENCE),
+                mix_sources=[{"path": str(source), "take": 1}],
+                logprobs=str(logprobs), embeddings=str(embeddings))
+
+
+def read_events(out_dir: Path) -> list[dict]:
+    """The events of the last run logged in out_dir: those that carry the
+    `run` id of the log's last line."""
+    with open(Path(out_dir) / "logs" / "events.jsonl", "r", encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh]
+    return [e for e in events if e["run"] == events[-1]["run"]]
 
 
 class ProbeClient(Client):

@@ -11,10 +11,10 @@ import pytest
 from ded.cli import main
 from ded.clients import MockClient
 from ded.pipeline import tree_hash
-from ded.records import parse_corpus
+from ded.records import load_manifest, parse_corpus
 
 from conftest import (build_pipeline_fixture, make_gate_fixture, make_question,
-                      make_trajectory, well_formed_text)
+                      make_trajectory, read_events, six_stage_config, well_formed_text)
 
 
 def _write_corpus_files(tmp_path):
@@ -65,22 +65,23 @@ class TestBadFixtures:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 3
         assert "sample row without field 'teacher_id'" in capsys.readouterr().err
-        log = Path(config["out_dir"]) / "logs" / "events.jsonl"
-        events = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        events = read_events(Path(config["out_dir"]))
         assert [e["event"] for e in events] == ["stage_failed", "done"]
 
 
 def _stage_done(out):
     """Each `stage_done` event of the last run in out, by stage, without its timing."""
-    events = [json.loads(line) for line in
-              (out / "logs" / "events.jsonl").read_text(encoding="utf-8").splitlines()]
     return {e["stage"]: {k: v for k, v in e.items()
-                         if k not in ("ts", "stage", "event", "duration_ms", "distance_ms")}
-            for e in events if e["event"] == "stage_done"}
+                         if k not in ("ts", "run", "stage", "event", "duration_ms",
+                                      "distance_ms")}
+            for e in read_events(out) if e["event"] == "stage_done"}
 
 
 _STAGE_MANIFESTS = {"sample": "raw", "filter": "right", "compress": "right_hard",
                     "diversify": "right_hard_diverse"}
+# each stage command, and the stage it runs
+_STAGE_COMMANDS = {**{stage: stage for stage in _STAGE_MANIFESTS}, "mix": "mix",
+                   "report": "stats"}
 
 
 class TestStageCommands:
@@ -111,6 +112,25 @@ class TestStageCommands:
         fresh = tmp_path / "fresh"
         assert main(["run", "--config", str(config), "--out-dir", str(fresh)]) == 0
         assert set(_stage_done(fresh)) == set(_STAGE_MANIFESTS)
+        assert tree_hash(out) == tree_hash(fresh)
+
+    def test_six_stage_commands_build_the_tree_of_one_run(self, tmp_path):
+        config = tmp_path / "six.json"
+        config.write_text(json.dumps(six_stage_config(tmp_path)), encoding="utf-8")
+        out = tmp_path / "stepwise"
+        for command in _STAGE_COMMANDS:
+            assert main([command, "--config", str(config), "--out-dir", str(out)]) == 0
+        # the log keeps every command's events, each under a run id of its own
+        lines = (out / "logs" / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        done = [(e["run"], e["stage"]) for e in map(json.loads, lines)
+                if e["event"] == "stage_done"]
+        assert [stage for _, stage in done] == list(_STAGE_COMMANDS.values())
+        assert len({run for run, _ in done}) == len(_STAGE_COMMANDS)
+
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(config), "--out-dir", str(fresh)]) == 0
+        assert [e["stage"] for e in read_events(fresh)
+                if e["event"] == "stage_done"] == list(_STAGE_COMMANDS.values())
         assert tree_hash(out) == tree_hash(fresh)
 
     def test_a_bad_input_line_exits_3_naming_file_and_line(self, tmp_path, capsys):
@@ -146,8 +166,8 @@ class TestStageCommands:
     def test_stage_commands_take_only_config_and_out_dir(self):
         from ded.cli import _build_parser
         (commands,) = [a.choices for a in _build_parser()._actions if a.choices]
-        for stage in _STAGE_MANIFESTS:
-            assert ({o for a in commands[stage]._actions for o in a.option_strings}
+        for command in _STAGE_COMMANDS:
+            assert ({o for a in commands[command]._actions for o in a.option_strings}
                     == {"-h", "--help", "--config", "--out-dir"})
 
 
@@ -194,6 +214,13 @@ def _sampled(tmp_path, samples: int) -> Path:
 
 
 class TestMixCommand:
+    """`ded mix --config C` is `ded run` with `stages: [mix]`."""
+
+    def _mix(self, tmp_path, sources: list[tuple[Path, int]]) -> int:
+        config = _config_file(tmp_path, seed=5, mix_sources=[
+            {"path": str(path), "take": take} for path, take in sources])
+        return main(["mix", "--config", str(config)])
+
     def test_mix_sources(self, tmp_path):
         a = _sampled(tmp_path, 2)
         rows = [json.loads(l) for l in a.read_text().splitlines()]
@@ -202,19 +229,30 @@ class TestMixCommand:
             row["trajectory_id"] = row["trajectory_id"].replace("q", "z")
         b = tmp_path / "b.jsonl"
         b.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
-        out = tmp_path / "mixed.jsonl"
-        assert main(["mix", "--source", f"{a}:3", "--source", f"{b}:3",
-                     "--seed", "5", "--out", str(out)]) == 0
-        mixed = parse_corpus(out, "trajectories")
+        assert self._mix(tmp_path, [(a, 3), (b, 3)]) == 0
+        out = tmp_path / "out"
+        mixed = parse_corpus(out / "mixed_trajectories.jsonl", "trajectories")
         assert len({t.question_id for t in mixed}) == 6
-        assert out.with_suffix(".manifest.json").exists()
+        snapshot = load_manifest(out / "manifest_mixed.json").config_snapshot
+        assert snapshot["seed"] == snapshot["mix"]["seed"] == 5
+        assert snapshot["teacher_id"] == "t-alpha"
 
     def test_take_of_zero_is_refused(self, tmp_path, capsys):
         a = _sampled(tmp_path, 1)
-        out = tmp_path / "mixed.jsonl"
-        assert main(["mix", "--source", f"{a}:0", "--seed", "5", "--out", str(out)]) == 3
-        assert "take must be >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
+        assert self._mix(tmp_path, [(a, 0)]) == 2
+        assert "mix_sources: item 0: take must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mixed_trajectories.jsonl").exists()
+
+    @pytest.mark.parametrize("takes,problem", [
+        ((13,), "source 0: take 13 > 12 available questions"),
+        ((1, 1), "across sources 0 and 1"),
+    ])
+    def test_a_take_above_the_questions_or_a_repeated_id_exits_3(self, tmp_path, capsys,
+                                                                 takes, problem):
+        a = _sampled(tmp_path, 1)
+        assert self._mix(tmp_path, [(a, take) for take in takes]) == 3
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mixed_trajectories.jsonl").exists()
 
 
 class TestRankCommand:
@@ -311,62 +349,76 @@ class TestStatsCommands:
 
 class TestRunCommand:
     def test_run_and_report(self, tmp_path, capsys):
-        config = build_pipeline_fixture(tmp_path)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        config_path = _config_file(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
-        out = capsys.readouterr().out
-        assert "right_hard_diverse" in out
+        assert "right_hard_diverse" in capsys.readouterr().out
+        out = tmp_path / "out"
+        built = tree_hash(out)
+        (out / "report.md").unlink()
 
-        report_dir = tmp_path / "report_out"
-        assert main(["report", "--manifest-dir", config["out_dir"],
-                     "--out-dir", str(report_dir)]) == 0
-        assert (report_dir / "report.md").exists()
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert tree_hash(out) == built
+        assert [e["stage"] for e in read_events(out) if e["event"] == "stage_done"] == ["stats"]
 
     @pytest.mark.parametrize("content", ["{}", "{not json"])
     def test_unreadable_manifest_is_stage_failure(self, tmp_path, capsys, content):
-        config = build_pipeline_fixture(tmp_path)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        config_path = _config_file(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
         out = tmp_path / "out"
         (out / "manifest_right.json").write_text(content, encoding="utf-8")
         capsys.readouterr()
 
-        assert main(["report", "--manifest-dir", str(out),
-                     "--out-dir", str(tmp_path / "report_out")]) == 3
+        assert main(["report", "--config", str(config_path)]) == 3
         assert "manifest_right.json" in capsys.readouterr().err
         assert main(["run", "--config", str(config_path)]) == 3
         assert "manifest_right.json" in capsys.readouterr().err
-        events = [json.loads(line) for line in
-                  (out / "logs" / "events.jsonl").read_text(encoding="utf-8").splitlines()]
+        events = read_events(out)
         assert [(e["stage"], e["event"]) for e in events] == [
             ("sample", "stage_failed"), ("pipeline", "done")]
         assert events[-1]["exit_code"] == 3
 
     def test_manifest_field_of_the_wrong_type_is_stage_failure(self, tmp_path, capsys):
-        config = build_pipeline_fixture(tmp_path)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        config_path = _config_file(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
         path = tmp_path / "out" / "manifest_right.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         data["question_count"] = "twelve"
         path.write_text(json.dumps(data), encoding="utf-8")
+        report = (tmp_path / "out" / "report.md").read_bytes()
         capsys.readouterr()
 
-        assert main(["report", "--manifest-dir", str(tmp_path / "out"),
-                     "--out-dir", str(tmp_path / "report_out")]) == 3
+        assert main(["report", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert "manifest_right.json" in err and "question_count" in err
-        assert not (tmp_path / "report_out" / "report.md").exists()
+        assert (tmp_path / "out" / "report.md").read_bytes() == report
         assert main(["run", "--config", str(config_path)]) == 3
+
+    def test_report_refuses_manifests_built_with_other_stage_keys(self, tmp_path, capsys):
+        assert main(["run", "--config", str(_config_file(tmp_path))]) == 0
+        report = (tmp_path / "out" / "report.md").read_bytes()
+        capsys.readouterr()
+        assert main(["report", "--config", str(_config_file(tmp_path, runs=8))]) == 3
+        assert ("manifest_right_hard.json was built with runs 4, not the configured 8"
+                in capsys.readouterr().err)
+        assert (tmp_path / "out" / "report.md").read_bytes() == report
 
     def test_config_error_exit_code(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"pass_threshold": 2}), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_a_missing_config_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.json"
+        assert main([command, "--config", str(path)]) == 2
+        assert f"cannot read config {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_a_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"teacher_id": "caf\xe9"}')
+        assert main([command, "--config", str(path)]) == 2
+        assert f"cannot read config {path}: " in capsys.readouterr().err
 
 
 def test_module_entry_point_exit_codes(tmp_path):

@@ -19,20 +19,11 @@ from ded.config import STAGE_SEQUENCE, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
                           manifest_snapshot, run_pipeline, tree_hash)
-from ded.records import (EPOCH_ISO, PHASES, STAGES, EmbeddingRecord, LogprobRecord,
-                         QuestionRecord, lineage_chain, load_manifest, parse_corpus,
-                         write_corpus)
+from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, lineage_chain, load_manifest,
+                         parse_corpus)
 
-from conftest import (build_pipeline_fixture, make_question, make_trajectory,
-                      well_formed_text)
-
-
-def _read_events(out_dir):
-    events = []
-    with open(out_dir / "logs" / "events.jsonl", "r", encoding="utf-8") as fh:
-        for line in fh:
-            events.append(json.loads(line))
-    return events
+from conftest import (build_pipeline_fixture, make_question, make_trajectory, read_events,
+                      six_stage_config)
 
 
 class TestPipelineEndToEnd:
@@ -84,7 +75,7 @@ class TestPipelineEndToEnd:
         hash2 = tree_hash(second.out_dir)
         assert first.exit_code == second.exit_code == EXIT_OK
         assert hash1 == hash2
-        done = [e for e in _read_events(second.out_dir)
+        done = [e for e in read_events(second.out_dir)
                 if e["event"] == "done"][0]
         assert done["cache_hits"] > 0
 
@@ -150,13 +141,13 @@ class TestPipelineEndToEnd:
         result = run_pipeline(config)
         assert result.exit_code == EXIT_STAGE and problem in result.error
         events = [(e["stage"], e["event"], e.get("exit_code"))
-                  for e in _read_events(result.out_dir)]
+                  for e in read_events(result.out_dir)]
         assert events == [("sample", "stage_failed", None), ("pipeline", "done", EXIT_STAGE)]
 
     def test_structured_log_fields(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         result = run_pipeline(config)
-        events = _read_events(result.out_dir)
+        events = read_events(result.out_dir)
         stages = {e["stage"] for e in events}
         assert {"sample", "filter", "compress", "diversify", "stats"} <= stages
         sample_events = [e for e in events
@@ -306,23 +297,6 @@ def _report(out_dir):
             if name == "report.md" or name.startswith("tables")}
 
 
-def _six_stage_config(tmp_path: Path) -> dict:
-    """The pipeline fixture's config, with a mix source and the logprobs and
-    embeddings stats analyses, running all six stages."""
-    config = build_pipeline_fixture(tmp_path)
-    q = make_question(40)
-    source = tmp_path / "other_domain.jsonl"
-    write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
-    logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
-    write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
-                            for i in range(3)])
-    write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
-                              for i in range(4) for phase in PHASES])
-    return dict(config, stages=list(STAGE_SEQUENCE),
-                mix_sources=[{"path": str(source), "take": 1}],
-                logprobs=str(logprobs), embeddings=str(embeddings))
-
-
 class TestStageTable:
     def test_rows_follow_the_config_and_manifest_orders(self):
         assert tuple(row.name for row in STAGE_TABLE) == STAGE_SEQUENCE
@@ -339,7 +313,7 @@ class TestStageTable:
     def test_a_six_stage_run_writes_exactly_the_table_outputs(self, tmp_path):
         # a new output file must be listed in the table, or a re-run that
         # replaces its stage would leave the old one behind
-        result = run_pipeline(_six_stage_config(tmp_path))
+        result = run_pipeline(six_stage_config(tmp_path))
         assert result.exit_code == EXIT_OK
         assert _outputs(result.out_dir) == {name for row in STAGE_TABLE for name in row.outputs}
 
@@ -385,7 +359,7 @@ class TestProcessLayout:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_run_of_its_own_builds_the_tree_without_numpy(self, tmp_path, workers):
-        config = dict(_six_stage_config(tmp_path), workers=workers)
+        config = dict(six_stage_config(tmp_path), workers=workers)
         fresh, err = _fresh_run(tmp_path, dict(config, out_dir=str(tmp_path / "fresh")))
         assert fresh == {"code": EXIT_OK, **_CLEAN}, err
         here = run_pipeline(config, out_dir=tmp_path / "here")
@@ -396,10 +370,10 @@ class TestProcessLayout:
                                                                         monkeypatch):
         import numpy  # noqa: F401 - the caller holds numpy
         monkeypatch.setattr(pipeline, "_Helper", None)  # forking a helper would fail
-        assert run_pipeline(_six_stage_config(tmp_path)).exit_code == EXIT_OK
+        assert run_pipeline(six_stage_config(tmp_path)).exit_code == EXIT_OK
 
     def test_a_caller_with_other_threads_runs_diversify_and_stats_itself(self, tmp_path):
-        config = _six_stage_config(tmp_path)
+        config = six_stage_config(tmp_path)
         fresh, err = _fresh_run(tmp_path, config, "import threading; threading.Thread("
                                 "target=threading.Event().wait, daemon=True).start()")
         assert fresh == {"code": EXIT_OK, **_CLEAN, "numpy": True}, err
@@ -413,7 +387,7 @@ class TestProcessLayout:
         assert out.stdout.strip() == "False"
 
     def test_a_bad_logprobs_line_fails_stats_naming_file_and_line(self, tmp_path):
-        config = _six_stage_config(tmp_path)
+        config = six_stage_config(tmp_path)
         with open(config["logprobs"], "a", encoding="utf-8") as fh:
             fh.write("{oops\n")
         fresh, err = _fresh_run(tmp_path, config)
@@ -422,12 +396,12 @@ class TestProcessLayout:
         assert (Path(config["out_dir"]) / "manifest_right_hard_diverse.json").exists()
 
     def test_a_helper_that_dies_fails_its_stage(self, tmp_path):
-        config = _six_stage_config(tmp_path)
+        config = six_stage_config(tmp_path)
         fresh, err = _fresh_run(tmp_path, config,
                                 "pipeline.diversify_corpus = lambda *a, **k: os._exit(9)")
         assert fresh == {"code": EXIT_STAGE, **_CLEAN}, err
         assert "failed at stage diversify: the helper process" in err
-        failed = [e for e in _read_events(Path(config["out_dir"]))
+        failed = [e for e in read_events(Path(config["out_dir"]))
                   if e["event"] == "stage_failed"]
         assert [e["stage"] for e in failed] == ["diversify"]
 
@@ -437,7 +411,7 @@ class TestProcessLayout:
          "pipeline.compose_mix = interrupt", "interrupted"),
     ], ids=["client failure", "interrupt"])
     def test_a_run_that_ends_early_joins_the_helper(self, tmp_path, before, code):
-        config = _six_stage_config(tmp_path)
+        config = six_stage_config(tmp_path)
         if code == EXIT_CLIENT:
             config["client"] = {"mode": "http"}
         fresh, err = _fresh_run(tmp_path, config, before)
@@ -457,7 +431,7 @@ class TestUsedOutDir:
         for manifest in manifests:
             lineage_chain(manifest, manifests)
         assert sorted(m.stage for m in manifests) == ["raw", "right"]
-        removed = [e["path"] for e in _read_events(out) if e["event"] == "removed"]
+        removed = [e["path"] for e in read_events(out) if e["event"] == "removed"]
         assert "manifest_right_hard.json" in removed and "report.md" in removed
         result = run_pipeline(dict(config, stages=["diversify"]))
         assert result.exit_code == EXIT_STAGE
@@ -574,7 +548,7 @@ def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
     counts = []
     for _ in range(2):
         out = run_pipeline(config).out_dir
-        done = [e for e in _read_events(out)
+        done = [e for e in read_events(out)
                 if e["stage"] == "diversify" and e["event"] == "stage_done"]
         counts.append((done[0]["pairs"], done[0]["band_passes"]))
     sizes: dict[str, int] = {}
@@ -591,7 +565,7 @@ def test_diversify_logs_its_band_bytes(tmp_path):
     logged = []
     for _ in range(2):
         out = run_pipeline(config).out_dir
-        done = [e for e in _read_events(out)
+        done = [e for e in read_events(out)
                 if e["stage"] == "diversify" and e["event"] == "stage_done"]
         logged.append(done[0]["band_bytes"])
     assert logged[0] == logged[1] > 0
@@ -600,7 +574,7 @@ def test_diversify_logs_its_band_bytes(tmp_path):
 
 def test_diversify_logs_each_questions_distance_time(tmp_path):
     out = run_pipeline(build_pipeline_fixture(tmp_path)).out_dir
-    done = [e for e in _read_events(out)
+    done = [e for e in read_events(out)
             if e["stage"] == "diversify" and e["event"] == "stage_done"]
     questions = {q.question_id for q in parse_corpus(out / "right_hard_questions.jsonl",
                                                      "questions")}
@@ -814,7 +788,7 @@ def _over_http(config, max_in_flight, out_dir):
 
 
 def _done(out_dir):
-    return next(e for e in _read_events(out_dir) if e["event"] == "done")
+    return next(e for e in read_events(out_dir) if e["event"] == "done")
 
 
 class TestQuestionChains:
@@ -850,7 +824,7 @@ class TestQuestionChains:
 
     def test_stage_done_counts_its_own_calls(self, tmp_path):
         result = run_pipeline(_mixed_fixture(tmp_path))
-        events = _read_events(result.out_dir)
+        events = read_events(result.out_dir)
         done = {e["stage"]: e for e in events if e["event"] == "stage_done"}
         # 8 teacher requests; 4 right and 4 wrong code answers to judge, the
         # right ones 3 times each; student answers repeat judged ones
@@ -873,7 +847,7 @@ class TestQuestionChains:
                       delay=lambda model, prompt: 0.03 - 0.003 * _task(prompt))
             result = run_pipeline(_over_http(config, width, tmp_path / f"w{width}"))
             assert result.exit_code == EXIT_OK
-            logged[width] = [e["trajectory_id"] for e in _read_events(result.out_dir)
+            logged[width] = [e["trajectory_id"] for e in read_events(result.out_dir)
                              if e["event"] == "judge_error"]
             queued = parse_corpus(result.out_dir / "needs_judge.jsonl", "trajectories")
             assert logged[width] == [t.trajectory_id for t in queued]
@@ -890,7 +864,7 @@ class TestQuestionChains:
         assert result.failed_stage == "sample"
         assert result.manifests == {}
         assert sorted(p.name for p in result.out_dir.iterdir()) == [".cache", "logs"]
-        events = [e["event"] for e in _read_events(result.out_dir)
+        events = [e["event"] for e in read_events(result.out_dir)
                   if e["stage"] == "sample"]
         assert events == ["client_failed"]
 
@@ -904,7 +878,7 @@ class TestQuestionChains:
         result = run_pipeline(_over_http(config, 2, used))
         assert (result.exit_code, result.failed_stage) == (EXIT_CLIENT, "sample")
         assert tree_hash(used) == before
-        assert not [e for e in _read_events(used) if e["event"] == "removed"]
+        assert not [e for e in read_events(used) if e["event"] == "removed"]
 
     def test_compress_client_error_keeps_earlier_stages(self, tmp_path, transport):
         config = _mixed_fixture(tmp_path)
