@@ -166,6 +166,8 @@ def _cmd_run(args) -> int:
         for stage, manifest in result.manifests.items():
             print(f"{stage}: questions={manifest.question_count} "
                   f"trajectories={manifest.trajectory_count}")
+        if "stats" in cfg["stages"]:
+            print(f"wrote report {result.out_dir / 'report.md'}")
     return result.exit_code
 
 

@@ -120,6 +120,8 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
         errors.append("client: expected an object")
         client = {}
     cfg["client"] = _apply(CLIENT_FIELDS, client, "client.", errors)
+    if isinstance(cfg["stages"], list) and "mix" in cfg["stages"] and not cfg["mix_sources"]:
+        errors.append("stages: mix needs mix_sources, a list of {path, take}")
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -32,10 +32,9 @@ from .config import validate_config
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
                         run_quality_gate, token_lengths)
 from .mixer import compose_mix
-from .records import (EPOCH_ISO, STAGES, CorpusError, CorpusManifest, PassRateStats,
-                      QuestionRecord, TrajectoryRecord, content_hash, dumps_record,
-                      lineage_chain, load_manifest, parse_corpus, replacing, save_manifest,
-                      write_corpus, write_json, write_manifest)
+from .records import (EPOCH_ISO, CorpusError, CorpusManifest, PassRateStats, QuestionRecord,
+                      TrajectoryRecord, content_hash, dumps_record, load_manifest, parse_corpus,
+                      replacing, save_manifest, write_corpus, write_json, write_manifest)
 from .teacher import sample_teacher
 
 EXIT_OK = 0
@@ -375,9 +374,7 @@ def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
     return {"selected": len(selected), **engine}
 
 
-def _mix(run: _Run, row: Stage) -> dict[str, Any] | None:
-    if not run.cfg["mix_sources"]:
-        return None
+def _mix(run: _Run, row: Stage) -> dict[str, Any]:
     mixed, provenance = compose_mix([(parse_corpus(src["path"], "trajectories"), src["take"])
                                      for src in run.cfg["mix_sources"]], seed=run.cfg["seed"])
     lines = write_corpus(*run.paths(row.corpus), mixed)
@@ -426,7 +423,7 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
         lens, estimated = token_lengths(run.trajectories, run.fconfig)
     except FilterError:
         lens, estimated = [], False
-    run.helper(_write_report, run.out, [run.known[s] for s in STAGES if s in run.known],
+    run.helper(_write_report, run.out, [run.known[s] for s in _WRITERS if s in run.known],
                run.cfg, lens, estimated)
     return {}
 
@@ -440,8 +437,8 @@ class Stage:
     parent: str | None       # the manifest stage whose corpus it reads
     corpus: tuple[str, ...]  # the files its manifest hashes, questions first
     writes: tuple[str, ...]  # its other files
-    # writes them all; returns its `stage_done` fields, or None if it did nothing
-    run: Callable[[_Run, Stage], dict[str, Any] | None]
+    # writes them all; returns its `stage_done` fields
+    run: Callable[[_Run, Stage], dict[str, Any]]
     step: Callable[[_Run, Client, _Chain], None] | None = None  # its calls per question
     # the config keys its corpus depends on, checked when a later stage reads it
     keys: tuple[str, ...] = ()
@@ -472,7 +469,9 @@ STAGE_TABLE = (
            "tables/entropy.csv", "tables/pca_shift.csv"), _stats, helper=True),
 )
 _WRITERS = {row.manifest: row for row in STAGE_TABLE if row.manifest}
-_LINEAGE = STAGES[:-1]  # raw ... right_hard_diverse; mixed stands apart
+# the manifests a parent links: raw ... right_hard_diverse; mixed stands apart
+_LINEAGE = tuple(stage for stage, row in _WRITERS.items()
+                 if row.parent or any(r.parent == stage for r in STAGE_TABLE))
 # the keys of every stage's corpus, echoed into every manifest
 SNAPSHOT_KEYS = tuple(dict.fromkeys(key for row in STAGE_TABLE for key in row.keys))
 
@@ -500,10 +499,17 @@ def _remove_replaced(run: _Run) -> None:
 def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecord],
                                                               list[TrajectoryRecord]]:
     """`row`'s questions and trajectories, read back from out_dir for the
-    stage `reader`, refused unless they are the bytes of `row`'s manifest and
-    every manifest of its lineage records the configured values of its
-    stage's keys."""
-    missing = next((name for name in (f"manifest_{row.manifest}.json", *row.corpus)
+    stage `reader`, refused unless they are the bytes of `row`'s manifest.
+
+    The lineage is walked from `row` back to raw through the table's
+    parents: each manifest on it must record its own stage and the
+    configured values of its stage's keys, and link to its parent's
+    content hash (to none at raw)."""
+    lineage = [row]
+    while lineage[-1].parent:
+        lineage.append(_WRITERS[lineage[-1].parent])
+    manifests = [f"manifest_{r.manifest}.json" for r in lineage]
+    missing = next((name for name in (manifests[0], *row.corpus, *manifests[1:])
                     if not (run.out / name).exists()), None)
     if missing is not None:
         raise CorpusError(f"{missing} is missing from {run.out}; "
@@ -514,19 +520,25 @@ def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecor
     trajectories = parse_corpus(run.out / trajectory_file, "trajectories")
     # raw's manifest also covers the configured questions, right_hard's its own
     covered = questions + trajectories if question_file or not row.parent else trajectories
-    manifest = run.known[row.manifest]
-    if content_hash(covered) != manifest.content_hash:
-        raise CorpusError(f"{trajectory_file} does not match manifest_{row.manifest}.json; "
+    if content_hash(covered) != run.known[row.manifest].content_hash:
+        raise CorpusError(f"{trajectory_file} does not match {manifests[0]}; "
                           f"run the stages before {reader} again")
-    for built in lineage_chain(manifest, run.known.values()):
-        writer = _WRITERS[built.stage]
-        for key in writer.keys:
-            recorded = built.config_snapshot.get(key, "(not recorded)")
-            if recorded != run.snapshot[key]:
-                raise CorpusError(
-                    f"manifest_{built.stage}.json was built with {key} {recorded!r}, not the "
-                    f"configured {run.snapshot[key]!r}; run {writer.name} and the stages after "
-                    f"it again")
+    for writer, parent in zip(lineage, lineage[1:] + [None]):
+        built = run.known[writer.manifest]
+        recorded = {key: built.config_snapshot.get(key, "(not recorded)") for key in writer.keys}
+        changed = [key for key in writer.keys if recorded[key] != run.snapshot[key]]
+        link = run.known[parent.manifest].content_hash if parent else None
+        if built.stage != writer.manifest:
+            problem = f"records stage {built.stage!r}"
+        elif changed:
+            problem = (f"was built with {changed[0]} {recorded[changed[0]]!r}, not the "
+                       f"configured {run.snapshot[changed[0]]!r}")
+        elif built.parent_manifest != link:
+            problem = f"records parent_manifest {built.parent_manifest!r}, not {link!r}"
+        else:
+            continue
+        raise CorpusError(f"manifest_{writer.manifest}.json {problem}; "
+                          f"run {writer.name} and the stages after it again")
     return questions, trajectories
 
 
@@ -561,7 +573,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
             run.helper = helper = _Helper(cfg if "stats" in cfg["stages"] else None)
         client = build_client(cfg, out)
         # manifests from earlier partial runs let any stage suffix resume
-        priors = {stage: out / f"manifest_{stage}.json" for stage in STAGES}
+        priors = {stage: out / f"manifest_{stage}.json" for stage in _WRITERS}
         run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
 
         if cfg["questions"]:
@@ -618,8 +630,6 @@ def run_pipeline(config: str | Path | dict[str, Any],
             if not row.step:
                 bound = time.perf_counter()
             fields = row.run(run, row)
-            if fields is None:
-                continue
             # a streamed stage ends with its last step, the last of them after every write
             end = time.perf_counter()
             if row.step:

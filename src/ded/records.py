@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 DOMAINS = ("math", "code")
 VERDICT_STATUSES = ("correct", "incorrect", "unverifiable", "malformed_format", "overlength")
@@ -27,8 +27,8 @@ CHECKERS = ("rule", "judge", "format", "length")
 # format and length failures only come from their own checkers
 _STATUS_CHECKERS = {"malformed_format": ("format",), "overlength": ("length",),
                     "correct": ("rule", "judge"), "incorrect": ("rule", "judge")}
-# The linear lineage raw -> right -> right_hard -> right_hard_diverse;
-# "mixed" may follow any of these.
+# The stages a manifest may record; which one follows which is the parent
+# column of ded.pipeline's STAGE_TABLE.
 STAGES = ("raw", "right", "right_hard", "right_hard_diverse", "mixed")
 PHASES = ("before", "after")
 CORPUS_KINDS = ("questions", "trajectories", "logprobs", "embeddings", "scores")
@@ -463,15 +463,6 @@ class CorpusManifest:
     notes: list[str] = _field(list, [], strings_only)
 
 
-def _parent_stages(stage: str) -> tuple[str | None, ...]:
-    """The stages a manifest of stage may follow, None for no parent."""
-    if stage == "raw":
-        return (None,)
-    if stage == "mixed":
-        return (None, *STAGES[:-1])
-    return (STAGES[STAGES.index(stage) - 1],)
-
-
 def write_manifest(stage: str,
                    records: Sequence[Record],
                    parent: CorpusManifest | None = None,
@@ -483,15 +474,9 @@ def write_manifest(stage: str,
 
     Both question and trajectory counts are always recorded: for trajectory
     corpora the question count is the number of distinct question ids.
-    Stage parentage must follow raw -> right -> right_hard ->
-    right_hard_diverse; mixed may follow any stage.
+    `parent` is the manifest of the corpus the records were made from, if
+    any; its content hash is recorded as `parent_manifest`.
     """
-    if stage not in STAGES:
-        raise CorpusError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    if (parent.stage if parent else None) not in _parent_stages(stage):
-        raise CorpusError(f"stage regression: {stage} cannot follow "
-                          f"{parent.stage if parent else 'no stage'}")
-
     questions = [r for r in records if isinstance(r, QuestionRecord)]
     trajectories = [r for r in records if isinstance(r, TrajectoryRecord)]
     if questions:
@@ -532,21 +517,3 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         except ValueError as exc:  # CorpusError and JSONDecodeError among them
             raise CorpusError(f"{path} is not a manifest: {exc}") from exc
 
-
-def lineage_chain(manifest: CorpusManifest,
-                  manifests: Collection[CorpusManifest]) -> list[CorpusManifest]:
-    """manifest and its ancestors among manifests, back to the raw stage:
-    each parent is of a stage the child may follow (`_parent_stages`), so
-    stages of equal content hashes are told apart. Errors on a gap. Mixed
-    manifests without a parent are valid chain terminals."""
-    chain = [manifest]
-    while chain[-1].parent_manifest is not None:
-        cur = chain[-1]
-        parent = next((m for m in manifests if m.stage in _parent_stages(cur.stage)
-                       and m.content_hash == cur.parent_manifest), None)
-        if parent is None:
-            raise CorpusError(f"manifest lineage broken: missing parent {cur.parent_manifest}")
-        chain.append(parent)
-    if chain[-1].stage not in ("raw", "mixed"):
-        raise CorpusError(f"lineage terminates at {chain[-1].stage}, not raw")
-    return chain

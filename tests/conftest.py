@@ -136,20 +136,24 @@ def build_pipeline_fixture(tmp_path: Path, out_name: str = "out") -> dict:
     return config
 
 
+def mix_sources(tmp_path: Path) -> list[dict]:
+    """`mix_sources` of one source: a question of its own with two trajectories."""
+    q = make_question(40)
+    source = tmp_path / "other_domain.jsonl"
+    write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
+    return [{"path": str(source), "take": 1}]
+
+
 def six_stage_config(tmp_path: Path) -> dict:
     """The pipeline fixture's config, with a mix source and the logprobs and
     embeddings stats analyses, running all six stages."""
     config = build_pipeline_fixture(tmp_path)
-    q = make_question(40)
-    source = tmp_path / "other_domain.jsonl"
-    write_corpus(source, [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)])
     logprobs, embeddings = tmp_path / "logprobs.jsonl", tmp_path / "embeddings.jsonl"
     write_corpus(logprobs, [LogprobRecord("q000:t-alpha:000", i, [("a", 0.6), ("b", 0.4)])
                             for i in range(3)])
     write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
                               for i in range(4) for phase in PHASES])
-    return dict(config, stages=list(STAGE_SEQUENCE),
-                mix_sources=[{"path": str(source), "take": 1}],
+    return dict(config, stages=list(STAGE_SEQUENCE), mix_sources=mix_sources(tmp_path),
                 logprobs=str(logprobs), embeddings=str(embeddings))
 
 

@@ -243,6 +243,18 @@ class TestMixCommand:
         assert "mix_sources: item 0: take must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mixed_trajectories.jsonl").exists()
 
+    def test_mix_without_mix_sources_exits_2_and_removes_nothing(self, tmp_path, capsys):
+        six = tmp_path / "six.json"
+        six.write_text(json.dumps(six_stage_config(tmp_path)), encoding="utf-8")
+        assert main(["run", "--config", str(six)]) == 0
+        out = tmp_path / "out"
+        built = tree_hash(out)
+        capsys.readouterr()
+        assert main(["mix", "--config", str(_config_file(tmp_path))]) == 2
+        assert ("stages: mix needs mix_sources, a list of {path, take}"
+                in capsys.readouterr().err)
+        assert tree_hash(out) == built
+
     @pytest.mark.parametrize("takes,problem", [
         ((13,), "source 0: take 13 > 12 available questions"),
         ((1, 1), "across sources 0 and 1"),
@@ -351,12 +363,15 @@ class TestRunCommand:
     def test_run_and_report(self, tmp_path, capsys):
         config_path = _config_file(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
-        assert "right_hard_diverse" in capsys.readouterr().out
         out = tmp_path / "out"
+        printed = capsys.readouterr().out
+        assert "right_hard_diverse" in printed
+        assert printed.endswith(f"wrote report {out / 'report.md'}\n")
         built = tree_hash(out)
         (out / "report.md").unlink()
 
         assert main(["report", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out == f"wrote report {out / 'report.md'}\n"
         assert tree_hash(out) == built
         assert [e["stage"] for e in read_events(out) if e["event"] == "stage_done"] == ["stats"]
 

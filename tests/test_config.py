@@ -55,7 +55,8 @@ class TestValidateConfig:
 
     def test_gap_between_corpus_stages_refused(self):
         validate_config({"stages": ["compress", "diversify", "stats"]})
-        validate_config({"stages": ["sample", "mix"]})
+        validate_config({"stages": ["sample", "mix"],
+                         "mix_sources": [{"path": "a.jsonl", "take": 1}]})
         for stages in (["sample", "diversify"], ["filter", "diversify", "stats"],
                        ["sample", "filter", "diversify"]):
             with pytest.raises(ConfigError, match="gap"):
@@ -84,6 +85,15 @@ class TestValidateConfig:
             validate_config({"mix_sources": [{"path": "a.jsonl"}]})
         with pytest.raises(ConfigError):
             validate_config({"mix_sources": [{"path": "a.jsonl", "take": 0}]})
+
+    @pytest.mark.parametrize("sources", [None, []], ids=["null", "empty"])
+    def test_mix_without_mix_sources_refused(self, sources):
+        # it would run as a stage that writes nothing after removing mix's
+        # and stats's old files
+        with pytest.raises(ConfigError) as err:
+            validate_config({"stages": ["mix"], "mix_sources": sources})
+        assert err.value.errors == ["stages: mix needs mix_sources, a list of {path, take}"]
+        validate_config({"mix_sources": sources})
 
     def test_cap_ratio_range(self):
         validate_config({"cap_ratio": None})

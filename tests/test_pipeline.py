@@ -19,11 +19,11 @@ from ded.config import STAGE_SEQUENCE, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
                           manifest_snapshot, run_pipeline, tree_hash)
-from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, lineage_chain, load_manifest,
+from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_manifest,
                          parse_corpus)
 
-from conftest import (build_pipeline_fixture, make_question, make_trajectory, read_events,
-                      six_stage_config)
+from conftest import (build_pipeline_fixture, make_question, make_trajectory, mix_sources,
+                      read_events, six_stage_config)
 
 
 class TestPipelineEndToEnd:
@@ -277,13 +277,79 @@ class TestPartialRuns:
         assert refused_by in result.error and key in result.error
         assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
-    def test_missing_parent_manifest_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("stage,deleted", [
+        ("compress", ("manifest_right.json",)),
+        # raw lies two stages behind diversify's input, on the walk to it
+        ("diversify", ("manifest_raw.json", "raw_trajectories.jsonl")),
+    ])
+    def test_missing_parent_manifest_is_refused(self, tmp_path, stage, deleted):
         config = build_pipeline_fixture(tmp_path)
         out = run_pipeline(config).out_dir
-        (out / "manifest_right.json").unlink()
-        result = run_pipeline(dict(config, stages=["compress"]))
-        assert result.exit_code == EXIT_STAGE
-        assert result.failed_stage == "compress"
+        for name in deleted:
+            (out / name).unlink()
+        built = tree_hash(out)
+        result = run_pipeline(dict(config, stages=[stage]))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, stage)
+        assert f"{deleted[0]} is missing from {out}" in result.error
+        assert tree_hash(out) == built
+
+    @pytest.mark.parametrize("stage,edited,fields,problem,rerun", [
+        ("compress", "right", {"stage": "right_hard"}, "records stage 'right_hard'", "filter"),
+        ("diversify", "right", {"stage": "raw"}, "records stage 'raw'", "filter"),
+        ("diversify", "right_hard", {"parent_manifest": "0" * 64},
+         f"records parent_manifest '{'0' * 64}', not '", "compress"),
+        ("stats", "right", {"parent_manifest": None}, "records parent_manifest None, not '",
+         "filter"),
+        ("filter", "raw", {"parent_manifest": "0" * 64},
+         f"records parent_manifest '{'0' * 64}', not None", "sample"),
+    ], ids=["relabelled", "relabelled ancestor", "unlinked", "unlinked ancestor",
+            "raw with a parent"])
+    def test_a_broken_lineage_is_refused(self, tmp_path, stage, edited, fields, problem,
+                                         rerun):
+        # the walk from the manifest read back to raw's follows the table's
+        # parents: each manifest on it must record its own stage and link to
+        # its parent's content hash
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        path = out / f"manifest_{edited}.json"
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **fields}),
+                        encoding="utf-8")
+        built = tree_hash(out)
+        result = run_pipeline(dict(config, stages=list(dict.fromkeys([stage, "stats"]))))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, stage)
+        assert (f"manifest_{edited}.json {problem}" in result.error
+                and f"run {rerun} and the stages after it again" in result.error)
+        assert tree_hash(out) == built
+
+    def test_diversify_first_reads_a_right_hard_that_hashes_like_raw(self, tmp_path):
+        # every trajectory of the questions without a planted defect passes
+        # filter, and a student that always slips makes every question hard;
+        # raw's trajectories are then swapped for the judged ones, so that
+        # right_hard holds raw's records, which the walk by stage tells apart
+        config = build_pipeline_fixture(tmp_path)
+        questions = Path(config["questions"])
+        lines = questions.read_text(encoding="utf-8").splitlines(keepends=True)
+        questions.write_text("".join(lines[::4]), encoding="utf-8")
+        fixtures = Path(config["client"]["fixtures"])
+        rows = [json.loads(line) for line in fixtures.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            if row["teacher_id"] == config["student_id"]:
+                row["responses"] = ["<think>student slips.</think>\\boxed{-1}"] * config["runs"]
+        fixtures.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = run_pipeline(config).out_dir
+        shutil.copyfile(out / "right_trajectories.jsonl", out / "raw_trajectories.jsonl")
+        raw, right, hard = (json.loads((out / f"manifest_{s}.json").read_text(encoding="utf-8"))
+                            for s in ("raw", "right", "right_hard"))
+        raw["content_hash"] = right["parent_manifest"] = content_hash(
+            parse_corpus(questions, "questions")
+            + parse_corpus(out / "raw_trajectories.jsonl", "trajectories"))
+        assert raw["content_hash"] == hard["content_hash"]
+        for stage, manifest in (("raw", raw), ("right", right)):
+            (out / f"manifest_{stage}.json").write_text(json.dumps(manifest), encoding="utf-8")
+        diverse = (out / "right_hard_diverse_trajectories.jsonl").read_bytes()
+        result = run_pipeline(dict(config, stages=["diversify"]))
+        assert result.exit_code == EXIT_OK, result.error
+        assert (out / "right_hard_diverse_trajectories.jsonl").read_bytes() == diverse
 
 
 def _outputs(out_dir):
@@ -427,15 +493,27 @@ class TestUsedOutDir:
         out = run_pipeline(config).out_dir
         edited = run_pipeline(dict(config, stages=["sample", "filter"], max_token_len=50))
         assert edited.exit_code == EXIT_OK
-        manifests = [load_manifest(p) for p in out.glob("manifest_*.json")]
-        for manifest in manifests:
-            lineage_chain(manifest, manifests)
-        assert sorted(m.stage for m in manifests) == ["raw", "right"]
+        manifests = {m.stage: m for m in map(load_manifest, out.glob("manifest_*.json"))}
+        assert sorted(manifests) == ["raw", "right"]
+        assert manifests["raw"].parent_manifest is None
+        assert manifests["right"].parent_manifest == manifests["raw"].content_hash
         removed = [e["path"] for e in read_events(out) if e["event"] == "removed"]
         assert "manifest_right_hard.json" in removed and "report.md" in removed
         result = run_pipeline(dict(config, stages=["diversify"]))
         assert result.exit_code == EXIT_STAGE
         assert result.failed_stage == "diversify"
+
+    def test_a_full_run_replaces_a_relabelled_manifest(self, tmp_path):
+        # the stage check is made on the read path only, so a run that reads
+        # nothing back rebuilds a tree whose manifests say the wrong stage
+        config = six_stage_config(tmp_path)
+        out = run_pipeline(config).out_dir
+        fresh = tree_hash(out)
+        path = out / "manifest_right.json"
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")),
+                                    "stage": "right_hard"}), encoding="utf-8")
+        assert run_pipeline(config).exit_code == EXIT_OK
+        assert tree_hash(out) == fresh
 
     def test_stats_alone_reports_what_the_full_run_did(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
@@ -493,7 +571,7 @@ _FAILS_AT = {"token_estimator": "filter"}
 def full_run(tmp_path_factory):
     """The pipeline fixture's config and the out_dir of a full run of it."""
     root = tmp_path_factory.mktemp("full_run")
-    config = build_pipeline_fixture(root)
+    config = dict(build_pipeline_fixture(root), mix_sources=mix_sources(root))
     assert run_pipeline(config).exit_code == EXIT_OK
     return config, Path(config["out_dir"])
 

@@ -6,8 +6,8 @@ import pytest
 
 from ded.records import (CorpusError, CorpusManifest, EmbeddingRecord, LogprobRecord,
                          PassRateStats, ScoreRecord, VerificationVerdict, content_hash,
-                         lineage_chain, load_manifest, parse_corpus, save_manifest,
-                         write_corpus, write_json, write_manifest)
+                         load_manifest, parse_corpus, save_manifest, write_corpus, write_json,
+                         write_manifest)
 
 from conftest import make_question, make_trajectory, well_formed_text
 
@@ -213,23 +213,6 @@ def test_write_manifest_empty_set_is_flagged():
     assert "empty record set" in manifest.notes
 
 
-def test_stage_regression_rejected():
-    q = make_question(7)
-    raw = write_manifest("raw", [q])
-    right = write_manifest("right", [q], parent=raw)
-    hard = write_manifest("right_hard", [q], parent=right)
-    diverse = write_manifest("right_hard_diverse", [q], parent=hard)
-    with pytest.raises(CorpusError):
-        write_manifest("right_hard", [q], parent=diverse)
-    with pytest.raises(CorpusError):
-        write_manifest("raw", [q], parent=raw)
-    with pytest.raises(CorpusError):
-        write_manifest("right", [q], parent=None)
-    # mixed may follow any stage
-    write_manifest("mixed", [q], parent=diverse)
-    write_manifest("mixed", [q], parent=raw)
-
-
 def test_manifest_save_load_and_lineage(tmp_path):
     q = make_question(8)
     trajectories = [make_trajectory(q, j, well_formed_text(q, j)) for j in range(3)]
@@ -241,9 +224,10 @@ def test_manifest_save_load_and_lineage(tmp_path):
     save_manifest(diverse, path)
     loaded = load_manifest(path)
     assert loaded == diverse
-    chain = lineage_chain(loaded, [raw, right, hard])
-    assert [m.stage for m in chain] == ["right_hard_diverse", "right_hard", "right", "raw"]
-    assert len(chain) <= 4
+    assert raw.parent_manifest is None
+    assert right.parent_manifest == raw.content_hash
+    assert hard.parent_manifest == right.content_hash
+    assert loaded.parent_manifest == hard.content_hash
 
 
 @pytest.mark.parametrize("field,value", [
@@ -269,22 +253,6 @@ def test_load_manifest_names_a_missing_field(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(CorpusError, match="content_hash: missing"):
         load_manifest(path)
-
-
-def test_lineage_chain_tells_stages_of_equal_hashes_apart():
-    # every trajectory passes filter and every question is hard: right_hard
-    # hashes the same records as raw
-    q = make_question(10)
-    trajectories = [make_trajectory(q, j, well_formed_text(q, j)) for j in range(2)]
-    raw = write_manifest("raw", [q] + trajectories)
-    right = write_manifest("right", trajectories, parent=raw)
-    hard = write_manifest("right_hard", [q] + trajectories, parent=right)
-    diverse = write_manifest("right_hard_diverse", trajectories[:1], parent=hard)
-    assert hard.content_hash == raw.content_hash
-    chain = lineage_chain(diverse, [diverse, hard, right, raw])
-    assert [m.stage for m in chain] == ["right_hard_diverse", "right_hard", "right", "raw"]
-    with pytest.raises(CorpusError, match="missing parent"):
-        lineage_chain(diverse, [diverse, hard, raw])
 
 
 def test_manifest_from_dict_round_trip():
