@@ -4,30 +4,36 @@ One engine computes the Levenshtein distance: Myers's bit-parallel column
 step on the diagonal band that any alignment of cost at most k stays in
 (Ukkonen 1985), about k+1 rows wide, which gives the exact distance when it
 is at most k and otherwise reports "more than k". One column step serves
-many pairs at once: each pair owns a segment of a single int, and each
-column's match words are byte slices of per-symbol occurrence bitmaps. As
-the scan goes on, each band drops the rows that can no longer end within k
-(Ukkonen's cut-off) and the pairs are re-packed into a narrower int. A
-question's first pair starts in a wide band that doubles until its distance
-fits; every other pair then shares one pass at a band just above that
-distance, and a pair that does not fit is sent again at double the band. A
-band too narrow is detected and widened, so the starting band changes only
-the time taken, never a result. Selection is greedy max-min dispersion,
-deterministic under explicit tie-breaks.
+many pairs at once: each pair owns a segment of a single int, with its own
+band, and each column's match words are byte slices of per-symbol
+occurrence bitmaps. As the scan goes on, each band drops the rows that can
+no longer end within k (Ukkonen's cut-off) and the pairs are re-packed
+into a narrower int.
+
+Diversify splits its questions into up to `workers` packs of about equal
+work, each in a process of its own when there are several. A pack's
+questions share their passes: the first pair of every question starts in
+a wide band, all of them in one pass, and doubles until its distance fits;
+every other pair of the pack then shares one pass, each at a band just
+above its own question's first distance, and the pairs that do not fit
+are sent again together at double their bands. A pass holds only bands
+within 2x of each other, since every segment is as wide as the widest. A
+band too narrow is detected and widened, so the starting band and the
+packing change only the time taken, never a result. Selection is greedy
+max-min dispersion, deterministic under explicit tie-breaks.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .filtering import THINK_CLOSE, THINK_OPEN
+from .forked import Forked
 from .records import TrajectoryRecord
 
 # smallest starting band; narrower bands save little and double more often
@@ -45,6 +51,10 @@ _SCRATCH = 1 << 20
 # of _BLOCK: a read or a re-pack costs about as much as stepping a few dozen
 # columns of a wide int
 _CUT = 1024
+# bytes of packed int a pass may start with: an int of a few kB costs
+# about as little per byte to step as any wider one, while a wider one
+# shortens the chunks its bitmaps fit in, each of which re-reads a slot
+_PASS_BYTES = 1 << 13
 # bytes the packed int must lose before it is re-packed; an int of a pair or
 # two costs about the same to step whatever its size
 _REPACK = 64
@@ -85,6 +95,17 @@ def _strip_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a[:len(a) - hi], b[:len(b) - hi]
 
 
+def _bitmaps(rows: np.ndarray, codes: np.ndarray, c0: int, nbytes: int) -> np.ndarray:
+    """Per pair, a bitmap of each of `codes` over nbytes bytes of its rows
+    from column c0 on, and one of no symbol, all zero, packed: one code's
+    bitmaps are unpacked at a time."""
+    window = rows[:, c0:c0 + 8 * nbytes]
+    bitmaps = np.zeros((len(rows), len(codes) + 1, nbytes), dtype=np.uint8)
+    for i, code in enumerate(codes):
+        bitmaps[:, i] = np.packbits(window == code, axis=1, bitorder="little")
+    return bitmaps
+
+
 def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
                   slot: int, start: int) -> Iterator[bytes]:
     """The match words of _BLOCK columns at a time from column `start` (a
@@ -95,11 +116,11 @@ def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
     text[p, c], taken from a bitmap of that symbol's occurrences in pair p's
     rows that starts at a whole byte; columns past ends[p] match nothing.
     The bitmaps are built per chunk of columns, only for the symbols in the
-    chunk's text, and a chunk takes as many columns as keep the unpacked
-    bitmaps within _SCRATCH bytes (at least 8), so scratch memory is bounded
-    whatever the alphabet. Chunks start at _CUT columns and grow by whole
-    intervals of _CUT, so that a re-pack at a cut-off check seldom throws
-    bitmaps away.
+    chunk's text and one symbol at a time, and a chunk takes as many
+    columns as keep its packed bitmaps and one symbol's unpacked ones within
+    _SCRATCH bytes (at least 8), so scratch memory is bounded whatever the
+    alphabet. Chunks start at _CUT columns and grow by whole intervals of
+    _CUT, so that a re-pack at a cut-off check seldom throws bitmaps away.
     """
     pairs, cols = text.shape
     step = slot // 8
@@ -108,29 +129,32 @@ def _match_blocks(rows: np.ndarray, text: np.ndarray, ends: np.ndarray,
     while c0 < cols:
         chunk = text[:, c0:c0 + span]
         syms = np.flatnonzero(np.bincount(chunk.ravel()))
-        fit = _SCRATCH // (pairs * (len(syms) + 1)) - slot
+        # per pair and byte of rows: a packed byte per symbol and one more,
+        # and the eight bytes of one symbol unpacked, with its packed copy
+        fit = 8 * (_SCRATCH // (pairs * (len(syms) + 10)) - step)
         if fit < chunk.shape[1] and span > 8:
             # fewer columns may hold fewer symbols, so shrink by half at most
             span = max(8, fit, span // 2) // 8 * 8
             continue
         c1 = c0 + chunk.shape[1]
         nbytes = (c1 - 1) // 8 - c0 // 8 + step
-        # per pair, a bitmap of each symbol over the rows the chunk reads,
-        # and one of a value no row holds, all zero, for columns past ends
-        codes = np.append(syms, np.iinfo(rows.dtype).max - 1).astype(rows.dtype)
-        bitmaps = np.packbits(rows[:, None, c0:c0 + 8 * nbytes] == codes[:, None],
-                              axis=2, bitorder="little").ravel()
-        # column c reads pair p's bitmap of text[p, c] from byte c // 8 on
+        # the last bitmap, all zero, serves columns past ends
+        bitmaps = _bitmaps(rows, syms.astype(rows.dtype), c0, nbytes).ravel()
+        # column c0 + at + i reads pair p's bitmap of text[p, c0 + at + i]
+        # from byte (at + i) // 8 on
         entry = np.zeros(syms[-1] + 1, dtype=np.intp)
         entry[syms] = np.arange(0, len(syms) * nbytes, nbytes)
-        pair_start = np.arange(0, len(bitmaps), len(codes) * nbytes)
-        offsets = np.where(np.arange(c0, c1)[:, None] < ends,
-                           entry[chunk.T] + pair_start + (np.arange(c1 - c0) >> 3)[:, None],
-                           len(syms) * nbytes)
+        start_of = (np.arange(0, len(bitmaps), (len(syms) + 1) * nbytes)
+                    + (np.arange(_BLOCK) >> 3)[:, None])
         windows = np.lib.stride_tricks.as_strided(
             bitmaps, (len(bitmaps) - step + 1, step), (1, 1), writeable=False)
         for at in range(0, c1 - c0, _BLOCK):
-            yield windows[offsets[at:at + _BLOCK]].tobytes()
+            block = chunk[:, at:at + _BLOCK].T
+            offsets = entry[block] + start_of[:len(block)] + (at >> 3)
+            if c0 + at + len(block) > ends.min():
+                offsets[np.arange(c0 + at, c0 + at + len(block))[:, None] >= ends] = (
+                    len(syms) * nbytes)
+            yield windows[offsets].tobytes()
         c0 = c1
         # the next chunk takes as many intervals as fit with this one's symbols
         span = max(span, fit // _CUT * _CUT)
@@ -157,9 +181,10 @@ class _Found(list):
 
 
 def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                    k: int) -> list[int | None]:
+                    k: int | Sequence[int]) -> list[int | None]:
     """For each (shorter, longer) pair of code arrays from one _codes call,
-    the exact distance if it is at most k, else None.
+    the exact distance if it is at most its k, else None. k is one band for
+    every pair, or one per pair.
 
     One Myers column step serves every pair. With m <= n the pair's lengths
     and gap = n - m, a path of cost at most k keeps to the rows j-kl..j+ku of
@@ -188,9 +213,10 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     passes the test, so the distances stay exact.
     """
     out = _Found([None] * len(pairs))
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), len(pairs))
     live = []  # index in pairs of each pair in the pass
     for idx, (a, b) in enumerate(pairs):
-        if len(b) - len(a) <= k:
+        if len(b) - len(a) <= k[idx]:
             if len(a):
                 live.append(idx)
             else:
@@ -200,6 +226,7 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     patterns = [pairs[i][0] for i in live]
     n = np.array([len(pairs[i][1]) for i in live])
     gap = n - np.array([len(a) for a in patterns])
+    k = k[live]
     ku = (k - gap) // 2
     kl = gap + ku
     cols = int(n.max())
@@ -265,14 +292,17 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
             # its bottom row's, D[done+ku][done]
             walk = np.cumsum(deltas[0].view(np.int8) - deltas[1].view(np.int8),
                              dtype=np.int32).reshape(len(live), slot)
-            counts = np.array([(cnt >> (p * slot + top)) & ((1 << slot) - 1)
-                               for p in range(len(live))])
+            # each band's count fills the slot from its bit top up
+            counts = np.zeros((len(live), 8), dtype=np.uint8)
+            counts[:, :slot // 8] = np.frombuffer((cnt >> top).to_bytes(width, "little"),
+                                                  dtype=np.uint8).reshape(len(live), -1)[:, :8]
+            counts = counts.view("<u8")[:, 0].astype(np.int64)
             base = start + (done - packed_at) - counts - walk[:, top - 1]
             finished = ~gone & (n <= done)
             for p in np.flatnonzero(finished):
                 # D[m][n] = D[m+t][n+t] - t
                 d = base[p] + walk[p, top - 1 - ku[p] - gap[p]] - (done - n[p])
-                out[live[p]] = int(d) if d <= k else None
+                out[live[p]] = int(d) if d <= k[p] else None
             alive = walk + needs <= (k - base)[:, None]
             gone |= finished | ~alive.any(axis=1)
             keep = np.flatnonzero(~gone)
@@ -294,44 +324,65 @@ def _band_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
                                             axis=1) & band
         live = [live[p] for p in keep]
         patterns = [patterns[p] for p in keep]
-        n, gap, text = n[keep], gap[keep], text[keep]
+        n, gap, text, k = n[keep], gap[keep], text[keep], k[keep]
         ku, kl = new_ku, new_kl
 
 
 def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                       cap: int | float, k: int) -> tuple[list[int | None], tuple[int, int]]:
-    """Each pair's exact distance when it is below cap, else None, and the
-    number of engine passes that took with their `band_bytes` (see _Found).
+                       cap: int | float | Sequence[int | float],
+                       k: int | Sequence[int]) -> tuple[list[int | None], tuple[int, int]]:
+    """Each pair's exact distance when it is below its cap, else None, and
+    the number of engine passes that took with their `band_bytes` (see
+    _Found). cap and k are one for every pair, or one per pair.
 
-    Every pair is stripped and starts in a band of k, at least its length
-    difference; a pair that does not fit is sent again at double the band
-    until it fits or the band reaches cap - 1. k changes the time taken,
-    never a result.
+    Every pair is stripped and starts in a band of its k; a pair that does
+    not fit, or whose band cannot span its length difference, is sent again
+    at double its band until it fits or the band reaches its cap - 1. A
+    packed int's slots are as wide as its widest band, so each round sends
+    its pairs in passes whose bands lie within 2x of each other, and whose
+    int starts within _PASS_BYTES. k changes the time taken, never a
+    result.
     """
     out: list[int | None] = [None] * len(pairs)
-    todo = []  # (index, shorter, longer, widest band it can need)
-    for idx, (a, b) in enumerate(pairs):
+    todo = []  # [band, index, shorter, longer, cap, widest band it can need]
+    for idx, ((a, b), limit, band) in enumerate(zip(
+            pairs, np.broadcast_to(cap, len(pairs)).tolist(),
+            np.broadcast_to(k, len(pairs)).tolist())):
         a, b = _strip_common(a, b)
         if len(a) > len(b):
             a, b = b, a
-        if len(b) - len(a) < cap:
-            todo.append((idx, a, b, len(b) if cap > len(b) else math.ceil(cap) - 1))
+        if len(b) - len(a) < limit:
+            todo.append([max(band, 1), idx, a, b, limit,
+                         len(b) if limit > len(b) else math.ceil(limit) - 1])
     passes = band_bytes = 0
-    k = max(k, 1)
     while todo:
-        k = min(max(k, min(len(b) - len(a) for _, a, b, _ in todo)),
-                max(limit for *_, limit in todo))
-        found = _band_distances([(a, b) for _, a, b, _ in todo], k)
-        passes += 1
-        band_bytes += found.band_bytes
-        retry = []
-        for item, d in zip(todo, found):
-            if d is not None:
-                out[item[0]] = d if d < cap else None
-            elif k < item[3]:
-                retry.append(item)
-        todo = retry
-        k *= 2
+        for item in todo:
+            item[0] = min(item[0], item[5])
+        # a pair whose band cannot span its length difference waits for a wider one
+        ready = sorted((item for item in todo if len(item[3]) - len(item[2]) <= item[0]),
+                       key=lambda item: item[:2])
+        todo = [item for item in todo if len(item[3]) - len(item[2]) > item[0]]
+        for item in todo:
+            item[0] *= 2
+        while ready:
+            # a pass takes pairs in band order while their bands lie within 2x
+            # of its first and its int within _PASS_BYTES
+            cut = 1
+            while (cut < len(ready) and ready[cut][0] <= 2 * ready[0][0]
+                   and (cut + 1) * _slot_bits(ready[cut][0] + 1, len(ready[cut][3]))
+                   <= 8 * _PASS_BYTES):
+                cut += 1
+            group, ready = ready[:cut], ready[cut:]
+            found = _band_distances([(a, b) for _, _, a, b, *_ in group],
+                                    np.array([item[0] for item in group]))
+            passes += 1
+            band_bytes += found.band_bytes
+            for item, d in zip(group, found):
+                if d is not None:
+                    out[item[1]] = d if d < item[4] else None
+                elif item[0] < item[5]:
+                    item[0] *= 2
+                    todo.append(item)
     return out, (passes, band_bytes)
 
 
@@ -395,35 +446,52 @@ def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
     raise DiversityError(f"unknown unit {unit!r}; expected char or token")
 
 
+def _pack_distances(questions: Sequence[tuple[Sequence, int | None]]) -> tuple[
+        list[np.ndarray], int, int]:
+    """Each question's distance matrix over its surfaces, clamped at its
+    cap, and the engine passes and band bytes they took together.
+
+    The first pair of every question shares one pass, in a wide band: a
+    pass over a few pairs costs about the same at any band up to a few
+    hundred rows, so a wide start saves the narrow passes that would fail.
+    One question's trajectories lie at similar distances, so every other
+    pair then shares one more pass, at its question's first distance plus
+    3/16: a wider band costs every pair in the pass, a narrower one more
+    often costs a retry for the few beyond it. Retries are shared too.
+    """
+    dists = [np.zeros((len(surfaces), len(surfaces)), dtype=np.int64)
+             for surfaces, _ in questions]
+    measured = [q for q, (surfaces, cap) in enumerate(questions)
+                if len(surfaces) > 1 and (cap is None or cap > 0)]
+    codes = iter(_codes([s for q in measured for s in questions[q][0]]) if measured else ())
+    firsts, rest = [], []  # (question, i, j, codes of i, codes of j)
+    for q in measured:
+        own = [next(codes) for _ in questions[q][0]]
+        pairs = [(q, i, j, own[i], own[j])
+                 for i in range(len(own)) for j in range(i + 1, len(own))]
+        firsts.append(pairs[0])
+        rest.extend(pairs[1:])
+    limits = [math.inf if cap is None else cap for _, cap in questions]
+    first, (passes, band_bytes) = _bounded_distances(
+        [(a, b) for *_, a, b in firsts], [limits[q] for q, *_ in firsts],
+        [max(_FIRST_BAND, max(len(a), len(b)) // 16) for *_, a, b in firsts])
+    hints = {}
+    for (q, *_), d in zip(firsts, first):
+        hint = questions[q][1] if d is None else d
+        hints[q] = max(_MIN_BAND, hint + 3 * hint // 16)
+    found, (more, more_bytes) = _bounded_distances(
+        [(a, b) for *_, a, b in rest], [limits[q] for q, *_ in rest],
+        [hints[q] for q, *_ in rest])
+    for (q, i, j, _, _), d in zip(firsts + rest, first + found):
+        dists[q][i, j] = dists[q][j, i] = questions[q][1] if d is None else d
+    return dists, passes + more, band_bytes + more_bytes
+
+
 def surface_distances(ids: Sequence[str], surfaces: Sequence,
                       cap: int | None = None) -> DistanceMatrix:
-    """Distance matrix over one question's surfaces, clamped at cap.
-
-    The first pair starts in a wide band: a pass over one pair costs about
-    the same at any band up to a few hundred rows, so a wide start saves
-    the narrow passes that would fail. One question's trajectories lie at
-    similar distances, so every other pair then shares one pass at the
-    first pair's distance plus 3/16: a wider band costs every pair in the
-    pass, a narrower one more often costs a second pass for the few beyond
-    it.
-    """
-    n = len(ids)
-    dist = np.zeros((n, n), dtype=np.int64)
-    index = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    passes = band_bytes = 0
-    if index and (cap is None or cap > 0):
-        limit = math.inf if cap is None else cap
-        codes = _codes(surfaces)
-        pairs = [(codes[i], codes[j]) for i, j in index]
-        wide = max(_FIRST_BAND, max(len(codes[0]), len(codes[1])) // 16)
-        first, (passes, band_bytes) = _bounded_distances(pairs[:1], limit, wide)
-        hint = cap if first[0] is None else first[0]
-        rest, (more, more_bytes) = _bounded_distances(
-            pairs[1:], limit, max(_MIN_BAND, hint + 3 * hint // 16))
-        passes += more
-        band_bytes += more_bytes
-        for (i, j), d in zip(index, first + rest):
-            dist[i, j] = dist[j, i] = cap if d is None else d
+    """Distance matrix over one question's surfaces, clamped at cap: a pack
+    of one question (see _pack_distances)."""
+    (dist,), passes, band_bytes = _pack_distances([(surfaces, cap)])
     return DistanceMatrix(ids=list(ids), distances=dist, band_passes=passes,
                           band_bytes=band_bytes)
 
@@ -455,26 +523,51 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     return [matrix.ids[order[k]] for k in selected]
 
 
-def _select_for_question(args: tuple) -> tuple[str, list[str], dict[str, Any], int, int, float]:
-    """One question's selection, its report row, and the engine passes,
-    band bytes and milliseconds its distance matrix took."""
-    qid, ids, surfaces, p, cap = args
-    t0 = time.perf_counter()
-    matrix = surface_distances(ids, surfaces, cap=cap)
-    distance_ms = round(1000 * (time.perf_counter() - t0), 3)
+def _select_for_question(matrix: DistanceMatrix, p: int,
+                         cap: int | None) -> tuple[list[str], dict[str, Any]]:
+    """One question's selection from its distance matrix, and its report row."""
     chosen = select_farthest(matrix, p)
     idx = {tid: k for k, tid in enumerate(matrix.ids)}
     pair_dists = sorted(
         int(matrix.distances[idx[x], idx[y]])
         for a_i, x in enumerate(chosen) for y in chosen[a_i + 1:])
     row: dict[str, Any] = {
-        "available": len(ids),
+        "available": len(matrix.ids),
         "selected": list(chosen),
         "cap": cap,
         "min_distance": pair_dists[0] if pair_dists else None,
         "median_distance": pair_dists[(len(pair_dists) - 1) // 2] if pair_dists else None,
     }
-    return qid, chosen, row, matrix.band_passes, matrix.band_bytes, distance_ms
+    return chosen, row
+
+
+def _diversify_pack(tasks: Sequence[tuple]) -> tuple[list[tuple[str, list[str], dict[str, Any]]],
+                                                     int, int, float]:
+    """Each (qid, ids, surfaces, p, cap) task's selection and report row, and
+    the engine passes, band bytes and milliseconds their distances took."""
+    t0 = time.perf_counter()
+    dists, passes, band_bytes = _pack_distances([(surfaces, cap)
+                                                 for _, _, surfaces, _, cap in tasks])
+    distance_ms = round(1000 * (time.perf_counter() - t0), 3)
+    rows = [(qid, *_select_for_question(DistanceMatrix(ids=ids, distances=dist), p, cap))
+            for (qid, ids, _, p, cap), dist in zip(tasks, dists)]
+    return rows, passes, band_bytes, distance_ms
+
+
+def _packs(tasks: Sequence[tuple], count: int) -> list[list[tuple]]:
+    """The tasks split into up to `count` packs of about equal work, pairs
+    times longest surface, each in the tasks' order."""
+    def work(task: tuple) -> int:
+        _, ids, surfaces, *_ = task
+        return len(ids) * (len(ids) - 1) // 2 * max(map(len, surfaces), default=0)
+
+    packs: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(tasks)), key=lambda i: -work(tasks[i])):
+        least = min(range(count), key=lambda j: (loads[j], len(packs[j])))
+        packs[least].append(i)
+        loads[least] += work(tasks[i])
+    return [[tasks[i] for i in sorted(pack)] for pack in packs if pack]
 
 
 def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
@@ -487,11 +580,13 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
 
     Returns the diversified corpus sorted by (question_id, trajectory_id)
     and a report with per-question selection stats. Questions with no
-    surviving trajectory are recorded as dropped. The report's "engine"
-    entry counts the pairs measured, the engine passes they took and the
-    bytes those passes stepped (`band_bytes`), and holds each question's
-    distance time in milliseconds; it is run telemetry, which callers log
-    rather than write with the report.
+    surviving trajectory are recorded as dropped. The questions are split
+    into up to `workers` packs whose distances share engine passes; with
+    more than one pack, each runs in a process forked from this one. The
+    report's "engine" entry counts the pairs measured, the engine passes
+    they took and the bytes those passes stepped (`band_bytes`), and holds
+    each question's distance time in milliseconds, its pack's; it is run
+    telemetry, which callers log rather than write with the report.
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
@@ -513,26 +608,33 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
             cap = max(1, math.ceil(cap_ratio * longest))
         tasks.append((qid, ids, surfaces, p, cap))
 
-    if workers > 1 and len(tasks) > 1:
-        # each worker freezes the heap it forked with, so that its collections
-        # leave the pages it shares with this process alone
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 initializer=gc.freeze) as pool:
-            outcomes = list(pool.map(_select_for_question, tasks, chunksize=1))
+    packs = _packs(tasks, min(workers, len(tasks)))
+    if len(packs) > 1:
+        children: list[Forked] = []
+        try:
+            for pack in packs:
+                children.append(Forked("a diversify engine process"))
+                children[-1].send(_diversify_pack, pack)
+            outcomes = [child.receive() for child in children]
+        finally:
+            for child in children:
+                child.close()
     else:
-        outcomes = [_select_for_question(task) for task in tasks]
+        outcomes = [_diversify_pack(pack) for pack in packs]
 
     by_id = {t.trajectory_id: t for t in trajectories}
     selected: list[TrajectoryRecord] = []
     per_question: dict[str, Any] = {}
     passes = band_bytes = 0
     distance_ms = {}
-    for qid, chosen, row, band_passes, scanned, ms in outcomes:
-        per_question[qid] = row
+    for rows, band_passes, scanned, ms in outcomes:
         passes += band_passes
         band_bytes += scanned
-        distance_ms[qid] = ms
-        selected.extend(by_id[tid] for tid in chosen)
+        for qid, chosen, row in rows:
+            per_question[qid] = row
+            distance_ms[qid] = ms
+            selected.extend(by_id[tid] for tid in chosen)
+    per_question = dict(sorted(per_question.items()))
     selected.sort(key=lambda t: (t.question_id, t.trajectory_id))
 
     dropped = []
@@ -549,6 +651,6 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         "per_question": per_question,
         "engine": {"pairs": sum(len(ids) * (len(ids) - 1) // 2 for _, ids, *_ in tasks),
                    "band_passes": passes, "band_bytes": band_bytes,
-                   "distance_ms": distance_ms},
+                   "distance_ms": dict(sorted(distance_ms.items()))},
     }
     return selected, report

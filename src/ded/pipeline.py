@@ -9,19 +9,16 @@ timing, so they are excluded from output-tree comparisons.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
-import pickle
-import select
 import sys
 import threading
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
 
@@ -31,6 +28,7 @@ from .compress import judge_request, select_hard, student_rollout
 from .config import validate_config
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
                         run_quality_gate, token_lengths)
+from .forked import Forked, outcome
 from .mixer import compose_mix
 from .records import (EPOCH_ISO, CorpusError, CorpusManifest, PassRateStats, QuestionRecord,
                       TrajectoryRecord, content_hash, dumps_record, load_manifest, parse_corpus,
@@ -76,84 +74,20 @@ class PipelineResult:
     error: str | None = None
 
 
-def _outcome(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[bool, Any]:
-    """(True, fn's result) or (False, the exception it raised)."""
-    try:
-        return True, fn(*args, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - raised again where the result is used
-        return False, exc
-
-
-def _serve(requests: int, replies: int, cfg: dict[str, Any] | None) -> None:
-    """The helper's loop: run each pickled (fn, args, kwargs) call read from
-    `requests` and write back its `_outcome`. While no call waits, it makes
-    stats's analyses of cfg's inputs, if cfg is given."""
-    global _analysed
-    # the heap forked from the coordinator is never collected here, so its
-    # pages stay shared
-    gc.freeze()
-    from . import diversity  # noqa: F401 - numpy loads here
-    with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
-        while True:
-            if cfg is not None and not select.select([inbox], [], [], 0)[0]:
-                _analysed = _outcome(_analyse, cfg)
-                cfg = None
-            try:
-                fn, args, kwargs = pickle.load(inbox)
-            except EOFError:  # the coordinator closed the pipe
-                return
-            outbox.write(pickle.dumps(_outcome(fn, *args, **kwargs)))
-            outbox.flush()
-
-
-class _Helper:
+class _Helper(Forked):
     """The one process of a run that imports numpy: it runs diversify's and
-    stats's code, and diversify's engine workers fork from it.
+    stats's code, and diversify's engine processes fork from it.
 
     It is forked before the run starts any thread and loads numpy at once,
-    on another core while the run makes its model calls. Calls run one at
-    a time; an exception raised in one is raised again here as itself."""
+    on another core while the run makes its model calls. If given the
+    config, it then makes stats's analyses of its inputs while no call
+    waits."""
 
     def __init__(self, analyse: dict[str, Any] | None) -> None:
         """`analyse`: the config whose stats analyses it makes ahead, if any."""
-        requests, self._requests = os.pipe()
-        self._replies, replies = os.pipe()
-        # what is still buffered would be written again by the helper
-        sys.stdout.flush()
-        sys.stderr.flush()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self._requests)
-                os.close(self._replies)
-                _serve(requests, replies, analyse)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(requests)
-        os.close(replies)
-        self._send = open(self._requests, "wb")
-        self._recv = open(self._replies, "rb")
-
-    def __call__(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """fn(*args, **kwargs), run in the helper; fn is sent by name."""
-        try:
-            pickle.dump((fn, args, kwargs), self._send)
-            self._send.flush()
-            ok, value = pickle.load(self._recv)
-        except (EOFError, BrokenPipeError) as exc:
-            raise RuntimeError("the helper process of diversify and stats died") from exc
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Let the helper finish its call and exit, and wait for it."""
-        with suppress(BrokenPipeError):  # the rest of a call the helper died in
-            self._send.close()
-        self._recv.close()
-        os.waitpid(self.pid, 0)
+        ahead = [partial(_analyse_ahead, analyse)] if analyse is not None else []
+        super().__init__("the helper process of diversify and stats",
+                         partial(import_module, ".diversity", __package__), *ahead)
 
 
 def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
@@ -397,9 +331,15 @@ def _analyse(cfg: dict[str, Any]) -> tuple[Any, Any]:
     return entropy, pca
 
 
-# set in the helper process only: the `_outcome` of `_analyse`, made there
+# set in the helper process only: the `outcome` of `_analyse`, made there
 # while the run's model calls went out
 _analysed: tuple[bool, Any] | None = None
+
+
+def _analyse_ahead(cfg: dict[str, Any]) -> None:
+    """Stats's analyses of cfg's inputs, kept for `_write_report`."""
+    global _analysed
+    _analysed = outcome(_analyse, cfg)
 
 
 def _write_report(out: Path, manifests: list[CorpusManifest], cfg: dict[str, Any],
@@ -407,7 +347,7 @@ def _write_report(out: Path, manifests: list[CorpusManifest], cfg: dict[str, Any
     """Stats's report of `manifests`, of the analyses of cfg's inputs and of
     the token lengths `lens`."""
     from . import diagnostics
-    ok, analyses = _analysed or _outcome(_analyse, cfg)
+    ok, analyses = _analysed or outcome(_analyse, cfg)
     if not ok:
         raise analyses
     entropy, pca = analyses

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from hypothesis import strategies as st
 
 from ded import diversity
 from ded.diversity import (DistanceMatrix, DiversityError, _band_distances,
-                           _bounded_distances, _codes, _strip_common, clamped_distance,
-                           diversify_corpus, levenshtein_bounded, select_farthest,
-                           surface_distances, trajectory_surface)
+                           _bounded_distances, _codes, _pack_distances, _strip_common,
+                           clamped_distance, diversify_corpus, levenshtein_bounded,
+                           select_farthest, surface_distances, trajectory_surface)
+from ded.forked import Forked
 
 from conftest import make_question, make_trajectory
 from oracles import (brute_force_max_pair, min_dist_to_set, myers_distance,
@@ -780,16 +785,24 @@ class TestDiversifyCorpus:
         long_corpus = [make_trajectory(make_question(qi), j, f"<think>{text}</think>ok")
                        for qi in range(3) for j, text in enumerate(near_duplicate_texts(qi))]
         for trajectories in (self._corpus(), long_corpus):
-            serial, report_s = diversify_corpus(trajectories, p=3, cap_ratio=0.6)
-            parallel, report_p = diversify_corpus(trajectories, p=3, cap_ratio=0.6,
-                                                  workers=2)
-            assert serial == parallel
-            # distance times are wall-clock telemetry, one per question
-            for report in (report_s, report_p):
-                times = report["engine"].pop("distance_ms")
-                assert sorted(times) == sorted(report["per_question"])
-                assert all(ms >= 0 for ms in times.values())
-            assert report_s == report_p
+            results = {}
+            for workers in (1, 2, 3):
+                runs = [diversify_corpus(trajectories, p=3, cap_ratio=0.6, workers=workers)
+                        for _ in range(2)]
+                engines = []
+                for _, report in runs:
+                    # distance times are wall-clock telemetry, one per question
+                    engine = report.pop("engine")
+                    times = engine.pop("distance_ms")
+                    assert sorted(times) == sorted(report["per_question"])
+                    assert all(ms >= 0 for ms in times.values())
+                    engines.append(engine)
+                # packs depend on workers, so engine counts repeat only at
+                # the same workers
+                assert engines[0] == engines[1]
+                assert runs[0] == runs[1]
+                results[workers] = runs[0]
+            assert results[1] == results[2] == results[3]
 
     def test_pool_leaves_the_heap_unfrozen(self):
         # the heap is frozen only while the pool's workers fork
@@ -805,6 +818,170 @@ class TestDiversifyCorpus:
         assert row["min_distance"] is not None
         assert row["median_distance"] >= row["min_distance"]
 
+
+
+@st.composite
+def packs_of_questions(draw):
+    """1-4 questions of 2-5 edited copies of a base each, all on character
+    or all on word-token surfaces, of lengths up to 20 or 200 symbols, and
+    a cap for each, None among them."""
+    tokens = draw(st.booleans())
+    alphabet = tuple(WORDS) if tokens else tuple("abcd")
+    questions = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([20, 200]))
+        base = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=size))
+        seqs = [base] + [draw(edited(base, alphabet, 30)) for _ in range(draw(st.integers(1, 4)))]
+        questions.append((seqs if tokens else ["".join(x) for x in seqs],
+                          draw(st.one_of(st.none(), st.integers(1, 60)))))
+    return questions
+
+
+def far_apart_pack() -> list[tuple[list[str], int]]:
+    """Three questions of near-duplicate ~1.9k-character texts and one of
+    independent texts whose distances all reach its cap."""
+    questions = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        core = rng.choices(WORDS, k=300)
+        texts = []
+        for _ in range(5):
+            words = list(core)
+            for _ in range(20):
+                words[rng.randrange(len(words))] = rng.choice(WORDS)
+            texts.append(" ".join(words))
+        questions.append(texts)
+    rng = random.Random(9)
+    questions.append([" ".join(rng.choices(WORDS, k=300)) for _ in range(5)])
+    return [(texts, math.ceil(0.4 * max(map(len, texts)))) for texts in questions]
+
+
+class PackFailed(Exception):
+    pass
+
+
+def fail_in_pack(matrix, p, cap):
+    raise PackFailed(f"selection over {len(matrix.ids)} trajectories failed")
+
+
+class TestPacks:
+    """A pack's questions share engine passes: each pair keeps its own band
+    and cap, so a pack gives each question the distances it gets alone."""
+
+    @given(packs_of_questions(), st.sampled_from([16, 256, diversity._PASS_BYTES]))
+    @settings(max_examples=80, deadline=None)
+    def test_a_pack_matches_its_questions_alone(self, questions, pass_bytes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diversity, "_PASS_BYTES", pass_bytes)
+            dists, _, _ = _pack_distances(questions)
+        assert len(dists) == len(questions)
+        for (seqs, cap), dist in zip(questions, dists):
+            alone = surface_distances([f"t{i}" for i in range(len(seqs))], seqs, cap=cap)
+            assert (dist == alone.distances).all()
+            want = [[myers_distance(x, y) for y in seqs] for x in seqs]
+            assert dist.tolist() == (want if cap is None else np.minimum(want, cap).tolist())
+
+    def test_far_apart_bands_do_not_share_a_pass(self):
+        # a pass's slots are as wide as its widest band: the near-duplicate
+        # pairs would pay the far question's band of ~800 rows
+        questions = far_apart_pack()
+        dists, _, packed = _pack_distances(questions)
+        for (texts, cap), dist in zip(questions, dists):
+            assert (dist == surface_distances(list(map(str, range(len(texts)))), texts,
+                                              cap=cap).distances).all()
+        assert (dists[-1][np.triu_indices(5, 1)] == questions[-1][1]).all()
+        alone = sum(_pack_distances([question])[2] for question in questions)
+        assert packed <= 1.1 * alone
+
+    def test_a_pack_shares_its_retries(self):
+        # distances within each question spread from ~50 to ~420, so each
+        # takes several retries alone
+        questions = [(near_duplicate_texts(seed), None) for seed in range(4)]
+        _, packed, _ = _pack_distances(questions)
+        alone = [_pack_distances([question])[1] for question in questions]
+        assert min(alone) >= 5
+        assert packed <= max(alone)
+
+    def test_a_wide_pass_is_split(self):
+        # 12 questions of 20 pairs after the first: each pass starts within
+        # _PASS_BYTES, unless it holds one pair
+        questions = [(near_duplicate_texts(seed), None) for seed in range(12)]
+        want, passes, _ = _pack_distances(questions)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diversity, "_PASS_BYTES", 512)
+            packs = record_packs(patch)
+            got, split, _ = _pack_distances(questions)
+        assert all((g == w).all() for g, w in zip(got, want))
+        assert split > passes
+        assert all(pairs * slot <= 8 * 512 or pairs == 1 for pairs, slot in packs)
+
+    def test_a_wide_pack_gathers_whole_intervals(self, monkeypatch):
+        # 4 + 108 pairs over ~3.3k columns: chunks keep whole _CUT intervals,
+        # so each scan of the int builds at most one shorter chunk, its last
+        events = []
+        match_blocks, bitmaps = diversity._match_blocks, diversity._bitmaps
+
+        def recording_scan(rows, text, ends, slot, start):
+            events.append(("scan", slot // 8))
+            return match_blocks(rows, text, ends, slot, start)
+
+        def recording_chunk(rows, codes, c0, nbytes):
+            events.append(("chunk", nbytes))
+            return bitmaps(rows, codes, c0, nbytes)
+
+        rng = random.Random(3)
+        questions = []
+        for _ in range(4):
+            core = rng.choices(WORDS, k=600)
+            texts = []
+            for _ in range(8):
+                words = list(core)
+                for _ in range(10):
+                    words[rng.randrange(len(words))] = rng.choice(WORDS)
+                texts.append(" ".join(words))
+            questions.append((texts, None))
+        monkeypatch.setattr(diversity, "_match_blocks", recording_scan)
+        monkeypatch.setattr(diversity, "_bitmaps", recording_chunk)
+        dists, _, _ = _pack_distances(questions)
+        for (texts, _), dist in zip(questions, dists):
+            assert dist.tolist() == [[myers_distance(x, y) for y in texts] for x in texts]
+        scans = short = 0
+        for kind, size in events:
+            if kind == "scan":
+                scans, step = scans + 1, size
+            elif 8 * (size - step + 1) < diversity._CUT:
+                short += 1
+        assert short <= scans
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_pack_that_raises_is_raised_here_as_itself(self, monkeypatch, workers):
+        corpus = [make_trajectory(make_question(qi), j, f"<think>{text}</think>ok")
+                  for qi in range(3) for j, text in enumerate(near_duplicate_texts(qi))]
+        monkeypatch.setattr(diversity, "_select_for_question", fail_in_pack)
+        frozen = gc.get_freeze_count()
+        with pytest.raises(PackFailed, match="selection over 7 trajectories failed"):
+            diversify_corpus(corpus, p=3, workers=workers)
+        with pytest.raises(ChildProcessError):  # every pack's process was joined
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_pack_process_freezes_the_heap_it_forked_with(self):
+        frozen = gc.get_freeze_count()
+        child = Forked("a test process")
+        try:
+            assert child(gc.get_freeze_count) > frozen
+        finally:
+            child.close()
+        assert gc.get_freeze_count() == frozen
+
+    def test_importing_the_engine_starts_no_pool(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, ded.diversity; print(sorted(m for m in sys.modules"
+             " if m == 'concurrent.futures.process' or m.startswith('multiprocessing')))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+            check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestHintIndependence:

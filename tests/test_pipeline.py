@@ -622,20 +622,23 @@ def _pass_rates(out_dir):
 
 
 def test_diversify_logs_its_pairs_and_band_passes(tmp_path):
-    config = build_pipeline_fixture(tmp_path)
-    counts = []
-    for _ in range(2):
-        out = run_pipeline(config).out_dir
-        done = [e for e in read_events(out)
-                if e["stage"] == "diversify" and e["event"] == "stage_done"]
-        counts.append((done[0]["pairs"], done[0]["band_passes"]))
-    sizes: dict[str, int] = {}
-    for t in parse_corpus(out / "right_hard_trajectories.jsonl", "trajectories"):
-        sizes[t.question_id] = sizes.get(t.question_id, 0) + 1
-    assert counts[0] == counts[1]
-    assert counts[0][0] == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
-    assert counts[0][1] >= sum(1 for n in sizes.values() if n > 1)
-    assert "engine" not in json.loads((out / "diversity_report.json").read_text())
+    for workers in (1, 2):
+        config = dict(build_pipeline_fixture(tmp_path, f"out{workers}"), workers=workers)
+        counts = []
+        for _ in range(2):
+            out = run_pipeline(config).out_dir
+            done = [e for e in read_events(out)
+                    if e["stage"] == "diversify" and e["event"] == "stage_done"]
+            counts.append((done[0]["pairs"], done[0]["band_passes"]))
+        sizes: dict[str, int] = {}
+        for t in parse_corpus(out / "right_hard_trajectories.jsonl", "trajectories"):
+            sizes[t.question_id] = sizes.get(t.question_id, 0) + 1
+        assert counts[0] == counts[1]
+        assert counts[0][0] == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
+        # at least one pass per pack; a question with pairs goes to each pack
+        # before any pack takes a second
+        assert counts[0][1] >= min(workers, sum(1 for n in sizes.values() if n > 1))
+        assert "engine" not in json.loads((out / "diversity_report.json").read_text())
 
 
 def test_diversify_logs_its_band_bytes(tmp_path):
