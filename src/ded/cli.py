@@ -142,7 +142,7 @@ def _cmd_stats(args) -> int:
             diagnostics.entropy_histogram_svg(summary, args.svg)
     elif args.stat == "lengths":
         summary = diagnostics.length_summary(
-            (), *token_lengths(parse_corpus(args.path, "trajectories"), FilterConfig()))
+            *token_lengths(parse_corpus(args.path, "trajectories"), FilterConfig()))
     else:
         embeddings = parse_corpus(args.embeddings, "embeddings")
         before = [e for e in embeddings if e.phase == "before"]

@@ -1,9 +1,9 @@
 """Teacher-sampler and judge clients.
 
 Two implementations share one contract: an HTTP chat-completion client for
-real runs, and a deterministic mock for offline runs and tests. A caching
-wrapper keyed on request content makes re-runs free, and a fault injector
-lets tests script transport failures.
+real runs, which retries transient failures, and a deterministic mock for
+offline runs and tests, which answers every request on its first attempt.
+A caching wrapper keyed on request content makes re-runs free.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -167,27 +168,17 @@ class Client:
 
 
 class _Backend(Client):
-    """A client that answers requests itself. Each request is tried under
-    its retry policy; `requests_total` counts the attempts and
-    `retries_total` the retries."""
+    """A client that answers requests itself: `requests_total` counts the
+    attempts it made and `retries_total` the retries."""
 
-    def __init__(self, retry: RetryPolicy):
-        self.retry = retry
+    def __init__(self) -> None:
         self.requests_total = 0
         self.retries_total = 0
         self._lock = threading.Lock()
 
-    def _retried(self, attempt: Callable[[], T]) -> T:
-        def counted() -> T:
-            with self._lock:
-                self.requests_total += 1
-            return attempt()
-
-        def count_retry() -> None:
-            with self._lock:
-                self.retries_total += 1
-
-        return self.retry.run(counted, on_retry=count_retry)
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
 
 class HttpClient(_Backend):
@@ -206,7 +197,8 @@ class HttpClient(_Backend):
                  timeout: float = 120.0,
                  transport: Callable[[str, dict, dict], tuple[int, bytes]] | None = None,
                  max_in_flight: int = 1):
-        super().__init__(retry or RetryPolicy())
+        super().__init__()
+        self.retry = retry or RetryPolicy()
         self.base_url = (base_url or os.environ.get("DED_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("DED_API_KEY", "")
         self.timeout = timeout
@@ -239,6 +231,7 @@ class HttpClient(_Backend):
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
 
         def attempt() -> dict:
+            self._count("requests_total")
             with self._wire:
                 status, body = self.transport(url, payload, headers)
             if status in (401, 403):
@@ -252,7 +245,7 @@ class HttpClient(_Backend):
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SchemaError(f"response is not JSON: {exc}") from exc
 
-        return self._retried(attempt)
+        return self.retry.run(attempt, on_retry=partial(self._count, "retries_total"))
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         payload = {
@@ -293,24 +286,6 @@ class HttpClient(_Backend):
         except (KeyError, IndexError, TypeError) as exc:
             raise SchemaError(f"malformed judge response: {exc}") from exc
         return VerificationVerdict(status=parse_judge_reply(reply), checker="judge", detail=reply)
-
-
-class FaultInjector:
-    """Scripted failures for tests: a queue of exceptions per request kind."""
-
-    def __init__(self, plan: dict[str, list[ClientError | None]] | None = None):
-        self.plan = {k: list(v) for k, v in (plan or {}).items()}
-        self.fired: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def check(self, kind: str) -> None:
-        with self._lock:
-            queue = self.plan.get(kind)
-            nxt = queue.pop(0) if queue else None
-            if nxt is not None:
-                self.fired[kind] = self.fired.get(kind, 0) + 1
-        if nxt is not None:
-            raise nxt
 
 
 # the fields each kind of fixture row needs
@@ -357,25 +332,22 @@ def _stable_int(*parts: Any) -> int:
 class MockClient(_Backend):
     """Deterministic offline stand-in for both teacher and judge roles.
 
-    Responses come from a fixture table when one matches; otherwise a
-    well-formed trajectory is synthesized from a seeded hash, so two runs
-    with the same seed are byte-identical. The fallback judge compares the
-    candidate against the reference with the rule normalizer.
+    Its answers depend on the fixture table, the seed and the request and
+    on nothing else, and it answers every request on its first attempt, so
+    two runs with the same fixtures and seed are byte-identical. Responses
+    come from the fixture table when one matches; otherwise a well-formed
+    trajectory is synthesized from a seeded hash. The fallback judge
+    compares the candidate against the reference with the rule normalizer.
     """
 
-    def __init__(self,
-                 fixtures: str | Path | dict[str, Any] | None = None,
-                 seed: int = 0,
-                 faults: FaultInjector | None = None,
-                 retry: RetryPolicy | None = None):
-        super().__init__(retry or RetryPolicy(sleep=lambda _: None))
+    def __init__(self, fixtures: str | Path | dict[str, Any] | None = None, seed: int = 0):
+        super().__init__()
         if isinstance(fixtures, (str, Path)):
             fixtures = load_mock_fixtures(fixtures)
         fixtures = fixtures or {}
         self.samples = dict(fixtures.get("samples", {}))
         self.judges = dict(fixtures.get("judges", {}))
         self.seed = seed
-        self.faults = faults or FaultInjector()
         # the answers depend on the fixture table and on the seed of the
         # synthesized ones, so the cache keys on both. Sample texts, which
         # can run to megabytes, are hashed as they are, each after its
@@ -405,30 +377,24 @@ class MockClient(_Backend):
         return f"<think>{filler}</think>The answer is \\boxed{{{answer}}}."
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
-        def attempt() -> list[str]:
-            self.faults.check("sample")
-            canned = self.samples.get((request.teacher_id, request.prompt), [])
-            texts = list(canned[:request.samples])
-            return texts + [self._synthesize(request, i)
-                            for i in range(len(texts), request.samples)]
-
-        return self._retried(attempt)
+        self._count("requests_total")
+        canned = self.samples.get((request.teacher_id, request.prompt), [])
+        texts = list(canned[:request.samples])
+        return texts + [self._synthesize(request, i)
+                        for i in range(len(texts), request.samples)]
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
-        def attempt() -> VerificationVerdict:
-            self.faults.check("judge")
-            row = self.judges.get((request.question, request.candidate_answer))
-            if row is not None:
-                reply = row.get("reply", f"VERDICT: {row.get('status', '')}")
-                return VerificationVerdict(status=parse_judge_reply(reply),
-                                           checker="judge", detail=reply)
-            correct = normalize_answer(request.candidate_answer) == normalize_answer(
-                request.ground_truth)
-            status = "correct" if correct else "incorrect"
-            return VerificationVerdict(status=status, checker="judge",
-                                       detail=f"VERDICT: {status}")
-
-        return self._retried(attempt)
+        self._count("requests_total")
+        row = self.judges.get((request.question, request.candidate_answer))
+        if row is not None:
+            reply = row.get("reply", f"VERDICT: {row.get('status', '')}")
+            return VerificationVerdict(status=parse_judge_reply(reply),
+                                       checker="judge", detail=reply)
+        correct = normalize_answer(request.candidate_answer) == normalize_answer(
+            request.ground_truth)
+        status = "correct" if correct else "incorrect"
+        return VerificationVerdict(status=status, checker="judge",
+                                   detail=f"VERDICT: {status}")
 
 
 class CachingClient(Client):

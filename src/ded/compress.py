@@ -89,21 +89,18 @@ def judge_request(question: QuestionRecord, candidate: str) -> JudgeRequest:
                         ground_truth=str(question.ground_truth or "unspecified"))
 
 
-def response_is_correct(text: str, question: QuestionRecord,
-                        client: Client | None = None) -> bool:
+def response_is_correct(text: str, question: QuestionRecord, client: Client) -> bool:
     """Correctness path shared with the quality gate.
 
     Math with ground truth goes through boxed extraction and rule
     verification; everything else is delegated to the judge, and counts as
-    a failure when no judge is available or the verdict is not correct.
+    a failure when it has no candidate answer or the verdict is not correct.
     """
     if question.domain == "math" and question.ground_truth:
         answer = extract_final_answer(text)
         if answer is None:
             return False
         return rule_verify(answer, question.ground_truth).status == "correct"
-    if client is None:
-        return False
     candidate = candidate_answer(text)
     if not candidate:
         return False

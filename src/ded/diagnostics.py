@@ -18,8 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .records import (CorpusManifest, EmbeddingRecord, LogprobRecord, TrajectoryRecord,
-                      replacing)
+from .records import CorpusManifest, EmbeddingRecord, LogprobRecord, replacing
 
 # Flag the single-bucket residual approximation once it stops being small.
 RESIDUAL_FLAG_THRESHOLD = 0.05
@@ -125,19 +124,9 @@ class LengthSummary:
                 "percentiles": dict(self.percentiles), "estimated": self.estimated}
 
 
-def length_summary(trajectories: Sequence[TrajectoryRecord],
-                   lengths: Sequence[int] | None = None,
-                   estimated: bool = False) -> LengthSummary:
-    """Token-length statistics; exact, deterministic.
-
-    Uses each record's token_len unless explicit lengths are supplied
-    (the pipeline passes estimates when counts were never precomputed).
-    """
-    if lengths is None:
-        missing = sorted(t.trajectory_id for t in trajectories if t.token_len is None)
-        if missing:
-            raise DiagnosticsError(f"token_len missing for trajectories: {missing}")
-        lengths = [t.token_len for t in trajectories]  # type: ignore[misc]
+def length_summary(lengths: Sequence[int], estimated: bool = False) -> LengthSummary:
+    """Token-length statistics; exact, deterministic. `estimated` marks
+    lengths estimated from the text rather than precomputed."""
     if not lengths:
         raise DiagnosticsError("length summary needs at least one length")
     ordered = sorted(lengths)

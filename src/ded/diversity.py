@@ -418,19 +418,6 @@ class DistanceMatrix:
 
     ids: list[str]
     distances: np.ndarray
-    band_passes: int = 0  # engine passes that computed the distances
-    band_bytes: int = 0  # bytes of packed int those passes stepped, over their columns
-
-    def validate(self) -> None:
-        n = len(self.ids)
-        if self.distances.shape != (n, n):
-            raise DiversityError(f"distance matrix shape {self.distances.shape} != ({n}, {n})")
-        if (self.distances < 0).any():
-            raise DiversityError("distances must be non-negative")
-        if (np.diag(self.distances) != 0).any():
-            raise DiversityError("diagonal must be zero")
-        if (self.distances != self.distances.T).any():
-            raise DiversityError("matrix must be symmetric")
 
 
 def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
@@ -491,9 +478,8 @@ def surface_distances(ids: Sequence[str], surfaces: Sequence,
                       cap: int | None = None) -> DistanceMatrix:
     """Distance matrix over one question's surfaces, clamped at cap: a pack
     of one question (see _pack_distances)."""
-    (dist,), passes, band_bytes = _pack_distances([(surfaces, cap)])
-    return DistanceMatrix(ids=list(ids), distances=dist, band_passes=passes,
-                          band_bytes=band_bytes)
+    (dist,), _, _ = _pack_distances([(surfaces, cap)])
+    return DistanceMatrix(ids=list(ids), distances=dist)
 
 
 def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
@@ -609,6 +595,10 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
         tasks.append((qid, ids, surfaces, p, cap))
 
     packs = _packs(tasks, min(workers, len(tasks)))
+    # with several packs, each runs in a child and this process only
+    # collects: running one of them here as well saves a fork, but it raised
+    # perfbench diverse-long's peak_rss_mb by ~5 MB (47.7-48.6 MB to
+    # 52.9-53.5 MB, 4 runs of 4 on 2 vCPUs)
     if len(packs) > 1:
         children: list[Forked] = []
         try:

@@ -244,17 +244,6 @@ def diversify_corpus(trajectories: list[TrajectoryRecord],
     return diversify_corpus(trajectories, **params)
 
 
-def write_diverse(paths: list[Path], trajectories: list[TrajectoryRecord],
-                  **params: Any) -> tuple[list[TrajectoryRecord], list[str], dict[str, Any]]:
-    """Diversify's selection and report, written; the selection's lines and
-    the engine telemetry are returned."""
-    selected, report = diversify_corpus(trajectories, **params)
-    engine = report.pop("engine")
-    lines = write_corpus(paths[0], selected)
-    write_json(paths[1], report)
-    return selected, lines, engine
-
-
 def _sample(run: _Run, row: Stage) -> dict[str, Any]:
     trajectories = [t for c in run.chains for t in c.sampled]
     for c in run.chains:
@@ -300,10 +289,13 @@ def _compress(run: _Run, row: Stage) -> dict[str, Any]:
 
 def _diversify(run: _Run, row: Stage) -> dict[str, Any]:
     cfg = run.cfg
-    selected, lines, engine = run.helper(
-        write_diverse, run.paths(row.corpus + row.writes), run.trajectories,
-        p=cfg["diverse_per_question"], unit=cfg["unit"], cap_ratio=cfg["cap_ratio"],
-        questions=run.questions, workers=cfg["workers"])
+    selected, report = run.helper(
+        diversify_corpus, run.trajectories, p=cfg["diverse_per_question"], unit=cfg["unit"],
+        cap_ratio=cfg["cap_ratio"], questions=run.questions, workers=cfg["workers"])
+    engine = report.pop("engine")
+    corpus_path, report_path = run.paths(row.corpus + row.writes)
+    lines = write_corpus(corpus_path, selected)
+    write_json(report_path, report)
     run.save(row, selected, lines)
     return {"selected": len(selected), **engine}
 
@@ -351,8 +343,7 @@ def _write_report(out: Path, manifests: list[CorpusManifest], cfg: dict[str, Any
     if not ok:
         raise analyses
     entropy, pca = analyses
-    lengths = (diagnostics.length_summary((), lengths=lens, estimated=estimated) if lens
-               else None)
+    lengths = diagnostics.length_summary(lens, estimated) if lens else None
     diagnostics.emit_report(manifests, out, entropy=entropy, lengths=lengths, pca=pca)
 
 
@@ -593,19 +584,21 @@ def run_pipeline(config: str | Path | dict[str, Any],
             helper.close()
         log.emit("pipeline", "done", exit_code=result.exit_code,
                  cache_hits=client.hits if client else 0,
-                 cache_misses=client.misses if client else 0)
+                 cache_misses=client.misses if client else 0,
+                 requests=client.inner.requests_total if client else 0,
+                 retries=client.inner.retries_total if client else 0)
         log.close()
     return result
 
 
-def tree_hash(root: str | Path, exclude: tuple[str, ...] = ("logs", ".cache")) -> str:
+def tree_hash(root: str | Path) -> str:
     """SHA-256 over every output file path and its bytes, excluding logs and
     cache (operational telemetry with wall-clock timing)."""
     root = Path(root)
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
         rel = path.relative_to(root)
-        if any(part in exclude for part in rel.parts):
+        if any(part in ("logs", ".cache") for part in rel.parts):
             continue
         if path.is_file():
             digest.update(str(rel).encode("utf-8"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ded.clients import Client, TransportError
+from ded.clients import JUDGE_RUBRICS, Client, JudgeRequest, SamplingRequest, TransportError
 from ded.config import STAGE_SEQUENCE
 from ded.records import (PHASES, EmbeddingRecord, LogprobRecord, QuestionRecord,
                          TrajectoryRecord, write_corpus)
@@ -197,6 +198,67 @@ class ProbeClient(Client):
 
     def judge(self, request):
         return self._call(self.inner.judge, request)
+
+
+_JUDGE_PROMPT = re.compile("^" + "".join(
+    re.escape(part) if i % 2 == 0 else f"(?P<{part}>.*?)"
+    for i, part in enumerate(re.split(r"\{(\w+)\}", JUDGE_RUBRICS["default"]))) + "$",
+    re.DOTALL)
+
+
+class MockTransport:
+    """An in-process chat-completion endpoint for `HttpClient`, the one
+    place tests script a backend's failures: it answers each request as
+    `MockClient` over the same fixtures would. Each rule takes the
+    request's model and prompt: the first `throttle` attempts of a request
+    get HTTP 429 (True counts as one), every attempt of one `refuse` picks
+    gets HTTP 401, and `delay` gives the seconds before each reply. `peak`
+    is the most attempts ever in progress at once."""
+
+    def __init__(self, mock, throttle=lambda model, prompt: False,
+                 refuse=lambda model, prompt: False, delay=lambda model, prompt: 0.002):
+        self.mock = mock
+        self.throttle = throttle
+        self.refuse = refuse
+        self.delay = delay
+        self.requests = 0
+        self.throttled = 0
+        self.active = 0
+        self.peak = 0
+        self._attempts: dict[tuple[str, str], int] = {}
+        self._lock = threading.Lock()
+
+    def _reply(self, model, prompt, payload):
+        if model == "judge":
+            fields = _JUDGE_PROMPT.match(prompt).groupdict()
+            return [self.mock.judge(JudgeRequest(**fields)).detail]
+        return self.mock.sample_trajectories(SamplingRequest(
+            prompt=prompt, teacher_id=model, samples=payload["n"],
+            temperature=payload["temperature"], max_tokens=payload["max_tokens"],
+            seed=payload.get("seed")))
+
+    def __call__(self, url, payload, headers):
+        model, prompt = payload["model"], payload["messages"][0]["content"]
+        with self._lock:
+            self.requests += 1
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            attempt = self._attempts.get((model, prompt), 0)
+            self._attempts[(model, prompt)] = attempt + 1
+        try:
+            time.sleep(self.delay(model, prompt))
+            if self.refuse(model, prompt):
+                return 401, b"denied"
+            if attempt < self.throttle(model, prompt):
+                with self._lock:
+                    self.throttled += 1
+                return 429, b""
+            texts = self._reply(model, prompt, payload)
+            return 200, json.dumps(
+                {"choices": [{"message": {"content": t}} for t in texts]}).encode()
+        finally:
+            with self._lock:
+                self.active -= 1
 
 
 @pytest.fixture

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from ded.clients import (AuthenticationError, CachingClient, Client, FaultInjector,
-                         HttpClient, JudgeRequest, MockClient, RetryBudgetExceededError,
-                         RetryPolicy, SamplingRequest, SchemaError, TransportError,
-                         load_mock_fixtures, map_concurrent, parse_judge_reply)
+from ded.clients import (AuthenticationError, CachingClient, Client, HttpClient, JudgeRequest,
+                         MockClient, RetryBudgetExceededError, RetryPolicy, SamplingRequest,
+                         SchemaError, TransportError, load_mock_fixtures, map_concurrent,
+                         parse_judge_reply)
 from ded.records import CorpusError
+
+from conftest import MockTransport
 
 
 def _request(m=1, prompt="p", teacher="t"):
@@ -66,25 +68,11 @@ class TestMockClient:
         assert check_format(t) is None
         assert extract_final_answer(text) is not None
 
-    def test_retry_then_success(self):
-        faults = FaultInjector({"sample": [TransportError("drop"), TransportError("drop")]})
-        client = MockClient(faults=faults, retry=RetryPolicy(budget=3, sleep=lambda _: None))
-        texts = client.sample_trajectories(_request())
-        assert len(texts) == 1
-        assert client.retries_total == 2
-
-    def test_budget_exhausted(self):
-        faults = FaultInjector({"sample": [TransportError("drop")] * 5})
-        client = MockClient(faults=faults, retry=RetryPolicy(budget=3, sleep=lambda _: None))
-        with pytest.raises(RetryBudgetExceededError):
-            client.sample_trajectories(_request())
-
-    def test_non_retryable_fault_raises_immediately(self):
-        faults = FaultInjector({"sample": [AuthenticationError("denied")]})
-        client = MockClient(faults=faults, retry=RetryPolicy(budget=5, sleep=lambda _: None))
-        with pytest.raises(AuthenticationError):
-            client.sample_trajectories(_request())
-        assert client.retries_total == 0
+    def test_every_request_is_one_attempt(self):
+        client = MockClient(seed=5)
+        client.sample_trajectories(_request(m=3))
+        client.judge(JudgeRequest(question="q", candidate_answer="1", ground_truth="1"))
+        assert (client.requests_total, client.retries_total) == (2, 0)
 
     def test_judge_fixture_and_fallback(self):
         client = MockClient(fixtures={"judges": {("q1", "42"): {"status": "correct"}}})
@@ -199,12 +187,20 @@ class TestHttpClient:
         with pytest.raises(AuthenticationError):
             client.sample_trajectories(_request())
         assert len(calls) == 1
+        assert client.retries_total == 0
 
     def test_transient_retried_then_succeeds(self):
         client, calls = self._client([(503, b""), (429, b""), self._ok_body(["x"])])
         assert client.sample_trajectories(_request()) == ["x"]
         assert client.retries_total == 2
         assert len(calls) == 3
+
+    def test_budget_exhausted(self):
+        client, calls = self._client([(503, b"")] * 5, budget=3)
+        with pytest.raises(RetryBudgetExceededError):
+            client.sample_trajectories(_request())
+        assert len(calls) == 3
+        assert client.retries_total == 2
 
     def test_judge_round_trip(self):
         client, calls = self._client([self._ok_body(["VERDICT: correct"])])
@@ -346,20 +342,16 @@ class TestSingleFlight:
         assert client.hits == 0 and client.misses == 1
 
 
-def _flaky_http(faults, retry):
-    def transport(url, payload, headers):
-        faults.check("sample")
-        return 200, json.dumps({"choices": [{"message": {"content": "x"}}]}).encode()
-    return HttpClient(base_url="http://api.test", retry=retry, transport=transport)
-
-
 @pytest.mark.parametrize("backend", ["mock", "http"])
 def test_counters_are_exact_under_concurrency(backend):
-    calls, failures = 600, 150
-    faults = FaultInjector({"sample": [TransportError("flaky")] * failures})
-    retry = RetryPolicy(budget=1000, sleep=lambda _: None)
-    client = (MockClient(faults=faults, retry=retry) if backend == "mock"
-              else _flaky_http(faults, retry))
+    # over http, the first attempt of a quarter of the prompts is throttled
+    calls, failures = 600, 150 if backend == "http" else 0
+    mock = MockClient()
+    transport = MockTransport(mock, throttle=lambda model, prompt: int(prompt[1:]) < failures,
+                              delay=lambda model, prompt: 0)
+    client = mock if backend == "mock" else HttpClient(
+        base_url="http://api.test", retry=RetryPolicy(budget=2, sleep=lambda _: None),
+        transport=transport)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -367,7 +359,7 @@ def test_counters_are_exact_under_concurrency(backend):
                        range(calls), max_in_flight=8)
     finally:
         sys.setswitchinterval(interval)
-    assert faults.fired["sample"] == failures
+    assert transport.throttled == failures
     assert client.retries_total == failures
     assert client.requests_total == calls + failures
 

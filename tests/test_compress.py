@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ded.clients import (CachingClient, FaultInjector, MockClient, RetryBudgetExceededError,
-                         RetryPolicy, TransportError, map_concurrent)
+from ded.clients import (CachingClient, HttpClient, MockClient, RetryBudgetExceededError,
+                         RetryPolicy, map_concurrent)
 from ded.compress import CompressError, pass_rate, select_hard, student_rollout
 from ded.records import PassRateStats
 
-from conftest import ProbeClient, make_question
+from conftest import MockTransport, ProbeClient, make_question
 
 
 class TestPassRate:
@@ -145,17 +145,22 @@ class TestStudentRollout:
     def test_failed_rollout_rebills_only_unfinished_questions(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         script = {q.question_id: 1 for q in questions}
-        samples = _rollout_client(questions, script).samples
+
+        def over_http(**rules):
+            return HttpClient(base_url="http://model.test/v1",
+                              retry=RetryPolicy(budget=2, sleep=lambda _: None),
+                              transport=MockTransport(_rollout_client(questions, script),
+                                                      **rules))
+
         # q000 is answered; q001 fails both its attempts, and q002 never starts
-        faults = FaultInjector({"sample": [None, TransportError("boom"), TransportError("boom")]})
-        failing = MockClient(fixtures={"samples": samples}, faults=faults,
-                             retry=RetryPolicy(budget=2, sleep=lambda _: None))
+        failing = over_http(throttle=lambda model, prompt: 2 if prompt == questions[1].prompt
+                            else 0)
         with pytest.raises(RetryBudgetExceededError):
             student_rollout(questions, CachingClient(failing, tmp_path / "cache"), runs=4,
                             student_id="student")
         assert failing.requests_total == 3
 
-        resumed = _rollout_client(questions, script)
+        resumed = over_http()
         stats = student_rollout(questions, CachingClient(resumed, tmp_path / "cache"), runs=4,
                                 student_id="student")
         assert resumed.requests_total == 2

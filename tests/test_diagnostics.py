@@ -97,29 +97,17 @@ class TestEntropySummary:
 
 class TestLengthSummary:
     def test_singleton(self):
-        q = make_question(0)
-        t = make_trajectory(q, 0, "<think>a</think>x", token_len=9877)
-        summary = length_summary([t])
+        summary = length_summary([9877])
         assert summary.mean == 9877.0
         assert summary.median == 9877
 
     def test_two_values_exact_mean(self):
-        q = make_question(0)
-        ts = [make_trajectory(q, 0, "<think>a</think>x", token_len=8202),
-              make_trajectory(q, 1, "<think>a</think>x", token_len=13869)]
-        summary = length_summary(ts)
+        summary = length_summary([8202, 13869])
         assert summary.mean == 11035.5
         assert summary.median == 8202  # lower-central convention
 
-    def test_missing_token_len_lists_ids(self):
-        q = make_question(0)
-        ts = [make_trajectory(q, 0, "<think>a</think>x", token_len=None)]
-        with pytest.raises(DiagnosticsError) as err:
-            length_summary(ts)
-        assert ts[0].trajectory_id in str(err.value)
-
-    def test_explicit_lengths_bypass_records(self):
-        summary = length_summary([], lengths=[10, 20, 30, 40], estimated=True)
+    def test_estimated_lengths(self):
+        summary = length_summary([10, 20, 30, 40], estimated=True)
         assert summary.mean == 25.0
         assert summary.median == 20
         assert summary.estimated
@@ -290,7 +278,7 @@ def test_report_matches_golden_file(tmp_path):
     records += [LogprobRecord("traj", 3 + i, [("a", 0.8), ("b", 0.15)], 0.05)
                 for i in range(2)]
     entropy = entropy_summary(records)
-    lengths = length_summary(trajectories)
+    lengths = length_summary([t.token_len for t in trajectories])
     before = [EmbeddingRecord(f"b{i}", "before", [float(i), float(i % 2)])
               for i in range(6)]
     after = [EmbeddingRecord(f"a{i}", "after", [float(i) + 3.0, float(i % 2) + 4.0])

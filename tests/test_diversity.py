@@ -365,9 +365,8 @@ class TestBatchedBand:
             return band(pairs, k)
 
         monkeypatch.setattr(diversity, "_band_distances", recording)
-        texts = near_duplicate_texts(1)
-        matrix = surface_distances([f"t{i}" for i in range(len(texts))], texts)
-        assert matrix.band_passes == len(calls) >= 2
+        _, passes, _ = _pack_distances([(near_duplicate_texts(1), None)])
+        assert passes == len(calls) >= 2
         assert calls[0] == 1
 
 
@@ -449,9 +448,8 @@ class TestMatchWords:
         # one wide pass for the first pair (doubling it from 32 took two
         # more, six in all), one shared pass for the rest, and three
         # doublings over their spread of distances, 54 to 420
-        texts = near_duplicate_texts(1)
-        matrix = surface_distances([f"t{i}" for i in range(len(texts))], texts)
-        assert matrix.band_passes <= 5
+        _, passes, _ = _pack_distances([(near_duplicate_texts(1), None)])
+        assert passes <= 5
 
 
 def long_variants(seed: int, size: int, copies: int, edits: int, clustered: bool = False,
@@ -606,15 +604,14 @@ class TestCutOff:
             for _ in range(30):
                 words[rng.randrange(len(words))] = rng.choice(WORDS)
             texts.append(" ".join(words))
-        ids = [f"t{i}" for i in range(len(texts))]
-        cut = surface_distances(ids, texts)
+        (cut,), cut_passes, cut_bytes = _pack_distances([(texts, None)])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(diversity, "_CUT", 1 << 30)  # no check before the end
-            whole = surface_distances(ids, texts)
-        assert (cut.distances == whole.distances).all()
-        assert cut.band_passes == whole.band_passes
-        assert cut.band_bytes < 0.8 * whole.band_bytes
-        assert surface_distances(ids, texts).band_bytes == cut.band_bytes
+            (whole,), whole_passes, whole_bytes = _pack_distances([(texts, None)])
+        assert (cut == whole).all()
+        assert cut_passes == whole_passes
+        assert cut_bytes < 0.8 * whole_bytes
+        assert _pack_distances([(texts, None)])[2] == cut_bytes
 
 
 def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
@@ -639,7 +636,8 @@ class TestPairwiseDistances:
     def test_matches_elementwise_oracle(self):
         texts = {"a": "alpha beta", "b": "alpha gamma", "c": "entirely different"}
         matrix = _matrix_from_texts(texts)
-        matrix.validate()
+        assert (matrix.distances == matrix.distances.T).all()
+        assert not np.diag(matrix.distances).any()
         assert not triangle_violated(matrix.distances)
         ids = matrix.ids
         for i in range(3):
@@ -654,7 +652,8 @@ class TestPairwiseDistances:
     def test_capped_matrix_is_truncated_metric(self):
         texts = {"a": "aaaaaaaaaa", "b": "bbbbbbbbbb", "c": "ababababab"}
         matrix = _matrix_from_texts(texts, cap=4)
-        matrix.validate()
+        assert (matrix.distances == matrix.distances.T).all()
+        assert not np.diag(matrix.distances).any()
         assert not triangle_violated(matrix.distances)
         assert matrix.distances.max() == 4
 

@@ -6,15 +6,12 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
 
 from ded import pipeline
-from ded.clients import (JUDGE_RUBRICS, HttpClient, JudgeRequest, MockClient,
-                         SamplingRequest)
+from ded.clients import HttpClient, MockClient, RetryPolicy, SamplingRequest
 from ded.config import STAGE_SEQUENCE, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
@@ -22,8 +19,8 @@ from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE
 from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_manifest,
                          parse_corpus)
 
-from conftest import (build_pipeline_fixture, make_question, make_trajectory, mix_sources,
-                      read_events, six_stage_config)
+from conftest import (MockTransport, build_pipeline_fixture, make_question, make_trajectory,
+                      mix_sources, read_events, six_stage_config)
 
 
 class TestPipelineEndToEnd:
@@ -463,8 +460,9 @@ class TestProcessLayout:
 
     def test_a_helper_that_dies_fails_its_stage(self, tmp_path):
         config = six_stage_config(tmp_path)
-        fresh, err = _fresh_run(tmp_path, config,
-                                "pipeline.diversify_corpus = lambda *a, **k: os._exit(9)")
+        # a function of __main__, so that it is sent to the helper by name
+        fresh, err = _fresh_run(tmp_path, config, "def die(*args, **kwargs):\n    os._exit(9)\n"
+                                "pipeline.diversify_corpus = die")
         assert fresh == {"code": EXIT_STAGE, **_CLEAN}, err
         assert "failed at stage diversify: the helper process" in err
         failed = [e for e in read_events(Path(config["out_dir"]))
@@ -737,20 +735,18 @@ class TestJudgeAdjudication:
         assert all(t.verdict.checker == "judge" for t in kept)
 
     def test_client_error_keeps_item_queued(self, tmp_path):
-        from ded.clients import FaultInjector, MockClient, RetryPolicy, TransportError
         from ded.pipeline import _adjudicate
-        from conftest import make_question, make_trajectory
         q = make_question(0, domain="code", gt="ref")
         t = make_trajectory(q, 0, "<think>plan</think>candidate code")
-        faults = FaultInjector({"judge": [TransportError("down")] * 5})
-        client = MockClient(faults=faults,
-                            retry=RetryPolicy(budget=2, sleep=lambda _: None))
+        client = HttpClient(base_url="http://model.test/v1",
+                            retry=RetryPolicy(budget=2, sleep=lambda _: None),
+                            transport=MockTransport(MockClient(), throttle=lambda m, p: 5))
         kept, rejected, queued, errors = _adjudicate([t], {q.question_id: q}, client)
         assert kept == [] and rejected == []
         assert queued == [t]
         assert [(e["question_id"], e["trajectory_id"]) for e in errors] == [
             (q.question_id, t.trajectory_id)]
-        assert "down" in errors[0]["error"]
+        assert "HTTP 429" in errors[0]["error"]
 
 
 class TestClientFailureExitCode:
@@ -762,66 +758,6 @@ class TestClientFailureExitCode:
         result = run_pipeline(config)
         assert result.exit_code == 4
         assert result.failed_stage == "sample"
-
-
-_JUDGE_PROMPT = re.compile("^" + "".join(
-    re.escape(part) if i % 2 == 0 else f"(?P<{part}>.*?)"
-    for i, part in enumerate(re.split(r"\{(\w+)\}", JUDGE_RUBRICS["default"]))) + "$",
-    re.DOTALL)
-
-
-class MockTransport:
-    """An in-process chat-completion endpoint for `HttpClient`: it answers
-    each request as `MockClient` over the same fixtures would. Each rule
-    takes the request's model and prompt: the first attempt of a request
-    `throttle` picks gets HTTP 429, every attempt of one `refuse` picks gets
-    HTTP 401, and `delay` gives the seconds before each reply. `peak` is the
-    most attempts ever in progress at once."""
-
-    def __init__(self, mock, throttle=lambda model, prompt: False,
-                 refuse=lambda model, prompt: False, delay=lambda model, prompt: 0.002):
-        self.mock = mock
-        self.throttle = throttle
-        self.refuse = refuse
-        self.delay = delay
-        self.requests = 0
-        self.throttled = 0
-        self.active = 0
-        self.peak = 0
-        self._seen = set()
-        self._lock = threading.Lock()
-
-    def _reply(self, model, prompt, payload):
-        if model == "judge":
-            fields = _JUDGE_PROMPT.match(prompt).groupdict()
-            return [self.mock.judge(JudgeRequest(**fields)).detail]
-        return self.mock.sample_trajectories(SamplingRequest(
-            prompt=prompt, teacher_id=model, samples=payload["n"],
-            temperature=payload["temperature"], max_tokens=payload["max_tokens"],
-            seed=payload.get("seed")))
-
-    def __call__(self, url, payload, headers):
-        model, prompt = payload["model"], payload["messages"][0]["content"]
-        with self._lock:
-            self.requests += 1
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-            first = (model, prompt) not in self._seen
-            self._seen.add((model, prompt))
-        try:
-            time.sleep(self.delay(model, prompt))
-            if self.refuse(model, prompt):
-                return 401, b"denied"
-            if first and self.throttle(model, prompt):
-                with self._lock:
-                    self.throttled += 1
-                return 429, b""
-            texts = self._reply(model, prompt, payload)
-            return 200, json.dumps(
-                {"choices": [{"message": {"content": t}} for t in texts]}).encode()
-        finally:
-            with self._lock:
-                self.active -= 1
 
 
 def _task(prompt):
@@ -916,6 +852,18 @@ class TestQuestionChains:
         for key in ("cache_hits", "cache_misses"):
             assert sum(done[s][key] for s in ("sample", "filter", "compress")) == total[key]
         assert all(e["duration_ms"] >= 0 for e in done.values())
+
+    def test_done_counts_the_backends_requests_and_retries(self, tmp_path, transport):
+        config = six_stage_config(tmp_path)
+        mock = _done(run_pipeline(config).out_dir)
+        assert mock["cache_misses"] > 0
+        assert (mock["requests"], mock["retries"]) == (mock["cache_misses"], 0)
+        # over http, the first attempt of one teacher request gets HTTP 429
+        fake = transport(config, throttle=lambda model, prompt: model == "t-alpha" and
+                         prompt.startswith("Problem q003:"))
+        http = _done(run_pipeline(_over_http(config, 2, tmp_path / "http")).out_dir)
+        assert (http["exit_code"], fake.throttled) == (EXIT_OK, 1)
+        assert (http["requests"], http["retries"]) == (http["cache_misses"] + 1, 1)
 
     def test_judge_errors_are_logged_in_queue_order_at_any_width(self, tmp_path,
                                                                    transport):
