@@ -34,13 +34,6 @@ def pass_rate(outcomes: Sequence[bool], runs: int, question_id: str = "") -> Pas
     return stats
 
 
-def _as_fraction(tau: float | Fraction | str) -> Fraction:
-    # Going through str keeps decimal thresholds like 0.3 exact.
-    if isinstance(tau, Fraction):
-        return tau
-    return Fraction(str(tau))
-
-
 @dataclass
 class CompressionReport:
     tau: float
@@ -63,7 +56,7 @@ def select_hard(questions: Sequence[QuestionRecord],
                 stats: Sequence[PassRateStats],
                 tau: float | Fraction) -> tuple[list[QuestionRecord], CompressionReport]:
     """Retain questions whose pass rate is at most tau, ordered by id."""
-    tau_frac = _as_fraction(tau)
+    tau_frac = Fraction(str(tau))  # through str, a decimal threshold like 0.3 stays exact
     if not (0 <= tau_frac <= 1):
         raise CompressError("tau must be in [0, 1]")
     by_qid = {s.question_id: s for s in stats}

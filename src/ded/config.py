@@ -74,10 +74,6 @@ FIELDS: dict[str, Spec] = {
     "mix_sources": Spec(list, None, _mix_sources),
 }
 
-DEFAULTS: dict[str, Any] = {**{key: spec.default for key, spec in FIELDS.items()},
-                            "client": {key: spec.default for key, spec in CLIENT_FIELDS.items()}}
-
-
 class ConfigError(ValueError):
     """Validation failure carrying every problem found, not just the first."""
 

@@ -233,8 +233,7 @@ def emit_report(manifests: Sequence[CorpusManifest],
                 out_dir: str | Path,
                 entropy: EntropySummary | None = None,
                 lengths: LengthSummary | None = None,
-                pca: PcaShift | None = None,
-                pass1: float | None = None) -> Path:
+                pca: PcaShift | None = None) -> Path:
     """Render the stage ledger and diagnostics as Markdown plus CSV tables.
 
     Each analysis given gets a section and a table under tables/. Output is
@@ -294,10 +293,6 @@ def emit_report(manifests: Sequence[CorpusManifest],
                 ["analysis", "components", "dis", "explained_variance_ratio", "degenerate"],
                 [["corpus", pca.components, pca.dis, ";".join(ratios),
                   "yes" if pca.degenerate else "no"]])
-    if pass1 is not None:
-        row = ["corpus", f"{pass1:.2f}"]
-        section("pass@1", ["evaluation", "pass@1 (%)"], [row], "pass1.csv",
-                ["evaluation", "pass_at_1_pct"], [row])
 
     lines += [
         "---",

@@ -39,7 +39,7 @@ class FilterConfig:
 
 
 def check_format(trajectory: TrajectoryRecord,
-                 config: FilterConfig | None = None) -> VerificationVerdict | None:
+                 config: FilterConfig) -> VerificationVerdict | None:
     """Return a malformed_format verdict, or None when the text is well formed.
 
     Well formed means exactly one <think>...</think> pair, opener before
@@ -50,7 +50,6 @@ def check_format(trajectory: TrajectoryRecord,
     text = trajectory.text
     if text is None:
         raise FilterError(f"trajectory {trajectory.trajectory_id}: text is null")
-    require_single = config.require_single_think_pair if config else True
 
     def fail(detail: str) -> VerificationVerdict:
         return VerificationVerdict(status="malformed_format", checker="format", detail=detail)
@@ -63,7 +62,7 @@ def check_format(trajectory: TrajectoryRecord,
         return fail("unclosed think tag")
     if closes > opens:
         return fail("unopened think closer")
-    if require_single and opens > 1:
+    if config.require_single_think_pair and opens > 1:
         return fail("multiple think pairs")
     # tags must strictly alternate: open, close, open, close ...
     for i, tag in enumerate(tags):

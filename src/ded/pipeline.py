@@ -116,7 +116,7 @@ def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
     for t in gate_needs_judge:
         try:
             verdict = client.judge(judge_request(questions[t.question_id],
-                                                 candidate_answer(t.text) or "(empty)"))
+                                                 candidate_answer(t.text)))
         except ClientError as exc:
             errors.append({"question_id": t.question_id, "trajectory_id": t.trajectory_id,
                            "error": str(exc)})

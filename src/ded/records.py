@@ -37,12 +37,7 @@ EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 
 class CorpusError(ValueError):
-    """Malformed corpus file or record invariant violation. Raised by
-    `read_jsonl`, it carries the 1-based line number and byte offset of the
-    offending line."""
-
-    line: int | None = None
-    offset: int | None = None
+    """Malformed corpus file or record invariant violation."""
 
 
 # ------------------------------------------------------------ declarations
@@ -338,8 +333,7 @@ def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) ->
     """Call load(line number, object) on each line of a JSONL file that is
     not blank, in file order. A line that is not a UTF-8 JSON object is a
     CorpusError. Each refusal, this function's or load's, is raised again as
-    its own type with "<path> line <n>: " in front, and the line's number
-    and byte offset as its `line` and `offset`."""
+    its own type with "<path> line <n>: " in front, n counted from 1."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.isspace():
@@ -353,16 +347,14 @@ def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) ->
                     raise CorpusError(f"not a JSON object, got {type(data).__name__}")
                 load(lineno, data)
             except ValueError as exc:
-                error = type(exc)(f"{path} line {lineno}: {exc}")
-                error.line, error.offset = lineno, fh.tell() - len(raw)
-                raise error from exc
+                raise type(exc)(f"{path} line {lineno}: {exc}") from exc
 
 
 def parse_corpus(path: str | Path, kind: str) -> list[Record]:
     """Parse a JSONL corpus file into validated records, in file order.
 
-    Raises CorpusError naming the file, 1-based line number and byte offset
-    of a malformed line (see `read_jsonl`), and naming field and record id
+    Raises CorpusError naming the file and 1-based line number of a
+    malformed line (see `read_jsonl`), and naming field and record id
     for invariant violations. Duplicate primary keys report both line numbers.
     """
     if kind not in _RECORD_TYPES:

@@ -18,8 +18,8 @@ from typing import Any, Callable, Sequence
 
 from .clients import Client, SamplingRequest, map_concurrent
 from .filtering import FilterConfig, GateResult, run_quality_gate
-from .records import (CorpusManifest, QuestionRecord, ScoreRecord, TrajectoryRecord,
-                      read_jsonl, write_corpus, write_json, write_manifest)
+from .records import (QuestionRecord, ScoreRecord, TrajectoryRecord, content_hash, read_jsonl,
+                      write_corpus, write_json)
 
 # Echoed into every training manifest so the external fine-tuning step and
 # the corpus stay in one auditable bundle.
@@ -38,9 +38,7 @@ class TeacherSelectError(ValueError):
 
 @dataclass
 class SmokeCorpus:
-    teacher_id: str
     gate: GateResult
-    manifest: CorpusManifest
     dropped_questions: list[str]
 
 
@@ -67,59 +65,40 @@ def _smoke_paths(out: Path, teacher_id: str) -> tuple[Path, Path]:
 def build_smoke_corpus(questions: Sequence[QuestionRecord],
                        teacher_ids: Sequence[str],
                        client: Client,
-                       filter_config: FilterConfig | None = None,
+                       out_dir: str | Path,
                        temperature: float = 0.7,
-                       seed: int | None = None,
-                       created_at: str | None = None,
-                       out_dir: str | Path | None = None) -> dict[str, SmokeCorpus]:
+                       seed: int | None = None) -> dict[str, SmokeCorpus]:
     """One trajectory per question per teacher, passed through the gate.
 
-    When out_dir is given, each teacher gets a corpus file, a manifest, and
-    a training manifest listing the corpus file, relative to out_dir, and the
-    fine-tuning hyperparameters.
+    Each teacher gets a corpus file of the kept trajectories and a training
+    manifest naming that file, relative to out_dir, with its content hash,
+    its counts and the fine-tuning hyperparameters.
     """
-    filter_config = filter_config or FilterConfig()
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        # an id may name subdirectories, as in org/model, but may not climb out
-        outside = [t for t in teacher_ids if not all(
-            path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
-        if outside:
-            raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
+    out = Path(out_dir)
+    # an id may name subdirectories, as in org/model, but may not climb out
+    outside = [t for t in teacher_ids if not all(
+        path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
+    if outside:
+        raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
     results: dict[str, SmokeCorpus] = {}
     for teacher_id in teacher_ids:
         trajectories = sample_teacher(questions, client, teacher_id, samples=1,
                                       temperature=temperature, seed=seed,
                                       max_in_flight=client.max_in_flight)
-        gate = run_quality_gate(trajectories, questions, filter_config)
+        gate = run_quality_gate(trajectories, questions, FilterConfig())
         kept_qids = {t.question_id for t in gate.kept}
         dropped = sorted(q.question_id for q in questions if q.question_id not in kept_qids)
-        config_snapshot = {
-            "smoke_test": True,
+        corpus_path, training_path = _smoke_paths(out, teacher_id)
+        lines = write_corpus(corpus_path, gate.kept)
+        write_json(training_path, {
             "teacher_id": teacher_id,
-            "samples_per_question": 1,
-            "temperature": temperature,
-            "seed": seed,
-            "max_token_len": filter_config.max_token_len,
-        }
-        raw_manifest = write_manifest("raw", list(questions) + trajectories,
-                                      config=config_snapshot, created_at=created_at)
-        lines = None
-        if out is not None:
-            corpus_path, training_path = _smoke_paths(out, teacher_id)
-            lines = write_corpus(corpus_path, gate.kept)
-            training_manifest = {
-                "teacher_id": teacher_id,
-                "corpus_files": [corpus_path.relative_to(out).as_posix()],
-                "trajectory_count": len(gate.kept),
-                "dropped_questions": dropped,
-                "hyperparameters": TRAINING_HYPERPARAMETERS,
-            }
-            write_json(training_path, training_manifest)
-        manifest = write_manifest("right", gate.kept, parent=raw_manifest,
-                                  config=config_snapshot, created_at=created_at, lines=lines)
-        results[teacher_id] = SmokeCorpus(teacher_id=teacher_id, gate=gate,
-                                          manifest=manifest, dropped_questions=dropped)
+            "corpus_files": [corpus_path.relative_to(out).as_posix()],
+            "content_hash": content_hash(gate.kept, lines),
+            "trajectory_count": len(gate.kept),
+            "dropped_questions": dropped,
+            "hyperparameters": TRAINING_HYPERPARAMETERS,
+        })
+        results[teacher_id] = SmokeCorpus(gate=gate, dropped_questions=dropped)
     return results
 
 
@@ -187,10 +166,6 @@ class TeacherRanking:
     teacher_id: str
     score: Fraction
     mean_response_len: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"teacher_id": self.teacher_id, "score": float(self.score),
-                "mean_response_len": self.mean_response_len}
 
 
 def rank_teachers(records: Sequence[ScoreRecord],

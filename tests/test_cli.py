@@ -474,6 +474,29 @@ class TestSmokeCommand:
         assert (out_dir / "smoke_ta.jsonl").exists()
         assert (out_dir / "training_tb.json").exists()
 
+    def test_training_manifest_hash_is_the_ingested_corpus_hash(self, tmp_path):
+        from ded.records import load_manifest, write_corpus
+        questions = [make_question(i) for i in range(3)]
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, questions)
+        # q001's sample answers wrong and is left out of the corpus
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("".join(json.dumps({
+            "kind": "sample", "teacher_id": "ta", "prompt": q.prompt,
+            "responses": [f"<think>s</think>\\boxed{{{q.ground_truth if i != 1 else 0}}}"]})
+            + "\n" for i, q in enumerate(questions)), encoding="utf-8")
+        out_dir = tmp_path / "smoke"
+        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta",
+                     "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 0
+        training = json.loads((out_dir / "training_ta.json").read_text())
+        assert (training["trajectory_count"], training["dropped_questions"]) == (2, ["q001"])
+        manifest = tmp_path / "manifest.json"
+        assert main(["ingest", "--in", str(out_dir / "smoke_ta.jsonl"), "--kind", "trajectories",
+                     "--manifest-out", str(manifest)]) == 0
+        ingested = load_manifest(manifest)
+        assert ingested.content_hash == training["content_hash"]
+        assert ingested.trajectory_count == training["trajectory_count"]
+
     def test_a_slashed_teacher_id_lists_its_corpus_relative_to_out_dir(self, tmp_path):
         from ded.records import write_corpus
         qpath = tmp_path / "q.jsonl"

@@ -61,11 +61,11 @@ class TestMockClient:
         assert a != c
 
     def test_synthesized_text_is_well_formed(self):
-        from ded.filtering import check_format, extract_final_answer
+        from ded.filtering import FilterConfig, check_format, extract_final_answer
         from conftest import make_question, make_trajectory
         text = MockClient(seed=1).sample_trajectories(_request())[0]
         t = make_trajectory(make_question(0), 0, text)
-        assert check_format(t) is None
+        assert check_format(t, FilterConfig()) is None
         assert extract_final_answer(text) is not None
 
     def test_every_request_is_one_attempt(self):

@@ -7,7 +7,8 @@ import pytest
 
 from ded.clients import (CachingClient, HttpClient, MockClient, RetryBudgetExceededError,
                          RetryPolicy, map_concurrent)
-from ded.compress import CompressError, pass_rate, select_hard, student_rollout
+from ded.compress import (CompressError, pass_rate, response_is_correct, select_hard,
+                          student_rollout)
 from ded.records import PassRateStats
 
 from conftest import MockTransport, ProbeClient, make_question
@@ -103,6 +104,17 @@ def _rollout_client(questions, correct_of_4: dict[str, int]) -> MockClient:
             responses.append(f"<think>s{r}</think>\\boxed{{{ans}}}")
         samples[("student", q.prompt)] = responses
     return MockClient(fixtures={"samples": samples})
+
+
+class TestResponseIsCorrect:
+    @pytest.mark.parametrize("domain,text", [
+        ("math", "<think>s</think>The answer is 1, unboxed."),
+        ("code", "<think>def f(): return 1</think>   "),
+    ], ids=["math without boxed", "code without visible text"])
+    def test_a_response_with_no_answer_is_wrong_without_a_judge_call(self, domain, text):
+        client = MockClient(seed=1)
+        assert response_is_correct(text, make_question(0, domain=domain), client) is False
+        assert client.requests_total == 0
 
 
 class TestStudentRollout:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ded.config import ConfigError, DEFAULTS, validate_config
+from ded.config import ConfigError, validate_config
 from ded.pipeline import manifest_snapshot
 
 
@@ -22,7 +22,7 @@ class TestValidateConfig:
     def test_defaults_not_mutated(self):
         cfg = validate_config({"client": {"mode": "http"}})
         assert cfg["client"]["mode"] == "http"
-        assert DEFAULTS["client"]["mode"] == "mock"
+        assert validate_config({})["client"]["mode"] == "mock"
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as err:

@@ -257,6 +257,17 @@ class TestEmitReport:
         assert "## Stage ledger" in text
         assert "## Token entropy" not in text
 
+    def test_a_mean_residual_mass_above_the_threshold_is_noted(self, tmp_path):
+        manifest = write_manifest("raw", [make_question(0)],
+                                  created_at="2026-01-01T00:00:00+00:00")
+        for residual, noted in ((0.1, True), (0.05, False)):
+            entropy = entropy_summary([_lp([("a", 1 - residual)], residual=residual, pos=i)
+                                       for i in range(2)])
+            text = emit_report([manifest], tmp_path / str(residual),
+                               entropy=entropy).read_text(encoding="utf-8")
+            note = f"Note: corpus carries mean residual mass {residual} > 0.05;"
+            assert (note in text) == noted and ("Note:" in text) == noted
+
     def test_svg_histogram(self, tmp_path):
         path = entropy_histogram_svg(self._summary(), tmp_path / "h.svg")
         svg = path.read_text(encoding="utf-8")
@@ -284,9 +295,8 @@ def test_report_matches_golden_file(tmp_path):
     after = [EmbeddingRecord(f"a{i}", "after", [float(i) + 3.0, float(i % 2) + 4.0])
              for i in range(6)]
     shift = pca_shift(before, after, k=2)
-    p1 = pass_at_1([[True] * 12 + [False] * 4 for _ in range(10)])
 
     path = emit_report([raw, right], tmp_path, entropy=entropy, lengths=lengths,
-                       pca=shift, pass1=p1)
+                       pca=shift)
     golden = Path(__file__).parent / "data" / "golden_report.md"
     assert path.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")

@@ -16,25 +16,30 @@ def _traj(text: str, token_len: int | None = 100):
     return make_trajectory(q, 0, text, token_len=token_len)
 
 
+def _format(text: str):
+    """check_format's verdict on text under the default config."""
+    return check_format(_traj(text), FilterConfig())
+
+
 class TestCheckFormat:
     def test_well_formed_passes(self):
-        assert check_format(_traj("<think>steps</think>The answer is 7")) is None
+        assert _format("<think>steps</think>The answer is 7") is None
 
     def test_unclosed_tag(self):
-        verdict = check_format(_traj("<think>steps"))
+        verdict = _format("<think>steps")
         assert verdict.status == "malformed_format"
         assert verdict.detail == "unclosed think tag"
 
     def test_multiple_pairs(self):
-        verdict = check_format(_traj("<think>a</think><think>b</think>x"))
+        verdict = _format("<think>a</think><think>b</think>x")
         assert verdict.status == "malformed_format"
         assert verdict.detail == "multiple think pairs"
 
     def test_missing_pair(self):
-        assert check_format(_traj("no tags at all")).detail == "missing think pair"
+        assert _format("no tags at all").detail == "missing think pair"
 
     def test_closer_before_opener(self):
-        assert check_format(_traj("</think>x<think>y")).detail == "think closer precedes opener"
+        assert _format("</think>x<think>y").detail == "think closer precedes opener"
 
     # the details the tests above leave out, and a later pair out of order
     @pytest.mark.parametrize("text,single,detail", [
@@ -48,7 +53,7 @@ class TestCheckFormat:
         assert check_format(_traj(text), config).detail == detail
 
     def test_no_answer_after_close(self):
-        assert check_format(_traj("<think>a</think>   ")).detail == "no answer after think block"
+        assert _format("<think>a</think>   ").detail == "no answer after think block"
 
     def test_relaxed_mode_allows_multiple_pairs(self):
         config = FilterConfig(require_single_think_pair=False)
@@ -99,6 +104,9 @@ class TestExtraction:
     def test_nested_braces(self):
         text = "<think>s</think>\\boxed{\\frac{1}{2}}"
         assert extract_final_answer(text) == "\\frac{1}{2}"
+
+    def test_space_before_the_brace(self):
+        assert extract_final_answer("<think>s</think>Thus \\boxed {42}.") == "42"
 
     def test_absent(self):
         assert extract_final_answer("<think>s</think>no box") is None

@@ -318,6 +318,24 @@ class TestPartialRuns:
                 and f"run {rerun} and the stages after it again" in result.error)
         assert tree_hash(out) == built
 
+    def test_filter_first_refuses_a_trajectory_of_an_unconfigured_question(self, tmp_path):
+        # raw's manifest is rehashed over the added line, so that only the
+        # configured questions tell the orphan apart
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(dict(config, stages=["sample"])).out_dir
+        orphan = make_trajectory(make_question(99), 0, "<think>s</think>\\boxed{298}",
+                                 teacher_id=config["teacher_id"])
+        with open(out / "raw_trajectories.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(orphan.to_dict(), sort_keys=True) + "\n")
+        raw = json.loads((out / "manifest_raw.json").read_text(encoding="utf-8"))
+        raw["content_hash"] = content_hash(
+            parse_corpus(config["questions"], "questions")
+            + parse_corpus(out / "raw_trajectories.jsonl", "trajectories"))
+        (out / "manifest_raw.json").write_text(json.dumps(raw), encoding="utf-8")
+        result = run_pipeline(dict(config, stages=["filter"]))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, "filter")
+        assert "q099" in result.error
+
     def test_diversify_first_reads_a_right_hard_that_hashes_like_raw(self, tmp_path):
         # every trajectory of the questions without a planted defect passes
         # filter, and a student that always slips makes every question hard;
@@ -617,6 +635,28 @@ def test_an_edited_question_in_a_used_out_dir_gets_a_fresh_pass_rate(tmp_path):
 def _pass_rates(out_dir):
     lines = (out_dir / "pass_rates.jsonl").read_text(encoding="utf-8").splitlines()
     return {row["question_id"]: row for row in map(json.loads, lines)}
+
+
+def test_a_question_with_no_kept_sample_gets_no_roll_out(tmp_path):
+    # every teacher sample of q007, a question its student finds hard,
+    # answers wrong, so filter keeps none of them
+    config = build_pipeline_fixture(tmp_path)
+    fixtures = Path(config["client"]["fixtures"])
+    rows = [json.loads(line) for line in fixtures.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if row["teacher_id"] == config["teacher_id"] and row["prompt"].startswith("Problem q007:"):
+            row["responses"] = ["<think>slips.</think>\\boxed{-1}"] * len(row["responses"])
+    fixtures.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    result = run_pipeline(config)
+    assert result.exit_code == EXIT_OK
+    out = result.out_dir
+    rates = _pass_rates(out)
+    assert len(rates) == 11 and "q007" not in rates
+    # one batched student request per question rolled out, and no judge call
+    done = {e["stage"]: e for e in read_events(out) if e["event"] == "stage_done"}
+    assert done["compress"]["cache_misses"] == 11
+    hard = parse_corpus(out / "right_hard_questions.jsonl", "questions")
+    assert hard and "q007" not in {q.question_id for q in hard}
 
 
 def test_diversify_logs_its_pairs_and_band_passes(tmp_path):

@@ -29,16 +29,14 @@ def test_parse_trajectories_round_trip(tmp_path):
     assert parsed[1].extra["custom_field"] == {"nested": [1, 2]}
 
 
-def test_parse_reports_line_number_and_offset(tmp_path):
+def test_parse_reports_line_number(tmp_path):
     q = make_question(1)
     good = json.dumps(make_trajectory(q, 0, well_formed_text(q, 0)).to_dict())
     path = tmp_path / "bad.jsonl"
     path.write_text(good + "\n{\n", encoding="utf-8")
     with pytest.raises(CorpusError) as err:
         parse_corpus(path, "trajectories")
-    assert "line 2" in str(err.value)
-    assert err.value.line == 2
-    assert err.value.offset == len(good.encode()) + 1
+    assert f"{path} line 2: " in str(err.value)
 
 
 def test_parse_duplicate_sample_key_names_both_lines(tmp_path):
@@ -160,7 +158,7 @@ def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
     _write_lines(path, [row])
     with pytest.raises(CorpusError) as err:
         parse_corpus(path, kind)
-    assert err.value.line == 1 and field in str(err.value)
+    assert f"{path} line 1: " in str(err.value) and field in str(err.value)
 
 
 def test_verdict_invariants():

@@ -233,7 +233,7 @@ class TestBuildSmokeCorpus:
         assert manifest["hyperparameters"]["batch_size"] == 48
 
     def test_each_kept_trajectory_is_serialised_once(self, tmp_path, monkeypatch):
-        # the right manifest hashes the lines the corpus file was written from
+        # the training manifest hashes the lines the corpus file was written from
         questions = [make_question(i) for i in range(3)]
         samples = {("t-one", q.prompt): [f"<think>s</think>\\boxed{{{q.ground_truth}}}"]
                    for q in questions[:2]}
@@ -244,9 +244,10 @@ class TestBuildSmokeCorpus:
                                      MockClient(fixtures={"samples": samples}), out_dir=tmp_path)
         kept = results["t-one"].gate.kept
         assert len(kept) == 2
-        # raw's manifest hashes the questions and every sample, once each
-        assert len(calls) == len(questions) + len(questions) + len(kept)
-        assert results["t-one"].manifest.content_hash == records.content_hash(kept)
+        # no question or rejected sample is serialised
+        assert calls == kept
+        training = json.loads((tmp_path / "training_t-one.json").read_text())
+        assert training["content_hash"] == records.content_hash(kept)
 
     def test_failed_question_reported(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
@@ -255,12 +256,14 @@ class TestBuildSmokeCorpus:
             answer = q.ground_truth if q.question_id != "q001" else "wrong"
             samples[("t-one", q.prompt)] = [f"<think>s</think>\\boxed{{{answer}}}"]
         client = MockClient(fixtures={"samples": samples})
-        results = build_smoke_corpus(questions, ["t-one"], client)
+        results = build_smoke_corpus(questions, ["t-one"], client, out_dir=tmp_path)
         corpus = results["t-one"]
         assert len(corpus.gate.kept) == 2
         assert corpus.dropped_questions == ["q001"]
-        assert corpus.manifest.stage == "right"
-        assert corpus.manifest.trajectory_count == 2
+        training = json.loads((tmp_path / "training_t-one.json").read_text())
+        assert training["dropped_questions"] == ["q001"]
+        assert training["trajectory_count"] == 2
+        assert training["content_hash"] == records.content_hash(corpus.gate.kept)
 
 
 class TestSampleTeacher:
@@ -282,12 +285,10 @@ class TestSampleTeacher:
     def test_smoke_corpus_width_does_not_change_result(self, tmp_path):
         questions = [make_question(i) for i in range(8)]
         serial = build_smoke_corpus(questions, ["t-one", "t-two"], MockClient(seed=1),
-                                    created_at="2025-01-01T00:00:00+00:00",
                                     out_dir=tmp_path / "serial")
         probe = ProbeClient(MockClient(seed=1))
         probe.max_in_flight = 4
         wide = build_smoke_corpus(questions, ["t-one", "t-two"], probe,
-                                  created_at="2025-01-01T00:00:00+00:00",
                                   out_dir=tmp_path / "wide")
         assert wide == serial
         assert probe.peak > 1
