@@ -15,10 +15,11 @@ from pathlib import Path
 from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
-from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client, run_pipeline
+from .pipeline import (EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client,
+                       build_smoke_corpus, run_pipeline)
 from .records import (CORPUS_KINDS, PassRateStats, parse_corpus, read_jsonl, save_manifest,
                       write_json, write_manifest)
-from .teacher import TeacherSelectError, build_smoke_corpus, ingest_scores, rank_teachers
+from .teacher import TeacherSelectError, ingest_scores, rank_teachers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,9 +105,9 @@ def _cmd_smoke(args) -> int:
     results = build_smoke_corpus(questions, args.teachers.split(","), client,
                                  temperature=args.temperature, seed=args.seed,
                                  out_dir=args.out_dir)
-    for teacher_id, corpus in sorted(results.items()):
-        print(f"{teacher_id}: kept {len(corpus.gate.kept)} of {len(questions)}; "
-              f"dropped questions: {corpus.dropped_questions or 'none'}")
+    for teacher_id, training in sorted(results.items()):
+        print(f"{teacher_id}: kept {training['trajectory_count']} of {len(questions)}; "
+              f"dropped questions: {training['dropped_questions'] or 'none'}")
     return EXIT_OK
 
 

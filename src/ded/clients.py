@@ -14,11 +14,10 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .filtering import normalize_answer
 from .records import (CorpusError, Spec, VerificationVerdict, field_error, read_jsonl, replacing,
@@ -202,6 +201,8 @@ class HttpClient(_Backend):
         self.base_url = (base_url or os.environ.get("DED_API_BASE", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("DED_API_KEY", "")
         self.timeout = timeout
+        if transport is None:  # loaded here, not in the first requests' wire slots
+            import urllib.request  # noqa: F401
         self.transport = transport or self._urllib_transport
         self.max_in_flight = max_in_flight
         self._wire = threading.BoundedSemaphore(max_in_flight)
@@ -211,7 +212,7 @@ class HttpClient(_Backend):
         return f"http {self.base_url}"
 
     def _urllib_transport(self, url: str, payload: dict, headers: dict) -> tuple[int, bytes]:
-        import urllib.error  # only http mode pays for importing these
+        import urllib.error  # loaded by __init__
         import urllib.request
         req = urllib.request.Request(
             url, data=json.dumps(payload).encode("utf-8"),
@@ -489,12 +490,3 @@ class CachingClient(Client):
                             lambda entry: VerificationVerdict(
                                 status=entry["status"], checker="judge",
                                 detail=entry["detail"]))
-
-
-def map_concurrent(fn: Callable[[T], R], items: Sequence[T],
-                   max_in_flight: int = 1) -> list[R]:
-    """Apply fn to every item with bounded concurrency, preserving input order."""
-    if max_in_flight <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(fn, items))

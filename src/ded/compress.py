@@ -100,26 +100,22 @@ def response_is_correct(text: str, question: QuestionRecord, client: Client) -> 
     return client.judge(judge_request(question, candidate)).status == "correct"
 
 
-def student_rollout(questions: Sequence[QuestionRecord],
+def student_rollout(question: QuestionRecord,
                     client: Client,
                     runs: int = 16,
                     student_id: str = "student",
                     temperature: float = 0.7,
-                    seed: int | None = None) -> list[PassRateStats]:
-    """Sample the student on every question and verify each response.
+                    seed: int | None = None) -> PassRateStats:
+    """Sample the student `runs` times on question, in one batched request,
+    and verify each response.
 
-    Each question gets `runs` independent samples in one batched request.
-    Pass rates are ordered by question id. Through a `CachingClient`, an
-    interrupted roll-out resumes without re-billing: the samples and judge
-    calls that finished are answered from the cache, and only those that
-    never did go to the backend.
+    Through a `CachingClient`, an interrupted roll-out resumes without
+    re-billing: the samples and judge calls that finished are answered from
+    the cache, and only those that never did go to the backend.
     """
     if runs < 1:
         raise CompressError("runs must be >= 1")
-    stats = []
-    for question in questions:
-        responses = sample_teacher([question], client, student_id, runs,
-                                   temperature=temperature, seed=seed)
-        outcomes = [response_is_correct(r.text, question, client) for r in responses]
-        stats.append(pass_rate(outcomes, runs, question_id=question.question_id))
-    return sorted(stats, key=lambda s: s.question_id)
+    responses = sample_teacher(question, client, student_id, runs,
+                               temperature=temperature, seed=seed)
+    outcomes = [response_is_correct(r.text, question, client) for r in responses]
+    return pass_rate(outcomes, runs, question_id=question.question_id)

@@ -28,12 +28,17 @@ def _stage_order(stages: list[Any]) -> str | None:
     return None
 
 
+_MIX_SOURCE_FIELDS = {"path": Spec(str), "take": Spec(int, check=at_least(1))}
+
+
 def _mix_sources(sources: list[Any]) -> str | None:
     for i, src in enumerate(sources):
-        if not isinstance(src, dict) or "path" not in src or "take" not in src:
+        if not isinstance(src, dict) or not _MIX_SOURCE_FIELDS.keys() <= src.keys():
             return f"item {i}: expected an object with path and take"
-        if not isinstance(src["take"], int) or src["take"] < 1:
-            return f"item {i}: take must be an integer >= 1"
+        for key, spec in _MIX_SOURCE_FIELDS.items():
+            error = field_error(spec, src[key])
+            if error is not None:
+                return f"item {i}: {key}: {error}"
     return None
 
 

@@ -20,10 +20,9 @@ from datetime import datetime, timezone
 from functools import partial
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .clients import (CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy,
-                      map_concurrent)
+from .clients import CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy
 from .compress import judge_request, select_hard, student_rollout
 from .config import validate_config
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
@@ -33,7 +32,7 @@ from .mixer import compose_mix
 from .records import (EPOCH_ISO, CorpusError, CorpusManifest, PassRateStats, QuestionRecord,
                       TrajectoryRecord, content_hash, dumps_record, load_manifest, parse_corpus,
                       replacing, save_manifest, write_corpus, write_json, write_manifest)
-from .teacher import sample_teacher
+from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, sample_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,19 +103,17 @@ def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
     return CachingClient(inner, cache_dir)
 
 
-def _adjudicate(gate_needs_judge: list[TrajectoryRecord],
-                questions: dict[str, QuestionRecord],
+def _adjudicate(needs_judge: list[TrajectoryRecord], question: QuestionRecord,
                 client: Client) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord],
                                          list[TrajectoryRecord], list[dict[str, str]]]:
-    """Judge queued trajectories in order. A client failure keeps its item
-    queued rather than fabricating a verdict; its `judge_error` event's
-    fields are returned last."""
+    """Judge question's queued trajectories in order. A client failure keeps
+    its item queued rather than fabricating a verdict; its `judge_error`
+    event's fields are returned last."""
     kept, rejected, still_queued, errors = [], [], [], []
     buckets = {"correct": kept, "incorrect": rejected}
-    for t in gate_needs_judge:
+    for t in needs_judge:
         try:
-            verdict = client.judge(judge_request(questions[t.question_id],
-                                                 candidate_answer(t.text)))
+            verdict = client.judge(judge_request(question, candidate_answer(t.text)))
         except ClientError as exc:
             errors.append({"question_id": t.question_id, "trajectory_id": t.trajectory_id,
                            "error": str(exc)})
@@ -144,7 +141,8 @@ class _Chain:
 
 def _run_chains(chains: list[_Chain], steps: list[tuple[str, Callable[[_Chain], None]]],
                 width: int) -> tuple[str, Exception] | None:
-    """Run every chain's steps in order, up to `width` chains at once.
+    """Run every chain's steps in order, up to `width` chains at once: the
+    one place where model calls fan out.
 
     Once a step fails, no step of its stage or a later one starts in any
     chain, while earlier stages still run for every question. Returns the
@@ -167,7 +165,13 @@ def _run_chains(chains: list[_Chain], steps: list[tuple[str, Callable[[_Chain], 
                 return
             chain.ends[stage] = time.perf_counter()
 
-    map_concurrent(run, chains, max_in_flight=width)
+    if width <= 1:
+        for chain in chains:
+            run(chain)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a wide run pays for importing it
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            list(pool.map(run, chains))
     failures = [c.failure for c in chains if c.failure is not None]
     if not failures:
         return None
@@ -195,7 +199,6 @@ class _Run:
 
     def __post_init__(self) -> None:
         self.snapshot = manifest_snapshot(self.cfg)
-        self.fconfig = FilterConfig(**{f.name: self.cfg[f.name] for f in fields(FilterConfig)})
 
     def paths(self, names: tuple[str, ...]) -> list[Path]:
         return [self.out / name for name in names]
@@ -212,28 +215,31 @@ class _Run:
             self.trajectories = [r for r in records if isinstance(r, TrajectoryRecord)]
 
 
-def _sample_step(run: _Run, client: Client, chain: _Chain) -> None:
-    cfg = run.cfg
+def _filter_config(cfg: dict[str, Any]) -> FilterConfig:
+    """The gate's settings in cfg."""
+    return FilterConfig(**{f.name: cfg[f.name] for f in fields(FilterConfig)})
+
+
+def _sample_step(cfg: dict[str, Any], client: Client, chain: _Chain) -> None:
     chain.sampled = chain.trajectories = sample_teacher(
-        [chain.question], client, cfg["teacher_id"], cfg["samples_per_question"],
+        chain.question, client, cfg["teacher_id"], cfg["samples_per_question"],
         temperature=cfg["temperature"], seed=cfg["seed"])
 
 
-def _judge_step(run: _Run, client: Client, chain: _Chain) -> None:
-    gate = run_quality_gate(chain.trajectories, [chain.question], run.fconfig)
+def _judge_step(cfg: dict[str, Any], client: Client, chain: _Chain) -> None:
+    gate = run_quality_gate(chain.trajectories, [chain.question], _filter_config(cfg))
     kept, rejected, chain.queued, chain.judge_errors = _adjudicate(
-        gate.needs_judge, {chain.question.question_id: chain.question}, client)
+        gate.needs_judge, chain.question, client)
     chain.trajectories = chain.kept = gate.kept + kept
     chain.rejected = gate.rejected + rejected
 
 
-def _roll_out_step(run: _Run, client: Client, chain: _Chain) -> None:
+def _roll_out_step(cfg: dict[str, Any], client: Client, chain: _Chain) -> None:
     if not chain.trajectories:
         return
-    cfg = run.cfg
     chain.stats = student_rollout(
-        [chain.question], client, runs=cfg["runs"], student_id=cfg["student_id"],
-        temperature=cfg["temperature"], seed=cfg["seed"])[0]
+        chain.question, client, runs=cfg["runs"], student_id=cfg["student_id"],
+        temperature=cfg["temperature"], seed=cfg["seed"])
 
 
 def diversify_corpus(trajectories: list[TrajectoryRecord],
@@ -351,7 +357,7 @@ def _stats(run: _Run, row: Stage) -> dict[str, Any]:
     # token lengths of the last corpus of the raw ... right_hard_diverse lineage,
     # left out when precomputed_only meets a trajectory without token_len
     try:
-        lens, estimated = token_lengths(run.trajectories, run.fconfig)
+        lens, estimated = token_lengths(run.trajectories, _filter_config(run.cfg))
     except FilterError:
         lens, estimated = [], False
     run.helper(_write_report, run.out, [run.known[s] for s in _WRITERS if s in run.known],
@@ -370,7 +376,8 @@ class Stage:
     writes: tuple[str, ...]  # its other files
     # writes them all; returns its `stage_done` fields
     run: Callable[[_Run, Stage], dict[str, Any]]
-    step: Callable[[_Run, Client, _Chain], None] | None = None  # its calls per question
+    # its calls per question, given the config
+    step: Callable[[dict[str, Any], Client, _Chain], None] | None = None
     # the config keys its corpus depends on, checked when a later stage reads it
     keys: tuple[str, ...] = ()
     helper: bool = False  # runs its numpy code in the helper process
@@ -410,6 +417,58 @@ SNAPSHOT_KEYS = tuple(dict.fromkeys(key for row in STAGE_TABLE for key in row.ke
 def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
     """The parameter set echoed into every manifest."""
     return {**{key: cfg[key] for key in SNAPSHOT_KEYS}, "gate_order": list(GATE_ORDER)}
+
+
+def _smoke_paths(out: Path, teacher_id: str) -> tuple[Path, Path]:
+    """A teacher's smoke corpus and training manifest under out."""
+    return out / f"smoke_{teacher_id}.jsonl", out / f"training_{teacher_id}.json"
+
+
+def build_smoke_corpus(questions: Sequence[QuestionRecord],
+                       teacher_ids: Sequence[str],
+                       client: Client,
+                       out_dir: str | Path,
+                       temperature: float = 0.7,
+                       seed: int | None = None) -> dict[str, dict[str, Any]]:
+    """One trajectory per question per teacher, through the question chains
+    of sample and filter under the default gate settings, up to the client's
+    `max_in_flight` questions at once. A sample the gate queues is kept if
+    the judge finds it correct; one whose judge call fails is not.
+
+    Each teacher gets a corpus file of the kept trajectories and a training
+    manifest naming that file, relative to out_dir, with its content hash,
+    its counts and the fine-tuning hyperparameters. Returns each teacher's
+    training manifest.
+    """
+    out = Path(out_dir)
+    # an id may name subdirectories, as in org/model, but may not climb out
+    outside = [t for t in teacher_ids if not all(
+        path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
+    if outside:
+        raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
+    rows = [row for row in STAGE_TABLE if row.name in ("sample", "filter")]
+    results: dict[str, dict[str, Any]] = {}
+    for teacher_id in teacher_ids:
+        cfg = {**validate_config({}), "teacher_id": teacher_id, "samples_per_question": 1,
+               "temperature": temperature, "seed": seed}
+        chains = [_Chain(q, []) for q in sorted(questions, key=lambda q: q.question_id)]
+        failure = _run_chains(chains, [(row.name, partial(row.step, cfg, client))
+                                       for row in rows], client.max_in_flight)
+        if failure is not None:
+            raise failure[1]
+        kept = sorted((t for c in chains for t in c.kept), key=lambda t: t.trajectory_id)
+        corpus_path, training_path = _smoke_paths(out, teacher_id)
+        lines = write_corpus(corpus_path, kept)
+        results[teacher_id] = {
+            "teacher_id": teacher_id,
+            "corpus_files": [corpus_path.relative_to(out).as_posix()],
+            "content_hash": content_hash(kept, lines),
+            "trajectory_count": len(kept),
+            "dropped_questions": [c.question.question_id for c in chains if not c.kept],
+            "hyperparameters": TRAINING_HYPERPARAMETERS,
+        }
+        write_json(training_path, results[teacher_id])
+    return results
 
 
 def _remove_replaced(run: _Run) -> None:
@@ -541,7 +600,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
             qids = {q.question_id for q in run.questions}
             orphans = [t for t in run.trajectories if t.question_id not in qids]
             if current_stage == "filter" and orphans:
-                run_quality_gate(orphans, run.questions, run.fconfig)  # raises, naming them
+                run_quality_gate(orphans, run.questions, _filter_config(cfg))  # raises, naming them
             by_question: dict[str, list[TrajectoryRecord]] = {}
             for t in run.trajectories:
                 by_question.setdefault(t.question_id, []).append(t)
@@ -550,7 +609,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
         width = 1 if deterministic else min(CHAINS_PER_SLOT * client.max_in_flight,
                                             len(run.chains))
         failure = _run_chains(run.chains, [
-            (row.name, partial(row.step, run, views[row.name])) for row in phase], width)
+            (row.name, partial(row.step, cfg, views[row.name])) for row in phase], width)
 
         for row in rows:
             current_stage = row.name

@@ -1,10 +1,10 @@
-"""Teacher smoke tests and ranking by distilled-student improvement.
+"""Teacher sampling and ranking by distilled-student improvement.
 
 The expensive fine-tuning step between corpus construction and scoring is
-external by design: this module emits per-teacher smoke corpora plus a
-training manifest, and later ingests a score file to rank the candidates
-by how much each one improved the student, not by the teacher's own
-benchmark numbers.
+external by design: `ded smoke` emits per-teacher smoke corpora plus a
+training manifest, and this module later ingests a score file to rank the
+candidates by how much each one improved the student, not by the teacher's
+own benchmark numbers.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .clients import Client, SamplingRequest, map_concurrent
-from .filtering import FilterConfig, GateResult, run_quality_gate
-from .records import (QuestionRecord, ScoreRecord, TrajectoryRecord, content_hash, read_jsonl,
-                      write_corpus, write_json)
+from .clients import Client, SamplingRequest
+from .records import QuestionRecord, ScoreRecord, TrajectoryRecord, read_jsonl
 
 # Echoed into every training manifest so the external fine-tuning step and
 # the corpus stay in one auditable bundle.
@@ -36,70 +34,16 @@ class TeacherSelectError(ValueError):
     pass
 
 
-@dataclass
-class SmokeCorpus:
-    gate: GateResult
-    dropped_questions: list[str]
-
-
-def sample_teacher(questions: Sequence[QuestionRecord], client: Client, teacher_id: str,
-                   samples: int, temperature: float = 0.7, seed: int | None = None,
-                   max_in_flight: int = 1) -> list[TrajectoryRecord]:
-    """`samples` trajectories per question, in question-id order. Up to
-    max_in_flight requests are out at once, which changes only the speed."""
-    ordered = sorted(questions, key=lambda q: q.question_id)
-    batches = map_concurrent(lambda q: client.sample_trajectories(SamplingRequest(
-        prompt=q.prompt, teacher_id=teacher_id, samples=samples,
-        temperature=temperature, seed=seed)), ordered, max_in_flight=max_in_flight)
-    return [TrajectoryRecord(trajectory_id=f"{q.question_id}:{teacher_id}:{i:03d}",
-                             question_id=q.question_id, teacher_id=teacher_id,
+def sample_teacher(question: QuestionRecord, client: Client, teacher_id: str, samples: int,
+                   temperature: float = 0.7, seed: int | None = None) -> list[TrajectoryRecord]:
+    """`samples` trajectories of question, in one request."""
+    texts = client.sample_trajectories(SamplingRequest(
+        prompt=question.prompt, teacher_id=teacher_id, samples=samples,
+        temperature=temperature, seed=seed))
+    return [TrajectoryRecord(trajectory_id=f"{question.question_id}:{teacher_id}:{i:03d}",
+                             question_id=question.question_id, teacher_id=teacher_id,
                              sample_index=i, text=text)
-            for q, texts in zip(ordered, batches) for i, text in enumerate(texts)]
-
-
-def _smoke_paths(out: Path, teacher_id: str) -> tuple[Path, Path]:
-    """A teacher's smoke corpus and training manifest under out."""
-    return out / f"smoke_{teacher_id}.jsonl", out / f"training_{teacher_id}.json"
-
-
-def build_smoke_corpus(questions: Sequence[QuestionRecord],
-                       teacher_ids: Sequence[str],
-                       client: Client,
-                       out_dir: str | Path,
-                       temperature: float = 0.7,
-                       seed: int | None = None) -> dict[str, SmokeCorpus]:
-    """One trajectory per question per teacher, passed through the gate.
-
-    Each teacher gets a corpus file of the kept trajectories and a training
-    manifest naming that file, relative to out_dir, with its content hash,
-    its counts and the fine-tuning hyperparameters.
-    """
-    out = Path(out_dir)
-    # an id may name subdirectories, as in org/model, but may not climb out
-    outside = [t for t in teacher_ids if not all(
-        path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
-    if outside:
-        raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
-    results: dict[str, SmokeCorpus] = {}
-    for teacher_id in teacher_ids:
-        trajectories = sample_teacher(questions, client, teacher_id, samples=1,
-                                      temperature=temperature, seed=seed,
-                                      max_in_flight=client.max_in_flight)
-        gate = run_quality_gate(trajectories, questions, FilterConfig())
-        kept_qids = {t.question_id for t in gate.kept}
-        dropped = sorted(q.question_id for q in questions if q.question_id not in kept_qids)
-        corpus_path, training_path = _smoke_paths(out, teacher_id)
-        lines = write_corpus(corpus_path, gate.kept)
-        write_json(training_path, {
-            "teacher_id": teacher_id,
-            "corpus_files": [corpus_path.relative_to(out).as_posix()],
-            "content_hash": content_hash(gate.kept, lines),
-            "trajectory_count": len(gate.kept),
-            "dropped_questions": dropped,
-            "hyperparameters": TRAINING_HYPERPARAMETERS,
-        })
-        results[teacher_id] = SmokeCorpus(gate=gate, dropped_questions=dropped)
-    return results
+            for i, text in enumerate(texts)]
 
 
 _SCORE_FIELDS = ("teacher_id", "student_id", "benchmark", "acc", "mean_response_len", "base_acc")

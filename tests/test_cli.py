@@ -240,8 +240,21 @@ class TestMixCommand:
     def test_take_of_zero_is_refused(self, tmp_path, capsys):
         a = _sampled(tmp_path, 1)
         assert self._mix(tmp_path, [(a, 0)]) == 2
-        assert "mix_sources: item 0: take must be an integer >= 1" in capsys.readouterr().err
+        assert "mix_sources: item 0: take: must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mixed_trajectories.jsonl").exists()
+
+    @pytest.mark.parametrize("item,problem", [
+        ({"path": 3, "take": 1}, "item 0: path: expected string, got int"),
+        ({"path": "a.jsonl", "take": True}, "item 0: take: expected integer, got boolean"),
+    ], ids=["path a number", "take a boolean"])
+    def test_a_mistyped_item_exits_2_and_writes_nothing(self, tmp_path, capsys, item, problem):
+        # a path of 3 would be opened as the run's file descriptor 3
+        config = tmp_path / "six.json"
+        config.write_text(json.dumps(dict(six_stage_config(tmp_path), mix_sources=[item])),
+                          encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"mix_sources: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mix_without_mix_sources_exits_2_and_removes_nothing(self, tmp_path, capsys):
         six = tmp_path / "six.json"

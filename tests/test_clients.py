@@ -7,17 +7,23 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from ded.clients import (AuthenticationError, CachingClient, Client, HttpClient, JudgeRequest,
                          MockClient, RetryBudgetExceededError, RetryPolicy, SamplingRequest,
-                         SchemaError, TransportError, load_mock_fixtures, map_concurrent,
-                         parse_judge_reply)
+                         SchemaError, TransportError, load_mock_fixtures, parse_judge_reply)
 from ded.records import CorpusError
 
-from conftest import MockTransport
+from conftest import MockTransport, build_pipeline_fixture
+
+
+def _fan_out(fn, items, width):
+    """fn of each item, `width` threads at once, in item order."""
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, items))
 
 
 def _request(m=1, prompt="p", teacher="t"):
@@ -355,19 +361,12 @@ def test_counters_are_exact_under_concurrency(backend):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        map_concurrent(lambda i: client.sample_trajectories(_request(prompt=f"p{i}")),
-                       range(calls), max_in_flight=8)
+        _fan_out(lambda i: client.sample_trajectories(_request(prompt=f"p{i}")), range(calls), 8)
     finally:
         sys.setswitchinterval(interval)
     assert transport.throttled == failures
     assert client.retries_total == failures
     assert client.requests_total == calls + failures
-
-
-def test_map_concurrent_preserves_order():
-    items = list(range(40))
-    assert map_concurrent(lambda x: x * x, items, max_in_flight=8) == [x * x for x in items]
-    assert map_concurrent(lambda x: x * x, items, max_in_flight=1) == [x * x for x in items]
 
 
 class TestWire:
@@ -388,11 +387,10 @@ class TestWire:
                             max_in_flight=2)
 
         def outer(i):
-            return map_concurrent(
-                lambda j: client.sample_trajectories(_request(prompt=f"p{i}.{j}")),
-                range(4), max_in_flight=4)
+            return _fan_out(lambda j: client.sample_trajectories(_request(prompt=f"p{i}.{j}")),
+                            range(4), 4)
 
-        assert map_concurrent(outer, range(4), max_in_flight=4) == [[["x"]] * 4] * 4
+        assert _fan_out(outer, range(4), 4) == [[["x"]] * 4] * 4
         assert client.requests_total == 16
         assert peak[0] == 2
 
@@ -477,8 +475,8 @@ def test_views_count_their_own_calls_and_the_whole(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        map_concurrent(lambda i: views[i % 2].sample_trajectories(
-            _request(prompt=f"p{i % 50}")), range(400), max_in_flight=8)
+        _fan_out(lambda i: views[i % 2].sample_trajectories(_request(prompt=f"p{i % 50}")),
+                 range(400), 8)
     finally:
         sys.setswitchinterval(interval)
     assert [(v.hits, v.misses) for v in views] == [(175, 25), (175, 25)]
@@ -492,3 +490,25 @@ def test_importing_the_cli_leaves_urllib_request_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_an_http_client_over_urllib_imports_urllib_request(tmp_path):
+    # in a fresh interpreter: a mock run never loads it, and an http client
+    # loads it when it is built, before any request
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(build_pipeline_fixture(tmp_path),
+                                      stages=["sample", "filter", "compress"])),
+                      encoding="utf-8")
+    code = ("import sys\n"
+            "from ded.cli import main\n"
+            "from ded.clients import HttpClient\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+            "HttpClient(transport=lambda url, payload, headers: (200, b'{}'))\n"
+            "seen = ['urllib.request' in sys.modules]\n"
+            "HttpClient(base_url='http://model.test/v1')\n"
+            "print(seen + ['urllib.request' in sys.modules])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[False, True]"

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from ded.clients import (CachingClient, HttpClient, MockClient, RetryBudgetExceededError,
-                         RetryPolicy, map_concurrent)
+                         RetryPolicy)
 from ded.compress import (CompressError, pass_rate, response_is_correct, select_hard,
                           student_rollout)
 from ded.records import PassRateStats
@@ -117,17 +118,22 @@ class TestResponseIsCorrect:
         assert client.requests_total == 0
 
 
+def _rollouts(questions, client):
+    """Each question's pass rate over 4 runs of the student, in turn."""
+    return [student_rollout(q, client, runs=4, student_id="student") for q in questions]
+
+
 class TestStudentRollout:
     def test_always_wrong_and_always_right(self):
         questions = [make_question(i) for i in range(3)]
         client = _rollout_client(questions, {q.question_id: 0 for q in questions})
-        stats = student_rollout(questions, client, runs=4, student_id="student")
+        stats = _rollouts(questions, client)
         assert all(s.pass_rate == 0 for s in stats)
         retained, _ = select_hard(questions, stats, tau=0.0)
         assert len(retained) == 3
 
         client = _rollout_client(questions, {q.question_id: 4 for q in questions})
-        stats = student_rollout(questions, client, runs=4, student_id="student")
+        stats = _rollouts(questions, client)
         assert all(s.pass_rate == 1 for s in stats)
         retained, _ = select_hard(questions, stats, tau=0.75)
         assert retained == []
@@ -136,21 +142,20 @@ class TestStudentRollout:
         questions = [make_question(i) for i in range(4)]
         script = {"q000": 0, "q001": 2, "q002": 2, "q003": 4}
         client = _rollout_client(questions, script)
-        stats = student_rollout(questions, client, runs=4, student_id="student")
+        stats = _rollouts(questions, client)
         assert [s.successes for s in stats] == [0, 2, 2, 4]
         assert [s.question_id for s in stats] == ["q000", "q001", "q002", "q003"]
+        assert client.requests_total == 4
 
     def test_resumed_rollout_bills_no_requests(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         script = {q.question_id: 2 for q in questions}
         first = _rollout_client(questions, script)
-        stats = student_rollout(questions, CachingClient(first, tmp_path / "cache"), runs=4,
-                                student_id="student")
+        stats = _rollouts(questions, CachingClient(first, tmp_path / "cache"))
         assert first.requests_total == 3
 
         again = _rollout_client(questions, script)
-        assert student_rollout(questions, CachingClient(again, tmp_path / "cache"), runs=4,
-                               student_id="student") == stats
+        assert _rollouts(questions, CachingClient(again, tmp_path / "cache")) == stats
         assert again.requests_total == 0
         assert [s.successes for s in stats] == [2, 2, 2]
 
@@ -168,13 +173,11 @@ class TestStudentRollout:
         failing = over_http(throttle=lambda model, prompt: 2 if prompt == questions[1].prompt
                             else 0)
         with pytest.raises(RetryBudgetExceededError):
-            student_rollout(questions, CachingClient(failing, tmp_path / "cache"), runs=4,
-                            student_id="student")
+            _rollouts(questions, CachingClient(failing, tmp_path / "cache"))
         assert failing.requests_total == 3
 
         resumed = over_http()
-        stats = student_rollout(questions, CachingClient(resumed, tmp_path / "cache"), runs=4,
-                                student_id="student")
+        stats = _rollouts(questions, CachingClient(resumed, tmp_path / "cache"))
         assert resumed.requests_total == 2
         assert [s.successes for s in stats] == [1, 1, 1]
 
@@ -182,15 +185,14 @@ class TestStudentRollout:
         # one rollout per question from several threads, sharing a request cache
         questions = [make_question(i) for i in range(8)]
         script = {q.question_id: i % 5 for i, q in enumerate(questions)}
-        serial = student_rollout(questions, _rollout_client(questions, script),
-                                 runs=4, student_id="student")
+        serial = _rollouts(questions, _rollout_client(questions, script))
         probe = ProbeClient(_rollout_client(questions, script))
         cached = CachingClient(probe, tmp_path / "cache")
-        threaded = map_concurrent(
-            lambda q: student_rollout([q], cached, runs=4, student_id="student")[0],
-            questions, max_in_flight=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda q: student_rollout(q, cached, runs=4,
+                                                               student_id="student"), questions))
         assert serial == threaded
         assert probe.peak > 1
         # a serial re-run is answered from what the threads stored
-        assert student_rollout(questions, cached, runs=4, student_id="student") == serial
+        assert _rollouts(questions, cached) == serial
         assert (cached.misses, cached.hits) == (8, 8)

@@ -83,8 +83,10 @@ class TestValidateConfig:
         validate_config({"mix_sources": [{"path": "a.jsonl", "take": 3}]})
         with pytest.raises(ConfigError):
             validate_config({"mix_sources": [{"path": "a.jsonl"}]})
-        with pytest.raises(ConfigError):
-            validate_config({"mix_sources": [{"path": "a.jsonl", "take": 0}]})
+        for item in ({"path": "a.jsonl", "take": 0}, {"path": "a.jsonl", "take": True},
+                     {"path": 3, "take": 1}, {"path": None, "take": 1}):
+            with pytest.raises(ConfigError):
+                validate_config({"mix_sources": [item]})
 
     @pytest.mark.parametrize("sources", [None, []], ids=["null", "empty"])
     def test_mix_without_mix_sources_refused(self, sources):

@@ -781,7 +781,7 @@ class TestJudgeAdjudication:
         client = HttpClient(base_url="http://model.test/v1",
                             retry=RetryPolicy(budget=2, sleep=lambda _: None),
                             transport=MockTransport(MockClient(), throttle=lambda m, p: 5))
-        kept, rejected, queued, errors = _adjudicate([t], {q.question_id: q}, client)
+        kept, rejected, queued, errors = _adjudicate([t], q, client)
         assert kept == [] and rejected == []
         assert queued == [t]
         assert [(e["question_id"], e["trajectory_id"]) for e in errors] == [

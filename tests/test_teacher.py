@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ded import records
-from ded.clients import MockClient
+from ded.clients import CachingClient, MockClient
+from ded.pipeline import build_smoke_corpus
 from ded.records import ScoreRecord
-from ded.teacher import (TeacherSelectError, build_smoke_corpus, ingest_scores,
-                         rank_teachers, sample_teacher)
+from ded.teacher import TeacherSelectError, ingest_scores, rank_teachers, sample_teacher
 
 from conftest import ProbeClient, make_question
 
@@ -212,6 +212,11 @@ class TestRankTeachers:
         assert base_order == shifted_order
 
 
+def _kept(out_dir, teacher_id="t-one"):
+    """The trajectories of teacher_id's smoke corpus under out_dir."""
+    return records.parse_corpus(out_dir / f"smoke_{teacher_id}.jsonl", "trajectories")
+
+
 class TestBuildSmokeCorpus:
     def test_cardinality(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
@@ -224,11 +229,11 @@ class TestBuildSmokeCorpus:
         results = build_smoke_corpus(questions, ["t-one", "t-two"], client,
                                      out_dir=tmp_path)
         assert set(results) == {"t-one", "t-two"}
-        for corpus in results.values():
-            assert len(corpus.gate.kept) == 3
-            assert corpus.dropped_questions == []
-        assert (tmp_path / "smoke_t-one.jsonl").exists()
+        for teacher_id, training in results.items():
+            assert len(_kept(tmp_path, teacher_id)) == training["trajectory_count"] == 3
+            assert training["dropped_questions"] == []
         manifest = json.loads((tmp_path / "training_t-one.json").read_text())
+        assert manifest == results["t-one"]
         assert manifest["hyperparameters"]["context_window"] == 16384
         assert manifest["hyperparameters"]["batch_size"] == 48
 
@@ -240,14 +245,13 @@ class TestBuildSmokeCorpus:
         calls = []
         dumps = records.dumps_record
         monkeypatch.setattr(records, "dumps_record", lambda r: calls.append(r) or dumps(r))
-        results = build_smoke_corpus(questions, ["t-one"],
-                                     MockClient(fixtures={"samples": samples}), out_dir=tmp_path)
-        kept = results["t-one"].gate.kept
-        assert len(kept) == 2
+        training = build_smoke_corpus(questions, ["t-one"], MockClient(
+            fixtures={"samples": samples}), out_dir=tmp_path)["t-one"]
+        monkeypatch.undo()
         # no question or rejected sample is serialised
-        assert calls == kept
-        training = json.loads((tmp_path / "training_t-one.json").read_text())
-        assert training["content_hash"] == records.content_hash(kept)
+        assert [t.trajectory_id for t in calls] == ["q000:t-one:000", "q001:t-one:000"]
+        assert training["content_hash"] == records.content_hash(calls)
+        assert records.content_hash(_kept(tmp_path)) == training["content_hash"]
 
     def test_failed_question_reported(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
@@ -257,36 +261,65 @@ class TestBuildSmokeCorpus:
             samples[("t-one", q.prompt)] = [f"<think>s</think>\\boxed{{{answer}}}"]
         client = MockClient(fixtures={"samples": samples})
         results = build_smoke_corpus(questions, ["t-one"], client, out_dir=tmp_path)
-        corpus = results["t-one"]
-        assert len(corpus.gate.kept) == 2
-        assert corpus.dropped_questions == ["q001"]
         training = json.loads((tmp_path / "training_t-one.json").read_text())
+        assert training == results["t-one"]
         assert training["dropped_questions"] == ["q001"]
         assert training["trajectory_count"] == 2
-        assert training["content_hash"] == records.content_hash(corpus.gate.kept)
+        assert training["content_hash"] == records.content_hash(_kept(tmp_path))
+
+    def test_a_judged_correct_code_sample_is_kept_and_a_wrong_one_dropped(self, tmp_path):
+        math, right, wrong = (make_question(0), make_question(1, domain="code", gt="x + 1"),
+                              make_question(2, domain="code", gt="x + 2"))
+        samples = {("t-one", math.prompt): [f"<think>s</think>\\boxed{{{math.ground_truth}}}"],
+                   ("t-one", right.prompt): ["<think>s</think>x  +  1"],
+                   ("t-one", wrong.prompt): ["<think>s</think>x - 2"]}
+        client = MockClient(fixtures={"samples": samples})
+        training = build_smoke_corpus([math, right, wrong], ["t-one"], client,
+                                      out_dir=tmp_path)["t-one"]
+        kept = _kept(tmp_path)
+        assert [(t.question_id, t.verdict.checker) for t in kept] == [("q000", "rule"),
+                                                                      ("q001", "judge")]
+        # three samples, and one judge call for each code sample
+        assert client.requests_total == 3 + 2
+        assert (training["trajectory_count"], training["dropped_questions"]) == (2, ["q002"])
+        assert training["content_hash"] == records.content_hash(kept)
+
+    def test_a_repeated_smoke_bills_no_calls(self, tmp_path):
+        questions = [make_question(0), make_question(1, domain="code", gt="x + 1")]
+        samples = {("t-one", questions[1].prompt): ["<think>s</think>x + 1"]}
+        written = []
+        for _ in range(2):
+            backend = MockClient(fixtures={"samples": samples}, seed=1)
+            build_smoke_corpus(questions, ["t-one"], CachingClient(backend, tmp_path / "cache"),
+                               out_dir=tmp_path / "smoke")
+            written.append((backend.requests_total, *(
+                (tmp_path / "smoke" / name).read_bytes()
+                for name in ("smoke_t-one.jsonl", "training_t-one.json"))))
+        assert written[0][0] == 3
+        assert written[1] == (0, *written[0][1:])
 
 
 class TestSampleTeacher:
-    def test_ids_and_question_order(self):
-        questions = [make_question(i) for i in (2, 0, 1)]
-        trajectories = sample_teacher(questions, MockClient(seed=3), "t-one", samples=2)
-        assert [t.trajectory_id for t in trajectories] == [
-            f"q00{i}:t-one:00{j}" for i in range(3) for j in range(2)]
-        assert [t.sample_index for t in trajectories] == [0, 1] * 3
-
-    def test_width_does_not_change_result(self):
-        questions = [make_question(i) for i in range(12)]
-        serial = sample_teacher(questions, MockClient(seed=3), "t-one", samples=3, seed=5)
-        probe = ProbeClient(MockClient(seed=3))
-        wide = sample_teacher(questions, probe, "t-one", samples=3, seed=5, max_in_flight=4)
-        assert wide == serial
-        assert probe.peak > 1
+    def test_ids_and_sample_indices(self):
+        trajectories = sample_teacher(make_question(2), MockClient(seed=3), "t-one", samples=2)
+        assert [t.trajectory_id for t in trajectories] == ["q002:t-one:000", "q002:t-one:001"]
+        assert [t.sample_index for t in trajectories] == [0, 1]
+        assert {t.question_id for t in trajectories} == {"q002"}
 
     def test_smoke_corpus_width_does_not_change_result(self, tmp_path):
-        questions = [make_question(i) for i in range(8)]
-        serial = build_smoke_corpus(questions, ["t-one", "t-two"], MockClient(seed=1),
+        # two code questions go to the judge: q006 is answered right, q007 wrong
+        code = [make_question(6, domain="code", gt="x + 1"),
+                make_question(7, domain="code", gt="x + 3")]
+        questions = [make_question(i) for i in range(6)] + code
+        samples = {(teacher, q.prompt): ["<think>s</think>x + 1"]
+                   for q in code for teacher in ("t-one", "t-two")}
+        serial = build_smoke_corpus(questions, ["t-one", "t-two"],
+                                    MockClient(fixtures={"samples": samples}, seed=1),
                                     out_dir=tmp_path / "serial")
-        probe = ProbeClient(MockClient(seed=1))
+        for teacher_id, training in serial.items():
+            assert _kept(tmp_path / "serial", teacher_id)[-1].question_id == "q006"
+            assert training["dropped_questions"][-1] == "q007"
+        probe = ProbeClient(MockClient(fixtures={"samples": samples}, seed=1))
         probe.max_in_flight = 4
         wide = build_smoke_corpus(questions, ["t-one", "t-two"], probe,
                                   out_dir=tmp_path / "wide")
