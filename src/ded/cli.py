@@ -15,11 +15,10 @@ from pathlib import Path
 from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
-from .pipeline import (EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_client,
-                       build_smoke_corpus, run_pipeline)
+from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
 from .records import (CORPUS_KINDS, PassRateStats, parse_corpus, read_jsonl, save_manifest,
                       write_json, write_manifest)
-from .teacher import TeacherSelectError, ingest_scores, rank_teachers
+from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, ingest_scores, rank_teachers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,15 +96,42 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_smoke(args) -> int:
+    """`ded run` with stages [sample, filter] and one sample per question,
+    for each teacher in a directory of its own under --out-dir, and a
+    training manifest of each teacher's right corpus beside it."""
+    out = Path(args.out_dir)
+    teacher_ids = args.teachers.split(",")
+    # an id may name subdirectories, as in org/model, but may neither climb
+    # out of out_dir nor name out_dir itself
+    root = out.resolve()
+    refused = [t for t in teacher_ids if (out / t).resolve() == root or not all(
+        p.resolve().is_relative_to(root) for p in (out / t, out / f"training_{t}.json"))]
+    if refused:
+        raise TeacherSelectError(
+            f"teacher ids {refused} would write outside a directory of their own under {out}")
     questions = parse_corpus(args.questions, "questions")
-    # cached under DED_CACHE_DIR or else out_dir/.cache, as `ded run` caches
-    client = build_client(validate_config({"seed": args.seed,
-                                           "client": {"fixtures": args.fixtures}}),
-                          Path(args.out_dir))
-    results = build_smoke_corpus(questions, args.teachers.split(","), client,
-                                 temperature=args.temperature, seed=args.seed,
-                                 out_dir=args.out_dir)
-    for teacher_id, training in sorted(results.items()):
+    for teacher_id in teacher_ids:
+        result = run_pipeline({
+            "questions": args.questions, "teacher_id": teacher_id, "samples_per_question": 1,
+            "temperature": args.temperature, "seed": args.seed, "stages": ["sample", "filter"],
+            "client": {"fixtures": args.fixtures}}, out_dir=out / teacher_id)
+        if result.exit_code != EXIT_OK:
+            print(f"{teacher_id}: pipeline failed at stage {result.failed_stage}: "
+                  f"{result.error}", file=sys.stderr)
+            return result.exit_code
+        corpus = Path(teacher_id, "right_trajectories.jsonl")
+        kept = {t.question_id for t in parse_corpus(out / corpus, "trajectories")}
+        right = result.manifests["right"]
+        training = {
+            "teacher_id": teacher_id,
+            "corpus_files": [corpus.as_posix()],
+            "content_hash": right.content_hash,
+            "trajectory_count": right.trajectory_count,
+            "dropped_questions": sorted(q.question_id for q in questions
+                                        if q.question_id not in kept),
+            "hyperparameters": TRAINING_HYPERPARAMETERS,
+        }
+        write_json(out / f"training_{teacher_id}.json", training)
         print(f"{teacher_id}: kept {training['trajectory_count']} of {len(questions)}; "
               f"dropped questions: {training['dropped_questions'] or 'none'}")
     return EXIT_OK

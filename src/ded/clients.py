@@ -212,7 +212,8 @@ class HttpClient(_Backend):
         return f"http {self.base_url}"
 
     def _urllib_transport(self, url: str, payload: dict, headers: dict) -> tuple[int, bytes]:
-        import urllib.error  # loaded by __init__
+        import http.client  # loaded by __init__, with urllib.request
+        import urllib.error
         import urllib.request
         req = urllib.request.Request(
             url, data=json.dumps(payload).encode("utf-8"),
@@ -222,7 +223,9 @@ class HttpClient(_Backend):
                 return resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             return exc.code, exc.read()
-        except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
+        # HTTPException: a reply cut short or not HTTP at all
+        except (urllib.error.URLError, TimeoutError, ConnectionError,
+                http.client.HTTPException) as exc:
             raise TransportError(f"transport failure: {exc}") from exc
 
     def _post(self, payload: dict) -> dict:

@@ -35,6 +35,9 @@ def _mix_sources(sources: list[Any]) -> str | None:
     for i, src in enumerate(sources):
         if not isinstance(src, dict) or not _MIX_SOURCE_FIELDS.keys() <= src.keys():
             return f"item {i}: expected an object with path and take"
+        unknown = sorted(src.keys() - _MIX_SOURCE_FIELDS.keys())
+        if unknown:
+            return f"item {i}: unknown key {unknown[0]!r}"
         for key, spec in _MIX_SOURCE_FIELDS.items():
             error = field_error(spec, src[key])
             if error is not None:

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from functools import partial
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .clients import CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy
 from .compress import judge_request, select_hard, student_rollout
@@ -32,7 +32,7 @@ from .mixer import compose_mix
 from .records import (EPOCH_ISO, CorpusError, CorpusManifest, PassRateStats, QuestionRecord,
                       TrajectoryRecord, content_hash, dumps_record, load_manifest, parse_corpus,
                       replacing, save_manifest, write_corpus, write_json, write_manifest)
-from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, sample_teacher
+from .teacher import sample_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -419,58 +419,6 @@ def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
     return {**{key: cfg[key] for key in SNAPSHOT_KEYS}, "gate_order": list(GATE_ORDER)}
 
 
-def _smoke_paths(out: Path, teacher_id: str) -> tuple[Path, Path]:
-    """A teacher's smoke corpus and training manifest under out."""
-    return out / f"smoke_{teacher_id}.jsonl", out / f"training_{teacher_id}.json"
-
-
-def build_smoke_corpus(questions: Sequence[QuestionRecord],
-                       teacher_ids: Sequence[str],
-                       client: Client,
-                       out_dir: str | Path,
-                       temperature: float = 0.7,
-                       seed: int | None = None) -> dict[str, dict[str, Any]]:
-    """One trajectory per question per teacher, through the question chains
-    of sample and filter under the default gate settings, up to the client's
-    `max_in_flight` questions at once. A sample the gate queues is kept if
-    the judge finds it correct; one whose judge call fails is not.
-
-    Each teacher gets a corpus file of the kept trajectories and a training
-    manifest naming that file, relative to out_dir, with its content hash,
-    its counts and the fine-tuning hyperparameters. Returns each teacher's
-    training manifest.
-    """
-    out = Path(out_dir)
-    # an id may name subdirectories, as in org/model, but may not climb out
-    outside = [t for t in teacher_ids if not all(
-        path.resolve().is_relative_to(out.resolve()) for path in _smoke_paths(out, t))]
-    if outside:
-        raise TeacherSelectError(f"teacher ids {outside} would write outside {out}")
-    rows = [row for row in STAGE_TABLE if row.name in ("sample", "filter")]
-    results: dict[str, dict[str, Any]] = {}
-    for teacher_id in teacher_ids:
-        cfg = {**validate_config({}), "teacher_id": teacher_id, "samples_per_question": 1,
-               "temperature": temperature, "seed": seed}
-        chains = [_Chain(q, []) for q in sorted(questions, key=lambda q: q.question_id)]
-        failure = _run_chains(chains, [(row.name, partial(row.step, cfg, client))
-                                       for row in rows], client.max_in_flight)
-        if failure is not None:
-            raise failure[1]
-        kept = sorted((t for c in chains for t in c.kept), key=lambda t: t.trajectory_id)
-        corpus_path, training_path = _smoke_paths(out, teacher_id)
-        lines = write_corpus(corpus_path, kept)
-        results[teacher_id] = {
-            "teacher_id": teacher_id,
-            "corpus_files": [corpus_path.relative_to(out).as_posix()],
-            "content_hash": content_hash(kept, lines),
-            "trajectory_count": len(kept),
-            "dropped_questions": [c.question.question_id for c in chains if not c.kept],
-            "hyperparameters": TRAINING_HYPERPARAMETERS,
-        }
-        write_json(training_path, results[teacher_id])
-    return results
-
-
 def _remove_replaced(run: _Run) -> None:
     """Remove the outputs of each stage the run replaces: those it runs, each later
     one that reads the corpus of one of those, and stats, which lists every manifest."""
@@ -481,9 +429,13 @@ def _remove_replaced(run: _Run) -> None:
             replaced.append(row)
             run.known.pop(row.manifest, None)
             for name in row.outputs:
-                if (run.out / name).exists():
-                    (run.out / name).unlink()
-                    run.log.emit(row.name, "removed", path=name)
+                path = run.out / name
+                # and the temp files of its writes that a killed run left (see `replacing`)
+                for stale in [path, *sorted(path.parent.glob(f"{path.name}.*.tmp"))]:
+                    if stale.exists():
+                        stale.unlink()
+                        run.log.emit(row.name, "removed",
+                                     path=stale.relative_to(run.out).as_posix())
 
 
 def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecord],

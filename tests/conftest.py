@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import socketserver
 import sys
 import threading
 import time
@@ -259,6 +260,57 @@ class MockTransport:
         finally:
             with self._lock:
                 self.active -= 1
+
+
+# replies an HTTP endpoint may send that are not HTTP responses in full
+MALFORMED_REPLIES = {
+    "truncated body": b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                      b"Content-Length: 100\r\n\r\n{\"choices\": [",
+    "status line not HTTP": b"not an http reply\r\n\r\n",
+}
+
+
+class _CannedReply(socketserver.StreamRequestHandler):
+    """Reads one HTTP request, answers it with the server's `reply` bytes
+    and closes the connection."""
+
+    def handle(self):
+        length = 0
+        for line in iter(self.rfile.readline, b""):
+            if line == b"\r\n":
+                break
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.server.requests += 1
+        self.wfile.write(self.server.reply)
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """`serve(reply)` starts a server on 127.0.0.1 that answers every
+    request with the bytes `reply`, and returns it; its `base_url` is for
+    `HttpClient` and `requests` counts the requests it read."""
+    for key in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    started = []
+
+    def serve(reply: bytes) -> socketserver.TCPServer:
+        server = socketserver.TCPServer(("127.0.0.1", 0), _CannedReply)
+        server.reply, server.requests = reply, 0
+        server.base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield serve
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 @pytest.fixture

@@ -246,7 +246,8 @@ class TestMixCommand:
     @pytest.mark.parametrize("item,problem", [
         ({"path": 3, "take": 1}, "item 0: path: expected string, got int"),
         ({"path": "a.jsonl", "take": True}, "item 0: take: expected integer, got boolean"),
-    ], ids=["path a number", "take a boolean"])
+        ({"path": "a.jsonl", "take": 1, "tkae": 5}, "item 0: unknown key 'tkae'"),
+    ], ids=["path a number", "take a boolean", "a misspelt key"])
     def test_a_mistyped_item_exits_2_and_writes_nothing(self, tmp_path, capsys, item, problem):
         # a path of 3 would be opened as the run's file descriptor 3
         config = tmp_path / "six.json"
@@ -484,7 +485,7 @@ class TestSmokeCommand:
         output = capsys.readouterr().out
         assert "ta: kept 3 of 3" in output
         assert "tb: kept 2 of 3" in output
-        assert (out_dir / "smoke_ta.jsonl").exists()
+        assert (out_dir / "ta" / "right_trajectories.jsonl").exists()
         assert (out_dir / "training_tb.json").exists()
 
     def test_training_manifest_hash_is_the_ingested_corpus_hash(self, tmp_path):
@@ -504,7 +505,8 @@ class TestSmokeCommand:
         training = json.loads((out_dir / "training_ta.json").read_text())
         assert (training["trajectory_count"], training["dropped_questions"]) == (2, ["q001"])
         manifest = tmp_path / "manifest.json"
-        assert main(["ingest", "--in", str(out_dir / "smoke_ta.jsonl"), "--kind", "trajectories",
+        assert main(["ingest", "--in", str(out_dir / "ta" / "right_trajectories.jsonl"),
+                     "--kind", "trajectories",
                      "--manifest-out", str(manifest)]) == 0
         ingested = load_manifest(manifest)
         assert ingested.content_hash == training["content_hash"]
@@ -518,7 +520,7 @@ class TestSmokeCommand:
         assert main(["smoke", "--questions", str(qpath), "--teachers", "org/model",
                      "--out-dir", str(out_dir)]) == 0
         training = json.loads((out_dir / "training_org" / "model.json").read_text())
-        assert training["corpus_files"] == ["smoke_org/model.jsonl"]
+        assert training["corpus_files"] == ["org/model/right_trajectories.jsonl"]
         assert (out_dir / training["corpus_files"][0]).is_file()
 
     def test_a_teacher_id_that_leaves_out_dir_is_refused(self, tmp_path, capsys):
@@ -529,7 +531,33 @@ class TestSmokeCommand:
         assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,a/../../x",
                      "--out-dir", str(out_dir)]) == 3
         assert "['a/../../x'] would write outside" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*smoke_*")) and not list(tmp_path.rglob("x.json*"))
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("teachers", ["ta,,tb", "ta,."])
+    def test_a_teacher_id_that_names_out_dir_itself_is_refused(self, tmp_path, capsys,
+                                                               teachers):
+        from ded.records import write_corpus
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(0)])
+        out_dir = tmp_path / "smoke"
+        assert main(["smoke", "--questions", str(qpath), "--teachers", teachers,
+                     "--out-dir", str(out_dir)]) == 3
+        assert "would write outside a directory of their own" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_a_failed_run_stops_smoke_with_its_exit_code_naming_the_teacher(self, tmp_path,
+                                                                           capsys):
+        from ded.records import write_corpus
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(0)])
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text('{"kind": "samples"}\n', encoding="utf-8")
+        out_dir = tmp_path / "smoke"
+        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,tb",
+                     "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ta: pipeline failed at stage ") and f"{fx} line 1: " in err
+        assert not list(out_dir.glob("training_*")) and not (out_dir / "tb").exists()
 
 
 _SCORE = {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "50",

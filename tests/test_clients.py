@@ -17,7 +17,7 @@ from ded.clients import (AuthenticationError, CachingClient, Client, HttpClient,
                          SchemaError, TransportError, load_mock_fixtures, parse_judge_reply)
 from ded.records import CorpusError
 
-from conftest import MockTransport, build_pipeline_fixture
+from conftest import MALFORMED_REPLIES, MockTransport, build_pipeline_fixture
 
 
 def _fan_out(fn, items, width):
@@ -214,6 +214,17 @@ class TestHttpClient:
                                             ground_truth="a"))
         assert verdict.status == "correct"
         assert "VERDICT" in calls[0]["messages"][0]["content"]
+
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+    def test_a_malformed_reply_is_retried_as_transient(self, loopback, reply):
+        server = loopback(MALFORMED_REPLIES[reply])
+        client = HttpClient(base_url=server.base_url, timeout=10,
+                            retry=RetryPolicy(budget=2, sleep=lambda _: None))
+        with pytest.raises(RetryBudgetExceededError) as err:
+            client.sample_trajectories(_request())
+        assert isinstance(err.value.__cause__, TransportError)
+        assert (server.requests, client.requests_total, client.retries_total) == (2, 2, 1)
 
 
 class TestCachingClient:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ded import pipeline
+from ded.cli import main
 from ded.clients import HttpClient, MockClient, RetryPolicy, SamplingRequest
 from ded.config import STAGE_SEQUENCE, validate_config
 from ded.filtering import extract_final_answer
@@ -19,8 +20,8 @@ from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE
 from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_manifest,
                          parse_corpus)
 
-from conftest import (MockTransport, build_pipeline_fixture, make_question, make_trajectory,
-                      mix_sources, read_events, six_stage_config)
+from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture, make_question,
+                      make_trajectory, mix_sources, read_events, six_stage_config)
 
 
 class TestPipelineEndToEnd:
@@ -570,6 +571,68 @@ class TestUsedOutDir:
         assert sorted(_EDITS) == sorted(SNAPSHOT_KEYS)
 
 
+# Runs the config of argv[1] in this process, counting the `replacing`
+# blocks of every module that writes; with argv[2] = k > 0, the process dies
+# with exit code 9 inside the k-th block, after a partial write. Each
+# block's path is appended to the file argv[3].
+_KILL_AT_WRITE = """
+import contextlib, itertools, json, os, sys
+import numpy  # noqa: F401 - loaded here, so that no helper forks and one process writes all
+from ded import clients, diagnostics, pipeline, records
+config, kill_at, paths = json.loads(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+real, count = records.replacing, itertools.count(1)
+
+@contextlib.contextmanager
+def replacing(path):
+    with real(path) as fh:
+        with open(paths, "a", encoding="utf-8") as log:
+            log.write(str(path) + chr(10))
+        if next(count) == kill_at:
+            fh.write("partial")
+            fh.flush()
+            os._exit(9)
+        yield fh
+
+for module in (records, pipeline, diagnostics, clients):
+    module.replacing = replacing
+sys.exit(pipeline.run_pipeline(config).exit_code)
+"""
+
+
+def test_a_run_killed_inside_a_write_is_repaired_by_the_next(tmp_path, monkeypatch):
+    # one kill inside the first write of each stage's files; the re-run of
+    # the same config in the same out_dir builds the fresh tree
+    monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+    config = six_stage_config(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+    def run(out, kill_at):
+        paths = tmp_path / f"{out.name}.paths"
+        proc = subprocess.run([sys.executable, "-c", _KILL_AT_WRITE,
+                               json.dumps(dict(config, out_dir=str(out))), str(kill_at),
+                               str(paths)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        return proc, [Path(p).relative_to(out).as_posix()
+                      for p in paths.read_text(encoding="utf-8").splitlines()]
+
+    fresh = tmp_path / "fresh"
+    proc, writes = run(fresh, 0)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    kills = {row.name: 1 + next(k for k, name in enumerate(writes) if name in row.outputs)
+             for row in STAGE_TABLE}
+    assert writes[kills["stats"] - 1].startswith("tables/")
+    for stage, k in kills.items():
+        out = tmp_path / f"kill_{stage}"
+        proc = run(out, k)[0]
+        assert proc.returncode == 9, proc.stderr
+        assert list(out.rglob(writes[k - 1] + ".*.tmp")), stage
+        assert run_pipeline(config, out_dir=out).exit_code == EXIT_OK, stage
+        assert tree_hash(out) == tree_hash(fresh), stage
+        assert [p for p in out.rglob("*.tmp") if ".cache" not in p.relative_to(out).parts] == []
+
+
 # One other value for each key a stage's corpus depends on. timestamp and
 # mix_sources are left out: created_at is provenance, and mix's files are
 # kept across runs.
@@ -798,6 +861,18 @@ class TestClientFailureExitCode:
         result = run_pipeline(config)
         assert result.exit_code == 4
         assert result.failed_stage == "sample"
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+    def test_a_malformed_reply_is_a_client_failure(self, tmp_path, loopback, reply):
+        server = loopback(MALFORMED_REPLIES[reply])
+        config = dict(build_pipeline_fixture(tmp_path), stages=["sample"],
+                      client={"mode": "http", "base_url": server.base_url, "retry_budget": 1})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == EXIT_CLIENT
+        failed = [e for e in read_events(tmp_path / "out") if e["event"] == "client_failed"]
+        assert [e["stage"] for e in failed] == ["sample"]
+        assert server.requests > 0
 
 
 def _task(prompt):

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from ded import records
-from ded.clients import CachingClient, MockClient
-from ded.pipeline import build_smoke_corpus
-from ded.records import ScoreRecord
+from ded.cli import main
+from ded.clients import MockClient
+from ded.records import ScoreRecord, write_corpus
 from ded.teacher import TeacherSelectError, ingest_scores, rank_teachers, sample_teacher
 
-from conftest import ProbeClient, make_question
+from conftest import make_question, read_events
 
 # Published evaluation block used as ranking input: per benchmark,
 # (teacher accuracy, base accuracy, teacher mean response length).
@@ -212,12 +212,42 @@ class TestRankTeachers:
         assert base_order == shifted_order
 
 
+def _smoke(tmp_path, questions, samples, teachers="t-one", seed=0, out="smoke"):
+    """`ded smoke` of questions for teachers, over mock fixtures of the
+    responses `samples` maps (teacher, prompt) to; returns its exit code and
+    out_dir."""
+    write_corpus(tmp_path / "q.jsonl", questions)
+    (tmp_path / "fx.jsonl").write_text("".join(json.dumps({
+        "kind": "sample", "teacher_id": teacher, "prompt": prompt, "responses": responses})
+        + "\n" for (teacher, prompt), responses in samples.items()), encoding="utf-8")
+    out_dir = tmp_path / out
+    code = main(["smoke", "--questions", str(tmp_path / "q.jsonl"), "--teachers", teachers,
+                 "--fixtures", str(tmp_path / "fx.jsonl"), "--seed", str(seed),
+                 "--out-dir", str(out_dir)])
+    return code, out_dir
+
+
+def _training(out_dir, teacher_id="t-one"):
+    return json.loads((out_dir / f"training_{teacher_id}.json").read_text())
+
+
 def _kept(out_dir, teacher_id="t-one"):
     """The trajectories of teacher_id's smoke corpus under out_dir."""
-    return records.parse_corpus(out_dir / f"smoke_{teacher_id}.jsonl", "trajectories")
+    return records.parse_corpus(out_dir / teacher_id / "right_trajectories.jsonl",
+                                "trajectories")
+
+
+def _requests(out_dir, teacher_id="t-one"):
+    """The calls teacher_id's last smoke run billed."""
+    return read_events(out_dir / teacher_id)[-1]["requests"]
 
 
 class TestBuildSmokeCorpus:
+    @pytest.fixture(autouse=True)
+    def _own_cache(self, monkeypatch):
+        # each teacher's run caches in its own directory
+        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+
     def test_cardinality(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         samples = {}
@@ -225,15 +255,13 @@ class TestBuildSmokeCorpus:
             for teacher in ("t-one", "t-two"):
                 samples[(teacher, q.prompt)] = [
                     f"<think>smoke</think>\\boxed{{{q.ground_truth}}}"]
-        client = MockClient(fixtures={"samples": samples})
-        results = build_smoke_corpus(questions, ["t-one", "t-two"], client,
-                                     out_dir=tmp_path)
-        assert set(results) == {"t-one", "t-two"}
-        for teacher_id, training in results.items():
-            assert len(_kept(tmp_path, teacher_id)) == training["trajectory_count"] == 3
+        code, out_dir = _smoke(tmp_path, questions, samples, "t-one,t-two")
+        assert code == 0
+        for teacher_id in ("t-one", "t-two"):
+            training = _training(out_dir, teacher_id)
+            assert len(_kept(out_dir, teacher_id)) == training["trajectory_count"] == 3
             assert training["dropped_questions"] == []
-        manifest = json.loads((tmp_path / "training_t-one.json").read_text())
-        assert manifest == results["t-one"]
+        manifest = _training(out_dir)
         assert manifest["hyperparameters"]["context_window"] == 16384
         assert manifest["hyperparameters"]["batch_size"] == 48
 
@@ -245,13 +273,15 @@ class TestBuildSmokeCorpus:
         calls = []
         dumps = records.dumps_record
         monkeypatch.setattr(records, "dumps_record", lambda r: calls.append(r) or dumps(r))
-        training = build_smoke_corpus(questions, ["t-one"], MockClient(
-            fixtures={"samples": samples}), out_dir=tmp_path)["t-one"]
+        code, out_dir = _smoke(tmp_path, questions, samples)
         monkeypatch.undo()
-        # no question or rejected sample is serialised
-        assert [t.trajectory_id for t in calls] == ["q000:t-one:000", "q001:t-one:000"]
-        assert training["content_hash"] == records.content_hash(calls)
-        assert records.content_hash(_kept(tmp_path)) == training["content_hash"]
+        assert code == 0
+        kept = _kept(out_dir)
+        training = _training(out_dir)
+        # no rejected sample is serialised as a kept one
+        assert [t.trajectory_id for t in calls if t in kept] == ["q000:t-one:000",
+                                                                 "q001:t-one:000"]
+        assert training["content_hash"] == records.content_hash(kept)
 
     def test_failed_question_reported(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
@@ -259,13 +289,12 @@ class TestBuildSmokeCorpus:
         for q in questions:
             answer = q.ground_truth if q.question_id != "q001" else "wrong"
             samples[("t-one", q.prompt)] = [f"<think>s</think>\\boxed{{{answer}}}"]
-        client = MockClient(fixtures={"samples": samples})
-        results = build_smoke_corpus(questions, ["t-one"], client, out_dir=tmp_path)
-        training = json.loads((tmp_path / "training_t-one.json").read_text())
-        assert training == results["t-one"]
+        code, out_dir = _smoke(tmp_path, questions, samples)
+        assert code == 0
+        training = _training(out_dir)
         assert training["dropped_questions"] == ["q001"]
         assert training["trajectory_count"] == 2
-        assert training["content_hash"] == records.content_hash(_kept(tmp_path))
+        assert training["content_hash"] == records.content_hash(_kept(out_dir))
 
     def test_a_judged_correct_code_sample_is_kept_and_a_wrong_one_dropped(self, tmp_path):
         math, right, wrong = (make_question(0), make_question(1, domain="code", gt="x + 1"),
@@ -273,14 +302,14 @@ class TestBuildSmokeCorpus:
         samples = {("t-one", math.prompt): [f"<think>s</think>\\boxed{{{math.ground_truth}}}"],
                    ("t-one", right.prompt): ["<think>s</think>x  +  1"],
                    ("t-one", wrong.prompt): ["<think>s</think>x - 2"]}
-        client = MockClient(fixtures={"samples": samples})
-        training = build_smoke_corpus([math, right, wrong], ["t-one"], client,
-                                      out_dir=tmp_path)["t-one"]
-        kept = _kept(tmp_path)
+        code, out_dir = _smoke(tmp_path, [math, right, wrong], samples)
+        assert code == 0
+        training = _training(out_dir)
+        kept = _kept(out_dir)
         assert [(t.question_id, t.verdict.checker) for t in kept] == [("q000", "rule"),
                                                                       ("q001", "judge")]
         # three samples, and one judge call for each code sample
-        assert client.requests_total == 3 + 2
+        assert _requests(out_dir) == 3 + 2
         assert (training["trajectory_count"], training["dropped_questions"]) == (2, ["q002"])
         assert training["content_hash"] == records.content_hash(kept)
 
@@ -289,12 +318,11 @@ class TestBuildSmokeCorpus:
         samples = {("t-one", questions[1].prompt): ["<think>s</think>x + 1"]}
         written = []
         for _ in range(2):
-            backend = MockClient(fixtures={"samples": samples}, seed=1)
-            build_smoke_corpus(questions, ["t-one"], CachingClient(backend, tmp_path / "cache"),
-                               out_dir=tmp_path / "smoke")
-            written.append((backend.requests_total, *(
-                (tmp_path / "smoke" / name).read_bytes()
-                for name in ("smoke_t-one.jsonl", "training_t-one.json"))))
+            assert _smoke(tmp_path, questions, samples, seed=1)[0] == 0
+            out_dir = tmp_path / "smoke"
+            written.append((_requests(out_dir), *(
+                (out_dir / name).read_bytes()
+                for name in ("t-one/right_trajectories.jsonl", "training_t-one.json"))))
         assert written[0][0] == 3
         assert written[1] == (0, *written[0][1:])
 
@@ -305,28 +333,3 @@ class TestSampleTeacher:
         assert [t.trajectory_id for t in trajectories] == ["q002:t-one:000", "q002:t-one:001"]
         assert [t.sample_index for t in trajectories] == [0, 1]
         assert {t.question_id for t in trajectories} == {"q002"}
-
-    def test_smoke_corpus_width_does_not_change_result(self, tmp_path):
-        # two code questions go to the judge: q006 is answered right, q007 wrong
-        code = [make_question(6, domain="code", gt="x + 1"),
-                make_question(7, domain="code", gt="x + 3")]
-        questions = [make_question(i) for i in range(6)] + code
-        samples = {(teacher, q.prompt): ["<think>s</think>x + 1"]
-                   for q in code for teacher in ("t-one", "t-two")}
-        serial = build_smoke_corpus(questions, ["t-one", "t-two"],
-                                    MockClient(fixtures={"samples": samples}, seed=1),
-                                    out_dir=tmp_path / "serial")
-        for teacher_id, training in serial.items():
-            assert _kept(tmp_path / "serial", teacher_id)[-1].question_id == "q006"
-            assert training["dropped_questions"][-1] == "q007"
-        probe = ProbeClient(MockClient(fixtures={"samples": samples}, seed=1))
-        probe.max_in_flight = 4
-        wide = build_smoke_corpus(questions, ["t-one", "t-two"], probe,
-                                  out_dir=tmp_path / "wide")
-        assert wide == serial
-        assert probe.peak > 1
-        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        assert sorted(p.name for p in (tmp_path / "wide").iterdir()) == names
-        for name in names:
-            assert ((tmp_path / "wide" / name).read_bytes()
-                    == (tmp_path / "serial" / name).read_bytes())
