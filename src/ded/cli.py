@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -98,7 +99,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_smoke(args) -> int:
     """`ded run` with stages [sample, filter] and one sample per question,
     for each teacher in a directory of its own under --out-dir, and a
-    training manifest of each teacher's right corpus beside it."""
+    training manifest of each teacher's right corpus beside it. The runs
+    share one request cache, so an answer two teachers give is judged once."""
     out = Path(args.out_dir)
     teacher_ids = args.teachers.split(",")
     # an id may name subdirectories, as in org/model, but may neither climb
@@ -110,11 +112,13 @@ def _cmd_smoke(args) -> int:
         raise TeacherSelectError(
             f"teacher ids {refused} would write outside a directory of their own under {out}")
     questions = parse_corpus(args.questions, "questions")
+    cache_dir = os.environ.get("DED_CACHE_DIR") or str(out / ".cache")
     for teacher_id in teacher_ids:
         result = run_pipeline({
             "questions": args.questions, "teacher_id": teacher_id, "samples_per_question": 1,
             "temperature": args.temperature, "seed": args.seed, "stages": ["sample", "filter"],
-            "client": {"fixtures": args.fixtures}}, out_dir=out / teacher_id)
+            "client": {"fixtures": args.fixtures, "cache_dir": cache_dir}},
+            out_dir=out / teacher_id)
         if result.exit_code != EXIT_OK:
             print(f"{teacher_id}: pipeline failed at stage {result.failed_stage}: "
                   f"{result.error}", file=sys.stderr)

@@ -11,7 +11,8 @@ no longer end within k (Ukkonen's cut-off) and the pairs are re-packed
 into a narrower int.
 
 Diversify splits its questions into up to `workers` packs of about equal
-work, each in a process of its own when there are several. A pack's
+work, each in a process of its own when there are several, and
+`_pack_distances`, the one entry to the engine, measures a pack. A pack's
 questions share their passes: the first pair of every question starts in
 a wide band, all of them in one pass, and doubles until its distance fits;
 every other pair of the pack then shares one pass, each at a band just
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -36,7 +36,8 @@ from .filtering import THINK_CLOSE, THINK_OPEN
 from .forked import Forked
 from .records import TrajectoryRecord
 
-# smallest starting band; narrower bands save little and double more often
+# smallest band a question's other pairs start at; narrower bands save
+# little and double more often
 _MIN_BAND = 32
 # a question's first pair starts at this band, or at a sixteenth of its
 # longer surface if that is wider
@@ -386,40 +387,6 @@ def _bounded_distances(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     return out, (passes, band_bytes)
 
 
-def levenshtein_bounded(a: str | Sequence, b: str | Sequence,
-                        cap: int | float) -> int | None:
-    """Exact distance when it is below cap, else None meaning "at least cap".
-
-    The band starts at _MIN_BAND (at least the length difference) and
-    doubles until the distance fits or the band reaches cap - 1. cap may be
-    math.inf.
-    """
-    if cap < 0:
-        raise DiversityError("cap must be >= 0")
-    return _bounded_distances([tuple(_codes([a, b]))], cap, _MIN_BAND)[0][0]
-
-
-def clamped_distance(a: str | Sequence, b: str | Sequence, cap: int | None) -> int:
-    """min(edit distance, cap): the truncated metric used for selection.
-
-    A pair at or beyond the cap is treated as maximally distant.
-    """
-    if cap is None:
-        return levenshtein_bounded(a, b, math.inf)
-    if cap <= 0:
-        return 0
-    d = levenshtein_bounded(a, b, cap)
-    return cap if d is None else d
-
-
-@dataclass
-class DistanceMatrix:
-    """Symmetric pairwise distances for one question's trajectories."""
-
-    ids: list[str]
-    distances: np.ndarray
-
-
 def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
     """Comparison surface: the think delimiters themselves carry no signal.
 
@@ -474,16 +441,21 @@ def _pack_distances(questions: Sequence[tuple[Sequence, int | None]]) -> tuple[
     return dists, passes + more, band_bytes + more_bytes
 
 
-def surface_distances(ids: Sequence[str], surfaces: Sequence,
-                      cap: int | None = None) -> DistanceMatrix:
+def surface_distances(surfaces: Sequence, cap: int | None = None) -> np.ndarray:
     """Distance matrix over one question's surfaces, clamped at cap: a pack
-    of one question (see _pack_distances)."""
-    (dist,), _, _ = _pack_distances([(surfaces, cap)])
-    return DistanceMatrix(ids=list(ids), distances=dist)
+    of one question. The benchmark's tracer wraps it by name."""
+    return _pack_distances([(surfaces, cap)])[0][0]
 
 
-def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
-    """Greedy max-min dispersion: seed with the farthest pair, then grow.
+def clamped_distance(a: str | Sequence, b: str | Sequence, cap: int | None) -> int:
+    """min(edit distance, cap), exact when cap is None and 0 when cap <= 0:
+    a question of two surfaces. The benchmark's tracer wraps it by name."""
+    return int(_pack_distances([([a, b], cap)])[0][0][0, 1])
+
+
+def select_farthest(ids: Sequence[str], distances: np.ndarray, p: int) -> list[str]:
+    """Greedy max-min dispersion over one question's ids and their distance
+    matrix: seed with the farthest pair, then grow.
 
     Ties break toward the lexicographically smallest pair and then the
     smallest id, making the selection fully deterministic: in id order, the
@@ -492,11 +464,11 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
     """
     if p < 1:
         raise DiversityError("p must be >= 1")
-    n = len(matrix.ids)
+    n = len(ids)
     if p >= n:
-        return sorted(matrix.ids)
-    order = sorted(range(n), key=matrix.ids.__getitem__)
-    d = matrix.distances[np.ix_(order, order)]
+        return sorted(ids)
+    order = sorted(range(n), key=ids.__getitem__)
+    d = distances[np.ix_(order, order)]
     upper = np.where(np.triu(np.ones((n, n), dtype=bool), 1), d, -1)
     selected = list(divmod(int(np.argmax(upper)), n))[:p]
     nearest = d[selected].min(axis=0)
@@ -506,19 +478,19 @@ def select_farthest(matrix: DistanceMatrix, p: int) -> list[str]:
         selected.append(k)
         np.minimum(nearest, d[k], out=nearest)
         nearest[k] = -1
-    return [matrix.ids[order[k]] for k in selected]
+    return [ids[order[k]] for k in selected]
 
 
-def _select_for_question(matrix: DistanceMatrix, p: int,
+def _select_for_question(ids: Sequence[str], distances: np.ndarray, p: int,
                          cap: int | None) -> tuple[list[str], dict[str, Any]]:
     """One question's selection from its distance matrix, and its report row."""
-    chosen = select_farthest(matrix, p)
-    idx = {tid: k for k, tid in enumerate(matrix.ids)}
+    chosen = select_farthest(ids, distances, p)
+    idx = {tid: k for k, tid in enumerate(ids)}
     pair_dists = sorted(
-        int(matrix.distances[idx[x], idx[y]])
+        int(distances[idx[x], idx[y]])
         for a_i, x in enumerate(chosen) for y in chosen[a_i + 1:])
     row: dict[str, Any] = {
-        "available": len(matrix.ids),
+        "available": len(ids),
         "selected": list(chosen),
         "cap": cap,
         "min_distance": pair_dists[0] if pair_dists else None,
@@ -535,7 +507,7 @@ def _diversify_pack(tasks: Sequence[tuple]) -> tuple[list[tuple[str, list[str], 
     dists, passes, band_bytes = _pack_distances([(surfaces, cap)
                                                  for _, _, surfaces, _, cap in tasks])
     distance_ms = round(1000 * (time.perf_counter() - t0), 3)
-    rows = [(qid, *_select_for_question(DistanceMatrix(ids=ids, distances=dist), p, cap))
+    rows = [(qid, *_select_for_question(ids, dist, p, cap))
             for (qid, ids, _, p, cap), dist in zip(tasks, dists)]
     return rows, passes, band_bytes, distance_ms
 

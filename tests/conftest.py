@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socketserver
+import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ded.clients import JUDGE_RUBRICS, Client, JudgeRequest, SamplingRequest, TransportError
 from ded.config import STAGE_SEQUENCE
+from ded.diversity import _pack_distances
 from ded.records import (PHASES, EmbeddingRecord, LogprobRecord, QuestionRecord,
                          TrajectoryRecord, write_corpus)
 
@@ -41,6 +45,19 @@ def make_trajectory(q: QuestionRecord, sample_index: int, text: str,
         text=text,
         token_len=token_len,
     )
+
+
+def question_distances(surfaces, cap: int | None = None) -> np.ndarray:
+    """One question's distance matrix over its surfaces, clamped at cap and
+    exact when cap is None: a pack of one question, through the engine's one
+    entry."""
+    (dist,), _, _ = _pack_distances([(surfaces, cap)])
+    return dist
+
+
+def pair_distance(a, b, cap: int | None = None) -> int:
+    """min(edit distance, cap) of two sequences, exact when cap is None."""
+    return int(question_distances([a, b], cap)[0, 1])
 
 
 def well_formed_text(q: QuestionRecord, j: int, answer: str | None = None) -> str:
@@ -165,6 +182,54 @@ def read_events(out_dir: Path) -> list[dict]:
     with open(Path(out_dir) / "logs" / "events.jsonl", "r", encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh]
     return [e for e in events if e["run"] == events[-1]["run"]]
+
+
+# Runs the config of argv[1] in this process, counting the `replacing`
+# blocks of every module that writes; with argv[2] = k > 0, the process dies
+# with exit code 9 inside the k-th block, after a partial write. Each
+# block's path is appended to the file argv[3].
+_KILL_AT_WRITE = """
+import contextlib, itertools, json, os, sys
+import numpy  # noqa: F401 - loaded here, so that no helper forks and one process writes all
+from ded import clients, diagnostics, pipeline, records
+config, kill_at, paths = json.loads(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+real, count = records.replacing, itertools.count(1)
+
+@contextlib.contextmanager
+def replacing(path):
+    with real(path) as fh:
+        with open(paths, "a", encoding="utf-8") as log:
+            log.write(str(path) + chr(10))
+        if next(count) == kill_at:
+            fh.write("partial")
+            fh.flush()
+            os._exit(9)
+        yield fh
+
+for module in (records, pipeline, diagnostics, clients):
+    module.replacing = replacing
+sys.exit(pipeline.run_pipeline(config).exit_code)
+"""
+
+
+def src_env() -> dict[str, str]:
+    """This environment, with the checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
+def killed_run(config: dict, out: Path,
+               kill_at: int) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """config run in out in a process of its own that dies inside its
+    kill_at-th write (none if 0), and the paths of the writes it began, in
+    order and relative to out."""
+    paths = out.with_name(f"{out.name}.paths")
+    proc = subprocess.run([sys.executable, "-c", _KILL_AT_WRITE,
+                           json.dumps(dict(config, out_dir=str(out))), str(kill_at), str(paths)],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    return proc, [Path(p).relative_to(out).as_posix()
+                  for p in paths.read_text(encoding="utf-8").splitlines()]
 
 
 class ProbeClient(Client):

@@ -14,12 +14,13 @@ import numpy as np
 
 from ded.compress import select_hard
 from ded.diagnostics import central_summary, pass_at_1, pca_shift, token_entropy
-from ded.diversity import DistanceMatrix, diversify_corpus, levenshtein_bounded, select_farthest
+from ded.diversity import diversify_corpus, select_farthest
 from ded.filtering import run_quality_gate
 from ded.pipeline import EXIT_OK, run_pipeline, tree_hash
 from ded.records import EmbeddingRecord, LogprobRecord, PassRateStats
 
-from conftest import build_pipeline_fixture, make_gate_fixture, make_question, make_trajectory
+from conftest import (build_pipeline_fixture, make_gate_fixture, make_question, make_trajectory,
+                      pair_distance)
 from oracles import brute_force_max_pair, min_dist_to_set, myers_distance, naive_levenshtein
 from test_teacher import write_score_csv
 
@@ -34,12 +35,12 @@ def test_criterion_01_levenshtein_oracle_equivalence():
     for _ in range(1000):
         a = _random_string(rng, 12, "abcd")
         b = _random_string(rng, 12, "abcd")
-        assert levenshtein_bounded(a, b, math.inf) == naive_levenshtein(a, b)
+        assert pair_distance(a, b) == naive_levenshtein(a, b)
 
     for _ in range(200):
         a = _random_string(rng, 2000, "abcdefgh")
         b = _random_string(rng, 2000, "abcdefgh")
-        assert levenshtein_bounded(a, b, math.inf) == myers_distance(a, b)
+        assert pair_distance(a, b) == myers_distance(a, b)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s, budget 10s"
 
@@ -54,9 +55,8 @@ def test_criterion_02_farthest_p_correctness():
         for i in range(n):
             for j in range(i + 1, n):
                 dist[i, j] = dist[j, i] = rng.randint(0, 40)
-        matrix = DistanceMatrix(ids=ids, distances=dist)
         p = rng.randint(1, n)
-        chosen = select_farthest(matrix, p)
+        chosen = select_farthest(ids, dist, p)
         if p >= n:
             assert chosen == sorted(ids)
             continue

@@ -512,6 +512,30 @@ class TestSmokeCommand:
         assert ingested.content_hash == training["content_hash"]
         assert ingested.trajectory_count == training["trajectory_count"]
 
+    def test_an_answer_two_teachers_share_is_judged_once(self, tmp_path, monkeypatch):
+        from ded.records import write_corpus
+        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(0, domain="code", gt="def f(x): return x + 1")])
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("".join(json.dumps({
+            "kind": "sample", "teacher_id": teacher, "prompt": make_question(0).prompt,
+            "responses": ["<think>add one</think>def f(x): return x + 1"]}) + "\n"
+            for teacher in ("ta", "tb")), encoding="utf-8")
+        out_dir = tmp_path / "smoke"
+        runs = []
+        for _ in range(2):
+            assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,tb",
+                         "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 0
+            runs.append([(read_events(out_dir / t)[-1]["cache_misses"],
+                          (out_dir / t / "right_trajectories.jsonl").read_bytes(),
+                          (out_dir / f"training_{t}.json").read_bytes()) for t in ("ta", "tb")])
+        # a sample each, and one judge call for the answer they share
+        assert [billed for billed, *_ in runs[0]] == [2, 1]
+        assert [billed for billed, *_ in runs[1]] == [0, 0]
+        assert [files for _, *files in runs[0]] == [files for _, *files in runs[1]]
+        assert all(b"def f(x)" in right for _, right, _ in runs[0])
+
     def test_a_slashed_teacher_id_lists_its_corpus_relative_to_out_dir(self, tmp_path):
         from ded.records import write_corpus
         qpath = tmp_path / "q.jsonl"

@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ded import diversity
-from ded.diversity import (DistanceMatrix, DiversityError, _band_distances,
-                           _bounded_distances, _codes, _pack_distances, _strip_common,
-                           clamped_distance, diversify_corpus, levenshtein_bounded,
-                           select_farthest, surface_distances, trajectory_surface)
+from ded.diversity import (DiversityError, _band_distances, _bounded_distances, _codes,
+                           _pack_distances, _strip_common, diversify_corpus, select_farthest,
+                           trajectory_surface)
 from ded.forked import Forked
 
-from conftest import make_question, make_trajectory
+from conftest import make_question, make_trajectory, pair_distance, question_distances
 from oracles import (brute_force_max_pair, min_dist_to_set, myers_distance,
                      naive_levenshtein, triangle_violated)
 
@@ -70,11 +69,12 @@ def near_duplicate_texts(seed: int) -> list[str]:
     return texts
 
 
-def question_matrix(trajectories, unit: str = "char", cap=None) -> DistanceMatrix:
-    """One question's distance matrix, built the way diversify_corpus builds it."""
+def question_matrix(trajectories, unit: str = "char", cap=None) -> tuple[list[str], np.ndarray]:
+    """One question's ids and distance matrix, built the way diversify_corpus
+    builds them."""
     ordered = sorted(trajectories, key=lambda t: t.trajectory_id)
-    return surface_distances([t.trajectory_id for t in ordered],
-                             [trajectory_surface(t.text, unit) for t in ordered], cap=cap)
+    return ([t.trajectory_id for t in ordered],
+            question_distances([trajectory_surface(t.text, unit) for t in ordered], cap))
 
 
 def bounded_want(true: int, cap) -> int | None:
@@ -83,95 +83,91 @@ def bounded_want(true: int, cap) -> int | None:
 
 class TestLevenshtein:
     def test_identity(self):
-        assert levenshtein_bounded("abc", "abc", math.inf) == 0
+        assert pair_distance("abc", "abc") == 0
 
     def test_pure_insertions(self):
-        assert levenshtein_bounded("", "abc", math.inf) == 3
-        assert levenshtein_bounded("abc", "", math.inf) == 3
+        assert pair_distance("", "abc") == 3
+        assert pair_distance("abc", "") == 3
 
     def test_kitten_sitting(self):
         assert naive_levenshtein("kitten", "sitting") == 3
-        assert levenshtein_bounded("kitten", "sitting", math.inf) == 3
+        assert pair_distance("kitten", "sitting") == 3
 
     def test_token_sequences(self):
         a = "the quick brown fox".split()
         b = "the slow brown dog".split()
-        assert levenshtein_bounded(a, b, math.inf) == 2
+        assert pair_distance(a, b) == 2
 
     @given(short_strings, short_strings)
     @settings(max_examples=300)
     def test_matches_oracle(self, a, b):
-        assert levenshtein_bounded(a, b, math.inf) == naive_levenshtein(a, b)
+        assert pair_distance(a, b) == naive_levenshtein(a, b)
 
     @given(st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24),
            st.text(alphabet="aé€∑\U0001d11e\ud800", max_size=24))
     def test_any_code_point(self, a, b):
-        assert levenshtein_bounded(a, b, math.inf) == naive_levenshtein(a, b)
+        assert pair_distance(a, b) == naive_levenshtein(a, b)
 
     @given(short_strings, short_strings)
     def test_bounds(self, a, b):
-        d = levenshtein_bounded(a, b, math.inf)
+        d = pair_distance(a, b)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
     @given(short_strings, short_strings)
     def test_symmetry(self, a, b):
-        assert levenshtein_bounded(a, b, math.inf) == levenshtein_bounded(b, a, math.inf)
+        assert pair_distance(a, b) == pair_distance(b, a)
 
     @given(short_strings, short_strings, short_strings)
     @settings(max_examples=150)
     def test_triangle_inequality(self, a, b, c):
-        ac, ab, bc = (levenshtein_bounded(x, y, math.inf) for x, y in ((a, c), (a, b), (b, c)))
+        ac, ab, bc = (pair_distance(x, y) for x, y in ((a, c), (a, b), (b, c)))
         assert ac <= ab + bc
 
     @given(short_strings, short_strings)
     def test_identity_of_indiscernibles(self, a, b):
-        assert (levenshtein_bounded(a, b, math.inf) == 0) == (a == b)
+        assert (pair_distance(a, b) == 0) == (a == b)
 
 
 class TestLevenshteinBounded:
     def test_under_cap_exact(self):
-        assert levenshtein_bounded("kitten", "sitting", 10) == 3
+        assert pair_distance("kitten", "sitting", 10) == 3
 
-    def test_at_or_over_cap_sentinel(self):
-        assert levenshtein_bounded("aaaa", "zzzz", 2) is None
+    def test_at_or_over_cap_clamped(self):
+        assert pair_distance("aaaa", "zzzz", 2) == 2
         assert naive_levenshtein("aaaa", "zzzz") == 4
 
     def test_cap_zero_boundary(self):
-        assert levenshtein_bounded("same", "same", 0) is None
-        assert levenshtein_bounded("same", "same", 1) == 0
+        assert pair_distance("same", "same", 0) == 0
+        assert pair_distance("same", "same", 1) == 0
 
     def test_infinite_cap_matches_full(self):
         rng = random.Random(0)
         for _ in range(40):
             a = "".join(rng.choice("abcdef") for _ in range(rng.randint(0, 60)))
             b = "".join(rng.choice("abcdef") for _ in range(rng.randint(0, 60)))
-            assert levenshtein_bounded(a, b, math.inf) == myers_distance(a, b)
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(DiversityError):
-            levenshtein_bounded("a", "b", -1)
+            assert pair_distance(a, b) == myers_distance(a, b)
 
     @given(short_strings, short_strings, st.integers(0, 30))
     @settings(max_examples=300)
     def test_agrees_with_oracle_under_any_cap(self, a, b, cap):
         true = naive_levenshtein(a, b)
-        got = levenshtein_bounded(a, b, cap)
-        assert got == (true if true < cap else None)
+        assert pair_distance(a, b, cap) == min(true, cap)
 
-    def test_distance_exactly_cap_is_sentinel(self):
-        # strict less-than: distance == cap must not be reported exactly
+    def test_distance_exactly_cap_is_clamped(self):
+        # a distance equal to the cap reads as the cap
         assert naive_levenshtein("ab", "cd") == 2
-        assert levenshtein_bounded("ab", "cd", 2) is None
-        assert levenshtein_bounded("ab", "cd", 3) == 2
+        assert pair_distance("ab", "cd", 2) == 2
+        assert pair_distance("ab", "cd", 3) == 2
 
 
 class TestClampedDistance:
     def test_no_cap_is_exact(self):
-        assert clamped_distance("kitten", "sitting", None) == 3
+        assert pair_distance("kitten", "sitting", None) == 3
 
 
 def bounded_from(a, b, cap, k) -> int | None:
-    """levenshtein_bounded with its band search started at k."""
+    """The distance of a and b when it is below cap, else None, with the
+    band search started at k."""
     return _bounded_distances([tuple(_codes([a, b]))], cap, k)[0][0]
 
 
@@ -192,8 +188,7 @@ class TestBandEngine:
         for cap in (max(true - 1, 0), true, true + 1):
             for hint in (1, max(1, true // 2), true + 3):
                 assert bounded_from(a, b, cap, hint) == bounded_want(true, cap)
-            assert levenshtein_bounded(a, b, cap) == bounded_want(true, cap)
-            assert clamped_distance(a, b, cap) == min(true, cap)
+            assert pair_distance(a, b, cap) == min(true, cap)
 
     @given(near_duplicates(40, 400), st.integers(1, 64))
     def test_length_gap_one_below_cap(self, pair, hint):
@@ -210,9 +205,9 @@ class TestBandEngine:
                               " ".join(words[5:])) for i, words in enumerate(pair)]
         surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
         true = myers_distance(*surfaces)
-        assert question_matrix(ts, unit="token").distances[0, 1] == true
+        assert question_matrix(ts, unit="token")[1][0, 1] == true
         for cap in (max(true - 1, 1), true + 1):
-            assert question_matrix(ts, unit="token", cap=cap).distances[0, 1] == min(true, cap)
+            assert question_matrix(ts, unit="token", cap=cap)[1][0, 1] == min(true, cap)
 
     def test_band_doubles_from_a_narrow_hint(self, monkeypatch):
         widths = []
@@ -301,10 +296,8 @@ class TestBatchedBand:
         for k in (0, 1, 2, 3, 6, 10):
             got = _band_distances([(a, b) for a, b, _ in pairs], k)
             assert got == [band_want(true, k) for *_, true in pairs]
-        ids = [f"t{i}" for i in range(len(seqs))]
-        matrix = surface_distances(ids, seqs)
         want = [[naive_levenshtein(x, y) for y in seqs] for x in seqs]
-        assert matrix.distances.tolist() == want
+        assert question_distances(seqs).tolist() == want
 
     @given(question_of_variants(1, 12))
     @settings(max_examples=100)
@@ -340,10 +333,10 @@ class TestBatchedBand:
                               " ".join(words[5:])) for i, words in enumerate(word_lists)]
         surfaces = [trajectory_surface(t.text, unit="token") for t in ts]
         want = np.array([[myers_distance(x, y) for y in surfaces] for x in surfaces])
-        matrix = question_matrix(ts, unit="token")
-        assert (matrix.distances == want).all()
+        _, dist = question_matrix(ts, unit="token")
+        assert (dist == want).all()
         for cap in (max(int(want[0, 1]) - 1, 1), int(want[0, 1]) + 1):
-            got = question_matrix(ts, unit="token", cap=cap).distances
+            _, got = question_matrix(ts, unit="token", cap=cap)
             assert (got == np.minimum(want, cap)).all()
 
     def test_codes_leave_two_values_for_padding(self):
@@ -416,8 +409,7 @@ class TestMatchWords:
             seqs.append(words[:len(words) - n // 5])
         assert _codes(seqs)[0].dtype == np.uint16
         want = [[myers_distance(x, y) for y in seqs] for x in seqs]
-        ids = [f"t{i}" for i in range(len(seqs))]
-        assert surface_distances(ids, seqs).distances.tolist() == want
+        assert question_distances(seqs).tolist() == want
 
     def test_thousands_of_distinct_tokens_in_bounded_scratch(self):
         # over 3,000 distinct tokens: bitmaps of every symbol over whole
@@ -433,16 +425,15 @@ class TestMatchWords:
                 words[rng.randrange(len(words))] = rng.choice(vocab)
             seqs.append(words)
         assert len({w for s in seqs for w in s}) > 3000
-        ids = [f"t{i}" for i in range(len(seqs))]
         tracemalloc.start()
         try:
-            matrix = surface_distances(ids, seqs)
+            dist = question_distances(seqs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * diversity._SCRATCH
         want = [[myers_distance(x, y) for y in seqs] for x in seqs]
-        assert matrix.distances.tolist() == want
+        assert dist.tolist() == want
 
     def test_near_duplicate_texts_take_fewer_passes(self):
         # one wide pass for the first pair (doubling it from 32 took two
@@ -591,8 +582,7 @@ class TestCutOff:
                 words[rng.randrange(len(words))] = rng.choice(WORDS + ["other"])
             word_lists.append(words[:len(words) - rng.randint(0, 100)])
         want = [[myers_distance(x, y) for y in word_lists] for x in word_lists]
-        ids = [f"t{i}" for i in range(len(word_lists))]
-        assert surface_distances(ids, word_lists).distances.tolist() == want
+        assert question_distances(word_lists).tolist() == want
 
     def test_band_bytes_fall_on_a_long_near_duplicate_question(self):
         # eight ~7k-character variants of one core, 30 words apart
@@ -614,7 +604,7 @@ class TestCutOff:
         assert _pack_distances([(texts, None)])[2] == cut_bytes
 
 
-def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
+def _matrix_from_texts(texts: dict[str, str], cap=None) -> tuple[list[str], np.ndarray]:
     q = make_question(0)
     trajectories = [make_trajectory(q, i, f"<think>r</think>{text}")
                     for i, text in enumerate(texts.values())]
@@ -626,24 +616,23 @@ def _matrix_from_texts(texts: dict[str, str], cap=None) -> DistanceMatrix:
 class TestPairwiseDistances:
     def test_single_trajectory_zero_matrix(self):
         q = make_question(0)
-        matrix = question_matrix([make_trajectory(q, 0, "<think>a</think>x")])
-        assert matrix.distances.tolist() == [[0]]
+        _, dist = question_matrix([make_trajectory(q, 0, "<think>a</think>x")])
+        assert dist.tolist() == [[0]]
 
     def test_identical_texts_zero_off_diagonal(self):
-        matrix = _matrix_from_texts({"a": "same text", "b": "same text"})
-        assert matrix.distances.tolist() == [[0, 0], [0, 0]]
+        _, dist = _matrix_from_texts({"a": "same text", "b": "same text"})
+        assert dist.tolist() == [[0, 0], [0, 0]]
 
     def test_matches_elementwise_oracle(self):
         texts = {"a": "alpha beta", "b": "alpha gamma", "c": "entirely different"}
-        matrix = _matrix_from_texts(texts)
-        assert (matrix.distances == matrix.distances.T).all()
-        assert not np.diag(matrix.distances).any()
-        assert not triangle_violated(matrix.distances)
-        ids = matrix.ids
+        ids, dist = _matrix_from_texts(texts)
+        assert (dist == dist.T).all()
+        assert not np.diag(dist).any()
+        assert not triangle_violated(dist)
         for i in range(3):
             for j in range(3):
                 want = naive_levenshtein("r" + texts[ids[i]], "r" + texts[ids[j]])
-                assert matrix.distances[i, j] == want
+                assert dist[i, j] == want
 
     def test_think_delimiters_are_stripped(self):
         assert trajectory_surface("<think>abc</think>xyz") == "abcxyz"
@@ -651,64 +640,63 @@ class TestPairwiseDistances:
 
     def test_capped_matrix_is_truncated_metric(self):
         texts = {"a": "aaaaaaaaaa", "b": "bbbbbbbbbb", "c": "ababababab"}
-        matrix = _matrix_from_texts(texts, cap=4)
-        assert (matrix.distances == matrix.distances.T).all()
-        assert not np.diag(matrix.distances).any()
-        assert not triangle_violated(matrix.distances)
-        assert matrix.distances.max() == 4
+        _, dist = _matrix_from_texts(texts, cap=4)
+        assert (dist == dist.T).all()
+        assert not np.diag(dist).any()
+        assert not triangle_violated(dist)
+        assert dist.max() == 4
 
     def test_token_mode(self):
         q = make_question(0)
         ts = [make_trajectory(q, 0, "<think>x</think>one two three"),
               make_trajectory(q, 1, "<think>x</think>one two four")]
-        matrix = question_matrix(ts, unit="token")
-        assert matrix.distances[0, 1] == 1
+        _, dist = question_matrix(ts, unit="token")
+        assert dist[0, 1] == 1
 
 
-def _random_matrix(rng: random.Random, n: int) -> DistanceMatrix:
+def _random_matrix(rng: random.Random, n: int) -> tuple[list[str], np.ndarray]:
     ids = [f"m{i:02d}" for i in range(n)]
     dist = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = rng.randint(0, 50)
-    return DistanceMatrix(ids=ids, distances=dist)
+    return ids, dist
 
 
 class TestSelectFarthest:
     def test_spec_example_tie_break(self):
-        matrix = _matrix_from_texts({"a": "aaaa", "b": "aaab", "c": "zzzz"})
-        assert select_farthest(matrix, 2) == ["a", "c"]
+        ids, dist = _matrix_from_texts({"a": "aaaa", "b": "aaab", "c": "zzzz"})
+        assert select_farthest(ids, dist, 2) == ["a", "c"]
 
     def test_saturation_returns_all_in_id_order(self):
         rng = random.Random(1)
-        matrix = _random_matrix(rng, 5)
-        assert select_farthest(matrix, 5) == sorted(matrix.ids)
-        assert select_farthest(matrix, 9) == sorted(matrix.ids)
+        ids, dist = _random_matrix(rng, 5)
+        assert select_farthest(ids, dist, 5) == sorted(ids)
+        assert select_farthest(ids, dist, 9) == sorted(ids)
 
     def test_p1_returns_first_of_max_pair(self):
-        matrix = _matrix_from_texts({"a": "aaaa", "b": "aaab", "c": "zzzz"})
-        assert select_farthest(matrix, 1) == ["a"]
+        ids, dist = _matrix_from_texts({"a": "aaaa", "b": "aaab", "c": "zzzz"})
+        assert select_farthest(ids, dist, 1) == ["a"]
 
     def test_p_below_one_rejected(self):
-        matrix = _matrix_from_texts({"a": "x", "b": "y"})
+        ids, dist = _matrix_from_texts({"a": "x", "b": "y"})
         with pytest.raises(DiversityError):
-            select_farthest(matrix, 0)
+            select_farthest(ids, dist, 0)
 
     def test_greedy_stepwise_max_min_property(self):
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(2, 10)
-            matrix = _random_matrix(rng, n)
+            ids, d = _random_matrix(rng, n)
             p = rng.randint(1, n)
-            chosen = select_farthest(matrix, p)
+            chosen = select_farthest(ids, d, p)
             assert len(chosen) == min(p, n)
             assert len(set(chosen)) == len(chosen)
             if p >= n:
                 continue
-            idx = {tid: k for k, tid in enumerate(matrix.ids)}
-            d = matrix.distances
+            idx = {tid: k for k, tid in enumerate(ids)}
             if p >= 2:
-                i, j = brute_force_max_pair(matrix.ids, d)
+                i, j = brute_force_max_pair(ids, d)
                 assert {idx[chosen[0]], idx[chosen[1]]} == {i, j}
             selected = [idx[c] for c in chosen]
             for step in range(2, len(selected)):
@@ -721,14 +709,14 @@ class TestSelectFarthest:
                     assert chosen_val >= other_val
                     if other_val == chosen_val and other not in selected[:step + 1]:
                         # ties must resolve toward the smallest id
-                        assert matrix.ids[selected[step]] < matrix.ids[other]
+                        assert ids[selected[step]] < ids[other]
 
     def test_deterministic_across_runs(self):
         rng = random.Random(3)
-        matrix = _random_matrix(rng, 8)
-        first = select_farthest(matrix, 4)
+        ids, dist = _random_matrix(rng, 8)
+        first = select_farthest(ids, dist, 4)
         for _ in range(5):
-            assert select_farthest(matrix, 4) == first
+            assert select_farthest(ids, dist, 4) == first
 
 
 class TestDiversifyCorpus:
@@ -756,13 +744,12 @@ class TestDiversifyCorpus:
         for t in trajectories:
             by_q.setdefault(t.question_id, []).append(t)
         for qid, members in by_q.items():
-            matrix = question_matrix(members)
+            ids, dist = question_matrix(members)
             chosen = [t.trajectory_id for t in selected if t.question_id == qid]
-            idx = {tid: k for k, tid in enumerate(matrix.ids)}
-            got = min(int(matrix.distances[idx[a], idx[b]])
+            idx = {tid: k for k, tid in enumerate(ids)}
+            got = min(int(dist[idx[a], idx[b]])
                       for i, a in enumerate(chosen) for b in chosen[i + 1:])
-            best = brute_force_best_max_min(matrix.ids, matrix.distances,
-                                            len(members), 2)
+            best = brute_force_best_max_min(ids, dist, len(members), 2)
             assert got == best  # for p=2 the greedy seed pair is optimal
 
     def test_fewer_than_p_keeps_all(self):
@@ -859,8 +846,8 @@ class PackFailed(Exception):
     pass
 
 
-def fail_in_pack(matrix, p, cap):
-    raise PackFailed(f"selection over {len(matrix.ids)} trajectories failed")
+def fail_in_pack(ids, distances, p, cap):
+    raise PackFailed(f"selection over {len(ids)} trajectories failed")
 
 
 class TestPacks:
@@ -875,8 +862,7 @@ class TestPacks:
             dists, _, _ = _pack_distances(questions)
         assert len(dists) == len(questions)
         for (seqs, cap), dist in zip(questions, dists):
-            alone = surface_distances([f"t{i}" for i in range(len(seqs))], seqs, cap=cap)
-            assert (dist == alone.distances).all()
+            assert (dist == question_distances(seqs, cap)).all()
             want = [[myers_distance(x, y) for y in seqs] for x in seqs]
             assert dist.tolist() == (want if cap is None else np.minimum(want, cap).tolist())
 
@@ -886,8 +872,7 @@ class TestPacks:
         questions = far_apart_pack()
         dists, _, packed = _pack_distances(questions)
         for (texts, cap), dist in zip(questions, dists):
-            assert (dist == surface_distances(list(map(str, range(len(texts)))), texts,
-                                              cap=cap).distances).all()
+            assert (dist == question_distances(texts, cap)).all()
         assert (dists[-1][np.triu_indices(5, 1)] == questions[-1][1]).all()
         alone = sum(_pack_distances([question])[2] for question in questions)
         assert packed <= 1.1 * alone
@@ -989,14 +974,12 @@ class TestHintIndependence:
 
     def test_pair_order_does_not_change_distances(self):
         texts = near_duplicate_texts(0)
-        ids = [f"t{i}" for i in range(len(texts))]
         for cap in (None, 400):
-            ref = surface_distances(ids, texts, cap=cap)
+            ref = question_distances(texts, cap)
             for seed in range(3):
-                perm = list(range(len(ids)))
+                perm = list(range(len(texts)))
                 random.Random(seed).shuffle(perm)
-                got = surface_distances([ids[p] for p in perm], [texts[p] for p in perm],
-                                        cap=cap)
-                pos = {tid: k for k, tid in enumerate(got.ids)}
-                order = [pos[tid] for tid in ref.ids]
-                assert (got.distances[np.ix_(order, order)] == ref.distances).all()
+                got = question_distances([texts[p] for p in perm], cap)
+                # text i sits at row and column order[i] of got
+                order = np.argsort(perm)
+                assert (got[np.ix_(order, order)] == ref).all()

@@ -20,8 +20,9 @@ from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE
 from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_manifest,
                          parse_corpus)
 
-from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture, make_question,
-                      make_trajectory, mix_sources, read_events, six_stage_config)
+from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture, killed_run,
+                      make_question, make_trajectory, mix_sources, read_events,
+                      six_stage_config, src_env)
 
 
 class TestPipelineEndToEnd:
@@ -426,10 +427,7 @@ _CLEAN = {"numpy": False, "children": 0, "unjoined": False}
 def _fresh_run(tmp_path: Path, config: dict, before: str = "") -> tuple[dict, str]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(path), before], env=env,
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(path), before], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
@@ -571,66 +569,71 @@ class TestUsedOutDir:
         assert sorted(_EDITS) == sorted(SNAPSHOT_KEYS)
 
 
-# Runs the config of argv[1] in this process, counting the `replacing`
-# blocks of every module that writes; with argv[2] = k > 0, the process dies
-# with exit code 9 inside the k-th block, after a partial write. Each
-# block's path is appended to the file argv[3].
-_KILL_AT_WRITE = """
-import contextlib, itertools, json, os, sys
-import numpy  # noqa: F401 - loaded here, so that no helper forks and one process writes all
-from ded import clients, diagnostics, pipeline, records
-config, kill_at, paths = json.loads(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-real, count = records.replacing, itertools.count(1)
-
-@contextlib.contextmanager
-def replacing(path):
-    with real(path) as fh:
-        with open(paths, "a", encoding="utf-8") as log:
-            log.write(str(path) + chr(10))
-        if next(count) == kill_at:
-            fh.write("partial")
-            fh.flush()
-            os._exit(9)
-        yield fh
-
-for module in (records, pipeline, diagnostics, clients):
-    module.replacing = replacing
-sys.exit(pipeline.run_pipeline(config).exit_code)
-"""
-
-
 def test_a_run_killed_inside_a_write_is_repaired_by_the_next(tmp_path, monkeypatch):
     # one kill inside the first write of each stage's files; the re-run of
     # the same config in the same out_dir builds the fresh tree
     monkeypatch.delenv("DED_CACHE_DIR", raising=False)
     config = six_stage_config(tmp_path)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-
-    def run(out, kill_at):
-        paths = tmp_path / f"{out.name}.paths"
-        proc = subprocess.run([sys.executable, "-c", _KILL_AT_WRITE,
-                               json.dumps(dict(config, out_dir=str(out))), str(kill_at),
-                               str(paths)], env=env, capture_output=True, text=True,
-                              timeout=120)
-        return proc, [Path(p).relative_to(out).as_posix()
-                      for p in paths.read_text(encoding="utf-8").splitlines()]
-
     fresh = tmp_path / "fresh"
-    proc, writes = run(fresh, 0)
+    proc, writes = killed_run(config, fresh, 0)
     assert proc.returncode == EXIT_OK, proc.stderr
     kills = {row.name: 1 + next(k for k, name in enumerate(writes) if name in row.outputs)
              for row in STAGE_TABLE}
     assert writes[kills["stats"] - 1].startswith("tables/")
     for stage, k in kills.items():
         out = tmp_path / f"kill_{stage}"
-        proc = run(out, k)[0]
+        proc = killed_run(config, out, k)[0]
         assert proc.returncode == 9, proc.stderr
         assert list(out.rglob(writes[k - 1] + ".*.tmp")), stage
         assert run_pipeline(config, out_dir=out).exit_code == EXIT_OK, stage
         assert tree_hash(out) == tree_hash(fresh), stage
         assert [p for p in out.rglob("*.tmp") if ".cache" not in p.relative_to(out).parts] == []
+
+
+# `ded run` of the config file argv[2] in an interpreter of its own, which
+# leaves numpy to the helper process: `replacing` is patched before the
+# helper forks, and the helper's diagnostics binds the patch when it
+# imports it. The write of argv[1], relative to out_dir, dies with exit code
+# 9 after a partial write.
+_KILL_IN_HELPER = """
+import contextlib, os, sys
+from pathlib import Path
+from ded import records
+real = records.replacing
+
+@contextlib.contextmanager
+def replacing(path):
+    with real(path) as fh:
+        if Path(path).as_posix().endswith("/" + sys.argv[1]):
+            fh.write("partial")
+            fh.flush()
+            os._exit(9)
+        yield fh
+
+records.replacing = replacing
+from ded import cli
+sys.exit(cli.main(["run", "--config", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("target", ["report.md", "tables/stage_ledger.csv",
+                                    "tables/pca_shift.csv"])
+def test_a_helper_killed_inside_a_write_is_repaired_by_the_next(tmp_path, monkeypatch,
+                                                                target):
+    monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+    config = six_stage_config(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _KILL_IN_HELPER, target, str(path)],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_STAGE, proc.stderr
+    assert "the helper process of diversify and stats died" in proc.stderr
+    out = Path(config["out_dir"])
+    assert list(out.rglob(target + ".*.tmp"))
+    assert run_pipeline(config).exit_code == EXIT_OK
+    fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
+    assert tree_hash(out) == tree_hash(fresh)
+    assert [p for p in out.rglob("*.tmp") if ".cache" not in p.relative_to(out).parts] == []
 
 
 # One other value for each key a stage's corpus depends on. timestamp and

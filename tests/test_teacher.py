@@ -245,7 +245,7 @@ def _requests(out_dir, teacher_id="t-one"):
 class TestBuildSmokeCorpus:
     @pytest.fixture(autouse=True)
     def _own_cache(self, monkeypatch):
-        # each teacher's run caches in its own directory
+        # the teachers' runs cache under --out-dir
         monkeypatch.delenv("DED_CACHE_DIR", raising=False)
 
     def test_cardinality(self, tmp_path):
