@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,14 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir")
 
-    p = sub.add_parser("smoke", help="build one-sample-per-question teacher corpora")
+    p = sub.add_parser("smoke", help="`ded run` with stages [sample, filter] per teacher")
     p.set_defaults(handler=_cmd_smoke)
-    p.add_argument("--questions", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--teachers", required=True, help="comma-separated teacher ids")
-    p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixtures")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir")
 
     p = sub.add_parser("rank", help="rank teachers from a score file")
     p.set_defaults(handler=_cmd_rank)
@@ -97,28 +93,33 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_smoke(args) -> int:
-    """`ded run` with stages [sample, filter] and one sample per question,
-    for each teacher in a directory of its own under --out-dir, and a
-    training manifest of each teacher's right corpus beside it. The runs
-    share one request cache, so an answer two teachers give is judged once."""
-    out = Path(args.out_dir)
+    """`ded run` of --config with stages [sample, filter] and one sample per
+    question, per teacher in a directory of its own under --out-dir, with a
+    training manifest of its right corpus beside it. The runs share one
+    request cache, so an answer two teachers give is judged once."""
+    cfg = validate_config(args.config)
+    if not cfg["questions"]:
+        raise ConfigError(["questions: ded smoke needs the questions file to sample"])
+    out = Path(args.out_dir or cfg["out_dir"])
+    cache_dir = cfg["client"]["cache_dir"] or str(out / ".cache")
     teacher_ids = args.teachers.split(",")
     # an id may name subdirectories, as in org/model, but may neither climb
-    # out of out_dir nor name out_dir itself
-    root = out.resolve()
+    # out of out_dir, nor name out_dir itself, nor write into the cache
+    root, cache = out.resolve(), Path(cache_dir).resolve()
     refused = [t for t in teacher_ids if (out / t).resolve() == root or not all(
         p.resolve().is_relative_to(root) for p in (out / t, out / f"training_{t}.json"))]
     if refused:
         raise TeacherSelectError(
             f"teacher ids {refused} would write outside a directory of their own under {out}")
-    questions = parse_corpus(args.questions, "questions")
-    cache_dir = os.environ.get("DED_CACHE_DIR") or str(out / ".cache")
+    cached = [t for t in teacher_ids if (out / t).resolve().is_relative_to(cache)]
+    if cached:
+        raise TeacherSelectError(f"teacher ids {cached} would write into the cache {cache_dir}")
+    questions = parse_corpus(cfg["questions"], "questions")
     for teacher_id in teacher_ids:
-        result = run_pipeline({
-            "questions": args.questions, "teacher_id": teacher_id, "samples_per_question": 1,
-            "temperature": args.temperature, "seed": args.seed, "stages": ["sample", "filter"],
-            "client": {"fixtures": args.fixtures, "cache_dir": cache_dir}},
-            out_dir=out / teacher_id)
+        result = run_pipeline(dict(cfg, teacher_id=teacher_id, samples_per_question=1,
+                                   stages=["sample", "filter"],
+                                   client=dict(cfg["client"], cache_dir=cache_dir)),
+                              out_dir=out / teacher_id)
         if result.exit_code != EXIT_OK:
             print(f"{teacher_id}: pipeline failed at stage {result.failed_stage}: "
                   f"{result.error}", file=sys.stderr)

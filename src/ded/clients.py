@@ -181,7 +181,7 @@ class _Backend(Client):
 
 
 class HttpClient(_Backend):
-    """Chat-completion style JSON endpoint, configured via environment.
+    """Chat-completion style JSON endpoint at `base_url`, keyed by `DED_API_KEY`.
 
     Transport failures are retried with exponential backoff up to the
     policy budget; partial batches are an error, never silently truncated.
@@ -198,7 +198,7 @@ class HttpClient(_Backend):
                  max_in_flight: int = 1):
         super().__init__()
         self.retry = retry or RetryPolicy()
-        self.base_url = (base_url or os.environ.get("DED_API_BASE", "")).rstrip("/")
+        self.base_url = (base_url or "").rstrip("/")
         self.api_key = api_key or os.environ.get("DED_API_KEY", "")
         self.timeout = timeout
         if transport is None:  # loaded here, not in the first requests' wire slots
@@ -230,7 +230,7 @@ class HttpClient(_Backend):
 
     def _post(self, payload: dict) -> dict:
         if not self.base_url:
-            raise AuthenticationError("no endpoint configured (set DED_API_BASE)")
+            raise AuthenticationError("no endpoint configured (set client.base_url)")
         url = f"{self.base_url}/chat/completions"
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
 

@@ -83,11 +83,11 @@ def judge_request(question: QuestionRecord, candidate: str) -> JudgeRequest:
 
 
 def response_is_correct(text: str, question: QuestionRecord, client: Client) -> bool:
-    """Correctness path shared with the quality gate.
-
-    Math with ground truth goes through boxed extraction and rule
-    verification; everything else is delegated to the judge, and counts as
-    a failure when it has no candidate answer or the verdict is not correct.
+    """A roll-out's verdict, which is not the quality gate's: math with ground
+    truth is rule-verified, and an answer without `\\boxed{}` fails with no
+    call where the gate would queue it for the judge. Anything else goes to
+    the judge and fails without a candidate answer. The gate's format and
+    length checks do not apply to roll-outs.
     """
     if question.domain == "math" and question.ground_truth:
         answer = extract_final_answer(text)

@@ -98,9 +98,7 @@ def build_client(cfg: dict[str, Any], out_dir: Path) -> CachingClient:
         inner = HttpClient(base_url=client_cfg["base_url"],
                            retry=RetryPolicy(budget=client_cfg["retry_budget"]),
                            max_in_flight=client_cfg["max_in_flight"])
-    cache_dir = (client_cfg["cache_dir"] or os.environ.get("DED_CACHE_DIR")
-                 or (out_dir / ".cache"))
-    return CachingClient(inner, cache_dir)
+    return CachingClient(inner, client_cfg["cache_dir"] or out_dir / ".cache")
 
 
 def _adjudicate(needs_judge: list[TrajectoryRecord], question: QuestionRecord,

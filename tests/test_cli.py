@@ -164,11 +164,13 @@ class TestStageCommands:
         assert ("raw_trajectories.jsonl is missing from" in capsys.readouterr().err)
 
     def test_stage_commands_take_only_config_and_out_dir(self):
+        # and so does ded smoke, with its teachers
         from ded.cli import _build_parser
         (commands,) = [a.choices for a in _build_parser()._actions if a.choices]
-        for command in _STAGE_COMMANDS:
+        for command in (*_STAGE_COMMANDS, "smoke"):
             assert ({o for a in commands[command]._actions for o in a.option_strings}
-                    == {"-h", "--help", "--config", "--out-dir"})
+                    == {"-h", "--help", "--config", "--out-dir"}
+                    | ({"--teachers"} if command == "smoke" else set()))
 
 
 class TestStageCommandCache:
@@ -176,7 +178,6 @@ class TestStageCommandCache:
     call is answered from the request cache."""
 
     def test_sample_caches_in_out_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
         out = tmp_path / "out"
         args = ["sample", "--config", str(_config_file(tmp_path)), "--out-dir", str(out)]
         assert main(args) == 0
@@ -187,10 +188,10 @@ class TestStageCommandCache:
         assert main(args) == 0
         assert (out / "raw_trajectories.jsonl").read_bytes() == first
 
-    def test_compress_caches_under_ded_cache_dir(self, tmp_path, monkeypatch):
+    def test_compress_caches_under_client_cache_dir(self, tmp_path, monkeypatch):
         cache = tmp_path / "shared_cache"
-        monkeypatch.setenv("DED_CACHE_DIR", str(cache))
-        config = _config_file(tmp_path)
+        client = build_pipeline_fixture(tmp_path)["client"]
+        config = _config_file(tmp_path, client=dict(client, cache_dir=str(cache)))
         out = tmp_path / "out"
         for stage in ("sample", "filter"):
             assert main([stage, "--config", str(config), "--out-dir", str(out)]) == 0
@@ -464,6 +465,34 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert run.returncode == code, run.stderr
 
 
+def _smoke(tmp_path, teachers: str, out: Path | None, **config) -> int:
+    """`ded smoke --config` of config, written to a file, for teachers, with
+    --out-dir out if given."""
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    args = ["smoke", "--config", str(path), "--teachers", teachers]
+    return main(args + (["--out-dir", str(out)] if out else []))
+
+
+def _smoke_inputs(tmp_path) -> dict:
+    """A config of one code and one math question, with fixtures in which
+    teachers ta and tb give the same code answer, ta the right math answer
+    and tb a wrong one."""
+    from ded.records import write_corpus
+    math, code = make_question(0), make_question(1, domain="code", gt="def f(x): return x + 1")
+    qpath = tmp_path / "q.jsonl"
+    write_corpus(qpath, [math, code])
+    fx = tmp_path / "fx.jsonl"
+    fx.write_text("".join(json.dumps({
+        "kind": "sample", "teacher_id": teacher, "prompt": q.prompt, "responses": [answer]})
+        + "\n" for teacher, q, answer in (
+            ("ta", math, "<think>s</think>\\boxed{1}"), ("tb", math, "<think>t</think>\\boxed{2}"),
+            ("ta", code, "<think>add one</think>def f(x): return x + 1"),
+            ("tb", code, "<think>add one</think>def f(x): return x + 1"))), encoding="utf-8")
+    return {"questions": str(qpath), "temperature": 0.5, "seed": 3,
+            "client": {"fixtures": str(fx)}}
+
+
 class TestSmokeCommand:
     def test_smoke_builds_corpora(self, tmp_path, capsys):
         from conftest import make_question
@@ -480,8 +509,8 @@ class TestSmokeCommand:
         fx = tmp_path / "fx.jsonl"
         fx.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
         out_dir = tmp_path / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,tb",
-                     "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 0
+        assert _smoke(tmp_path, "ta,tb", out_dir, questions=str(qpath),
+                      client={"fixtures": str(fx)}) == 0
         output = capsys.readouterr().out
         assert "ta: kept 3 of 3" in output
         assert "tb: kept 2 of 3" in output
@@ -500,8 +529,8 @@ class TestSmokeCommand:
             "responses": [f"<think>s</think>\\boxed{{{q.ground_truth if i != 1 else 0}}}"]})
             + "\n" for i, q in enumerate(questions)), encoding="utf-8")
         out_dir = tmp_path / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta",
-                     "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 0
+        assert _smoke(tmp_path, "ta", out_dir, questions=str(qpath),
+                      client={"fixtures": str(fx)}) == 0
         training = json.loads((out_dir / "training_ta.json").read_text())
         assert (training["trajectory_count"], training["dropped_questions"]) == (2, ["q001"])
         manifest = tmp_path / "manifest.json"
@@ -512,9 +541,8 @@ class TestSmokeCommand:
         assert ingested.content_hash == training["content_hash"]
         assert ingested.trajectory_count == training["trajectory_count"]
 
-    def test_an_answer_two_teachers_share_is_judged_once(self, tmp_path, monkeypatch):
+    def test_an_answer_two_teachers_share_is_judged_once(self, tmp_path):
         from ded.records import write_corpus
-        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
         qpath = tmp_path / "q.jsonl"
         write_corpus(qpath, [make_question(0, domain="code", gt="def f(x): return x + 1")])
         fx = tmp_path / "fx.jsonl"
@@ -525,8 +553,8 @@ class TestSmokeCommand:
         out_dir = tmp_path / "smoke"
         runs = []
         for _ in range(2):
-            assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,tb",
-                         "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 0
+            assert _smoke(tmp_path, "ta,tb", out_dir, questions=str(qpath),
+                          client={"fixtures": str(fx)}) == 0
             runs.append([(read_events(out_dir / t)[-1]["cache_misses"],
                           (out_dir / t / "right_trajectories.jsonl").read_bytes(),
                           (out_dir / f"training_{t}.json").read_bytes()) for t in ("ta", "tb")])
@@ -536,13 +564,60 @@ class TestSmokeCommand:
         assert [files for _, *files in runs[0]] == [files for _, *files in runs[1]]
         assert all(b"def f(x)" in right for _, right, _ in runs[0])
 
+    def test_the_config_sets_the_runs_but_for_the_smoke_keys(self, tmp_path):
+        # out_dir and client.cache_dir come from the config; teacher_id,
+        # samples_per_question and stages are smoke's
+        config = dict(_smoke_inputs(tmp_path), out_dir=str(tmp_path / "smoke"),
+                      teacher_id="t-other", samples_per_question=4,
+                      stages=["sample", "filter", "compress"], max_token_len=2)
+        config["client"]["cache_dir"] = str(tmp_path / "shared")
+        assert _smoke(tmp_path, "ta", None, **config) == 0
+        out_dir = tmp_path / "smoke"
+        snapshot = load_manifest(out_dir / "ta" / "manifest_right.json").config_snapshot
+        assert (snapshot["teacher_id"], snapshot["samples_per_question"]) == ("ta", 1)
+        assert (snapshot["temperature"], snapshot["seed"]) == (0.5, 3)
+        # max_token_len 2 rejects every sample, so nothing is judged
+        assert json.loads((out_dir / "training_ta.json").read_text())["trajectory_count"] == 0
+        assert sorted(p.name for p in out_dir.glob("ta/manifest_*")) == [
+            "manifest_raw.json", "manifest_right.json"]
+        assert len(list((tmp_path / "shared").glob("*.json"))) == 2
+        assert not (out_dir / ".cache").exists()
+
+    def test_over_http_it_writes_and_bills_as_mock_mode(self, tmp_path, monkeypatch):
+        from ded.clients import HttpClient
+        from ded.records import EPOCH_ISO
+        from conftest import MockTransport
+        config = dict(_smoke_inputs(tmp_path), timestamp=EPOCH_ISO)
+        fake = MockTransport(MockClient(fixtures=config["client"]["fixtures"], seed=3))
+        monkeypatch.setattr(HttpClient, "_urllib_transport", fake)
+        assert _smoke(tmp_path, "ta,tb", tmp_path / "mock", **config) == 0
+        http = dict(config, client=dict(config["client"], mode="http",
+                                        base_url="http://model.test/v1"))
+        assert _smoke(tmp_path, "ta,tb", tmp_path / "http", **http) == 0
+        # a sample per teacher and question, and one judge call for the code
+        # answer the teachers share
+        assert fake.requests == 5
+        for teacher in ("ta", "tb"):
+            billed = [read_events(tmp_path / out / teacher)[-1]["cache_misses"]
+                      for out in ("mock", "http")]
+            assert billed[0] == billed[1] == (3 if teacher == "ta" else 2)
+            for name in (f"{teacher}/right_trajectories.jsonl", f"{teacher}/manifest_raw.json",
+                         f"{teacher}/manifest_right.json", f"training_{teacher}.json"):
+                assert ((tmp_path / "mock" / name).read_bytes()
+                        == (tmp_path / "http" / name).read_bytes()), name
+
+    def test_a_config_without_questions_exits_2_naming_it(self, tmp_path, capsys):
+        out_dir = tmp_path / "smoke"
+        assert _smoke(tmp_path, "ta", out_dir, seed=1) == 2
+        assert "questions: ded smoke needs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_a_slashed_teacher_id_lists_its_corpus_relative_to_out_dir(self, tmp_path):
         from ded.records import write_corpus
         qpath = tmp_path / "q.jsonl"
         write_corpus(qpath, [make_question(i) for i in range(2)])
         out_dir = tmp_path / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", "org/model",
-                     "--out-dir", str(out_dir)]) == 0
+        assert _smoke(tmp_path, "org/model", out_dir, questions=str(qpath)) == 0
         training = json.loads((out_dir / "training_org" / "model.json").read_text())
         assert training["corpus_files"] == ["org/model/right_trajectories.jsonl"]
         assert (out_dir / training["corpus_files"][0]).is_file()
@@ -552,8 +627,7 @@ class TestSmokeCommand:
         qpath = tmp_path / "q.jsonl"
         write_corpus(qpath, [make_question(0)])
         out_dir = tmp_path / "a" / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,a/../../x",
-                     "--out-dir", str(out_dir)]) == 3
+        assert _smoke(tmp_path, "ta,a/../../x", out_dir, questions=str(qpath)) == 3
         assert "['a/../../x'] would write outside" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
@@ -564,9 +638,22 @@ class TestSmokeCommand:
         qpath = tmp_path / "q.jsonl"
         write_corpus(qpath, [make_question(0)])
         out_dir = tmp_path / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", teachers,
-                     "--out-dir", str(out_dir)]) == 3
+        assert _smoke(tmp_path, teachers, out_dir, questions=str(qpath)) == 3
         assert "would write outside a directory of their own" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("teachers,cache_dir", [
+        ("ta,.cache", None), ("ta,.cache/x", None), ("ta,x/../.cache", None),
+        ("ta,c/x", "smoke/c")], ids=["cache", "inside", "climbs into", "configured"])
+    def test_a_teacher_id_whose_run_lies_in_the_cache_is_refused(self, tmp_path, capsys,
+                                                                 teachers, cache_dir):
+        from ded.records import write_corpus
+        qpath = tmp_path / "q.jsonl"
+        write_corpus(qpath, [make_question(0)])
+        client = {"cache_dir": str(tmp_path / cache_dir)} if cache_dir else {}
+        out_dir = tmp_path / "smoke"
+        assert _smoke(tmp_path, teachers, out_dir, questions=str(qpath), client=client) == 3
+        assert f"['{teachers[3:]}'] would write into the cache" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_a_failed_run_stops_smoke_with_its_exit_code_naming_the_teacher(self, tmp_path,
@@ -577,8 +664,8 @@ class TestSmokeCommand:
         fx = tmp_path / "fx.jsonl"
         fx.write_text('{"kind": "samples"}\n', encoding="utf-8")
         out_dir = tmp_path / "smoke"
-        assert main(["smoke", "--questions", str(qpath), "--teachers", "ta,tb",
-                     "--fixtures", str(fx), "--out-dir", str(out_dir)]) == 3
+        assert _smoke(tmp_path, "ta,tb", out_dir, questions=str(qpath),
+                      client={"fixtures": str(fx)}) == 3
         err = capsys.readouterr().err
         assert err.startswith("ta: pipeline failed at stage ") and f"{fx} line 1: " in err
         assert not list(out_dir.glob("training_*")) and not (out_dir / "tb").exists()

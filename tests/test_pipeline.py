@@ -487,7 +487,7 @@ class TestProcessLayout:
         assert [e["stage"] for e in failed] == ["diversify"]
 
     @pytest.mark.parametrize("before,code", [
-        ('os.environ.pop("DED_API_BASE", None)', EXIT_CLIENT),
+        ("", EXIT_CLIENT),
         ("def interrupt(*args, **kwargs):\n    raise KeyboardInterrupt\n"
          "pipeline.compose_mix = interrupt", "interrupted"),
     ], ids=["client failure", "interrupt"])
@@ -569,10 +569,9 @@ class TestUsedOutDir:
         assert sorted(_EDITS) == sorted(SNAPSHOT_KEYS)
 
 
-def test_a_run_killed_inside_a_write_is_repaired_by_the_next(tmp_path, monkeypatch):
+def test_a_run_killed_inside_a_write_is_repaired_by_the_next(tmp_path):
     # one kill inside the first write of each stage's files; the re-run of
     # the same config in the same out_dir builds the fresh tree
-    monkeypatch.delenv("DED_CACHE_DIR", raising=False)
     config = six_stage_config(tmp_path)
     fresh = tmp_path / "fresh"
     proc, writes = killed_run(config, fresh, 0)
@@ -618,9 +617,7 @@ sys.exit(cli.main(["run", "--config", sys.argv[2]]))
 
 @pytest.mark.parametrize("target", ["report.md", "tables/stage_ledger.csv",
                                     "tables/pca_shift.csv"])
-def test_a_helper_killed_inside_a_write_is_repaired_by_the_next(tmp_path, monkeypatch,
-                                                                target):
-    monkeypatch.delenv("DED_CACHE_DIR", raising=False)
+def test_a_helper_killed_inside_a_write_is_repaired_by_the_next(tmp_path, target):
     config = six_stage_config(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -857,13 +854,13 @@ class TestJudgeAdjudication:
 
 class TestClientFailureExitCode:
     def test_http_without_endpoint_is_client_failure(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DED_API_BASE", raising=False)
         monkeypatch.delenv("DED_API_KEY", raising=False)
         config = build_pipeline_fixture(tmp_path)
         config["client"] = {"mode": "http"}
         result = run_pipeline(config)
         assert result.exit_code == 4
         assert result.failed_stage == "sample"
+        assert "set client.base_url" in result.error
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_a_malformed_reply_is_a_client_failure(self, tmp_path, loopback, reply):

@@ -220,9 +220,11 @@ def _smoke(tmp_path, questions, samples, teachers="t-one", seed=0, out="smoke"):
     (tmp_path / "fx.jsonl").write_text("".join(json.dumps({
         "kind": "sample", "teacher_id": teacher, "prompt": prompt, "responses": responses})
         + "\n" for (teacher, prompt), responses in samples.items()), encoding="utf-8")
+    (tmp_path / "smoke.json").write_text(json.dumps({
+        "questions": str(tmp_path / "q.jsonl"), "seed": seed,
+        "client": {"fixtures": str(tmp_path / "fx.jsonl")}}), encoding="utf-8")
     out_dir = tmp_path / out
-    code = main(["smoke", "--questions", str(tmp_path / "q.jsonl"), "--teachers", teachers,
-                 "--fixtures", str(tmp_path / "fx.jsonl"), "--seed", str(seed),
+    code = main(["smoke", "--config", str(tmp_path / "smoke.json"), "--teachers", teachers,
                  "--out-dir", str(out_dir)])
     return code, out_dir
 
@@ -243,11 +245,6 @@ def _requests(out_dir, teacher_id="t-one"):
 
 
 class TestBuildSmokeCorpus:
-    @pytest.fixture(autouse=True)
-    def _own_cache(self, monkeypatch):
-        # the teachers' runs cache under --out-dir
-        monkeypatch.delenv("DED_CACHE_DIR", raising=False)
-
     def test_cardinality(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         samples = {}
