@@ -180,6 +180,10 @@ class _Backend(Client):
             setattr(self, counter, getattr(self, counter) + 1)
 
 
+# an http run's refusal without an endpoint
+NO_ENDPOINT = "no endpoint configured (set client.base_url)"
+
+
 class HttpClient(_Backend):
     """Chat-completion style JSON endpoint at `base_url`, keyed by `DED_API_KEY`.
 
@@ -230,7 +234,7 @@ class HttpClient(_Backend):
 
     def _post(self, payload: dict) -> dict:
         if not self.base_url:
-            raise AuthenticationError("no endpoint configured (set client.base_url)")
+            raise AuthenticationError(NO_ENDPOINT)
         url = f"{self.base_url}/chat/completions"
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
 
@@ -416,8 +420,7 @@ class CachingClient(Client):
     def __init__(self, inner: Client, cache_dir: str | Path):
         self.inner = inner
         self.max_in_flight = inner.max_in_flight
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.cache_dir = Path(cache_dir)  # made by the first write to it
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()

@@ -5,45 +5,33 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import MISSING
 from pathlib import Path
 from typing import Any
 
 from .records import Spec, at_least, field_error, one_of, within
 
-STAGE_SEQUENCE = ("sample", "filter", "compress", "diversify", "mix", "stats")
-
 
 def _stage_order(stages: list[Any]) -> str | None:
-    unknown = [s for s in stages if s not in STAGE_SEQUENCE]
+    """What is wrong with a list of stages, by the rows of the stage table."""
+    from .pipeline import _LINEAGE, STAGE_TABLE  # pipeline imports this module
+    names = [row.name for row in STAGE_TABLE]
+    unknown = [s for s in stages if s not in names]
     if unknown:
         return f"unknown stage names {unknown}"
-    order = [STAGE_SEQUENCE.index(s) for s in stages]
+    order = [names.index(s) for s in stages]
     if order != sorted(set(order)):
-        return f"must follow the order {list(STAGE_SEQUENCE)}, each stage at most once"
+        return f"must follow the order {names}, each stage at most once"
     # each corpus stage reads the one before it: a gap would feed a stage
     # the wrong corpus under its parent's manifest
-    chain = [i for i in order if STAGE_SEQUENCE[i] not in ("mix", "stats")]
-    if chain and chain != list(range(chain[0], chain[-1] + 1)):
-        return "sample, filter, compress and diversify must run without a gap between them"
+    chain = [row.name for row in STAGE_TABLE if row.manifest in _LINEAGE]
+    linked = [chain.index(s) for s in stages if s in chain]
+    if linked and linked != list(range(linked[0], linked[-1] + 1)):
+        return f"{', '.join(chain[:-1])} and {chain[-1]} must run without a gap between them"
     return None
 
 
 _MIX_SOURCE_FIELDS = {"path": Spec(str), "take": Spec(int, check=at_least(1))}
-
-
-def _mix_sources(sources: list[Any]) -> str | None:
-    for i, src in enumerate(sources):
-        if not isinstance(src, dict) or not _MIX_SOURCE_FIELDS.keys() <= src.keys():
-            return f"item {i}: expected an object with path and take"
-        unknown = sorted(src.keys() - _MIX_SOURCE_FIELDS.keys())
-        if unknown:
-            return f"item {i}: unknown key {unknown[0]!r}"
-        for key, spec in _MIX_SOURCE_FIELDS.items():
-            error = field_error(spec, src[key])
-            if error is not None:
-                return f"item {i}: {key}: {error}"
-    return None
-
 
 CLIENT_FIELDS: dict[str, Spec] = {
     "mode": Spec(str, "mock", one_of(("mock", "http"))),
@@ -59,7 +47,7 @@ FIELDS: dict[str, Spec] = {
     "out_dir": Spec(str, "ded_out"),
     "teacher_id": Spec(str, "teacher-mock"),
     "student_id": Spec(str, "student-mock"),
-    "stages": Spec(list, ["sample", "filter", "compress", "diversify", "stats"], _stage_order),
+    "stages": Spec(list, check=_stage_order),  # set by validate_config when absent
     "max_token_len": Spec(int, 16384, at_least(1)),
     "require_single_think_pair": Spec(bool, True),
     "token_estimator": Spec(str, "chars_div_4_fallback",
@@ -79,7 +67,7 @@ FIELDS: dict[str, Spec] = {
     "pca_components": Spec(int, 2, at_least(1)),
     "logprobs": Spec(str, None),
     "embeddings": Spec(str, None),
-    "mix_sources": Spec(list, None, _mix_sources),
+    "mix_sources": Spec(list, None),  # of objects of _MIX_SOURCE_FIELDS
 }
 
 class ConfigError(ValueError):
@@ -90,14 +78,21 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-def _apply(specs: dict[str, Spec], raw: dict[str, Any], prefix: str,
-           errors: list[str]) -> dict[str, Any]:
-    """raw over the defaults of specs, with every problem appended to errors."""
+def _apply(specs: dict[str, Spec], raw: Any, prefix: str, errors: list[str]) -> dict[str, Any]:
+    """The object raw over the defaults of specs, with every problem appended
+    to errors; a spec without a default is of a required key."""
+    if not isinstance(raw, dict):
+        errors.append(f"{prefix[:-1]}: expected an object")
+        return {}
     errors.extend(f"unknown key {prefix + key!r}" for key in sorted(raw) if key not in specs)
     out = {}
     for key, spec in specs.items():
-        out[key] = raw[key] if key in raw else copy.copy(spec.default)
-        error = field_error(spec, out[key])
+        if key in raw:
+            out[key] = raw[key]
+            error = field_error(spec, raw[key])
+        else:
+            out[key] = copy.copy(spec.default)
+            error = "missing" if spec.default is MISSING else None
         if error is not None:
             errors.append(f"{prefix}{key}: {error}")
     return out
@@ -119,11 +114,14 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
 
     errors: list[str] = []
     client = raw.pop("client", {})
+    if "stages" not in raw:  # every stage but mix, which needs mix_sources
+        from .pipeline import STAGE_TABLE  # pipeline imports this module
+        raw["stages"] = [row.name for row in STAGE_TABLE if row.name != "mix"]
     cfg = _apply(FIELDS, raw, "", errors)
-    if not isinstance(client, dict):
-        errors.append("client: expected an object")
-        client = {}
     cfg["client"] = _apply(CLIENT_FIELDS, client, "client.", errors)
+    if isinstance(cfg["mix_sources"], list):
+        cfg["mix_sources"] = [_apply(_MIX_SOURCE_FIELDS, item, f"mix_sources[{i}].", errors)
+                              for i, item in enumerate(cfg["mix_sources"])]
     if isinstance(cfg["stages"], list) and "mix" in cfg["stages"] and not cfg["mix_sources"]:
         errors.append("stages: mix needs mix_sources, a list of {path, take}")
     if errors:

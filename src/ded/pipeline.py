@@ -9,6 +9,7 @@ timing, so they are excluded from output-tree comparisons.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -22,7 +23,8 @@ from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
 
-from .clients import CachingClient, Client, ClientError, HttpClient, MockClient, RetryPolicy
+from .clients import (NO_ENDPOINT, CachingClient, Client, ClientError, HttpClient, MockClient,
+                      RetryPolicy)
 from .compress import judge_request, select_hard, student_rollout
 from .config import validate_config
 from .filtering import (GATE_ORDER, FilterConfig, FilterError, candidate_answer,
@@ -436,6 +438,22 @@ def _remove_replaced(run: _Run) -> None:
                                      path=stale.relative_to(run.out).as_posix())
 
 
+def _lock_out_dir(out: Path, run_id: str) -> int:
+    """The descriptor of out's `logs/run.lock`, locked for the run `run_id`
+    and naming it; refused while another run holds the lock."""
+    fd = os.open(out / "logs" / "run.lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        holder = os.read(fd, 64).decode("utf-8", "replace")
+        os.close(fd)
+        holder = f"run {holder}" if holder else "another process"
+        raise RuntimeError(f"{out} is in use by {holder}; wait for it to end") from None
+    os.ftruncate(fd, 0)
+    os.write(fd, run_id.encode("utf-8"))
+    return fd
+
+
 def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecord],
                                                               list[TrajectoryRecord]]:
     """`row`'s questions and trajectories, read back from out_dir for the
@@ -492,20 +510,27 @@ def run_pipeline(config: str | Path | dict[str, Any],
     """
     cfg = validate_config(config)
     out = Path(out_dir or cfg["out_dir"])
+    rows = [row for row in STAGE_TABLE if row.name in cfg["stages"]]
+    phase = [row for row in rows if row.step]
+    deterministic = cfg["client"]["mode"] == "mock"
+    if phase and not deterministic and not cfg["client"]["base_url"]:
+        # its first call would fail: refused before any write, the log's among them
+        return PipelineResult(EXIT_CLIENT, out, failed_stage=phase[0].name, error=NO_ENDPOINT)
+    result = PipelineResult(exit_code=EXIT_OK, out_dir=out)
     out.mkdir(parents=True, exist_ok=True)
     log = EventLog(out / "logs" / "events.jsonl")
     client: CachingClient | None = None
-    deterministic = cfg["client"]["mode"] == "mock"
     stamp = cfg["timestamp"] or (EPOCH_ISO if deterministic
                                  else datetime.now(timezone.utc).isoformat())
-    result = PipelineResult(exit_code=EXIT_OK, out_dir=out)
     run = _Run(cfg, out, log, stamp, result)
-    rows = [row for row in STAGE_TABLE if row.name in cfg["stages"]]
-    phase = [row for row in rows if row.step]
 
     current_stage = rows[0].name if rows else ""
     helper: _Helper | None = None
+    lock: int | None = None
     try:
+        # the processes the run forks share it: a killed run's lock is
+        # released once the last of them is gone
+        lock = _lock_out_dir(out, log.run)
         # a caller that holds numpy already gains nothing from the helper, and
         # one with other threads running cannot fork it safely
         if (any(row.helper for row in rows) and "numpy" not in sys.modules
@@ -591,6 +616,8 @@ def run_pipeline(config: str | Path | dict[str, Any],
     finally:
         if helper is not None:
             helper.close()
+        if lock is not None:
+            os.close(lock)
         log.emit("pipeline", "done", exit_code=result.exit_code,
                  cache_hits=client.hits if client else 0,
                  cache_misses=client.misses if client else 0,

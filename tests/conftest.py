@@ -16,8 +16,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ded.clients import JUDGE_RUBRICS, Client, JudgeRequest, SamplingRequest, TransportError
-from ded.config import STAGE_SEQUENCE
 from ded.diversity import _pack_distances
+from ded.pipeline import STAGE_TABLE
 from ded.records import (PHASES, EmbeddingRecord, LogprobRecord, QuestionRecord,
                          TrajectoryRecord, write_corpus)
 
@@ -172,8 +172,9 @@ def six_stage_config(tmp_path: Path) -> dict:
                             for i in range(3)])
     write_corpus(embeddings, [EmbeddingRecord(f"e{i}", phase, [float(i), float(len(phase))])
                               for i in range(4) for phase in PHASES])
-    return dict(config, stages=list(STAGE_SEQUENCE), mix_sources=mix_sources(tmp_path),
-                logprobs=str(logprobs), embeddings=str(embeddings))
+    return dict(config, stages=[row.name for row in STAGE_TABLE],
+                mix_sources=mix_sources(tmp_path), logprobs=str(logprobs),
+                embeddings=str(embeddings))
 
 
 def read_events(out_dir: Path) -> list[dict]:
@@ -353,13 +354,19 @@ class _CannedReply(socketserver.StreamRequestHandler):
 
 
 @pytest.fixture
-def loopback(monkeypatch):
-    """`serve(reply)` starts a server on 127.0.0.1 that answers every
-    request with the bytes `reply`, and returns it; its `base_url` is for
-    `HttpClient` and `requests` counts the requests it read."""
+def no_proxy(monkeypatch):
+    """Requests to 127.0.0.1, this process's and its children's, go there
+    rather than to a proxy."""
     for key in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(key, raising=False)
     monkeypatch.setenv("no_proxy", "127.0.0.1")
+
+
+@pytest.fixture
+def loopback(no_proxy):
+    """`serve(reply)` starts a server on 127.0.0.1 that answers every
+    request with the bytes `reply`, and returns it; its `base_url` is for
+    `HttpClient` and `requests` counts the requests it read."""
     started = []
 
     def serve(reply: bytes) -> socketserver.TCPServer:

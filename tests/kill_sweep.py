@@ -33,12 +33,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ded.config import STAGE_SEQUENCE  # noqa: E402
 from ded.pipeline import EXIT_OK, EXIT_STAGE, STAGE_TABLE, run_pipeline, tree_hash  # noqa: E402
 
 from conftest import killed_run, read_events, six_stage_config  # noqa: E402
 
 OUTPUTS = {name for row in STAGE_TABLE for name in row.outputs}
+STAGES = [row.name for row in STAGE_TABLE]
 
 
 def stage_of(write: str) -> str:
@@ -75,10 +75,10 @@ def check_kill(root: Path, config: dict, k: int, write: str, fresh: str,
                    and p.relative_to(out).as_posix() not in OUTPUTS)
     if stray:
         failures.append(f"the re-run left {stray}")
-    for start in STAGE_SEQUENCE[:STAGE_SEQUENCE.index(stage_of(write)) + 1]:
+    for start in STAGES[:STAGES.index(stage_of(write)) + 1]:
         copy = root / f"suffix_{k}_{start}"
         shutil.copytree(killed, copy)
-        stages = list(STAGE_SEQUENCE[STAGE_SEQUENCE.index(start):])
+        stages = STAGES[STAGES.index(start):]
         code = run_pipeline(dict(config, stages=stages), out_dir=copy).exit_code
         if not (code == EXIT_STAGE or code == EXIT_OK and tree_hash(copy) == fresh):
             failures.append(f"stages {stages} exited {code} or built another tree")

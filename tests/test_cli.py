@@ -152,8 +152,8 @@ class TestStageCommands:
         assert main([stage, "--config", str(_config_file(tmp_path)), "--out-dir", str(out)]) == 3
         assert (f"{missing} is missing from {out}; run the stages before {stage} again"
                 in capsys.readouterr().err)
-        assert [p for p in out.rglob("*")
-                if not {"logs", ".cache"} & set(p.relative_to(out).parts)] == []
+        # the refusal is logged, and nothing else is written
+        assert [p.name for p in out.iterdir()] == ["logs"]
 
     def test_a_missing_parent_corpus_is_named(self, tmp_path, capsys):
         config = _config_file(tmp_path)
@@ -241,13 +241,13 @@ class TestMixCommand:
     def test_take_of_zero_is_refused(self, tmp_path, capsys):
         a = _sampled(tmp_path, 1)
         assert self._mix(tmp_path, [(a, 0)]) == 2
-        assert "mix_sources: item 0: take: must be >= 1, got 0" in capsys.readouterr().err
+        assert "mix_sources[0].take: must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mixed_trajectories.jsonl").exists()
 
     @pytest.mark.parametrize("item,problem", [
-        ({"path": 3, "take": 1}, "item 0: path: expected string, got int"),
-        ({"path": "a.jsonl", "take": True}, "item 0: take: expected integer, got boolean"),
-        ({"path": "a.jsonl", "take": 1, "tkae": 5}, "item 0: unknown key 'tkae'"),
+        ({"path": 3, "take": 1}, "mix_sources[0].path: expected string, got int"),
+        ({"path": "a.jsonl", "take": True}, "mix_sources[0].take: expected integer, got boolean"),
+        ({"path": "a.jsonl", "take": 1, "tkae": 5}, "unknown key 'mix_sources[0].tkae'"),
     ], ids=["path a number", "take a boolean", "a misspelt key"])
     def test_a_mistyped_item_exits_2_and_writes_nothing(self, tmp_path, capsys, item, problem):
         # a path of 3 would be opened as the run's file descriptor 3
@@ -255,7 +255,7 @@ class TestMixCommand:
         config.write_text(json.dumps(dict(six_stage_config(tmp_path), mix_sources=[item])),
                           encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 2
-        assert f"mix_sources: {problem}" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_mix_without_mix_sources_exits_2_and_removes_nothing(self, tmp_path, capsys):

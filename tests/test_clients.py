@@ -255,7 +255,7 @@ class TestCachingClient:
 
     @pytest.mark.parametrize("content", ['{"responses": ["a", "b"', '{"other": 1}', "[1]", ""])
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, content):
-        client = CachingClient(MockClient(seed=2), tmp_path / "cache")
+        client = CachingClient(MockClient(seed=2), tmp_path)  # a directory that exists
         path = client._path(_request(m=2).cache_key())
         path.write_text(content, encoding="utf-8")
         texts = client.sample_trajectories(_request(m=2))
@@ -266,7 +266,7 @@ class TestCachingClient:
         assert client.hits == 1
 
     def test_judge_entry_without_status_is_a_miss(self, tmp_path):
-        client = CachingClient(MockClient(), tmp_path / "cache")
+        client = CachingClient(MockClient(), tmp_path)  # a directory that exists
         req = JudgeRequest(question="q", candidate_answer="1", ground_truth="1")
         client._path(req.cache_key()).write_text('{"detail": "x"}', encoding="utf-8")
         assert client.judge(req).status == "correct"

@@ -88,6 +88,15 @@ class TestValidateConfig:
             with pytest.raises(ConfigError):
                 validate_config({"mix_sources": [item]})
 
+    def test_every_problem_of_a_mix_source_is_reported(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"mix_sources": [{"path": 1, "take": 0, "x": 2}, "b.jsonl",
+                                             {"take": 1}]})
+        assert err.value.errors == [
+            "unknown key 'mix_sources[0].x'", "mix_sources[0].path: expected string, got int",
+            "mix_sources[0].take: must be >= 1, got 0", "mix_sources[1]: expected an object",
+            "mix_sources[2].path: missing"]
+
     @pytest.mark.parametrize("sources", [None, []], ids=["null", "empty"])
     def test_mix_without_mix_sources_refused(self, sources):
         # it would run as a stage that writes nothing after removing mix's

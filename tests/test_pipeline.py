@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from ded import pipeline
 from ded.cli import main
 from ded.clients import HttpClient, MockClient, RetryPolicy, SamplingRequest
-from ded.config import STAGE_SEQUENCE, validate_config
+from ded.config import validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
                           manifest_snapshot, run_pipeline, tree_hash)
@@ -23,6 +25,8 @@ from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_m
 from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture, killed_run,
                       make_question, make_trajectory, mix_sources, read_events,
                       six_stage_config, src_env)
+
+_NAMES = [row.name for row in STAGE_TABLE]
 
 
 class TestPipelineEndToEnd:
@@ -381,8 +385,7 @@ def _report(out_dir):
 
 
 class TestStageTable:
-    def test_rows_follow_the_config_and_manifest_orders(self):
-        assert tuple(row.name for row in STAGE_TABLE) == STAGE_SEQUENCE
+    def test_rows_follow_the_manifest_order(self):
         assert tuple(row.manifest for row in STAGE_TABLE if row.manifest) == STAGES
         written = set()
         for row in STAGE_TABLE:
@@ -491,10 +494,15 @@ class TestProcessLayout:
         ("def interrupt(*args, **kwargs):\n    raise KeyboardInterrupt\n"
          "pipeline.compose_mix = interrupt", "interrupted"),
     ], ids=["client failure", "interrupt"])
-    def test_a_run_that_ends_early_joins_the_helper(self, tmp_path, before, code):
+    def test_a_run_that_ends_early_joins_the_helper(self, tmp_path, no_proxy, before, code):
         config = six_stage_config(tmp_path)
         if code == EXIT_CLIENT:
-            config["client"] = {"mode": "http"}
+            # a port nothing listens on: the first call fails, after the helper forked
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                port = sock.getsockname()[1]
+            config["client"] = {"mode": "http", "base_url": f"http://127.0.0.1:{port}/v1",
+                                "retry_budget": 1}
         fresh, err = _fresh_run(tmp_path, config, before)
         assert fresh == {"code": code, **_CLEAN}, err
 
@@ -518,6 +526,23 @@ class TestUsedOutDir:
         assert result.exit_code == EXIT_STAGE
         assert result.failed_stage == "diversify"
 
+    def test_a_run_into_an_out_dir_in_use_exits_3_and_touches_nothing(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(config).out_dir
+        built = tree_hash(out)
+        edited = dict(config, seed=9)
+        with open(out / "logs" / "run.lock", "w", encoding="utf-8") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held.write("0123456789ab")
+            held.flush()
+            result = run_pipeline(edited)
+            assert result.exit_code == EXIT_STAGE
+            assert f"{out} is in use by run 0123456789ab" in result.error
+            assert tree_hash(out) == built
+        assert [e["event"] for e in read_events(out)] == ["stage_failed", "done"]
+        assert run_pipeline(edited).exit_code == EXIT_OK
+        assert tree_hash(out) != built
+
     def test_a_full_run_replaces_a_relabelled_manifest(self, tmp_path):
         # the stage check is made on the read path only, so a run that reads
         # nothing back rebuilds a tree whose manifests say the wrong stage
@@ -538,19 +563,19 @@ class TestUsedOutDir:
         assert run_pipeline(dict(config, stages=["stats"])).exit_code == EXIT_OK
         assert _report(out) == full
 
-    @pytest.mark.parametrize("first", STAGE_SEQUENCE)
+    @pytest.mark.parametrize("first", _NAMES)
     def test_an_edited_run_builds_the_fresh_tree(self, tmp_path, full_run, first):
         # a run that reads a corpus built under another value of a key of the
         # stage that wrote it, or of an earlier one, refuses and writes nothing;
         # any other edited run builds in a used out_dir what it builds in a fresh one
         config, full = full_run
-        before = list(STAGE_SEQUENCE[:STAGE_SEQUENCE.index(first)])
+        before = _NAMES[:_NAMES.index(first)]
         read_keys = {key for row in STAGE_TABLE if row.name in before for key in row.keys}
         prefix = tmp_path / "prefix"
         if before:
             assert run_pipeline(dict(config, stages=before), out_dir=prefix).exit_code == EXIT_OK
         for key, value in _EDITS.items():
-            edited = dict(config, stages=sorted({first, "stats"}, key=STAGE_SEQUENCE.index),
+            edited = dict(config, stages=sorted({first, "stats"}, key=_NAMES.index),
                           **{key: value})
             used, fresh = tmp_path / f"used_{key}", tmp_path / f"fresh_{key}"
             shutil.copytree(full, used)
@@ -861,6 +886,16 @@ class TestClientFailureExitCode:
         assert result.exit_code == 4
         assert result.failed_stage == "sample"
         assert "set client.base_url" in result.error
+        assert not result.out_dir.exists()
+
+    def test_stages_without_calls_need_no_endpoint(self, tmp_path):
+        config = six_stage_config(tmp_path)
+        assert run_pipeline(config).exit_code == EXIT_OK
+        built = tree_hash(config["out_dir"])
+        http = dict(config, stages=["mix", "stats"], client={"mode": "http"},
+                    timestamp=EPOCH_ISO)
+        assert run_pipeline(http).exit_code == EXIT_OK
+        assert tree_hash(config["out_dir"]) == built
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_a_malformed_reply_is_a_client_failure(self, tmp_path, loopback, reply):
