@@ -188,6 +188,7 @@ class _Run:
     log: EventLog
     stamp: str
     result: PipelineResult
+    stage: str  # the stage a failure now is reported at
     known: dict[str, CorpusManifest] = field(default_factory=dict)  # manifests by stage
     questions: list[QuestionRecord] = field(default_factory=list)
     # those of the last corpus of the raw ... right_hard_diverse lineage: the
@@ -454,15 +455,32 @@ def _lock_out_dir(out: Path, run_id: str) -> int:
     return fd
 
 
-def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecord],
-                                                              list[TrajectoryRecord]]:
+def _ingest(run: _Run) -> None:
+    """Parse the configured questions into the run, if any are configured."""
+    if run.cfg["questions"]:
+        stage, run.stage = run.stage, "ingest"
+        run.questions = parse_corpus(run.cfg["questions"], "questions")
+        run.log.emit("ingest", "loaded", count=len(run.questions), path=str(run.cfg["questions"]))
+        run.stage = stage
+
+
+def _read_corpus(run: _Run, row: Stage, reader: Stage) -> tuple[list[QuestionRecord],
+                                                                list[TrajectoryRecord]]:
     """`row`'s questions and trajectories, read back from out_dir for the
     stage `reader`, refused unless they are the bytes of `row`'s manifest.
 
+    Raw's manifest also covers the configured questions. One that covers
+    no questions (right's), read by a corpus stage, which takes the
+    configured questions with it, is checked against its parent's first.
     The lineage is walked from `row` back to raw through the table's
     parents: each manifest on it must record its own stage and the
     configured values of its stage's keys, and link to its parent's
     content hash (to none at raw)."""
+    *question_file, trajectory_file = row.corpus
+    if not row.parent:
+        _ingest(run)
+    elif not question_file and reader.corpus:
+        _read_corpus(run, _WRITERS[row.parent], reader)
     lineage = [row]
     while lineage[-1].parent:
         lineage.append(_WRITERS[lineage[-1].parent])
@@ -471,16 +489,14 @@ def _read_corpus(run: _Run, row: Stage, reader: str) -> tuple[list[QuestionRecor
                     if not (run.out / name).exists()), None)
     if missing is not None:
         raise CorpusError(f"{missing} is missing from {run.out}; "
-                          f"run the stages before {reader} again")
-    *question_file, trajectory_file = row.corpus
+                          f"run the stages before {reader.name} again")
     questions = (parse_corpus(run.out / question_file[0], "questions") if question_file
                  else run.questions)
     trajectories = parse_corpus(run.out / trajectory_file, "trajectories")
-    # raw's manifest also covers the configured questions, right_hard's its own
     covered = questions + trajectories if question_file or not row.parent else trajectories
     if content_hash(covered) != run.known[row.manifest].content_hash:
         raise CorpusError(f"{trajectory_file} does not match {manifests[0]}; "
-                          f"run the stages before {reader} again")
+                          f"run the stages before {reader.name} again")
     for writer, parent in zip(lineage, lineage[1:] + [None]):
         built = run.known[writer.manifest]
         recorded = {key: built.config_snapshot.get(key, "(not recorded)") for key in writer.keys}
@@ -522,9 +538,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
     client: CachingClient | None = None
     stamp = cfg["timestamp"] or (EPOCH_ISO if deterministic
                                  else datetime.now(timezone.utc).isoformat())
-    run = _Run(cfg, out, log, stamp, result)
-
-    current_stage = rows[0].name if rows else ""
+    run = _Run(cfg, out, log, stamp, result, rows[0].name if rows else "")
     helper: _Helper | None = None
     lock: int | None = None
     try:
@@ -541,40 +555,32 @@ def run_pipeline(config: str | Path | dict[str, Any],
         priors = {stage: out / f"manifest_{stage}.json" for stage in _WRITERS}
         run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
 
-        if cfg["questions"]:
-            current_stage = "ingest"
-            run.questions = parse_corpus(cfg["questions"], "questions")
-            log.emit("ingest", "loaded", count=len(run.questions), path=str(cfg["questions"]))
-
-        # a stage whose parent does not run here reads its corpus from out_dir;
-        # the corpus stages run without a gap, so only the first one can
-        first = next((row for row in rows if row.parent), None)
-        if first is not None and _WRITERS[first.parent] not in rows:
-            current_stage = first.name
-            parent = _WRITERS[first.parent]
-            if len(parent.corpus) == 1 and parent.parent:
-                # the parent's manifest covers its trajectories only; the
-                # configured questions are checked against raw's, which covers
-                # them and raw's trajectories
-                _read_corpus(run, _WRITERS[parent.parent], first.name)
-            run.questions, run.trajectories = _read_corpus(run, parent, first.name)
-        # stats reports on the last corpus of the lineage; one this run does
-        # not write is read back before the run removes the old report
-        last = next((_WRITERS[s] for s in reversed(_LINEAGE) if s in run.known), None)
-        if (last and "stats" in cfg["stages"]
-                and not any(row.manifest in _LINEAGE for row in rows)):
-            current_stage = "stats"
-            run.trajectories = _read_corpus(run, last, "stats")[1]
+        # the corpus the run starts from, read back before it removes anything:
+        # the parent of its first lineage stage, or else the last lineage corpus
+        # on disk, which stats reports on. A stats run with no manifest on disk
+        # or of its own to report on finds raw's missing.
+        reader = next((row for row in rows if row.manifest in _LINEAGE), None)
+        if reader is None and "stats" in cfg["stages"]:
+            reader = rows[-1]
+            start = next((_WRITERS[s] for s in reversed(_LINEAGE) if s in run.known),
+                         None if run.known or any(r.manifest for r in rows) else _WRITERS["raw"])
+        else:
+            start = reader and _WRITERS.get(reader.parent)
+        if start:
+            run.stage = reader.name
+            run.questions, run.trajectories = _read_corpus(run, start, reader)
+        elif reader is _WRITERS["raw"]:  # sample, whose manifest covers the configured questions
+            _ingest(run)
 
         views = {row.name: client.view() for row in phase}
         bound = time.perf_counter()
         if phase:
-            current_stage = phase[0].name
-            if current_stage == "sample" and not run.questions:
+            run.stage = phase[0].name
+            if run.stage == "sample" and not run.questions:
                 raise ValueError("no questions configured")
             qids = {q.question_id for q in run.questions}
             orphans = [t for t in run.trajectories if t.question_id not in qids]
-            if current_stage == "filter" and orphans:
+            if run.stage == "filter" and orphans:
                 run_quality_gate(orphans, run.questions, _filter_config(cfg))  # raises, naming them
             by_question: dict[str, list[TrajectoryRecord]] = {}
             for t in run.trajectories:
@@ -587,7 +593,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
             (row.name, partial(row.step, cfg, views[row.name])) for row in phase], width)
 
         for row in rows:
-            current_stage = row.name
+            run.stage = row.name
             if failure is not None and failure[0] == row.name:
                 raise failure[1]
             if row is rows[0]:  # before the run's first write
@@ -609,10 +615,10 @@ def run_pipeline(config: str | Path | dict[str, Any],
 
     except Exception as exc:  # noqa: BLE001 - stage isolation boundary
         client_failed = isinstance(exc, ClientError)
-        log.emit(current_stage, "client_failed" if client_failed else "stage_failed",
+        log.emit(run.stage, "client_failed" if client_failed else "stage_failed",
                  error=str(exc))
         result.exit_code = EXIT_CLIENT if client_failed else EXIT_STAGE
-        result.failed_stage, result.error = current_stage, str(exc)
+        result.failed_stage, result.error = run.stage, str(exc)
     finally:
         if helper is not None:
             helper.close()

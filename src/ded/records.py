@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import uuid
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
@@ -400,7 +399,7 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

@@ -460,6 +460,20 @@ def test_cache_keys_cover_the_backend(tmp_path):
         "from http"]
 
 
+def test_cache_entry_names_are_pinned(tmp_path):
+    # a renamed entry is a miss, which in http mode bills the call again
+    client = CachingClient(HttpClient(base_url="http://one.test"), tmp_path)
+    sample = _request().cache_key()
+    judge = JudgeRequest(question="What is 6 * 7?", candidate_answer="42",
+                         ground_truth="42").cache_key()
+    assert sample == "1cb23d6fca39fbbe097cf53e6f65469cee1a107a87a8130377f8c0685ab38c45"
+    assert judge == "e1749f32c70e1ec81ce9ff0437d25aa84304225ab0e0b167c0c158bece2b1ff5"
+    assert client._path(sample).name == (
+        "c66062802f1b5dbb31d0223f0d876ffecbe407d36d00bccdc62b0b4cb3c2ef7c.json")
+    assert client._path(judge).name == (
+        "b34e35231d2ed449c2700c4d5ae0ca6eb20d63f337a896fec54583b8dcc0b0bf.json")
+
+
 def test_mock_backend_covers_what_its_answers_depend_on(tmp_path):
     fixtures = {"samples": {("t", "p"): ["canned reply"]},
                 "judges": {("q", "a"): {"status": "correct"}}}

@@ -261,6 +261,45 @@ class TestPartialRuns:
         assert "manifest_raw.json" in result.error
         assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
+    @pytest.mark.parametrize("stages", [["diversify"], ["stats"], ["mix"]])
+    def test_a_run_that_checks_no_raw_reads_no_questions(self, tmp_path, stages):
+        config = six_stage_config(tmp_path)
+        out = run_pipeline(config).out_dir
+        assert run_pipeline(dict(config, stages=stages)).exit_code == EXIT_OK
+        built = tree_hash(out)
+        Path(config["questions"]).rename(tmp_path / "moved.jsonl")
+        result = run_pipeline(dict(config, stages=stages))
+        assert (result.exit_code, result.error) == (EXIT_OK, None)
+        assert tree_hash(out) == built
+        assert "ingest" not in {e["stage"] for e in read_events(out)}
+
+    @pytest.mark.parametrize("built,stages", [(["sample"], ["stats"]), (_NAMES[:4], ["filter"]),
+                                              (_NAMES[:4], ["compress"])])
+    def test_a_run_that_checks_raw_reads_the_questions(self, tmp_path, built, stages):
+        # raw's manifest covers the configured questions
+        config = build_pipeline_fixture(tmp_path)
+        out = run_pipeline(dict(config, stages=built)).out_dir
+        before = tree_hash(out)
+        questions = Path(config["questions"])
+        questions.rename(tmp_path / "moved.jsonl")
+        result = run_pipeline(dict(config, stages=stages))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, "ingest")
+        assert str(questions) in result.error
+        assert tree_hash(out) == before
+
+    def test_stats_with_no_manifest_to_report_on_is_refused(self, tmp_path):
+        config = build_pipeline_fixture(tmp_path)
+        out = Path(config["out_dir"])
+        result = run_pipeline(dict(config, stages=["stats"]))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, "stats")
+        assert (f"manifest_raw.json is missing from {out}; run the stages before stats again"
+                == result.error)
+        assert [p.name for p in out.iterdir()] == ["logs"]
+        # a mix of its own is reported on
+        mixed = dict(config, stages=["mix", "stats"], mix_sources=mix_sources(tmp_path))
+        assert run_pipeline(mixed).exit_code == EXIT_OK
+        assert "mixed" in (out / "report.md").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("key,value,stages,refused_by", [
         ("teacher_id", "t-beta", ["compress", "diversify", "stats"], "manifest_raw.json"),
         ("samples_per_question", 4, ["compress", "diversify", "stats"], "manifest_raw.json"),
