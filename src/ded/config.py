@@ -16,6 +16,8 @@ def _stage_order(stages: list[Any]) -> str | None:
     """What is wrong with a list of stages, by the rows of the stage table."""
     from .pipeline import _LINEAGE, STAGE_TABLE  # pipeline imports this module
     names = [row.name for row in STAGE_TABLE]
+    if not stages:
+        return "must name at least one stage"
     unknown = [s for s in stages if s not in names]
     if unknown:
         return f"unknown stage names {unknown}"

@@ -189,10 +189,10 @@ class _Run:
     stamp: str
     result: PipelineResult
     stage: str  # the stage a failure now is reported at
-    known: dict[str, CorpusManifest] = field(default_factory=dict)  # manifests by stage
+    known: dict[str, CorpusManifest] = field(default_factory=dict)  # wrote or checked, by stage
     questions: list[QuestionRecord] = field(default_factory=list)
     # those of the last corpus of the raw ... right_hard_diverse lineage: the
-    # next stage's input, and what stats reports on; set by save
+    # next stage's input, and what stats reports on; set by save and `_manifest`
     trajectories: list[TrajectoryRecord] = field(default_factory=list)
     chains: list[_Chain] = field(default_factory=list)
     # runs diversify's and stats's code: the helper process, or this one
@@ -379,7 +379,7 @@ class Stage:
     run: Callable[[_Run, Stage], dict[str, Any]]
     # its calls per question, given the config
     step: Callable[[dict[str, Any], Client, _Chain], None] | None = None
-    # the config keys its corpus depends on, checked when a later stage reads it
+    # the config keys its corpus depends on, checked when a run reads or lists it
     keys: tuple[str, ...] = ()
     helper: bool = False  # runs its numpy code in the helper process
 
@@ -420,23 +420,15 @@ def manifest_snapshot(cfg: dict[str, Any]) -> dict[str, Any]:
     return {**{key: cfg[key] for key in SNAPSHOT_KEYS}, "gate_order": list(GATE_ORDER)}
 
 
-def _remove_replaced(run: _Run) -> None:
-    """Remove the outputs of each stage the run replaces: those it runs, each later
-    one that reads the corpus of one of those, and stats, which lists every manifest."""
-    replaced: list[Stage] = []
-    for row in STAGE_TABLE:
-        if (row.name in run.cfg["stages"] or row.parent in {r.manifest for r in replaced}
-                or (row.name == "stats" and replaced)):
-            replaced.append(row)
-            run.known.pop(row.manifest, None)
-            for name in row.outputs:
-                path = run.out / name
-                # and the temp files of its writes that a killed run left (see `replacing`)
-                for stale in [path, *sorted(path.parent.glob(f"{path.name}.*.tmp"))]:
-                    if stale.exists():
-                        stale.unlink()
-                        run.log.emit(row.name, "removed",
-                                     path=stale.relative_to(run.out).as_posix())
+def _remove_replaced(run: _Run, replaced: list[Stage]) -> None:
+    """Remove the outputs of the `replaced` stages, and the temp files of their
+    writes that a killed run left (see `replacing`)."""
+    for row in replaced:
+        for path in run.paths(row.outputs):
+            for stale in [path, *sorted(path.parent.glob(f"{path.name}.*.tmp"))]:
+                if stale.exists():
+                    stale.unlink()
+                    run.log.emit(row.name, "removed", path=stale.relative_to(run.out).as_posix())
 
 
 def _lock_out_dir(out: Path, run_id: str) -> int:
@@ -455,65 +447,77 @@ def _lock_out_dir(out: Path, run_id: str) -> int:
     return fd
 
 
-def _ingest(run: _Run) -> None:
-    """Parse the configured questions into the run, if any are configured."""
+def _ingest(run: _Run) -> list[QuestionRecord]:
+    """The configured questions, parsed into the run; refused if there are none."""
     if run.cfg["questions"]:
         stage, run.stage = run.stage, "ingest"
         run.questions = parse_corpus(run.cfg["questions"], "questions")
         run.log.emit("ingest", "loaded", count=len(run.questions), path=str(run.cfg["questions"]))
         run.stage = stage
+    if not run.questions:
+        raise ValueError("no questions configured")
+    return run.questions
 
 
-def _read_corpus(run: _Run, row: Stage, reader: Stage) -> tuple[list[QuestionRecord],
-                                                                list[TrajectoryRecord]]:
-    """`row`'s questions and trajectories, read back from out_dir for the
-    stage `reader`, refused unless they are the bytes of `row`'s manifest.
+def _files(run: _Run, row: Stage | None) -> list[str]:
+    """The files of row's manifest and corpus and those of each ancestor the run
+    has not checked, those that hold row's questions first: a corpus with no
+    file of questions has its parent's, and raw's are the configured ones."""
+    if row is None or row.manifest in run.known:
+        return []
+    *question_file, _ = row.corpus
+    own = [f"manifest_{row.manifest}.json", *row.corpus]
+    before = _files(run, _WRITERS.get(row.parent))
+    return before + own if row.parent and not question_file else own + before
 
-    Raw's manifest also covers the configured questions. One that covers
-    no questions (right's), read by a corpus stage, which takes the
-    configured questions with it, is checked against its parent's first.
-    The lineage is walked from `row` back to raw through the table's
-    parents: each manifest on it must record its own stage and the
-    configured values of its stage's keys, and link to its parent's
-    content hash (to none at raw)."""
-    *question_file, trajectory_file = row.corpus
-    if not row.parent:
-        _ingest(run)
-    elif not question_file and reader.corpus:
-        _read_corpus(run, _WRITERS[row.parent], reader)
-    lineage = [row]
-    while lineage[-1].parent:
-        lineage.append(_WRITERS[lineage[-1].parent])
-    manifests = [f"manifest_{r.manifest}.json" for r in lineage]
-    missing = next((name for name in (manifests[0], *row.corpus, *manifests[1:])
-                    if not (run.out / name).exists()), None)
+
+def _manifest(run: _Run, stage: str) -> CorpusManifest:
+    """`stage`'s manifest: the one the run wrote, or else the one in out_dir,
+    loaded on first use and refused unless (1) it and the `_files` are
+    present, looked at before any is parsed; (2) it records its own stage and
+    the configured values of its stage's keys; (3) it records its parent's
+    content hash as `parent_manifest` (none at raw and mixed), the parent
+    checked first; (4) it records the content hash of the bytes beside it,
+    with the configured questions at raw. A lineage corpus it checks becomes
+    the run's input: the last one checked is the one the run starts from."""
+    if stage in run.known:
+        return run.known[stage]
+    row = _WRITERS[stage]
+    missing = next((name for name in _files(run, row) if not (run.out / name).exists()), None)
     if missing is not None:
         raise CorpusError(f"{missing} is missing from {run.out}; "
-                          f"run the stages before {reader.name} again")
-    questions = (parse_corpus(run.out / question_file[0], "questions") if question_file
-                 else run.questions)
-    trajectories = parse_corpus(run.out / trajectory_file, "trajectories")
-    covered = questions + trajectories if question_file or not row.parent else trajectories
-    if content_hash(covered) != run.known[row.manifest].content_hash:
-        raise CorpusError(f"{trajectory_file} does not match {manifests[0]}; "
-                          f"run the stages before {reader.name} again")
-    for writer, parent in zip(lineage, lineage[1:] + [None]):
-        built = run.known[writer.manifest]
-        recorded = {key: built.config_snapshot.get(key, "(not recorded)") for key in writer.keys}
-        changed = [key for key in writer.keys if recorded[key] != run.snapshot[key]]
-        link = run.known[parent.manifest].content_hash if parent else None
-        if built.stage != writer.manifest:
-            problem = f"records stage {built.stage!r}"
-        elif changed:
-            problem = (f"was built with {changed[0]} {recorded[changed[0]]!r}, not the "
-                       f"configured {run.snapshot[changed[0]]!r}")
-        elif built.parent_manifest != link:
-            problem = f"records parent_manifest {built.parent_manifest!r}, not {link!r}"
-        else:
-            continue
-        raise CorpusError(f"manifest_{writer.manifest}.json {problem}; "
-                          f"run {writer.name} and the stages after it again")
-    return questions, trajectories
+                          f"run the stages before {run.stage} again")
+    link = _manifest(run, row.parent).content_hash if row.parent else None
+    name, again = f"manifest_{stage}.json", f"run {row.name} and the stages after it again"
+    *question_file, trajectory_file = row.corpus
+    questions = _ingest(run) if row is _WRITERS["raw"] else []
+    try:
+        built = load_manifest(run.out / name)
+        if question_file:
+            questions = parse_corpus(run.out / question_file[0], "questions")
+        trajectories = parse_corpus(run.out / trajectory_file, "trajectories")
+    except CorpusError as exc:
+        raise CorpusError(f"{name} cannot be checked: {exc}; {again}") from exc
+    recorded = {key: built.config_snapshot.get(key, "(not recorded)") for key in row.keys}
+    changed = [key for key in row.keys if recorded[key] != run.snapshot[key]]
+    if built.stage != stage:
+        problem = f"records stage {built.stage!r}"
+    elif changed:
+        problem = (f"was built with {changed[0]} {recorded[changed[0]]!r}, not the "
+                   f"configured {run.snapshot[changed[0]]!r}")
+    elif built.parent_manifest != link:
+        problem = f"records parent_manifest {built.parent_manifest!r}, not {link!r}"
+    elif built.content_hash != content_hash(questions + trajectories):
+        files = (str(run.cfg["questions"]), *row.corpus) if row is _WRITERS["raw"] else row.corpus
+        problem = f"records a content hash other than that of {' and '.join(files)}"
+    else:
+        run.known[stage] = built
+        if stage in _LINEAGE:
+            run.trajectories = trajectories
+            if question_file:
+                run.questions = questions
+        return built
+    raise CorpusError(f"{name} {problem}; {again}")
 
 
 def run_pipeline(config: str | Path | dict[str, Any],
@@ -538,7 +542,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
     client: CachingClient | None = None
     stamp = cfg["timestamp"] or (EPOCH_ISO if deterministic
                                  else datetime.now(timezone.utc).isoformat())
-    run = _Run(cfg, out, log, stamp, result, rows[0].name if rows else "")
+    run = _Run(cfg, out, log, stamp, result, rows[0].name)
     helper: _Helper | None = None
     lock: int | None = None
     try:
@@ -551,33 +555,27 @@ def run_pipeline(config: str | Path | dict[str, Any],
                 and threading.active_count() == 1):
             run.helper = helper = _Helper(cfg if "stats" in cfg["stages"] else None)
         client = build_client(cfg, out)
-        # manifests from earlier partial runs let any stage suffix resume
-        priors = {stage: out / f"manifest_{stage}.json" for stage in _WRITERS}
-        run.known = {stage: load_manifest(p) for stage, p in priors.items() if p.exists()}
-
-        # the corpus the run starts from, read back before it removes anything:
-        # the parent of its first lineage stage, or else the last lineage corpus
-        # on disk, which stats reports on. A stats run with no manifest on disk
-        # or of its own to report on finds raw's missing.
+        # it replaces the outputs of the stages it runs, of the lineage stages from its first
+        # one on, and of stats, whose ledger any run changes; before that, it checks the corpus
+        # it starts from and, with stats, every manifest on disk of a stage it keeps
         reader = next((row for row in rows if row.manifest in _LINEAGE), None)
-        if reader is None and "stats" in cfg["stages"]:
-            reader = rows[-1]
-            start = next((_WRITERS[s] for s in reversed(_LINEAGE) if s in run.known),
-                         None if run.known or any(r.manifest for r in rows) else _WRITERS["raw"])
-        else:
-            start = reader and _WRITERS.get(reader.parent)
-        if start:
-            run.stage = reader.name
-            run.questions, run.trajectories = _read_corpus(run, start, reader)
-        elif reader is _WRITERS["raw"]:  # sample, whose manifest covers the configured questions
+        replaced = [row for row in STAGE_TABLE if row.name in cfg["stages"] or row.name == "stats"
+                    or reader and row.manifest in _LINEAGE[_LINEAGE.index(reader.manifest):]]
+        listed = [stage for stage, row in _WRITERS.items() if "stats" in cfg["stages"]
+                  and row not in replaced and (out / f"manifest_{stage}.json").exists()]
+        if reader and reader.parent:
+            _manifest(run, reader.parent)
+        elif reader:  # sample, whose manifest covers the configured questions
             _ingest(run)
+        # a stats run with no manifest on disk or of its own finds raw's missing
+        for stage in listed or ([] if any(row.manifest for row in rows) else ["raw"]):
+            run.stage = "stats"
+            _manifest(run, stage)
 
         views = {row.name: client.view() for row in phase}
         bound = time.perf_counter()
         if phase:
             run.stage = phase[0].name
-            if run.stage == "sample" and not run.questions:
-                raise ValueError("no questions configured")
             qids = {q.question_id for q in run.questions}
             orphans = [t for t in run.trajectories if t.question_id not in qids]
             if run.stage == "filter" and orphans:
@@ -597,7 +595,7 @@ def run_pipeline(config: str | Path | dict[str, Any],
             if failure is not None and failure[0] == row.name:
                 raise failure[1]
             if row is rows[0]:  # before the run's first write
-                _remove_replaced(run)
+                _remove_replaced(run, replaced)
             if not row.step:
                 bound = time.perf_counter()
             fields = row.run(run, row)

@@ -177,6 +177,25 @@ def six_stage_config(tmp_path: Path) -> dict:
                 embeddings=str(embeddings))
 
 
+# One other value for each key a stage's corpus depends on. timestamp and
+# mix_sources are left out: created_at is provenance, and mix's files are
+# kept across runs.
+EDITS = {"teacher_id": "t-beta", "samples_per_question": 4, "temperature": 0.3, "seed": 8,
+         "max_token_len": 50, "require_single_think_pair": False,
+         "token_estimator": "precomputed_only", "tokenizer": "tok-b", "student_id": "s-other",
+         "runs": 2, "pass_threshold": 0.25, "diverse_per_question": 1, "unit": "token",
+         "cap_ratio": 0.3}
+# The stage an edit fails wherever it runs: the fixture's sampled trajectories
+# carry no token_len, so filter refuses them under precomputed_only.
+FAILS_AT = {"token_estimator": "filter"}
+
+
+def cut(path: Path) -> None:
+    """Drop the last line of the text file at path."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
 def read_events(out_dir: Path) -> list[dict]:
     """The events of the last run logged in out_dir: those that carry the
     `run` id of the log's last line."""

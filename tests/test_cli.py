@@ -395,17 +395,19 @@ class TestRunCommand:
         config_path = _config_file(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
         out = tmp_path / "out"
+        fresh = tree_hash(out)
         (out / "manifest_right.json").write_text(content, encoding="utf-8")
         capsys.readouterr()
 
         assert main(["report", "--config", str(config_path)]) == 3
         assert "manifest_right.json" in capsys.readouterr().err
-        assert main(["run", "--config", str(config_path)]) == 3
-        assert "manifest_right.json" in capsys.readouterr().err
         events = read_events(out)
         assert [(e["stage"], e["event"]) for e in events] == [
-            ("sample", "stage_failed"), ("pipeline", "done")]
+            ("ingest", "loaded"), ("stats", "stage_failed"), ("pipeline", "done")]
         assert events[-1]["exit_code"] == 3
+        # a run that replaces the stage never reads its manifest
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert tree_hash(out) == fresh
 
     def test_manifest_field_of_the_wrong_type_is_stage_failure(self, tmp_path, capsys):
         config_path = _config_file(tmp_path)
@@ -421,7 +423,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "manifest_right.json" in err and "question_count" in err
         assert (tmp_path / "out" / "report.md").read_bytes() == report
-        assert main(["run", "--config", str(config_path)]) == 3
+        assert main(["run", "--config", str(config_path)]) == 0
 
     def test_report_refuses_manifests_built_with_other_stage_keys(self, tmp_path, capsys):
         assert main(["run", "--config", str(_config_file(tmp_path))]) == 0

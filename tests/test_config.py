@@ -53,6 +53,10 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config({"stages": ["train"]})
 
+    def test_an_empty_stage_list_is_refused(self):
+        with pytest.raises(ConfigError, match="stages: must name at least one stage"):
+            validate_config({"stages": []})
+
     def test_gap_between_corpus_stages_refused(self):
         validate_config({"stages": ["compress", "diversify", "stats"]})
         validate_config({"stages": ["sample", "mix"],

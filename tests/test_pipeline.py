@@ -22,8 +22,8 @@ from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE
 from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_manifest,
                          parse_corpus)
 
-from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture, killed_run,
-                      make_question, make_trajectory, mix_sources, read_events,
+from conftest import (EDITS, FAILS_AT, MALFORMED_REPLIES, MockTransport, build_pipeline_fixture,
+                      cut, killed_run, make_question, make_trajectory, mix_sources, read_events,
                       six_stage_config, src_env)
 
 _NAMES = [row.name for row in STAGE_TABLE]
@@ -261,7 +261,7 @@ class TestPartialRuns:
         assert "manifest_raw.json" in result.error
         assert {p.name: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
-    @pytest.mark.parametrize("stages", [["diversify"], ["stats"], ["mix"]])
+    @pytest.mark.parametrize("stages", [["mix"]])
     def test_a_run_that_checks_no_raw_reads_no_questions(self, tmp_path, stages):
         config = six_stage_config(tmp_path)
         out = run_pipeline(config).out_dir
@@ -274,9 +274,12 @@ class TestPartialRuns:
         assert "ingest" not in {e["stage"] for e in read_events(out)}
 
     @pytest.mark.parametrize("built,stages", [(["sample"], ["stats"]), (_NAMES[:4], ["filter"]),
-                                              (_NAMES[:4], ["compress"])])
+                                              (_NAMES[:4], ["compress"]),
+                                              (_NAMES[:4], ["diversify"]),
+                                              (_NAMES[:4], ["stats"])])
     def test_a_run_that_checks_raw_reads_the_questions(self, tmp_path, built, stages):
-        # raw's manifest covers the configured questions
+        # raw's manifest covers the configured questions, and a run checks
+        # raw when it reads or lists any corpus of the lineage
         config = build_pipeline_fixture(tmp_path)
         out = run_pipeline(dict(config, stages=built)).out_dir
         before = tree_hash(out)
@@ -286,6 +289,17 @@ class TestPartialRuns:
         assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, "ingest")
         assert str(questions) in result.error
         assert tree_hash(out) == before
+
+    @pytest.mark.parametrize("questions_gone", [False, True])
+    def test_a_missing_manifest_is_refused_before_the_questions_are_read(self, tmp_path,
+                                                                         questions_gone):
+        config = build_pipeline_fixture(tmp_path)
+        if questions_gone:
+            Path(config["questions"]).unlink()
+        result = run_pipeline(dict(config, stages=["filter"]))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, "filter")
+        assert "manifest_raw.json is missing" in result.error
+        assert "ingest" not in {e["stage"] for e in read_events(result.out_dir)}
 
     def test_stats_with_no_manifest_to_report_on_is_refused(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
@@ -594,6 +608,48 @@ class TestUsedOutDir:
         assert run_pipeline(config).exit_code == EXIT_OK
         assert tree_hash(out) == fresh
 
+    def test_a_full_run_replaces_a_cut_manifest(self, tmp_path):
+        # a run parses no manifest of a stage it replaces
+        config = six_stage_config(tmp_path)
+        out = run_pipeline(config).out_dir
+        fresh = tree_hash(out)
+        cut(out / "manifest_mixed.json")
+        assert run_pipeline(config).exit_code == EXIT_OK
+        assert tree_hash(out) == fresh
+
+    def test_a_run_replaces_a_cut_manifest_of_a_later_stage(self, tmp_path):
+        config = six_stage_config(tmp_path)
+        out = run_pipeline(config).out_dir
+        intact = tmp_path / "intact"
+        shutil.copytree(out, intact)
+        cut(out / "manifest_right_hard.json")
+        for out_dir in (out, intact):
+            result = run_pipeline(dict(config, stages=["filter"]), out_dir=out_dir)
+            assert result.exit_code == EXIT_OK
+        assert tree_hash(out) == tree_hash(intact)
+
+    @pytest.mark.parametrize("stages,damage,name", [
+        (["stats"], "remove", "right_trajectories.jsonl"),
+        (["stats"], "cut", "right_trajectories.jsonl"),
+        (["stats"], "cut", "mixed_trajectories.jsonl"),
+        (["diversify", "stats"], "cut", "right_trajectories.jsonl"),
+    ])
+    def test_stats_refuses_a_listed_corpus_unlike_its_manifest(self, tmp_path, stages, damage,
+                                                               name):
+        # stats lists every manifest it does not replace, and checks each one
+        # against the bytes beside it, not only the corpus it reports on
+        config = six_stage_config(tmp_path)
+        out = run_pipeline(config).out_dir
+        report = _report(out)
+        if damage == "remove":
+            (out / name).unlink()
+        else:
+            cut(out / name)
+        result = run_pipeline(dict(config, stages=stages))
+        assert (result.exit_code, result.failed_stage) == (EXIT_STAGE, stages[0])
+        assert name in result.error
+        assert _report(out) == report
+
     def test_stats_alone_reports_what_the_full_run_did(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
         out = run_pipeline(config).out_dir
@@ -613,7 +669,7 @@ class TestUsedOutDir:
         prefix = tmp_path / "prefix"
         if before:
             assert run_pipeline(dict(config, stages=before), out_dir=prefix).exit_code == EXIT_OK
-        for key, value in _EDITS.items():
+        for key, value in EDITS.items():
             edited = dict(config, stages=sorted({first, "stats"}, key=_NAMES.index),
                           **{key: value})
             used, fresh = tmp_path / f"used_{key}", tmp_path / f"fresh_{key}"
@@ -623,14 +679,14 @@ class TestUsedOutDir:
             built = tree_hash(used)
             code = run_pipeline(edited, out_dir=used).exit_code
             assert code == run_pipeline(edited, out_dir=fresh).exit_code, key
-            if key in read_keys or _FAILS_AT.get(key) in edited["stages"]:
+            if key in read_keys or FAILS_AT.get(key) in edited["stages"]:
                 assert code == EXIT_STAGE and tree_hash(used) == built, key
             else:
                 assert code == EXIT_OK, key
                 assert tree_hash(used) == tree_hash(fresh), key
 
     def test_every_snapshot_key_is_edited(self):
-        assert sorted(_EDITS) == sorted(SNAPSHOT_KEYS)
+        assert sorted(EDITS) == sorted(SNAPSHOT_KEYS)
 
 
 def test_a_run_killed_inside_a_write_is_repaired_by_the_next(tmp_path):
@@ -695,19 +751,6 @@ def test_a_helper_killed_inside_a_write_is_repaired_by_the_next(tmp_path, target
     fresh = run_pipeline(config, out_dir=tmp_path / "fresh").out_dir
     assert tree_hash(out) == tree_hash(fresh)
     assert [p for p in out.rglob("*.tmp") if ".cache" not in p.relative_to(out).parts] == []
-
-
-# One other value for each key a stage's corpus depends on. timestamp and
-# mix_sources are left out: created_at is provenance, and mix's files are
-# kept across runs.
-_EDITS = {"teacher_id": "t-beta", "samples_per_question": 4, "temperature": 0.3, "seed": 8,
-          "max_token_len": 50, "require_single_think_pair": False,
-          "token_estimator": "precomputed_only", "tokenizer": "tok-b", "student_id": "s-other",
-          "runs": 2, "pass_threshold": 0.25, "diverse_per_question": 1, "unit": "token",
-          "cap_ratio": 0.3}
-# The stage an edit fails wherever it runs: the fixture's sampled trajectories
-# carry no token_len, so filter refuses them under precomputed_only.
-_FAILS_AT = {"token_estimator": "filter"}
 
 
 @pytest.fixture(scope="module")
