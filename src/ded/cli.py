@@ -97,7 +97,7 @@ def _cmd_smoke(args) -> int:
     question, per teacher in a directory of its own under --out-dir, with a
     training manifest of its right corpus beside it. The runs share one
     request cache, so an answer two teachers give is judged once."""
-    cfg = validate_config(args.config)
+    cfg = validate_config(args.config, stages=["sample", "filter"])
     if not cfg["questions"]:
         raise ConfigError(["questions: ded smoke needs the questions file to sample"])
     out = Path(args.out_dir or cfg["out_dir"])
@@ -117,7 +117,6 @@ def _cmd_smoke(args) -> int:
     questions = parse_corpus(cfg["questions"], "questions")
     for teacher_id in teacher_ids:
         result = run_pipeline(dict(cfg, teacher_id=teacher_id, samples_per_question=1,
-                                   stages=["sample", "filter"],
                                    client=dict(cfg["client"], cache_dir=cache_dir)),
                               out_dir=out / teacher_id)
         if result.exit_code != EXIT_OK:
@@ -176,9 +175,7 @@ def _cmd_stats(args) -> int:
         summary = diagnostics.length_summary(
             *token_lengths(parse_corpus(args.path, "trajectories"), FilterConfig()))
     else:
-        embeddings = parse_corpus(args.embeddings, "embeddings")
-        before = [e for e in embeddings if e.phase == "before"]
-        after = [e for e in embeddings if e.phase == "after"]
+        before, after = diagnostics.split_phases(parse_corpus(args.embeddings, "embeddings"))
         summary = diagnostics.pca_shift(before, after, k=args.k, fit_on=args.fit_on)
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     if args.out:
@@ -187,9 +184,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = validate_config(args.config)
-    if args.stages:
-        cfg["stages"] = args.stages
+    cfg = validate_config(args.config, stages=args.stages)
     result = run_pipeline(cfg, out_dir=args.out_dir)
     if result.exit_code != EXIT_OK:
         print(f"pipeline failed at stage {result.failed_stage}: {result.error}",

@@ -100,8 +100,11 @@ def _apply(specs: dict[str, Spec], raw: Any, prefix: str, errors: list[str]) -> 
     return out
 
 
-def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
-    """Apply defaults and validate; raises ConfigError listing every problem."""
+def validate_config(source: str | Path | dict[str, Any],
+                    stages: list[str] | None = None) -> dict[str, Any]:
+    """Apply defaults and validate; raises ConfigError listing every problem.
+    `stages`, if given, replaces the config's own list."""
+    from .pipeline import STAGE_TABLE  # pipeline imports this module
     if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -116,16 +119,22 @@ def validate_config(source: str | Path | dict[str, Any]) -> dict[str, Any]:
 
     errors: list[str] = []
     client = raw.pop("client", {})
-    if "stages" not in raw:  # every stage but mix, which needs mix_sources
-        from .pipeline import STAGE_TABLE  # pipeline imports this module
+    if stages is not None:
+        raw["stages"] = stages
+    elif "stages" not in raw:  # every stage but mix, which needs mix_sources
         raw["stages"] = [row.name for row in STAGE_TABLE if row.name != "mix"]
     cfg = _apply(FIELDS, raw, "", errors)
     cfg["client"] = _apply(CLIENT_FIELDS, client, "client.", errors)
     if isinstance(cfg["mix_sources"], list):
         cfg["mix_sources"] = [_apply(_MIX_SOURCE_FIELDS, item, f"mix_sources[{i}].", errors)
                               for i, item in enumerate(cfg["mix_sources"])]
-    if isinstance(cfg["stages"], list) and "mix" in cfg["stages"] and not cfg["mix_sources"]:
+    named = cfg["stages"] if isinstance(cfg["stages"], list) else []
+    if "mix" in named and not cfg["mix_sources"]:
         errors.append("stages: mix needs mix_sources, a list of {path, take}")
+    calling = [row.name for row in STAGE_TABLE if row.step and row.name in named]
+    if calling and cfg["client"].get("mode") == "http" and not cfg["client"].get("base_url"):
+        errors.append(f"client.base_url: missing; http mode sends the model calls of "
+                      f"{', '.join(calling)} there")
     if errors:
         raise ConfigError(errors)
     return cfg

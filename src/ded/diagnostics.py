@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .records import CorpusManifest, EmbeddingRecord, LogprobRecord, replacing
+from .records import PHASES, CorpusManifest, EmbeddingRecord, LogprobRecord, replacing
 
 # Flag the single-bucket residual approximation once it stops being small.
 RESIDUAL_FLAG_THRESHOLD = 0.05
@@ -153,6 +153,11 @@ class PcaShift:
         return {"components": self.components, "dis": self.dis,
                 "explained_variance_ratio": list(self.explained_variance_ratio),
                 "degenerate": self.degenerate}
+
+
+def split_phases(records: Sequence[EmbeddingRecord]) -> tuple[list[EmbeddingRecord], ...]:
+    """An embeddings dump's before and after records, each in dump order."""
+    return tuple([r for r in records if r.phase == phase] for phase in PHASES)
 
 
 def pca_shift(before: Sequence[EmbeddingRecord],

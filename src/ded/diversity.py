@@ -59,6 +59,14 @@ _PASS_BYTES = 1 << 13
 # bytes the packed int must lose before it is re-packed; an int of a pair or
 # two costs about the same to step whatever its size
 _REPACK = 64
+# each code dtype, and the encoding that writes a character below its top
+# as one unit of that dtype
+_NARROW = (("u1", "latin-1"), ("<u2", "utf-16-le"), ("<u4", "utf-32-le"))
+
+
+def _narrow(symbols: int) -> tuple[str, str]:
+    """`_codes`'s dtype for codes 0 .. symbols - 1, and its encoding."""
+    return next(pair for pair in _NARROW if symbols < np.iinfo(pair[0]).max)
 
 
 class DiversityError(ValueError):
@@ -68,18 +76,20 @@ class DiversityError(ValueError):
 def _codes(seqs: Sequence[str | Sequence]) -> list[np.ndarray]:
     """One array of symbol codes per sequence: equal symbols get equal codes,
     in the narrowest unsigned dtype that leaves its two largest values
-    unused. Narrow codes make the engine's match words cheaper to gather."""
-    table: dict[Any, int] = {}
+    unused. Narrow codes make the engine's match words cheaper to gather.
+    Strings are encoded straight into that dtype, one unit per code."""
     if all(isinstance(s, str) for s in seqs):
         joined = "".join(seqs)
         table = {ord(c): i for i, c in enumerate(set(joined))}
-        flat = np.frombuffer(joined.translate(table).encode("utf-32-le", "surrogatepass"),
-                             dtype=np.uint32)
+        dtype, encoding = _narrow(len(table))
+        flat = np.frombuffer(joined.translate(table).encode(encoding, "surrogatepass"),
+                             dtype=dtype)
     else:
-        flat = np.fromiter((table.setdefault(x, len(table)) for s in seqs for x in s),
+        symbols: dict[Any, int] = {}
+        flat = np.fromiter((symbols.setdefault(x, len(symbols)) for s in seqs for x in s),
                            dtype=np.int64)
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if len(table) < np.iinfo(t).max)
-    return np.split(flat.astype(dtype), np.cumsum([len(s) for s in seqs[:-1]]))
+        flat = flat.astype(_narrow(len(symbols))[0])
+    return np.split(flat, np.cumsum([len(s) for s in seqs[:-1]]))
 
 
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:

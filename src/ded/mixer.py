@@ -50,7 +50,7 @@ def compose_mix(sources: Sequence[tuple[Sequence[TrajectoryRecord], int]],
             "take": take,
             "available": len(qids),
             "selected_questions": sorted(chosen),
-            "content_hash": content_hash(list(records)),
+            "content_hash": content_hash(records),
         })
     mixed.sort(key=lambda t: t.question_id)
     return mixed, {"seed": seed, "sources": provenance}

@@ -425,19 +425,22 @@ _KIND_ORDINAL = {record_type: i for i, record_type in enumerate(_RECORD_TYPES.va
 
 
 def content_hash(records: Sequence[Record], lines: Sequence[str] | None = None) -> str:
-    """SHA-256 over canonicalized record bytes, hex-encoded.
+    """SHA-256 over canonicalized record bytes, hex-encoded: the records'
+    canonical lines (`dumps_record`) joined by newlines, UTF-8.
 
     Records are sorted lexicographically by primary id first, so the hash is
     insensitive to input order but sensitive to any field change. `lines`,
-    if given, are the records' canonical lines (`dumps_record`), in the
-    records' order.
+    if given, are the records' canonical lines, in the records' order.
+    The lines are hashed one at a time, so no copy of the corpus is built.
     """
-    if lines is None:
-        lines = [dumps_record(r) for r in records]
     order = sorted(range(len(records)),
                    key=lambda i: (_KIND_ORDINAL[type(records[i])], records[i].sort_key))
-    payload = "\n".join(lines[i] for i in order).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    digest = hashlib.sha256()
+    for n, i in enumerate(order):
+        if n:
+            digest.update(b"\n")
+        digest.update((dumps_record(records[i]) if lines is None else lines[i]).encode("utf-8"))
+    return digest.hexdigest()
 
 
 @_record("manifest", "stage")

@@ -2,14 +2,18 @@
 
 These stay deliberately simple: the short edit-distance oracle is the
 textbook recursion with memoization, the long one Myers's full-width
-bit-parallel scanner, and the dispersion oracle enumerates subsets. None
-shares code with the library.
+bit-parallel scanner, and the dispersion oracle enumerates subsets. The
+hash oracles build their whole payload and hash it at once. None shares
+code with the library beyond a record's `to_dict`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
+from pathlib import Path
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -90,3 +94,36 @@ def triangle_violated(dist) -> bool:
     n = len(dist)
     return any(dist[i][k] > dist[i][j] + dist[j][k]
                for i, j, k in itertools.product(range(n), repeat=3))
+
+
+# each record type's key fields, in the order its kind sorts before the next
+_KEY_FIELDS = {"QuestionRecord": ("question_id",), "TrajectoryRecord": ("trajectory_id",),
+               "LogprobRecord": ("trajectory_id", "position"),
+               "EmbeddingRecord": ("item_id", "phase"),
+               "ScoreRecord": ("teacher_id", "student_id", "benchmark")}
+
+
+def reference_content_hash(records) -> str:
+    """SHA-256 of the records' compact, key-sorted JSON lines, sorted by
+    kind and then key, joined by newlines into one payload."""
+    kinds = list(_KEY_FIELDS)
+
+    def key(record):
+        name = type(record).__name__
+        return kinds.index(name), tuple(getattr(record, f) for f in _KEY_FIELDS[name])
+
+    lines = [json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+             for r in sorted(records, key=key)]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def reference_tree_hash(root) -> str:
+    """SHA-256 over each file's path and whole bytes under root, in sorted
+    path order, leaving out every path with a logs or .cache part."""
+    root = Path(root)
+    payload = b""
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root)
+        if path.is_file() and not {"logs", ".cache"} & set(rel.parts):
+            payload += str(rel).encode("utf-8") + b"\0" + path.read_bytes() + b"\0"
+    return hashlib.sha256(payload).hexdigest()

@@ -163,6 +163,17 @@ class TestStageCommands:
         assert main(["filter", "--config", str(config), "--out-dir", str(out)]) == 3
         assert ("raw_trajectories.jsonl is missing from" in capsys.readouterr().err)
 
+    def test_only_a_command_whose_stage_calls_the_model_needs_base_url(self, tmp_path, capsys):
+        # the config's own stages would call the model, but a stage command
+        # replaces them
+        config = _config_file(tmp_path, client={"mode": "http"})
+        out = tmp_path / "out"
+        assert main(["diversify", "--config", str(config), "--out-dir", str(out)]) == 3
+        assert "manifest_right_hard.json is missing" in capsys.readouterr().err
+        assert main(["sample", "--config", str(config), "--out-dir", str(tmp_path / "s")]) == 2
+        assert "client.base_url: missing" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_stage_commands_take_only_config_and_out_dir(self):
         # and so does ded smoke, with its teachers
         from ded.cli import _build_parser
@@ -656,6 +667,14 @@ class TestSmokeCommand:
         out_dir = tmp_path / "smoke"
         assert _smoke(tmp_path, teachers, out_dir, questions=str(qpath), client=client) == 3
         assert f"['{teachers[3:]}'] would write into the cache" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_an_http_smoke_without_base_url_is_a_config_error(self, tmp_path, capsys):
+        # whatever stages the config lists, smoke's call the model
+        out_dir = tmp_path / "smoke"
+        config = dict(_smoke_inputs(tmp_path), stages=["stats"], client={"mode": "http"})
+        assert _smoke(tmp_path, "ta", out_dir, **config) == 2
+        assert "client.base_url: missing" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_a_failed_run_stops_smoke_with_its_exit_code_naming_the_teacher(self, tmp_path,

@@ -20,7 +20,7 @@ class TestValidateConfig:
         assert cfg["client"]["mode"] == "mock"
 
     def test_defaults_not_mutated(self):
-        cfg = validate_config({"client": {"mode": "http"}})
+        cfg = validate_config({"client": {"mode": "http", "base_url": "http://model.test/v1"}})
         assert cfg["client"]["mode"] == "http"
         assert validate_config({})["client"]["mode"] == "mock"
 
@@ -109,6 +109,27 @@ class TestValidateConfig:
             validate_config({"stages": ["mix"], "mix_sources": sources})
         assert err.value.errors == ["stages: mix needs mix_sources, a list of {path, take}"]
         validate_config({"mix_sources": sources})
+
+    def test_http_stages_that_call_need_base_url(self):
+        # their first call would fail: refused before the run writes anything
+        with pytest.raises(ConfigError) as err:
+            validate_config({"client": {"mode": "http"}, "stages": ["filter", "compress",
+                                                                    "diversify"]})
+        assert err.value.errors == [
+            "client.base_url: missing; http mode sends the model calls of filter, compress there"]
+        with pytest.raises(ConfigError, match="client.base_url: missing"):
+            validate_config({"client": {"mode": "http", "base_url": ""}})
+        sources = [{"path": "a.jsonl", "take": 1}]
+        for stages in (["diversify"], ["diversify", "mix", "stats"], ["stats"]):
+            validate_config({"client": {"mode": "http"}, "stages": stages,
+                             "mix_sources": sources})
+
+    def test_given_stages_replace_the_configs_own(self):
+        cfg = validate_config({"client": {"mode": "http"}, "stages": ["sample"]},
+                              stages=["diversify"])
+        assert cfg["stages"] == ["diversify"]
+        with pytest.raises(ConfigError, match="client.base_url"):
+            validate_config({"client": {"mode": "http"}, "stages": ["stats"]}, stages=["sample"])
 
     def test_cap_ratio_range(self):
         validate_config({"cap_ratio": None})

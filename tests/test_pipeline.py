@@ -8,6 +8,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from ded import pipeline
 from ded.cli import main
 from ded.clients import HttpClient, MockClient, RetryPolicy, SamplingRequest
-from ded.config import validate_config
+from ded.config import ConfigError, validate_config
 from ded.filtering import extract_final_answer
 from ded.pipeline import (EXIT_CLIENT, EXIT_OK, EXIT_STAGE, SNAPSHOT_KEYS, STAGE_TABLE,
                           manifest_snapshot, run_pipeline, tree_hash)
@@ -25,6 +26,7 @@ from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_m
 from conftest import (EDITS, FAILS_AT, MALFORMED_REPLIES, MockTransport, build_pipeline_fixture,
                       cut, killed_run, make_question, make_trajectory, mix_sources, read_events,
                       six_stage_config, src_env)
+from oracles import reference_tree_hash
 
 _NAMES = [row.name for row in STAGE_TABLE]
 
@@ -81,6 +83,20 @@ class TestPipelineEndToEnd:
         done = [e for e in read_events(second.out_dir)
                 if e["event"] == "done"][0]
         assert done["cache_hits"] > 0
+
+    def test_tree_hash_is_that_of_whole_files_read_in_pieces(self, tmp_path):
+        out = run_pipeline(build_pipeline_fixture(tmp_path)).out_dir
+        large = out / "tables" / "large.bin"
+        large.write_bytes(bytes(range(256)) * 18000)
+        assert (out / "logs" / "events.jsonl").exists() and (out / ".cache").is_dir()
+        tracemalloc.start()
+        try:
+            digest = tree_hash(out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == reference_tree_hash(out)
+        assert peak < large.stat().st_size / 2
 
     def test_prefix_of_stages_runs_alone(self, tmp_path):
         config = build_pipeline_fixture(tmp_path)
@@ -960,15 +976,13 @@ class TestJudgeAdjudication:
 
 
 class TestClientFailureExitCode:
-    def test_http_without_endpoint_is_client_failure(self, tmp_path, monkeypatch):
+    def test_http_without_endpoint_is_a_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DED_API_KEY", raising=False)
         config = build_pipeline_fixture(tmp_path)
         config["client"] = {"mode": "http"}
-        result = run_pipeline(config)
-        assert result.exit_code == 4
-        assert result.failed_stage == "sample"
-        assert "set client.base_url" in result.error
-        assert not result.out_dir.exists()
+        with pytest.raises(ConfigError, match="client.base_url: missing"):
+            run_pipeline(config)
+        assert not Path(config["out_dir"]).exists()
 
     def test_stages_without_calls_need_no_endpoint(self, tmp_path):
         config = six_stage_config(tmp_path)

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from ded.records import (CorpusError, CorpusManifest, EmbeddingRecord, LogprobRecord,
                          PassRateStats, ScoreRecord, VerificationVerdict, content_hash,
-                         load_manifest, parse_corpus, save_manifest, write_corpus, write_json,
-                         write_manifest)
+                         dumps_record, load_manifest, parse_corpus, save_manifest, write_corpus,
+                         write_json, write_manifest)
 
 from conftest import make_question, make_trajectory, well_formed_text
+from oracles import reference_content_hash
 
 
 def _write_lines(path, rows):
@@ -189,6 +193,60 @@ def test_content_hash_order_insensitive_and_field_sensitive(tmp_path):
     assert content_hash([q, b, a], lines) == content_hash([a, q, b])
     mutated = make_trajectory(q, 1, well_formed_text(q, 1) + " ")
     assert content_hash([a, b]) != content_hash([a, mutated])
+
+
+def _shuffled_corpus(size: int) -> list:
+    """Questions with eight trajectories each, of about `size` canonical
+    bytes in all, some of them outside ASCII, in a shuffled order."""
+    rng = random.Random(11)
+    records, total, i = [], 0, 0
+    while total < size:
+        q = make_question(i)
+        records.append(q)
+        for j in range(8):
+            steps = " ".join(rng.choice(("x = 2y;", "∑ a_i = 4;", "so b ≥ 3;", "then 7."))
+                             for _ in range(300))
+            records.append(make_trajectory(q, j, well_formed_text(q, j).replace(
+                "reason step;", steps, 1)))
+            total += len(records[-1].text)
+        i += 1
+    rng.shuffle(records)
+    return records
+
+
+_HASHES = {
+    "content_hash": lambda records, lines: content_hash(records),
+    "content_hash of lines": content_hash,
+    "write_manifest": lambda records, lines: write_manifest(
+        "raw", records, created_at="x").content_hash,
+    "write_manifest of lines": lambda records, lines: write_manifest(
+        "raw", records, created_at="x", lines=lines).content_hash,
+}
+
+
+@pytest.mark.parametrize("call", _HASHES)
+def test_hashing_a_corpus_builds_no_copy_of_it(call):
+    # the lines are hashed one at a time, in order of kind and key
+    records = _shuffled_corpus(2_000_000)
+    lines = [dumps_record(r) for r in records]
+    size = sum(len(line.encode("utf-8")) for line in lines)
+    tracemalloc.start()
+    try:
+        digest = _HASHES[call](records, lines)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == reference_content_hash(records)
+    assert peak < size / 4, f"{call} peaked at {peak} bytes over {size} bytes of lines"
+
+
+def test_content_hash_is_that_of_the_joined_lines():
+    assert content_hash([]) == reference_content_hash([]) == hashlib.sha256(b"").hexdigest()
+    assert write_manifest("raw", [], created_at="x").content_hash == content_hash([])
+    q = make_question(3)
+    records = [make_trajectory(q, 1, "b"), q, make_trajectory(make_question(1), 0, "ä")]
+    assert content_hash(records) == reference_content_hash(records)
+    assert content_hash(records, [dumps_record(r) for r in records]) == content_hash(records)
 
 
 def test_write_manifest_counts_and_determinism():
