@@ -48,6 +48,16 @@ class RetryBudgetExceededError(ClientError):
     retryable = False
 
 
+def _texts(texts: Any, n: int) -> list[str]:
+    """texts if it is the n strings that answer a request for n completions,
+    else SchemaError; replies on the wire and in the cache are read through it."""
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise SchemaError(f"completion content is not a string: {texts!r:.100}")
+    if len(texts) != n:
+        raise SchemaError(f"partial batch: got {len(texts)} of {n} samples")
+    return texts
+
+
 @dataclass
 class SamplingRequest:
     prompt: str
@@ -76,17 +86,16 @@ class JudgeRequest:
     question: str
     candidate_answer: str
     ground_truth: str
-    rubric: str = "default"
 
     def __post_init__(self) -> None:
-        for name in ("question", "candidate_answer", "ground_truth", "rubric"):
+        for name in ("question", "candidate_answer", "ground_truth"):
             if not getattr(self, name):
                 raise ValueError(f"judge request field {name} must be non-empty")
 
     def cache_key(self) -> str:
         return _digest({"kind": "judge", "question": self.question,
                         "candidate_answer": self.candidate_answer,
-                        "ground_truth": self.ground_truth, "rubric": self.rubric})
+                        "ground_truth": self.ground_truth, "rubric": "default"})
 
 
 def _digest(payload: dict[str, Any]) -> str:
@@ -188,7 +197,8 @@ class HttpClient(_Backend):
     """Chat-completion style JSON endpoint at `base_url`, keyed by `DED_API_KEY`.
 
     Transport failures are retried with exponential backoff up to the
-    policy budget; partial batches are an error, never silently truncated.
+    policy budget; a reply that is not the texts asked for (a partial batch,
+    a content that is not a string) is an error, never retried or truncated.
     At most `max_in_flight` attempts are on the wire at once, whichever
     threads make them; a request sleeping out its backoff holds no slot.
     """
@@ -232,7 +242,8 @@ class HttpClient(_Backend):
                 http.client.HTTPException) as exc:
             raise TransportError(f"transport failure: {exc}") from exc
 
-    def _post(self, payload: dict) -> dict:
+    def _replies(self, payload: dict) -> list[str]:
+        """The `payload["n"]` reply texts of payload's chat completion."""
         if not self.base_url:
             raise AuthenticationError(NO_ENDPOINT)
         url = f"{self.base_url}/chat/completions"
@@ -253,7 +264,12 @@ class HttpClient(_Backend):
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SchemaError(f"response is not JSON: {exc}") from exc
 
-        return self.retry.run(attempt, on_retry=partial(self._count, "retries_total"))
+        data = self.retry.run(attempt, on_retry=partial(self._count, "retries_total"))
+        try:
+            texts = [c["message"]["content"] for c in data["choices"]]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"malformed completion response: {exc}") from exc
+        return _texts(texts, payload["n"])
 
     def sample_trajectories(self, request: SamplingRequest) -> list[str]:
         payload = {
@@ -265,34 +281,14 @@ class HttpClient(_Backend):
         }
         if request.seed is not None:
             payload["seed"] = request.seed
-        data = self._post(payload)
-        try:
-            texts = [c["message"]["content"] for c in data["choices"]]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed completion response: {exc}") from exc
-        if len(texts) != request.samples:
-            raise SchemaError(
-                f"partial batch: got {len(texts)} of {request.samples} samples")
-        return texts
+        return self._replies(payload)
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
-        template = JUDGE_RUBRICS.get(request.rubric)
-        if template is None:
-            raise SchemaError(f"unknown judge rubric {request.rubric!r}")
-        prompt = template.format(question=request.question,
-                                 candidate_answer=request.candidate_answer,
-                                 ground_truth=request.ground_truth)
-        data = self._post({
-            "model": "judge",
-            "messages": [{"role": "user", "content": prompt}],
-            "n": 1,
-            "temperature": 0.0,
-            "max_tokens": 64,
-        })
-        try:
-            reply = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise SchemaError(f"malformed judge response: {exc}") from exc
+        prompt = JUDGE_RUBRICS["default"].format(question=request.question,
+                                                 candidate_answer=request.candidate_answer,
+                                                 ground_truth=request.ground_truth)
+        [reply] = self._replies({"model": "judge", "messages": [{"role": "user", "content": prompt}],
+                                 "n": 1, "temperature": 0.0, "max_tokens": 64})
         return VerificationVerdict(status=parse_judge_reply(reply), checker="judge", detail=reply)
 
 
@@ -413,8 +409,8 @@ class CachingClient(Client):
     single-flight: while one thread's call for a key is out, other callers
     of that key wait for it and then read its entry as a hit, so hits and
     misses come out as in a serial run. A call that fails leaves no entry,
-    and the next caller makes its own. An entry that cannot be read counts
-    as a miss and is rewritten.
+    and the next caller makes its own. An entry that cannot be read, or does
+    not hold what the backend's reply must, counts as a miss and is rewritten.
     """
 
     def __init__(self, inner: Client, cache_dir: str | Path):
@@ -451,8 +447,8 @@ class CachingClient(Client):
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 return decode(json.load(fh))
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
-            return None  # absent, truncated, or missing a field: a miss
+        except (FileNotFoundError, ValueError, KeyError, TypeError, SchemaError):
+            return None  # absent, truncated, missing a field or holding a bad one: a miss
 
     def _write(self, key: str, value: dict) -> None:
         # writers sharing a cache directory each fill their own temp file
@@ -487,12 +483,12 @@ class CachingClient(Client):
         return self._cached(request.cache_key(),
                             lambda: self.inner.sample_trajectories(request),
                             lambda responses: {"responses": responses},
-                            lambda entry: list(entry["responses"]))
+                            lambda entry: _texts(entry["responses"], request.samples))
 
     def judge(self, request: JudgeRequest) -> VerificationVerdict:
         return self._cached(request.cache_key(),
                             lambda: self.inner.judge(request),
                             lambda v: {"status": v.status, "detail": v.detail},
-                            lambda entry: VerificationVerdict(
-                                status=entry["status"], checker="judge",
-                                detail=entry["detail"]))
+                            lambda entry: VerificationVerdict.from_dict(
+                                {"status": entry["status"], "checker": "judge",
+                                 "detail": entry["detail"]}))

@@ -170,11 +170,12 @@ def normalize_answer(answer: str) -> str:
 
 
 def rule_verify(answer: str, ground_truth: str) -> VerificationVerdict:
-    """Exact-match verification on normalized answers."""
-    if not answer or not ground_truth:
-        raise FilterError("rule_verify requires non-empty answer and ground truth")
+    """Exact-match verification on normalized answers; an empty answer, such
+    as that of an empty `\\boxed{}`, is incorrect."""
+    if not ground_truth:
+        raise FilterError("rule_verify requires a non-empty ground truth")
     na, nt = normalize_answer(answer), normalize_answer(ground_truth)
-    status = "correct" if na == nt else "incorrect"
+    status = "correct" if na and na == nt else "incorrect"
     return VerificationVerdict(status=status, checker="rule",
                                detail=f"normalized {na!r} vs {nt!r}")
 

@@ -355,6 +355,12 @@ MALFORMED_REPLIES = {
 }
 
 
+def completion_reply(contents: list) -> bytes:
+    """An HTTP 200 reply to a chat completion, one choice per item of contents."""
+    body = json.dumps({"choices": [{"message": {"content": c}} for c in contents]}).encode()
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
 class _CannedReply(socketserver.StreamRequestHandler):
     """Reads one HTTP request, answers it with the server's `reply` bytes
     and closes the connection."""

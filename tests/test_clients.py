@@ -215,6 +215,18 @@ class TestHttpClient:
         assert verdict.status == "correct"
         assert "VERDICT" in calls[0]["messages"][0]["content"]
 
+    @pytest.mark.parametrize("content", [None, 7])
+    @pytest.mark.parametrize("call", ["sample", "judge"])
+    def test_content_not_a_string_is_schema_error(self, call, content):
+        client, calls = self._client([self._ok_body([content])] * 2)
+        with pytest.raises(SchemaError, match="not a string"):
+            if call == "sample":
+                client.sample_trajectories(_request())
+            else:
+                client.judge(JudgeRequest(question="q", candidate_answer="a", ground_truth="a"))
+        assert len(calls) == 1
+        assert client.retries_total == 0
+
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_a_malformed_reply_is_retried_as_transient(self, loopback, reply):
@@ -253,7 +265,9 @@ class TestCachingClient:
         assert fresh.hits == 1
 
 
-    @pytest.mark.parametrize("content", ['{"responses": ["a", "b"', '{"other": 1}', "[1]", ""])
+    @pytest.mark.parametrize("content", ['{"responses": ["a", "b"', '{"other": 1}', "[1]", "",
+                                         '{"responses": [null, null]}', '{"responses": ["one"]}',
+                                         '{"responses": "ab"}'])
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, content):
         client = CachingClient(MockClient(seed=2), tmp_path)  # a directory that exists
         path = client._path(_request(m=2).cache_key())
@@ -273,6 +287,19 @@ class TestCachingClient:
         assert client.misses == 1
         assert client.judge(req).status == "correct"
         assert client.hits == 1
+
+    @pytest.mark.parametrize("entry", [{"status": "maybe", "detail": "x"},
+                                       {"status": "overlength", "detail": "x"},
+                                       {"status": "correct", "detail": None}])
+    def test_judge_entry_a_verdict_refuses_is_a_miss_and_rewritten(self, tmp_path, entry):
+        client = CachingClient(MockClient(), tmp_path)  # a directory that exists
+        req = JudgeRequest(question="q", candidate_answer="1", ground_truth="1")
+        path = client._path(req.cache_key())
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert client.judge(req).status == "correct"
+        assert (client.hits, client.misses) == (0, 1)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "status": "correct", "detail": "VERDICT: correct"}
 
     def test_writers_of_one_key_use_their_own_temp_files(self, tmp_path, monkeypatch):
         # two processes sharing a cache directory, interleaved by hand: the

@@ -147,6 +147,14 @@ class TestStudentRollout:
         assert [s.question_id for s in stats] == ["q000", "q001", "q002", "q003"]
         assert client.requests_total == 4
 
+    def test_an_empty_box_is_a_failed_run_without_a_judge_call(self):
+        q = make_question(0)
+        client = MockClient(fixtures={"samples": {("student", q.prompt): [
+            "<think>a</think>\\boxed{}", f"<think>b</think>\\boxed{{{q.ground_truth}}}"]}})
+        stats = student_rollout(q, client, runs=2, student_id="student")
+        assert (stats.runs, stats.successes) == (2, 1)
+        assert client.requests_total == 1
+
     def test_resumed_rollout_bills_no_requests(self, tmp_path):
         questions = [make_question(i) for i in range(3)]
         script = {q.question_id: 2 for q in questions}

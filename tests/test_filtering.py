@@ -141,7 +141,12 @@ class TestRuleVerify:
 
     def test_empty_inputs_error(self):
         with pytest.raises(FilterError):
-            rule_verify("", "42")
+            rule_verify("42", "")
+
+    @pytest.mark.parametrize("answer", ["", "  "])
+    def test_an_empty_answer_is_incorrect(self, answer):
+        assert rule_verify(answer, "42").status == "incorrect"
+        assert rule_verify(answer, " ").status == "incorrect"
 
     @given(st.text(alphabet="0123456789./+-abc \\{}", min_size=1, max_size=12))
     @settings(max_examples=200)
@@ -187,6 +192,17 @@ class TestQualityGate:
         assert len(result.kept) == 4
         assert result.rejected == [] and result.needs_judge == []
         assert all(t.verdict.status == "correct" for t in result.kept)
+
+    def test_an_empty_box_is_rejected_without_the_judge(self):
+        q = make_question(1)
+        empty, right = (make_trajectory(q, j, well_formed_text(q, j, answer=answer))
+                        for j, answer in enumerate(["", q.ground_truth]))
+        result = run_quality_gate([empty, right], [q])
+        assert [t.trajectory_id for t in result.rejected] == [empty.trajectory_id]
+        assert [t.trajectory_id for t in result.kept] == [right.trajectory_id]
+        assert result.needs_judge == []
+        verdict = result.rejected[0].verdict
+        assert (verdict.status, verdict.checker) == ("incorrect", "rule")
 
     def test_dangling_question_errors(self):
         q = make_question(1)

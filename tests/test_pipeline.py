@@ -24,8 +24,8 @@ from ded.records import (EPOCH_ISO, STAGES, QuestionRecord, content_hash, load_m
                          parse_corpus)
 
 from conftest import (EDITS, FAILS_AT, MALFORMED_REPLIES, MockTransport, build_pipeline_fixture,
-                      cut, killed_run, make_question, make_trajectory, mix_sources, read_events,
-                      six_stage_config, src_env)
+                      completion_reply, cut, killed_run, make_question, make_trajectory,
+                      mix_sources, read_events, six_stage_config, src_env, well_formed_text)
 from oracles import reference_tree_hash
 
 _NAMES = [row.name for row in STAGE_TABLE]
@@ -1004,6 +1004,89 @@ class TestClientFailureExitCode:
         failed = [e for e in read_events(tmp_path / "out") if e["event"] == "client_failed"]
         assert [e["stage"] for e in failed] == ["sample"]
         assert server.requests > 0
+
+
+def _one_question_run(tmp_path, question, rows, **cfg):
+    """`ded run` of question with the mock fixture rows, or of the config
+    edited by cfg, with one teacher sample and two student runs; its exit code."""
+    qpath, fpath = tmp_path / "questions.jsonl", tmp_path / "fixtures.jsonl"
+    qpath.write_text(json.dumps(question.to_dict()) + "\n", encoding="utf-8")
+    fpath.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    config = {"questions": str(qpath), "out_dir": str(tmp_path / "out"), "teacher_id": "t",
+              "student_id": "s", "samples_per_question": 1, "runs": 2, "pass_threshold": 0.5,
+              "client": {"mode": "mock", "fixtures": str(fpath)}, **cfg}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main(["run", "--config", str(path)])
+
+
+class TestRepliesThatAreNotText:
+    """A model reply whose content is not a string fails its call, and is
+    never cached; an empty `\\boxed{}` is a wrong answer."""
+
+    def test_a_null_sample_reply_is_a_client_failure_and_never_cached(self, tmp_path, loopback):
+        q = make_question(0)
+        server = loopback(completion_reply([None, None]))
+        http = {"stages": ["sample"], "samples_per_question": 2,
+                "client": {"mode": "http", "base_url": server.base_url, "retry_budget": 1}}
+        out, cache = tmp_path / "out", tmp_path / "out" / ".cache"
+        assert _one_question_run(tmp_path, q, [], **http) == EXIT_CLIENT
+        failed = [e for e in read_events(out) if e["event"] == "client_failed"]
+        assert [e["stage"] for e in failed] == ["sample"]
+        assert "not a string" in failed[0]["error"]
+        assert server.requests == 1
+        assert list(cache.glob("*")) == []
+
+        text = well_formed_text(q, 0)
+        server.reply = completion_reply([text, text])
+        assert _one_question_run(tmp_path, q, [], **http) == EXIT_OK
+        assert server.requests == 2
+        [entry] = cache.iterdir()
+        assert json.loads(entry.read_text(encoding="utf-8")) == {"responses": [text, text]}
+
+        # an entry cached before replies were checked is a miss, and is rewritten
+        entry.write_text('{"responses": [null, null]}', encoding="utf-8")
+        assert _one_question_run(tmp_path, q, [], **http) == EXIT_OK
+        assert server.requests == 3
+        assert (_done(out)["cache_hits"], _done(out)["cache_misses"]) == (0, 1)
+        assert json.loads(entry.read_text(encoding="utf-8")) == {"responses": [text, text]}
+
+    def test_a_null_judge_reply_keeps_the_trajectory_queued(self, tmp_path, loopback):
+        q = make_question(0, domain="code", gt="def f(): pass")
+        rows = [{"kind": "sample", "teacher_id": "t", "prompt": q.prompt,
+                 "responses": ["<think>plan</think>def f(): pass"]}]
+        assert _one_question_run(tmp_path, q, rows, stages=["sample"]) == EXIT_OK
+        out, cache = tmp_path / "out", tmp_path / "out" / ".cache"
+        cached = sorted(cache.iterdir())
+        server = loopback(completion_reply([None]))
+        http = {"stages": ["filter"],
+                "client": {"mode": "http", "base_url": server.base_url, "retry_budget": 1}}
+        assert _one_question_run(tmp_path, q, rows, **http) == EXIT_OK
+        errors = [e for e in read_events(out) if e["event"] == "judge_error"]
+        assert [e["trajectory_id"] for e in errors] == ["q000:t:000"]
+        assert "not a string" in errors[0]["error"]
+        queued = parse_corpus(out / "needs_judge.jsonl", "trajectories")
+        assert [t.trajectory_id for t in queued] == ["q000:t:000"]
+        assert server.requests == 1
+        assert sorted(cache.iterdir()) == cached
+
+    def test_an_empty_box_fails_its_answer_not_its_stage(self, tmp_path):
+        q = make_question(0)
+        rows = [{"kind": "sample", "teacher_id": "t", "prompt": q.prompt,
+                 "responses": [well_formed_text(q, 0), well_formed_text(q, 1, answer="")]},
+                {"kind": "sample", "teacher_id": "s", "prompt": q.prompt,
+                 "responses": ["<think>a</think>\\boxed{}",
+                               f"<think>b</think>\\boxed{{{q.ground_truth}}}"]}]
+        assert _one_question_run(tmp_path, q, rows, samples_per_question=2,
+                                 stages=["sample", "filter", "compress"]) == EXIT_OK
+        out = tmp_path / "out"
+        [rejected] = parse_corpus(out / "rejected_trajectories.jsonl", "trajectories")
+        assert rejected.trajectory_id == "q000:t:001"
+        assert (rejected.verdict.status, rejected.verdict.checker) == ("incorrect", "rule")
+        [rate] = map(json.loads, (out / "pass_rates.jsonl").read_text().splitlines())
+        assert (rate["runs"], rate["successes"]) == (2, 1)
+        # one teacher and one student sample; no judge call
+        assert _done(out)["cache_misses"] == 2
 
 
 def _task(prompt):
