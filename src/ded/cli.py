@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -148,8 +149,9 @@ def _cmd_rank(args) -> int:
         with open(args.weights, "r", encoding="utf-8") as fh:
             try:
                 weights = json.load(fh)
-                if not isinstance(weights, dict) or {*map(type, weights.values())} - {int, float}:
-                    raise ValueError("not a JSON object mapping benchmarks to numbers")
+                if not isinstance(weights, dict) or not all(
+                        type(w) in (int, float) and math.isfinite(w) for w in weights.values()):
+                    raise ValueError("not a JSON object mapping benchmarks to finite numbers")
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
                 raise TeacherSelectError(f"{args.weights}: {exc}") from exc
     rankings = rank_teachers(records, weights)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from .filtering import normalize_answer
-from .records import (CorpusError, Spec, VerificationVerdict, field_error, read_jsonl, replacing,
+from .records import (CorpusError, Spec, VerificationVerdict, check_object, read_jsonl, replacing,
                       strings_only)
 
 T = TypeVar("T")
@@ -292,11 +292,12 @@ class HttpClient(_Backend):
         return VerificationVerdict(status=parse_judge_reply(reply), checker="judge", detail=reply)
 
 
-# the fields each kind of fixture row needs
+# the fields of each kind of fixture row; status and reply may be absent, not null
 _FIXTURE_FIELDS = {
     "sample": {"teacher_id": Spec(str), "prompt": Spec(str),
                "responses": Spec(list, check=strings_only)},
-    "judge": {"question": Spec(str), "candidate_answer": Spec(str)},
+    "judge": {"question": Spec(str), "candidate_answer": Spec(str),
+              "status": Spec(str, ""), "reply": Spec(str, "")},
 }
 
 
@@ -304,8 +305,8 @@ def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
     """Fixture JSONL: sample lines carry (teacher_id, prompt, responses),
     judge lines carry (question, candidate_answer, status and/or reply).
     Raises CorpusError naming the file and line of a row that is not a JSON
-    object, is of a kind other than sample or judge, or lacks a field its
-    kind needs or holds it with the wrong JSON type."""
+    object of kind sample or judge, or lacks or mistypes a field of its kind.
+    Rows are stored as read, since `MockClient.backend` hashes the judge rows."""
     samples: dict[tuple[str, str], list[str]] = {}
     judges: dict[tuple[str, str], dict[str, Any]] = {}
 
@@ -313,12 +314,11 @@ def load_mock_fixtures(path: str | Path) -> dict[str, Any]:
         kind = row.get("kind")
         if kind not in _FIXTURE_FIELDS:
             raise CorpusError(f"kind must be sample or judge, got {kind!r}")
-        for name, spec in _FIXTURE_FIELDS[kind].items():
-            if name not in row:
-                raise CorpusError(f"{kind} row without field {name!r}")
-            error = field_error(spec, row[name])
-            if error is not None:
-                raise CorpusError(f"{kind} row field {name}: {error}")
+        _, problems = check_object(_FIXTURE_FIELDS[kind], row)
+        if problems:
+            name, problem = problems[0]
+            raise CorpusError(f"{kind} row without field {name!r}" if name not in row
+                              else f"{kind} row field {name}: {problem}")
         if kind == "sample":
             samples[(row["teacher_id"], row["prompt"])] = list(row["responses"])
         else:

@@ -3,13 +3,11 @@ validation. The normalized config is echoed into every stage manifest."""
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import MISSING
 from pathlib import Path
 from typing import Any
 
-from .records import Spec, at_least, field_error, one_of, within
+from .records import Spec, at_least, check_object, one_of, within
 
 
 def _stage_order(stages: list[Any]) -> str | None:
@@ -87,16 +85,8 @@ def _apply(specs: dict[str, Spec], raw: Any, prefix: str, errors: list[str]) -> 
         errors.append(f"{prefix[:-1]}: expected an object")
         return {}
     errors.extend(f"unknown key {prefix + key!r}" for key in sorted(raw) if key not in specs)
-    out = {}
-    for key, spec in specs.items():
-        if key in raw:
-            out[key] = raw[key]
-            error = field_error(spec, raw[key])
-        else:
-            out[key] = copy.copy(spec.default)
-            error = "missing" if spec.default is MISSING else None
-        if error is not None:
-            errors.append(f"{prefix}{key}: {error}")
+    out, problems = check_object(specs, raw)
+    errors.extend(f"{prefix}{key}: {problem}" for key, problem in problems)
     return out
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .config import FIELDS
-from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict, field_error
+from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict, check_object
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -32,10 +32,9 @@ class FilterConfig:
     token_estimator: str = FIELDS["token_estimator"].default
 
     def validate(self) -> None:
-        for f in fields(self):
-            error = field_error(FIELDS[f.name], getattr(self, f.name))
-            if error is not None:
-                raise FilterError(f"{f.name}: {error}")
+        _, problems = check_object({f.name: FIELDS[f.name] for f in fields(self)}, vars(self))
+        if problems:
+            raise FilterError("%s: %s" % problems[0])
 
 
 def check_format(trajectory: TrajectoryRecord,
@@ -48,8 +47,6 @@ def check_format(trajectory: TrajectoryRecord,
     alternating pairs is accepted.
     """
     text = trajectory.text
-    if text is None:
-        raise FilterError(f"trajectory {trajectory.trajectory_id}: text is null")
 
     def fail(detail: str) -> VerificationVerdict:
         return VerificationVerdict(status="malformed_format", checker="format", detail=detail)

@@ -3,12 +3,13 @@
 Every pipeline stage exchanges data through the record types defined here.
 Files are newline-delimited JSON, UTF-8, one record per line; unknown fields
 survive a parse/write round trip via each record's ``extra`` mapping. Each
-field is declared once, by a `Spec` (also used by `ded.config`); `_record`
-derives `from_dict`, `to_dict` and `validate` from the declarations.
+field is declared once, by a `Spec`; `check_object`, the one check of a JSON
+object against a table of them, serves records, config, fixture rows and gate.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -67,6 +68,29 @@ def field_error(spec: Spec, value: Any) -> str | None:
     types = spec.types if isinstance(spec.types, tuple) else (spec.types,)
     got = "boolean" if isinstance(value, bool) else type(value).__name__
     return f"expected {' or '.join(_JSON_NAMES[t] for t in types)}, got {got}"
+
+
+def check_object(specs: dict[str, Spec],
+                 data: dict[str, Any]) -> tuple[dict[str, Any], list[tuple[str, str]]]:
+    """The fields specs declares in the JSON object data, each loaded where it
+    checks and a copy of its default where absent, and a (field, problem) pair
+    for each one missing or not checking, in declaration order; other keys are unread."""
+    values, problems = {}, []
+    for name, spec in specs.items():
+        if name in data:
+            value = values[name] = data[name]
+            error = field_error(spec, value)
+            if error is None and value is not None and spec.load is not None:
+                try:
+                    values[name] = spec.load(value)
+                except ValueError as exc:  # a nested record that does not check
+                    error = str(exc)
+        else:
+            values[name] = copy.copy(spec.default)
+            error = "missing" if spec.default is MISSING else None
+        if error is not None:
+            problems.append((name, error))
+    return values, problems
 
 
 def at_least(low: int) -> Check:
@@ -132,22 +156,10 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     """The record of a JSON object, validated; unknown fields go to `extra`."""
     if not isinstance(data, dict):
         raise CorpusError(f"{cls._label}: expected a JSON object, got {type(data).__name__}")
-    extra = dict(data)
-    values = {}
-    for name, spec in cls._specs:
-        value = extra.pop(name, MISSING)
-        if value is not MISSING:
-            error = field_error(spec, value)
-        elif spec.default is MISSING:
-            error = "missing"
-        else:
-            continue  # the dataclass default
-        if error is not None:
-            where = _where(cls._label, (data.get(k) for k in cls._key))
-            raise CorpusError(f"{where}{name}: {error}")
-        values[name] = value if value is None or spec.load is None else spec.load(value)
-    for name in cls._derived:
-        extra.pop(name, None)
+    values, problems = check_object(cls._specs, data)
+    if problems:
+        raise CorpusError(_where(cls._label, map(data.get, cls._key)) + "%s: %s" % problems[0])
+    extra = {k: v for k, v in data.items() if k not in cls._specs and k not in cls._derived}
     record = cls(**values, extra=extra)
     if hasattr(record, "_invariants"):
         record._invariants()
@@ -187,10 +199,9 @@ def _record(label: str, *key: str,
         cls.extra = field(default_factory=dict)
         cls = dataclass(cls)
         cls._label, cls._key, cls._derived = label, key, derived or {}
-        cls._specs = tuple((f.name, f.metadata["spec"]) for f in fields(cls)
-                           if "spec" in f.metadata)
+        cls._specs = {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
         # a field that loads a JSON object into a record holds a nested record
-        cls._nested = tuple(name for name, spec in cls._specs
+        cls._nested = tuple(name for name, spec in cls._specs.items()
                             if spec.types is dict and spec.load is not None)
         cls.from_dict = classmethod(_from_dict)
         cls.to_dict = _to_dict

@@ -68,6 +68,28 @@ class TestBadFixtures:
         events = read_events(Path(config["out_dir"]))
         assert [e["event"] for e in events] == ["stage_failed", "done"]
 
+    @pytest.mark.parametrize("field,value", [("reply", None), ("reply", 5), ("status", 5)])
+    def test_a_judge_row_of_the_wrong_type_fails_the_run_naming_it(self, tmp_path, capsys,
+                                                                     field, value):
+        answer = "def f(x): return x + 1"
+        code = make_question(1, domain="code", gt=answer)
+        qpath = tmp_path / "q.jsonl"
+        qpath.write_text(json.dumps(code.to_dict()) + "\n", encoding="utf-8")
+        fx = tmp_path / "fx.jsonl"
+        fx.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"kind": "sample", "teacher_id": "ta", "prompt": code.prompt,
+             "responses": [f"<think>add one</think>{answer}"]},
+            {"kind": "judge", "question": code.prompt, "candidate_answer": answer,
+             field: value})), encoding="utf-8")
+        config = _config_file(tmp_path, questions=str(qpath), teacher_id="ta",
+                              samples_per_question=1, stages=["sample", "filter"],
+                              client={"fixtures": str(fx)})
+        out = tmp_path / "judged"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 3
+        assert f"{fx} line 2: judge row field {field}: expected string" in (
+            capsys.readouterr().err)
+        assert not (out / "needs_judge.jsonl").exists()
+
 
 def _stage_done(out):
     """Each `stage_done` event of the last run in out, by stage, without its timing."""
@@ -315,7 +337,9 @@ class TestRankCommand:
         assert main(["rank", "--scores", str(path)]) == 3
         assert "['s1', 's2']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights", ["[1]", '{"AIME2024": "half"}', "{oops"])
+    @pytest.mark.parametrize("weights", ["[1]", '{"AIME2024": "half"}', "{oops",
+                                         '{"AIME2024": NaN}', '{"AIME2024": Infinity}',
+                                         '{"AIME2024": 1e400}'])
     def test_weights_that_are_not_a_benchmark_map_are_refused(self, tmp_path, capsys, weights):
         from test_teacher import write_score_csv
         scores = write_score_csv(tmp_path / "scores.csv")

@@ -136,6 +136,12 @@ class TestMockClient:
          "judge row field question: expected string, got list"),
         ('{"kind": "judge", "question": "q", "candidate_answer": 2.5}',
          "judge row field candidate_answer: expected string, got float"),
+        ('{"kind": "judge", "question": "q", "candidate_answer": "c", "reply": 5}',
+         "judge row field reply: expected string, got int"),
+        ('{"kind": "judge", "question": "q", "candidate_answer": "c", "reply": null}',
+         "judge row field reply: expected string, got NoneType"),
+        ('{"kind": "judge", "question": "q", "candidate_answer": "c", "status": 5}',
+         "judge row field status: expected string, got int"),
     ])
     def test_bad_fixture_row_names_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "fx.jsonl"
@@ -499,6 +505,20 @@ def test_cache_entry_names_are_pinned(tmp_path):
         "c66062802f1b5dbb31d0223f0d876ffecbe407d36d00bccdc62b0b4cb3c2ef7c.json")
     assert client._path(judge).name == (
         "b34e35231d2ed449c2700c4d5ae0ca6eb20d63f337a896fec54583b8dcc0b0bf.json")
+
+
+def test_mock_backend_is_pinned(tmp_path):
+    # the mock's cache entries are named after its backend, so a change in
+    # how fixture rows are stored renames them all
+    rows = [{"kind": "sample", "teacher_id": "t", "prompt": "p",
+             "responses": ["<think>a</think>1", "r2"]},
+            {"kind": "judge", "question": "q", "candidate_answer": "a", "status": "correct"},
+            {"kind": "judge", "question": "q", "candidate_answer": "b",
+             "reply": "VERDICT: incorrect"}]
+    path = tmp_path / "fx.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert MockClient(path, seed=3).backend == (
+        "mock 602bf900bbfbf60e6ca141c698143da4c99d641cece8ae3dc39cfe8c48d6aeff")
 
 
 def test_mock_backend_covers_what_its_answers_depend_on(tmp_path):

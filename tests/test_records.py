@@ -8,9 +8,9 @@ import tracemalloc
 import pytest
 
 from ded.records import (CorpusError, CorpusManifest, EmbeddingRecord, LogprobRecord,
-                         PassRateStats, ScoreRecord, VerificationVerdict, content_hash,
-                         dumps_record, load_manifest, parse_corpus, save_manifest, write_corpus,
-                         write_json, write_manifest)
+                         PassRateStats, ScoreRecord, TrajectoryRecord, VerificationVerdict,
+                         content_hash, dumps_record, load_manifest, parse_corpus, save_manifest,
+                         write_corpus, write_json, write_manifest)
 
 from conftest import make_question, make_trajectory, well_formed_text
 from oracles import reference_content_hash
@@ -163,6 +163,17 @@ def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
     with pytest.raises(CorpusError) as err:
         parse_corpus(path, kind)
     assert f"{path} line 1: " in str(err.value) and field in str(err.value)
+
+
+def test_a_verdict_that_does_not_check_is_named_with_its_trajectory():
+    row = {"trajectory_id": "t1", "question_id": "q1", "teacher_id": "t", "sample_index": 0,
+           "text": "x", "verdict": {"status": "maybe", "checker": "rule"}}
+    with pytest.raises(CorpusError, match=r"^trajectory t1: verdict: verdict: status: must be"):
+        TrajectoryRecord.from_dict(row)
+    # the first field in declaration order that does not check is the one named
+    del row["text"]
+    with pytest.raises(CorpusError, match=r"^trajectory t1: text: missing$"):
+        TrajectoryRecord.from_dict(row)
 
 
 def test_verdict_invariants():
