@@ -17,8 +17,7 @@ from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
 from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
-from .records import (CORPUS_KINDS, PassRateStats, parse_corpus, read_jsonl, save_manifest,
-                      write_json, write_manifest)
+from .records import CORPUS_KINDS, parse_corpus, save_manifest, write_json, write_manifest
 from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, ingest_scores, rank_teachers
 
 
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out")
     q = stats_sub.add_parser("pass1")
     q.add_argument("--outcomes", required=True,
-                   help="JSONL with question_id, runs, successes rows")
+                   help="pass rates: JSONL with question_id, runs, successes rows")
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
     p.set_defaults(handler=_cmd_run, stages=None)
@@ -164,9 +163,8 @@ def _cmd_rank(args) -> int:
 def _cmd_stats(args) -> int:
     from . import diagnostics
     if args.stat == "pass1":
-        rows: list[PassRateStats] = []
-        read_jsonl(args.outcomes, lambda _, row: rows.append(PassRateStats.from_dict(row)))
-        matrix = [[i < s.successes for i in range(s.runs)] for s in rows]
+        matrix = [[i < s.successes for i in range(s.runs)]
+                  for s in parse_corpus(args.outcomes, "pass_rates")]
         print(f"pass@1: {diagnostics.pass_at_1(matrix):.2f}")
         return EXIT_OK
     if args.stat == "entropy":

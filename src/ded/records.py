@@ -5,18 +5,22 @@ Files are newline-delimited JSON, UTF-8, one record per line; unknown fields
 survive a parse/write round trip via each record's ``extra`` mapping. Each
 field is declared once, by a `Spec`; `check_object`, the one check of a JSON
 object against a table of them, serves records, config, fixture rows and gate.
+`parse_corpus` reads every record file a command takes, the scores `ded rank`
+ranks (as JSONL or CSV) and the pass rates `ded stats pass1` reads among them.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -31,7 +35,6 @@ _STATUS_CHECKERS = {"malformed_format": ("format",), "overlength": ("length",),
 # column of ded.pipeline's STAGE_TABLE.
 STAGES = ("raw", "right", "right_hard", "right_hard_diverse", "mixed")
 PHASES = ("before", "after")
-CORPUS_KINDS = ("questions", "trajectories", "logprobs", "embeddings", "scores")
 
 EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
@@ -113,14 +116,18 @@ def strings_only(value: list[Any]) -> str | None:
     return None if all(isinstance(x, str) for x in value) else "must hold strings only"
 
 
-def _decimal(value: Any, low: int | None = None, high: int | None = None) -> str | None:
-    try:
-        number = Decimal(str(value))
-        if low is None or low <= number <= high:
-            return None
-    except InvalidOperation:
-        pass
-    return f"must be a decimal{'' if low is None else f' in [{low}, {high}]'}, got {value!r}"
+def _finite(convert: Callable[[str], Any], low: int, high: float = math.inf) -> Check:
+    """The check of a JSON number or numeric string whose text convert
+    reads: finite and in [low, high]."""
+    def check(value: Any) -> str | None:
+        try:
+            if math.isfinite(number := convert(str(value))) and low <= number <= high:
+                return None
+        except (ArithmeticError, ValueError):  # decimal.InvalidOperation among them
+            pass
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        return f"must be a finite number {bounds}, got {value!r}"
+    return check
 
 
 def _distribution(top_k: list[Any]) -> str | None:
@@ -142,14 +149,14 @@ def _field(types: type | tuple[type, ...], default: Any = MISSING, check: Check 
     return field(default=default, metadata=meta)
 
 
-def _where(label: str, key: Iterable[Any]) -> str:
+def _name(label: str, key: Iterable[Any]) -> str:
     ident = "/".join(str(part) for part in key if part not in (None, ""))
-    return f"{label} {ident}: " if ident else f"{label}: "
+    return f"{label} {ident}" if ident else label
 
 
 def _require(record: Any, cond: bool, message: str) -> None:
     if not cond:
-        raise CorpusError(_where(record._label, record.sort_key) + message)
+        raise CorpusError(f"{_name(record._label, record.sort_key)}: {message}")
 
 
 def _from_dict(cls: type, data: dict[str, Any]) -> Any:
@@ -158,7 +165,7 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
         raise CorpusError(f"{cls._label}: expected a JSON object, got {type(data).__name__}")
     values, problems = check_object(cls._specs, data)
     if problems:
-        raise CorpusError(_where(cls._label, map(data.get, cls._key)) + "%s: %s" % problems[0])
+        raise CorpusError(_name(cls._label, map(data.get, cls._key)) + ": %s: %s" % problems[0])
     extra = {k: v for k, v in data.items() if k not in cls._specs and k not in cls._derived}
     record = cls(**values, extra=extra)
     if hasattr(record, "_invariants"):
@@ -285,9 +292,11 @@ class PassRateStats:
         return Fraction(self.successes, self.runs)
 
 
-@_record("score", "teacher_id", "student_id", "benchmark")
+@_record("score", "teacher_id", "student_id", "benchmark",
+         derived={"delta_acc": lambda s: s.delta_acc})
 class ScoreRecord:
-    """One (teacher, student, benchmark) evaluation row.
+    """One (teacher, student, benchmark) evaluation row: the student's
+    accuracy trained on the teacher's corpus, and before it.
 
     Accuracies are percentages on [0, 100] kept as exact decimal strings so
     that delta arithmetic matches the input precision digit for digit.
@@ -296,9 +305,14 @@ class ScoreRecord:
     teacher_id: str = _field(str, check=_non_empty)
     student_id: str = _field(str, check=_non_empty)
     benchmark: str = _field(str, check=_non_empty)
-    acc: str = _field((str, int, float), check=lambda v: _decimal(v, 0, 100), load=str)
-    mean_response_len: float = _field((int, float), load=float)
-    delta_acc: str = _field((str, int, float), check=_decimal, load=str)
+    acc: str = _field((str, int, float), check=_finite(Decimal, 0, 100), load=str)
+    mean_response_len: float = _field((int, float, str), check=_finite(float, 0), load=float)
+    base_acc: str = _field((str, int, float), check=_finite(Decimal, 0, 100), load=str)
+
+    @property
+    def delta_acc(self) -> str:
+        """acc - base_acc, exact."""
+        return str(Decimal(self.acc) - Decimal(self.base_acc))
 
 
 @_record("logprob", "trajectory_id", "position")
@@ -334,7 +348,12 @@ _RECORD_TYPES = {
     "logprobs": LogprobRecord,
     "embeddings": EmbeddingRecord,
     "scores": ScoreRecord,
+    "pass_rates": PassRateStats,
 }
+CORPUS_KINDS = tuple(_RECORD_TYPES)
+# what every record of a file of the kind has the same of, and how to measure it
+_UNIFORM = {"embeddings": ("dimension", lambda e: len(e.vector)),
+            "pass_rates": ("runs", lambda s: s.runs)}
 
 Record = Any  # any of the record dataclasses above
 
@@ -360,12 +379,41 @@ def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) ->
                 raise type(exc)(f"{path} line {lineno}: {exc}") from exc
 
 
+def _read_csv(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> None:
+    """`read_jsonl` for a UTF-8 CSV file, a byte-order mark skipped: load
+    gets each row that is not blank as the object of the header's names and
+    the row's cells, all strings, the header being line 1. A row whose cell
+    count is not the header's is a CorpusError."""
+    import csv
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path} line {lineno}: invalid UTF-8: {exc.reason}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise CorpusError(f"{len(cells)} cells, the header has {len(header)}")
+            load(reader.line_num, dict(zip(header, cells)))
+    except csv.Error as exc:
+        raise CorpusError(f"{path} line {reader.line_num}: {exc}") from exc
+    except ValueError as exc:
+        raise type(exc)(f"{path} line {reader.line_num}: {exc}") from exc
+
+
 def parse_corpus(path: str | Path, kind: str) -> list[Record]:
-    """Parse a JSONL corpus file into validated records, in file order.
+    """Parse a corpus file into validated records, in file order: JSONL (see
+    `read_jsonl`), or for scores a file named *.csv (see `_read_csv`).
 
     Raises CorpusError naming the file and 1-based line number of a
-    malformed line (see `read_jsonl`), and naming field and record id
-    for invariant violations. Duplicate primary keys report both line numbers.
+    malformed line, and naming field and record id for invariant
+    violations. Duplicate primary keys report both line numbers, and so does
+    a record that differs from the file's first in what `_UNIFORM` holds
+    the same across the file of its kind.
     """
     if kind not in _RECORD_TYPES:
         raise CorpusError(f"unknown corpus kind {kind!r}; expected one of {CORPUS_KINDS}")
@@ -384,12 +432,20 @@ def parse_corpus(path: str | Path, kind: str) -> list[Record]:
             first = seen.setdefault((what, key), lineno)
             if first != lineno:
                 raise CorpusError(f"duplicate {what} {key!r} (lines {first} and {lineno})")
-        if kind == "embeddings" and records and len(record.vector) != len(records[0].vector):
-            raise CorpusError(f"embedding {record.item_id}: dimension {len(record.vector)} differs"
-                              f" from {len(records[0].vector)} established earlier in the file")
+        if kind in _UNIFORM and records:
+            what, measure = _UNIFORM[kind]
+            head = records[0]
+            if measure(record) != measure(head):
+                raise CorpusError(f"{_name(record._label, record.sort_key)}: {what}"
+                                  f" {measure(record)} differs from {measure(head)} of"
+                                  f" {_name(head._label, head.sort_key)}"
+                                  f" (lines {seen['record id', head.sort_key]} and {lineno})")
         records.append(record)
 
-    read_jsonl(path, load)
+    if kind == "scores" and Path(path).suffix.lower() == ".csv":
+        _read_csv(path, load)
+    else:
+        read_jsonl(path, load)
     return records
 
 

@@ -9,15 +9,13 @@ own benchmark numbers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .clients import Client, SamplingRequest
-from .records import QuestionRecord, ScoreRecord, TrajectoryRecord, read_jsonl
+from .records import QuestionRecord, ScoreRecord, TrajectoryRecord, parse_corpus
 
 # Echoed into every training manifest so the external fine-tuning step and
 # the corpus stay in one auditable bundle.
@@ -46,63 +44,9 @@ def sample_teacher(question: QuestionRecord, client: Client, teacher_id: str, sa
             for i, text in enumerate(texts)]
 
 
-_SCORE_FIELDS = ("teacher_id", "student_id", "benchmark", "acc", "mean_response_len", "base_acc")
-
-
-def _score_from_row(row: dict[str, Any]) -> ScoreRecord:
-    missing = [f for f in _SCORE_FIELDS if row.get(f) in (None, "")]
-    if missing:
-        raise TeacherSelectError(f"missing fields {missing}")
-
-    def number(name: str, convert: Callable[[Any], Any]) -> Any:
-        try:
-            return convert(row[name])
-        except (InvalidOperation, TypeError, ValueError) as exc:
-            raise TeacherSelectError(f"{name}: not a number: {row[name]!r}") from exc
-
-    acc = number("acc", lambda v: Decimal(str(v)))
-    base = number("base_acc", lambda v: Decimal(str(v)))
-    mean_response_len = number("mean_response_len", float)
-    for name, value in (("acc", acc), ("base_acc", base)):
-        if not (value.is_finite() and 0 <= value <= 100):
-            raise TeacherSelectError(f"{name} {value} outside [0, 100]")
-    record = ScoreRecord(teacher_id=str(row["teacher_id"]), student_id=str(row["student_id"]),
-                         benchmark=str(row["benchmark"]), acc=str(acc),
-                         mean_response_len=mean_response_len, delta_acc=str(acc - base))
-    record.validate()
-    return record
-
-
 def ingest_scores(path: str | Path) -> list[ScoreRecord]:
-    """Load a score file (CSV or JSONL) and compute deltas against the base.
-
-    Accuracies are percentages; delta_acc = acc - base_acc with exact
-    decimal arithmetic, so 79.58 - 65.63 really is 13.95.
-    """
-    records: list[ScoreRecord] = []
-    seen: dict[tuple[str, str, str], int] = {}  # (teacher, student, benchmark) -> line
-
-    def load(i: int, row: dict[str, Any]) -> None:
-        record = _score_from_row(row)
-        key = (record.teacher_id, record.student_id, record.benchmark)
-        first = seen.setdefault(key, i)
-        if first != i:
-            raise TeacherSelectError(f"duplicate score row {key!r} (lines {first} and {i})")
-        records.append(record)
-
-    if Path(path).suffix.lower() != ".csv":
-        read_jsonl(path, load)
-        return records
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            for row in reader:
-                load(reader.line_num, row)
-        except UnicodeDecodeError as exc:
-            raise TeacherSelectError(f"{path}: invalid UTF-8: {exc}") from exc
-        except ValueError as exc:
-            raise type(exc)(f"{path} line {reader.line_num}: {exc}") from exc
-    return records
+    """The score rows of a CSV or JSONL file (see `records.parse_corpus`)."""
+    return parse_corpus(path, "scores")
 
 
 @dataclass
@@ -148,7 +92,7 @@ def rank_teachers(records: Sequence[ScoreRecord],
         lens = []
         for b, w in weights.items():
             r = cell[(t, b)]
-            score += w * Fraction(Decimal(r.delta_acc))
+            score += w * Fraction(r.delta_acc)
             lens.append(r.mean_response_len)
         rankings.append(TeacherRanking(teacher_id=t, score=score,
                                        mean_response_len=sum(lens) / len(lens)))

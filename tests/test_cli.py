@@ -337,6 +337,19 @@ class TestRankCommand:
         assert main(["rank", "--scores", str(path)]) == 3
         assert "['s1', 's2']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,code", [({"base_acc": "40"}, 0), ({"delta_acc": "10"}, 3),
+                                            ({"base_acc": "40", "mean_response_len": "nan"}, 3),
+                                            ({"base_acc": "40", "mean_response_len": -5}, 3)],
+                             ids=["rank row", "delta_acc row", "length nan", "length negative"])
+    def test_ingest_and_rank_agree_on_a_score_row(self, tmp_path, capsys, extra, code):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({**_SCORE, **extra}) + "\n", encoding="utf-8")
+        for args in (["ingest", "--kind", "scores", "--in", str(path)],
+                     ["rank", "--scores", str(path)]):
+            assert main(args) == code
+            err = capsys.readouterr().err
+            assert (f"{path} line 1: " in err) == (code == 3), err
+
     @pytest.mark.parametrize("weights", ["[1]", '{"AIME2024": "half"}', "{oops",
                                          '{"AIME2024": NaN}', '{"AIME2024": Infinity}',
                                          '{"AIME2024": 1e400}'])
@@ -381,6 +394,24 @@ class TestStatsCommands:
         path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
         assert main(["stats", "pass1", "--outcomes", str(path)]) == 0
         assert "75.00" in capsys.readouterr().out
+
+    def test_pass1_refuses_a_repeated_question_naming_both_lines(self, tmp_path, capsys):
+        rows = [{"question_id": "q", "runs": 2, "successes": 2}] * 2 + [
+            {"question_id": "r", "runs": 2, "successes": 0}]
+        path = tmp_path / "rates.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert main(["stats", "pass1", "--outcomes", str(path)]) == 3
+        assert f"{path} line 2: duplicate record id ('q',) (lines 1 and 2)" in (
+            capsys.readouterr().err)
+
+    def test_pass1_refuses_rows_of_different_runs_naming_both_questions(self, tmp_path, capsys):
+        rows = [{"question_id": "q", "runs": 2, "successes": 1},
+                {"question_id": "r", "runs": 3, "successes": 1}]
+        path = tmp_path / "rates.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert main(["stats", "pass1", "--outcomes", str(path)]) == 3
+        assert (f"{path} line 2: stats r: runs 3 differs from 2 of stats q (lines 1 and 2)"
+                in capsys.readouterr().err)
 
     def test_lengths_command(self, tmp_path, capsys):
         from conftest import make_question, make_trajectory
@@ -730,8 +761,10 @@ _LINE_FILES = {
                         ["ingest", "--kind", "logprobs", "--in", "{input}"]),
     "ingest embeddings": ({"item_id": "a", "phase": "before", "vector": [1.0]},
                           ["ingest", "--kind", "embeddings", "--in", "{input}"]),
-    "ingest scores": ({**_SCORE, "delta_acc": "10"},
+    "ingest scores": ({**_SCORE, "base_acc": "40"},
                       ["ingest", "--kind", "scores", "--in", "{input}"]),
+    "ingest pass_rates": ({"question_id": "q", "runs": 2, "successes": 1},
+                          ["ingest", "--kind", "pass_rates", "--in", "{input}"]),
     "sample --fixtures": ({"kind": "sample", "teacher_id": "t", "prompt": "p", "responses": ["r"]},
                           ["sample", "--config", "{tmp}/sample.json", "--out-dir", "{tmp}/out"]),
     "rank --scores": ({**_SCORE, "base_acc": "40"}, ["rank", "--scores", "{input}"]),

@@ -123,7 +123,7 @@ def test_round_trip_all_kinds(tmp_path):
         "trajectories": [t],
         "logprobs": [LogprobRecord("t", 0, [("x", 0.9), ("y", 0.05)], 0.05, extra=unknown)],
         "embeddings": [EmbeddingRecord("a", "before", [0.5, -1.5], extra=unknown)],
-        "scores": [ScoreRecord("t1", "s1", "bench", "79.58", 14096.0, "13.95", extra=unknown)],
+        "scores": [ScoreRecord("t1", "s1", "bench", "79.58", 14096.0, "65.63", extra=unknown)],
     }
     for kind, records in cases.items():
         path = tmp_path / f"{kind}.jsonl"
@@ -155,7 +155,7 @@ def test_pass_rates_keep_unknown_fields_and_derive_pass_rate():
                   "residual_mass": 0.5}, "top_k"),
     ("embeddings", {"item_id": "a", "phase": "before", "vector": ["1"]}, "vector"),
     ("scores", {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "high",
-                "mean_response_len": 1, "delta_acc": "1"}, "acc"),
+                "mean_response_len": 1, "base_acc": "1"}, "acc"),
 ])
 def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
     path = tmp_path / f"{kind}.jsonl"

@@ -9,7 +9,7 @@ import pytest
 from ded import records
 from ded.cli import main
 from ded.clients import MockClient
-from ded.records import ScoreRecord, write_corpus
+from ded.records import CorpusError, ScoreRecord, write_corpus
 from ded.teacher import TeacherSelectError, ingest_scores, rank_teachers, sample_teacher
 
 from conftest import make_question, read_events
@@ -81,29 +81,45 @@ class TestIngestScores:
         path = tmp_path / "scores.csv"
         path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                         "t,s,b,101,1000,50\n", encoding="utf-8")
-        with pytest.raises(TeacherSelectError) as err:
+        with pytest.raises(CorpusError) as err:
             ingest_scores(path)
-        assert "outside [0, 100]" in str(err.value)
+        assert f"{path} line 2: " in str(err.value)
+        assert "acc: must be a finite number in [0, 100], got '101'" in str(err.value)
 
     @pytest.mark.parametrize("name,row,problem", [
         ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
                          '"acc": "NaN", "mean_response_len": 1, "base_acc": "40"}',
-         "acc NaN outside [0, 100]"),
+         "score t/s/b: acc: must be a finite number in [0, 100], got 'NaN'"),
         ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
                          '"acc": "50", "mean_response_len": [1], "base_acc": "40"}',
-         "mean_response_len: not a number: [1]"),
+         "score t/s/b: mean_response_len: expected integer or float or string, got list"),
+        ("scores.jsonl", '{"teacher_id": "t", "student_id": "s", "benchmark": "b", '
+                         '"acc": "50", "mean_response_len": NaN, "base_acc": "40"}',
+         "score t/s/b: mean_response_len: must be a finite number >= 0, got nan"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                        "t,s,b,50,1,40\nt,s,b2,50,long,40",
-         "mean_response_len: not a number: 'long'"),
+         "score t/s/b2: mean_response_len: must be a finite number >= 0, got 'long'"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
-                       "t,s,b,50,1,4\x000", "base_acc: not a number: '4\\x000'"),
+                       "t,s,b,50,nan,40",
+         "score t/s/b: mean_response_len: must be a finite number >= 0, got 'nan'"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
-                       "t,s,b,5O,1,40", "acc: not a number: '5O'"),
-    ], ids=["acc NaN", "length a list", "length a word", "base a NUL byte", "acc a letter"])
+                       "t,s,b,50,inf,40",
+         "score t/s/b: mean_response_len: must be a finite number >= 0, got 'inf'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,50,-5,40",
+         "score t/s/b: mean_response_len: must be a finite number >= 0, got '-5'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,50,1,4\x000",
+         "score t/s/b: base_acc: must be a finite number in [0, 100], got '4\\x000'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,5O,1,40",
+         "score t/s/b: acc: must be a finite number in [0, 100], got '5O'"),
+    ], ids=["acc NaN", "length a list", "length a JSON NaN", "length a word", "length nan",
+            "length inf", "length negative", "base a NUL byte", "acc a letter"])
     def test_bad_number_names_file_and_line(self, tmp_path, name, row, problem):
         path = tmp_path / name
         path.write_text(row + "\n", encoding="utf-8")
-        with pytest.raises(TeacherSelectError) as err:
+        with pytest.raises(CorpusError) as err:
             ingest_scores(path)
         assert str(err.value) == f"{path} line {row.count(chr(10)) + 1}: {problem}"
 
@@ -111,36 +127,60 @@ class TestIngestScores:
         path = tmp_path / "scores.csv"
         path.write_bytes(b"teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                          b"t\xff,s,b,50,1,40\n")
-        with pytest.raises(TeacherSelectError) as err:
+        with pytest.raises(CorpusError) as err:
             ingest_scores(path)
-        assert f"{path}: invalid UTF-8" in str(err.value)
+        assert f"{path} line 2: invalid UTF-8" in str(err.value)
+
+    def test_csv_with_a_byte_order_mark_is_read(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        "t,s,b,79.58,14096,65.63\n", encoding="utf-8-sig")
+        [record] = ingest_scores(path)
+        assert (record.teacher_id, record.delta_acc) == ("t", "13.95")
+
+    @pytest.mark.parametrize("row", ["t,s,b,50,1,40,extra", "t,s,b,50,1"])
+    def test_csv_row_of_another_width_than_the_header_is_refused(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        f"t,s,a,50,1,40\n{row}\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            ingest_scores(path)
+        assert str(err.value) == f"{path} line 3: {row.count(',') + 1} cells, the header has 6"
 
     def test_missing_base_errors(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         row = {"teacher_id": "t", "student_id": "s", "benchmark": "b",
                "acc": "50", "mean_response_len": 100}
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(TeacherSelectError) as err:
+        with pytest.raises(CorpusError) as err:
             ingest_scores(path)
-        assert "base_acc" in str(err.value)
-
+        assert "base_acc: missing" in str(err.value)
 
     def test_repeated_score_row_names_both_lines(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                         "ta,s1,aime,80,100,50\nta,s1,aime,90,100,50\nta,s2,aime,10,100,50\n",
                         encoding="utf-8")
-        with pytest.raises(TeacherSelectError) as err:
+        with pytest.raises(CorpusError) as err:
             ingest_scores(path)
-        assert "duplicate score row ('ta', 's1', 'aime') (lines 2 and 3)" in str(err.value)
+        assert str(err.value) == (f"{path} line 3: duplicate record id ('ta', 's1', 'aime')"
+                                  " (lines 2 and 3)")
 
     def test_repeated_jsonl_score_row_is_refused(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         row = {"teacher_id": "t", "student_id": "s", "benchmark": "b",
                "acc": "50", "mean_response_len": 100, "base_acc": "40"}
         path.write_text(json.dumps(row) + "\n\n" + json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(TeacherSelectError, match="lines 1 and 3"):
+        with pytest.raises(CorpusError, match="lines 1 and 3"):
             ingest_scores(path)
+
+    def test_delta_is_written_beside_base_and_not_read_back(self, tmp_path):
+        [record] = ingest_scores(write_score_csv(tmp_path / "scores.csv",
+                                                 {"t": {"b": ("79.58", "65.63", 14096)}}))
+        write_corpus(tmp_path / "scores.jsonl", [record])
+        row = json.loads((tmp_path / "scores.jsonl").read_text(encoding="utf-8"))
+        assert (row["base_acc"], row["delta_acc"]) == ("65.63", "13.95")
+        assert ingest_scores(tmp_path / "scores.jsonl") == [record]
 
 
 class TestRankTeachers:
@@ -162,14 +202,14 @@ class TestRankTeachers:
         assert rankings[0].teacher_id == "QwQ-32B"
 
     def test_single_teacher_trivial(self):
-        records = [ScoreRecord("only", "s", "b", "50.00", 100.0, "5.00")]
+        records = [ScoreRecord("only", "s", "b", "50.00", 100.0, "45.00")]
         rankings = rank_teachers(records)
         assert len(rankings) == 1 and rankings[0].teacher_id == "only"
 
     def test_tie_breaks_on_shorter_responses(self):
         records = [
-            ScoreRecord("long", "s", "b", "50.00", 14000.0, "5.00"),
-            ScoreRecord("short", "s", "b", "50.00", 12000.0, "5.00"),
+            ScoreRecord("long", "s", "b", "50.00", 14000.0, "45.00"),
+            ScoreRecord("short", "s", "b", "50.00", 12000.0, "45.00"),
         ]
         rankings = rank_teachers(records)
         assert [r.teacher_id for r in rankings] == ["short", "long"]
@@ -182,9 +222,9 @@ class TestRankTeachers:
         assert "Qwen3-32B" in str(err.value) and "GPQA" in str(err.value)
 
     def test_cell_scored_on_two_students_names_them(self):
-        records = [ScoreRecord("ta", "s1", "aime", "80", 100.0, "30"),
-                   ScoreRecord("ta", "s2", "aime", "10", 100.0, "-40"),
-                   ScoreRecord("tb", "s1", "aime", "60", 100.0, "10")]
+        records = [ScoreRecord("ta", "s1", "aime", "80", 100.0, "50"),
+                   ScoreRecord("ta", "s2", "aime", "10", 100.0, "50"),
+                   ScoreRecord("tb", "s1", "aime", "60", 100.0, "50")]
         with pytest.raises(TeacherSelectError) as err:
             rank_teachers(records)
         assert "('ta', 'aime'): ['s1', 's2']" in str(err.value)
@@ -204,7 +244,7 @@ class TestRankTeachers:
             if r.benchmark == "AIME2024":
                 shifted.append(ScoreRecord(r.teacher_id, r.student_id, r.benchmark,
                                            r.acc, r.mean_response_len,
-                                           str(Decimal(r.delta_acc) + Decimal("3"))))
+                                           str(Decimal(r.base_acc) - Decimal("3"))))
             else:
                 shifted.append(r)
         base_order = [r.teacher_id for r in rank_teachers(records)]
