@@ -17,7 +17,8 @@ from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
 from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
-from .records import CORPUS_KINDS, parse_corpus, save_manifest, write_json, write_manifest
+from .records import (CORPUS_KINDS, CorpusError, load_json, parse_corpus, save_manifest, write_json,
+                      write_manifest)
 from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, ingest_scores, rank_teachers
 
 
@@ -145,14 +146,13 @@ def _cmd_rank(args) -> int:
     records = ingest_scores(args.scores)
     weights = None
     if args.weights != "uniform":
-        with open(args.weights, "r", encoding="utf-8") as fh:
-            try:
-                weights = json.load(fh)
-                if not isinstance(weights, dict) or not all(
-                        type(w) in (int, float) and math.isfinite(w) for w in weights.values()):
-                    raise ValueError("not a JSON object mapping benchmarks to finite numbers")
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
-                raise TeacherSelectError(f"{args.weights}: {exc}") from exc
+        try:
+            weights = load_json(Path(args.weights).read_bytes())
+            if not isinstance(weights, dict) or not all(
+                    type(w) in (int, float) and math.isfinite(w) for w in weights.values()):
+                raise CorpusError("not a JSON object mapping benchmarks to finite numbers")
+        except CorpusError as exc:
+            raise TeacherSelectError(f"{args.weights}: {exc}") from exc
     rankings = rank_teachers(records, weights)
     for i, r in enumerate(rankings, start=1):
         print(f"{i}. {r.teacher_id}  score={float(r.score):+.4f}  "

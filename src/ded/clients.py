@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from .filtering import normalize_answer
-from .records import (CorpusError, Spec, VerificationVerdict, check_object, read_jsonl, replacing,
-                      strings_only)
+from .records import (CorpusError, Spec, VerificationVerdict, check_object, load_json, read_jsonl,
+                      replacing, strings_only)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -70,8 +70,6 @@ class SamplingRequest:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
@@ -260,9 +258,9 @@ class HttpClient(_Backend):
             if status != 200:
                 raise SchemaError(f"unexpected HTTP {status}: {body[:200]!r}")
             try:
-                return json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise SchemaError(f"response is not JSON: {exc}") from exc
+                return load_json(body)
+            except CorpusError as exc:
+                raise SchemaError(f"response body: {exc}") from exc
 
         data = self.retry.run(attempt, on_retry=partial(self._count, "retries_total"))
         try:
@@ -445,10 +443,9 @@ class CachingClient(Client):
 
     def _read(self, key: str, decode: Callable[[Any], R]) -> R | None:
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                return decode(json.load(fh))
+            return decode(load_json(self._path(key).read_bytes()))
         except (FileNotFoundError, ValueError, KeyError, TypeError, SchemaError):
-            return None  # absent, truncated, missing a field or holding a bad one: a miss
+            return None  # absent, undecodable, missing a field or holding a bad one: a miss
 
     def _write(self, key: str, value: dict) -> None:
         # writers sharing a cache directory each fill their own temp file

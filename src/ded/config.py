@@ -3,11 +3,10 @@ validation. The normalized config is echoed into every stage manifest."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
-from .records import Spec, at_least, check_object, one_of, within
+from .records import CorpusError, Spec, at_least, check_object, load_json, one_of, within
 
 
 def _stage_order(stages: list[Any]) -> str | None:
@@ -97,11 +96,9 @@ def validate_config(source: str | Path | dict[str, Any],
     from .pipeline import STAGE_TABLE  # pipeline imports this module
     if isinstance(source, (str, Path)):
         try:
-            raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
+            raw = load_json(Path(source).read_bytes())
+        except (OSError, CorpusError) as exc:
             raise ConfigError([f"cannot read config {source}: {exc}"]) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config {source} is not valid JSON: {exc}"]) from exc
     else:
         raw = dict(source)
     if not isinstance(raw, dict):

@@ -403,11 +403,9 @@ def trajectory_surface(text: str, unit: str = "char") -> str | list[str]:
     In token mode the delimiters act as separators so they never fuse the
     think segment's last token with the answer's first.
     """
-    if unit == "char":
-        return text.replace(THINK_OPEN, "").replace(THINK_CLOSE, "")
     if unit == "token":
         return text.replace(THINK_OPEN, " ").replace(THINK_CLOSE, " ").split()
-    raise DiversityError(f"unknown unit {unit!r}; expected char or token")
+    return text.replace(THINK_OPEN, "").replace(THINK_CLOSE, "")
 
 
 def _pack_distances(questions: Sequence[tuple[Sequence, int | None]]) -> tuple[
@@ -556,11 +554,6 @@ def diversify_corpus(trajectories: Sequence[TrajectoryRecord],
     each question's distance time in milliseconds, its pack's; it is run
     telemetry, which callers log rather than write with the report.
     """
-    if p < 1:
-        raise DiversityError("p must be >= 1")
-    if cap_ratio is not None and not (0 < cap_ratio <= 1):
-        raise DiversityError("cap_ratio must be in (0, 1]")
-
     groups: dict[str, list[TrajectoryRecord]] = {}
     for t in trajectories:
         groups.setdefault(t.question_id, []).append(t)

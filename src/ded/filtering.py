@@ -8,12 +8,12 @@ which convention produced a corpus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .config import FIELDS
-from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict, check_object
+from .records import QuestionRecord, TrajectoryRecord, VerificationVerdict
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -30,11 +30,6 @@ class FilterConfig:
     max_token_len: int = FIELDS["max_token_len"].default
     require_single_think_pair: bool = FIELDS["require_single_think_pair"].default
     token_estimator: str = FIELDS["token_estimator"].default
-
-    def validate(self) -> None:
-        _, problems = check_object({f.name: FIELDS[f.name] for f in fields(self)}, vars(self))
-        if problems:
-            raise FilterError("%s: %s" % problems[0])
 
 
 def check_format(trajectory: TrajectoryRecord,
@@ -227,7 +222,6 @@ def run_quality_gate(trajectories: Sequence[TrajectoryRecord],
     order, with each bucket sorted by trajectory_id.
     """
     config = config or FilterConfig()
-    config.validate()
     qmap = {q.question_id: q for q in questions}
     dangling = sorted({t.question_id for t in trajectories if t.question_id not in qmap})
     if dangling:

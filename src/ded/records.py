@@ -4,9 +4,11 @@ Every pipeline stage exchanges data through the record types defined here.
 Files are newline-delimited JSON, UTF-8, one record per line; unknown fields
 survive a parse/write round trip via each record's ``extra`` mapping. Each
 field is declared once, by a `Spec`; `check_object`, the one check of a JSON
-object against a table of them, serves records, config, fixture rows and gate.
+object against a table of them, serves records, config and fixture rows.
 `parse_corpus` reads every record file a command takes, the scores `ded rank`
 ranks (as JSONL or CSV) and the pass rates `ded stats pass1` reads among them.
+`load_json` is the one JSON decoder of everything `ded` reads: records,
+manifests, config, cache entries, replies and weights.
 """
 
 from __future__ import annotations
@@ -41,6 +43,33 @@ EPOCH_ISO = "1970-01-01T00:00:00+00:00"
 
 class CorpusError(ValueError):
     """Malformed corpus file or record invariant violation."""
+
+
+def _no_repeats(keys: Sequence[str]) -> None:
+    """CorpusError naming the first key that keys holds twice, if any."""
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise CorpusError(f"repeated key {key!r}")
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    data = dict(pairs)
+    if len(data) < len(pairs):  # RFC 8259 leaves what a repeated key means open
+        _no_repeats([key for key, _ in pairs])
+    return data
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
+def load_json(data: str | bytes) -> Any:
+    """data's JSON value (UTF-8 if bytes); CorpusError if invalid or an object repeats a key."""
+    try:
+        return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"invalid UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"invalid JSON: {exc.msg}") from exc
 
 
 # ------------------------------------------------------------ declarations
@@ -279,7 +308,7 @@ class TrajectoryRecord:
 class PassRateStats:
     """Per-question student success counts; exact rational pass rate."""
 
-    question_id: str = _field(str)
+    question_id: str = _field(str, check=_non_empty)
     runs: int = _field(int, check=at_least(1))
     successes: int = _field(int, check=at_least(0))
 
@@ -360,19 +389,15 @@ Record = Any  # any of the record dataclasses above
 
 def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> None:
     """Call load(line number, object) on each line of a JSONL file that is
-    not blank, in file order. A line that is not a UTF-8 JSON object is a
-    CorpusError. Each refusal, this function's or load's, is raised again as
-    its own type with "<path> line <n>: " in front, n counted from 1."""
+    not blank, in file order. A line that is not a JSON object (`load_json`)
+    is a CorpusError. Each refusal, this function's or load's, is raised again
+    as its own type with "<path> line <n>: " in front, n counted from 1."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.isspace():
                 continue
             try:
-                try:
-                    data = json.loads(raw.strip().decode("utf-8"))
-                except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-                    raise CorpusError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-                if not isinstance(data, dict):
+                if not isinstance(data := load_json(raw), dict):
                     raise CorpusError(f"not a JSON object, got {type(data).__name__}")
                 load(lineno, data)
             except ValueError as exc:
@@ -382,8 +407,8 @@ def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) ->
 def _read_csv(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> None:
     """`read_jsonl` for a UTF-8 CSV file, a byte-order mark skipped: load
     gets each row that is not blank as the object of the header's names and
-    the row's cells, all strings, the header being line 1. A row whose cell
-    count is not the header's is a CorpusError."""
+    the row's cells, all strings, the header being line 1. A header that
+    repeats a cell, or a row whose cell count is not the header's, is a CorpusError."""
     import csv
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -392,7 +417,7 @@ def _read_csv(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> 
         raise CorpusError(f"{path} line {lineno}: invalid UTF-8: {exc.reason}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader, [])
+        _no_repeats(header := next(reader, []))
         for cells in reader:
             if not cells:
                 continue
@@ -572,9 +597,8 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """The manifest at path; CorpusError naming the file (and field) if it is not one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return CorpusManifest.from_dict(json.load(fh))
-        except ValueError as exc:  # CorpusError and JSONDecodeError among them
-            raise CorpusError(f"{path} is not a manifest: {exc}") from exc
+    try:
+        return CorpusManifest.from_dict(load_json(Path(path).read_bytes()))
+    except CorpusError as exc:
+        raise CorpusError(f"{path} is not a manifest: {exc}") from exc
 

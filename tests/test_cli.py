@@ -350,9 +350,17 @@ class TestRankCommand:
             err = capsys.readouterr().err
             assert (f"{path} line 1: " in err) == (code == 3), err
 
+    def test_a_csv_cell_over_the_field_limit_exits_3_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                        f"{'t' * 200_000},s,b,50,1,40\n", encoding="utf-8")
+        assert main(["rank", "--scores", str(path)]) == 3
+        assert f"{path} line 2: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("weights", ["[1]", '{"AIME2024": "half"}', "{oops",
                                          '{"AIME2024": NaN}', '{"AIME2024": Infinity}',
-                                         '{"AIME2024": 1e400}'])
+                                         '{"AIME2024": 1e400}',
+                                         '{"MATH500": 0, "MATH500": 1}'])
     def test_weights_that_are_not_a_benchmark_map_are_refused(self, tmp_path, capsys, weights):
         from test_teacher import write_score_csv
         scores = write_score_csv(tmp_path / "scores.csv")
@@ -395,6 +403,13 @@ class TestStatsCommands:
         assert main(["stats", "pass1", "--outcomes", str(path)]) == 0
         assert "75.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stat,flag", [("pass1", "--outcomes"), ("lengths", "--in")])
+    def test_an_empty_file_exits_3(self, tmp_path, capsys, stat, flag):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        assert main(["stats", stat, flag, str(path)]) == 3
+        assert "at least one" in capsys.readouterr().err
+
     def test_pass1_refuses_a_repeated_question_naming_both_lines(self, tmp_path, capsys):
         rows = [{"question_id": "q", "runs": 2, "successes": 2}] * 2 + [
             {"question_id": "r", "runs": 2, "successes": 0}]
@@ -424,6 +439,10 @@ class TestStatsCommands:
         assert main(["stats", "lengths", "--in", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mean"] == 1001.5
+        out = tmp_path / "lengths.json"
+        assert main(["stats", "lengths", "--in", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == json.loads(
+            capsys.readouterr().out) == data
 
     def test_lengths_of_a_run_corpus_equal_its_lengths_row(self, tmp_path, capsys):
         import csv
@@ -517,6 +536,14 @@ class TestRunCommand:
         path.write_bytes(b'{"teacher_id": "caf\xe9"}')
         assert main([command, "--config", str(path)]) == 2
         assert f"cannot read config {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_a_config_that_repeats_a_key_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "twice.json"
+        path.write_text('{"stages": ["stats"], "seed": 1, "seed": 2}', encoding="utf-8")
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"cannot read config {path}: repeated key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -772,14 +799,16 @@ _LINE_FILES = {
                     ["stats", "pass1", "--outcomes", "{input}"]),
 }
 _BAD_LINES = {"invalid JSON": b"{oops", "invalid UTF-8": b'{"x": "\xff"}',
-              "not an object": b"[1, 2]", "misspelt kind": b'{"kind": "samples"}',
+              "not an object": b"[1, 2]", "repeated key": b'{"dup": 1, "dup": 2}',
+              "misspelt kind": b'{"kind": "samples"}',
               "responses a number": b'{"kind": "sample", "teacher_id": "t", "prompt": "p", '
                                     b'"responses": 5}'}
 
 
 @pytest.mark.parametrize("entry,line", [
     *((entry, line) for entry in _LINE_FILES for line in ["invalid JSON", "invalid UTF-8",
-                                                          "not an object", "blank"]),
+                                                          "not an object", "repeated key",
+                                                          "blank"]),
     ("sample --fixtures", "misspelt kind"),
     ("sample --fixtures", "responses a number"),
 ])
@@ -800,3 +829,4 @@ def test_every_line_file_refuses_a_bad_line_naming_file_and_line(tmp_path, capsy
         assert code == 0, err
     else:
         assert code == 3 and f"{path} line 2: " in err, err
+        assert line != "repeated key" or "repeated key 'dup'" in err, err

@@ -233,6 +233,15 @@ class TestHttpClient:
         assert len(calls) == 1
         assert client.retries_total == 0
 
+    def test_a_reply_that_repeats_a_key_is_a_schema_error_never_cached(self, tmp_path):
+        body = b'{"choices": [{"message": {"content": "a", "content": "b"}}]}'
+        client, calls = self._client([(200, body)] * 2)
+        cached = CachingClient(client, tmp_path / "cache")
+        with pytest.raises(SchemaError, match="repeated key 'content'"):
+            cached.sample_trajectories(_request())
+        assert len(calls) == 1 and client.retries_total == 0
+        assert not (tmp_path / "cache").exists()
+
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_a_malformed_reply_is_retried_as_transient(self, loopback, reply):
@@ -273,14 +282,15 @@ class TestCachingClient:
 
     @pytest.mark.parametrize("content", ['{"responses": ["a", "b"', '{"other": 1}', "[1]", "",
                                          '{"responses": [null, null]}', '{"responses": ["one"]}',
-                                         '{"responses": "ab"}'])
+                                         '{"responses": "ab"}',
+                                         '{"responses": ["a", "b"], "responses": ["c", "d"]}'])
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, content):
         client = CachingClient(MockClient(seed=2), tmp_path)  # a directory that exists
         path = client._path(_request(m=2).cache_key())
         path.write_text(content, encoding="utf-8")
         texts = client.sample_trajectories(_request(m=2))
         assert texts == MockClient(seed=2).sample_trajectories(_request(m=2))
-        assert client.hits == 0 and client.misses == 1
+        assert client.hits == 0 and client.misses == client.inner.requests_total == 1
         assert json.loads(path.read_text(encoding="utf-8")) == {"responses": texts}
         assert client.sample_trajectories(_request(m=2)) == texts
         assert client.hits == 1

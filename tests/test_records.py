@@ -9,8 +9,8 @@ import pytest
 
 from ded.records import (CorpusError, CorpusManifest, EmbeddingRecord, LogprobRecord,
                          PassRateStats, ScoreRecord, TrajectoryRecord, VerificationVerdict,
-                         content_hash, dumps_record, load_manifest, parse_corpus, save_manifest,
-                         write_corpus, write_json, write_manifest)
+                         content_hash, dumps_record, load_json, load_manifest, parse_corpus,
+                         save_manifest, write_corpus, write_json, write_manifest)
 
 from conftest import make_question, make_trajectory, well_formed_text
 from oracles import reference_content_hash
@@ -156,6 +156,7 @@ def test_pass_rates_keep_unknown_fields_and_derive_pass_rate():
     ("embeddings", {"item_id": "a", "phase": "before", "vector": ["1"]}, "vector"),
     ("scores", {"teacher_id": "t", "student_id": "s", "benchmark": "b", "acc": "high",
                 "mean_response_len": 1, "base_acc": "1"}, "acc"),
+    ("pass_rates", {"question_id": "", "runs": 1, "successes": 0}, "question_id"),
 ])
 def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
     path = tmp_path / f"{kind}.jsonl"
@@ -163,6 +164,30 @@ def test_parse_names_a_missing_or_mistyped_field(tmp_path, kind, row, field):
     with pytest.raises(CorpusError) as err:
         parse_corpus(path, kind)
     assert f"{path} line 1: " in str(err.value) and field in str(err.value)
+
+
+@pytest.mark.parametrize("document,problem", [
+    (b'{"a": 1, "a": 2}', "repeated key 'a'"),
+    (b'[{"a": 1}, {"b": {"c": [{"d": 1, "e": 2, "d": 1}]}}]', "repeated key 'd'"),
+    (b'{"a": 1', "invalid JSON: Expecting ',' delimiter"),
+    (b'{"a": "\xff"}', "invalid UTF-8: invalid start byte"),
+])
+def test_load_json_refuses_what_is_not_json_or_repeats_a_key(document, problem):
+    with pytest.raises(CorpusError, match=f"^{problem}"):
+        load_json(document)
+    # the same key in sibling objects is no repeat
+    assert load_json('[{"a": 1}, {"a": 2}]') == [{"a": 1}, {"a": 2}]
+
+
+def test_a_key_repeated_inside_a_verdict_names_the_line_and_key(tmp_path):
+    row = {"trajectory_id": "t1", "question_id": "q1", "teacher_id": "t", "sample_index": 0,
+           "text": "x", "verdict": {"status": "correct", "checker": "rule"}}
+    path = tmp_path / "trajectories.jsonl"
+    path.write_text(json.dumps(row).replace('"checker": "rule"',
+                                            '"checker": "rule", "checker": "judge"') + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{path} line 1: repeated key 'checker'$"):
+        parse_corpus(path, "trajectories")
 
 
 def test_a_verdict_that_does_not_check_is_named_with_its_trajectory():
@@ -319,6 +344,15 @@ def test_load_manifest_names_a_missing_field(tmp_path):
     del data["content_hash"]
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(CorpusError, match="content_hash: missing"):
+        load_manifest(path)
+
+
+def test_load_manifest_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "manifest_raw.json"
+    save_manifest(write_manifest("raw", [make_question(9)]), path)
+    path.write_text(path.read_text(encoding="utf-8").replace("{", '{"stage": "mixed",', 1),
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match="is not a manifest: repeated key 'stage'"):
         load_manifest(path)
 
 

@@ -131,6 +131,14 @@ class TestIngestScores:
             ingest_scores(path)
         assert f"{path} line 2: invalid UTF-8" in str(err.value)
 
+    def test_csv_header_that_repeats_a_cell_is_refused(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc,acc\n"
+                        "t,s,b,50,1,40,90\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            ingest_scores(path)
+        assert str(err.value) == f"{path} line 1: repeated key 'acc'"
+
     def test_csv_with_a_byte_order_mark_is_read(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
