@@ -13,10 +13,9 @@ import math
 import sys
 from pathlib import Path
 
-from .clients import ClientError
 from .config import ConfigError, validate_config
 from .filtering import FilterConfig, token_lengths
-from .pipeline import EXIT_CLIENT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
+from .pipeline import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, run_pipeline
 from .records import (CORPUS_KINDS, CorpusError, load_json, parse_corpus, save_manifest, write_json,
                       write_manifest)
 from .teacher import TRAINING_HYPERPARAMETERS, TeacherSelectError, ingest_scores, rank_teachers
@@ -163,9 +162,8 @@ def _cmd_rank(args) -> int:
 def _cmd_stats(args) -> int:
     from . import diagnostics
     if args.stat == "pass1":
-        matrix = [[i < s.successes for i in range(s.runs)]
-                  for s in parse_corpus(args.outcomes, "pass_rates")]
-        print(f"pass@1: {diagnostics.pass_at_1(matrix):.2f}")
+        rates = parse_corpus(args.outcomes, "pass_rates")
+        print(f"pass@1: {diagnostics.pass_at_1(rates):.2f}")
         return EXIT_OK
     if args.stat == "entropy":
         summary = diagnostics.entropy_summary(parse_corpus(args.logprobs, "logprobs"))
@@ -206,9 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except ClientError as exc:
-        print(f"client failure: {exc}", file=sys.stderr)
-        return EXIT_CLIENT
     except (ValueError, OSError) as exc:  # CorpusError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE

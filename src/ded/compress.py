@@ -22,16 +22,6 @@ class CompressError(ValueError):
     pass
 
 
-def pass_rate(outcomes: Sequence[bool], runs: int, question_id: str = "") -> PassRateStats:
-    """Exact rational success rate over a fixed number of runs."""
-    if runs < 1:
-        raise CompressError("runs must be >= 1")
-    if len(outcomes) != runs:
-        raise CompressError(f"expected {runs} outcomes, got {len(outcomes)}")
-    return PassRateStats(question_id=question_id, runs=runs,
-                         successes=sum(1 for o in outcomes if o))
-
-
 @dataclass
 class CompressionReport:
     tau: float
@@ -111,5 +101,6 @@ def student_rollout(question: QuestionRecord,
     """
     responses = sample_teacher(question, client, student_id, runs,
                                temperature=temperature, seed=seed)
-    outcomes = [response_is_correct(r.text, question, client) for r in responses]
-    return pass_rate(outcomes, runs, question_id=question.question_id)
+    return PassRateStats(question.question_id, runs,
+                         successes=sum(response_is_correct(r.text, question, client)
+                                       for r in responses))

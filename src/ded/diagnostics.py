@@ -1,5 +1,6 @@
 """Corpus diagnostics: token entropy, length statistics, latent centroid
-shift under PCA, and pass@1 aggregation, plus the report renderer.
+shift under PCA, and pass@1 aggregated over pass-rate counts, plus the
+report renderer.
 
 Entropy is reported in nats. The median convention throughout is the lower
 of the two central values for even counts, which keeps integer statistics
@@ -18,7 +19,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .records import PHASES, CorpusManifest, EmbeddingRecord, LogprobRecord, replacing
+from .records import (PHASES, CorpusManifest, EmbeddingRecord, LogprobRecord, PassRateStats,
+                      replacing)
 
 # Flag the single-bucket residual approximation once it stops being small.
 RESIDUAL_FLAG_THRESHOLD = 0.05
@@ -210,19 +212,18 @@ def pca_shift(before: Sequence[EmbeddingRecord],
     return PcaShift(components=k, dis=dis, explained_variance_ratio=ratios)
 
 
-def pass_at_1(matrix: Sequence[Sequence[bool]]) -> float:
-    """Mean per-run accuracy over a questions-by-runs correctness matrix,
-    as a percentage with two decimals."""
-    if not matrix:
+def pass_at_1(stats: Sequence[PassRateStats]) -> float:
+    """Total successes over total runs of questions run equally often, as a
+    percentage with two decimals."""
+    if not stats:
         raise DiagnosticsError("pass@1 needs at least one question row")
-    runs = len(matrix[0])
-    if runs < 1:
-        raise DiagnosticsError("pass@1 needs at least one run column")
-    for i, row in enumerate(matrix):
-        if len(row) != runs:
-            raise DiagnosticsError(f"ragged matrix: row {i} has {len(row)} runs, expected {runs}")
-    correct = sum(1 for row in matrix for cell in row if cell)
-    pct = Fraction(correct, runs * len(matrix)) * 100
+    runs = stats[0].runs
+    for s in stats:
+        if s.runs != runs:
+            raise DiagnosticsError(
+                f"stats {s.question_id}: runs {s.runs} differs from {runs} "
+                f"of stats {stats[0].question_id}")
+    pct = Fraction(sum(s.successes for s in stats), runs * len(stats)) * 100
     return float(round(pct, 2))
 
 

@@ -407,14 +407,17 @@ def read_jsonl(path: str | Path, load: Callable[[int, dict[str, Any]], None]) ->
 def _read_csv(path: str | Path, load: Callable[[int, dict[str, Any]], None]) -> None:
     """`read_jsonl` for a UTF-8 CSV file, a byte-order mark skipped: load
     gets each row that is not blank as the object of the header's names and
-    the row's cells, all strings, the header being line 1. A header that
-    repeats a cell, or a row whose cell count is not the header's, is a CorpusError."""
+    the row's cells, all strings, the header being line 1. A NUL byte, a
+    header that repeats a cell, or a row whose cell count is not the header's,
+    is a CorpusError."""
     import csv
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusError(f"{path} line {lineno}: invalid UTF-8: {exc.reason}") from exc
+    if (nul := text.find("\0")) >= 0:  # csv reads it into a cell on 3.11, refuses it on 3.10
+        raise CorpusError(f"{path} line {text.count(chr(10), 0, nul) + 1}: NUL byte")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         _no_repeats(header := next(reader, []))

@@ -363,7 +363,8 @@ def completion_reply(contents: list) -> bytes:
 
 class _CannedReply(socketserver.StreamRequestHandler):
     """Reads one HTTP request, answers it with the server's `reply` bytes
-    and closes the connection."""
+    and closes the connection; the next of the server's `later` replies, if
+    any, then becomes its `reply`."""
 
     def handle(self):
         length = 0
@@ -376,6 +377,8 @@ class _CannedReply(socketserver.StreamRequestHandler):
         self.rfile.read(length)
         self.server.requests += 1
         self.wfile.write(self.server.reply)
+        if self.server.later:
+            self.server.reply = self.server.later.pop(0)
 
 
 @pytest.fixture
@@ -389,14 +392,15 @@ def no_proxy(monkeypatch):
 
 @pytest.fixture
 def loopback(no_proxy):
-    """`serve(reply)` starts a server on 127.0.0.1 that answers every
-    request with the bytes `reply`, and returns it; its `base_url` is for
-    `HttpClient` and `requests` counts the requests it read."""
+    """`serve(reply, *later)` starts a server on 127.0.0.1 that answers its
+    first request with the bytes `reply`, each next one with the next of
+    `later` and every one after those with the last, and returns it; its
+    `base_url` is for `HttpClient` and `requests` counts the requests it read."""
     started = []
 
-    def serve(reply: bytes) -> socketserver.TCPServer:
+    def serve(reply: bytes, *later: bytes) -> socketserver.TCPServer:
         server = socketserver.TCPServer(("127.0.0.1", 0), _CannedReply)
-        server.reply, server.requests = reply, 0
+        server.reply, server.later, server.requests = reply, list(later), 0
         server.base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -164,8 +164,9 @@ def test_criterion_08_pass_at_1_aggregation():
     rng = random.Random(808)
     cells = [True] * 360 + [False] * 120
     rng.shuffle(cells)
-    matrix = [cells[i * 16:(i + 1) * 16] for i in range(30)]
-    assert pass_at_1(matrix) == 75.00
+    stats = [PassRateStats(f"q{i}", runs=16, successes=sum(cells[i * 16:(i + 1) * 16]))
+             for i in range(30)]
+    assert pass_at_1(stats) == 75.00
 
 
 def test_criterion_09_pipeline_determinism(tmp_path):

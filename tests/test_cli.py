@@ -350,6 +350,15 @@ class TestRankCommand:
             err = capsys.readouterr().err
             assert (f"{path} line 1: " in err) == (code == 3), err
 
+    @pytest.mark.parametrize("name,content", [
+        ("scores.jsonl", ""),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n")])
+    def test_a_file_without_score_rows_exits_3(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        assert main(["rank", "--scores", str(path)]) == 3
+        assert "no score records" in capsys.readouterr().err
+
     def test_a_csv_cell_over_the_field_limit_exits_3_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
         path.write_text("teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
@@ -396,12 +405,20 @@ class TestStatsCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["dis"] == pytest.approx(5.0, abs=1e-6)
 
+    def test_pca_shift_with_one_phase_exits_3(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(json.dumps({"item_id": f"b{i}", "phase": "before",
+                                           "vector": [float(i), 1.0]}) + "\n"
+                               for i in range(3)), encoding="utf-8")
+        assert main(["stats", "pca-shift", "--embeddings", str(emb)]) == 3
+        assert "both phases must be non-empty" in capsys.readouterr().err
+
     def test_pass1_command(self, tmp_path, capsys):
         rows = [{"question_id": f"q{i}", "runs": 16, "successes": 12} for i in range(30)]
         path = tmp_path / "rates.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
         assert main(["stats", "pass1", "--outcomes", str(path)]) == 0
-        assert "75.00" in capsys.readouterr().out
+        assert capsys.readouterr().out == "pass@1: 75.00\n"
 
     @pytest.mark.parametrize("stat,flag", [("pass1", "--outcomes"), ("lengths", "--in")])
     def test_an_empty_file_exits_3(self, tmp_path, capsys, stat, flag):
@@ -529,6 +546,25 @@ class TestRunCommand:
         path = tmp_path / "missing.json"
         assert main([command, "--config", str(path)]) == 2
         assert f"cannot read config {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_a_config_whose_root_is_not_an_object_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config root must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_raw_manifest_that_is_not_an_object_fails_filter(self, tmp_path, capsys):
+        config_path = str(_config_file(tmp_path))
+        assert main(["sample", "--config", config_path]) == 0
+        path = tmp_path / "out" / "manifest_raw.json"
+        path.write_text("[1]", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["filter", "--config", config_path]) == 3
+        assert (f"{path} is not a manifest: manifest: expected a JSON object, got list"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "manifest_right.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_a_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):

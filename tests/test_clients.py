@@ -17,7 +17,8 @@ from ded.clients import (AuthenticationError, CachingClient, Client, HttpClient,
                          SchemaError, TransportError, load_mock_fixtures, parse_judge_reply)
 from ded.records import CorpusError
 
-from conftest import MALFORMED_REPLIES, MockTransport, build_pipeline_fixture
+from conftest import (MALFORMED_REPLIES, MockTransport, build_pipeline_fixture,
+                      completion_reply)
 
 
 def _fan_out(fn, items, width):
@@ -242,6 +243,26 @@ class TestHttpClient:
         assert len(calls) == 1 and client.retries_total == 0
         assert not (tmp_path / "cache").exists()
 
+
+    def test_an_unexpected_status_is_a_schema_error_after_one_attempt(self):
+        client, calls = self._client([(404, b"no such route"), self._ok_body(["x"])])
+        with pytest.raises(SchemaError, match="unexpected HTTP 404: b'no such route'"):
+            client.sample_trajectories(_request())
+        assert len(calls) == 1 and client.retries_total == 0
+
+    def test_a_choice_without_a_message_is_a_malformed_completion(self):
+        client, calls = self._client([(200, b'{"choices": [{}]}')] * 2)
+        with pytest.raises(SchemaError, match="malformed completion response: 'message'"):
+            client.sample_trajectories(_request())
+        assert len(calls) == 1 and client.retries_total == 0
+
+    def test_a_transient_status_over_urllib_is_retried(self, loopback):
+        server = loopback(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n",
+                          completion_reply(["x"]))
+        client = HttpClient(base_url=server.base_url, timeout=10,
+                            retry=RetryPolicy(budget=2, sleep=lambda _: None))
+        assert client.sample_trajectories(_request()) == ["x"]
+        assert (server.requests, client.requests_total, client.retries_total) == (2, 2, 1)
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_a_malformed_reply_is_retried_as_transient(self, loopback, reply):

@@ -8,8 +8,7 @@ import pytest
 
 from ded.clients import (CachingClient, HttpClient, MockClient, RetryBudgetExceededError,
                          RetryPolicy)
-from ded.compress import (CompressError, pass_rate, response_is_correct, select_hard,
-                          student_rollout)
+from ded.compress import CompressError, response_is_correct, select_hard, student_rollout
 from ded.records import PassRateStats
 
 from conftest import MockTransport, ProbeClient, make_question
@@ -17,21 +16,13 @@ from conftest import MockTransport, ProbeClient, make_question
 
 class TestPassRate:
     def test_twelve_of_sixteen(self):
-        stats = pass_rate([True] * 12 + [False] * 4, 16, question_id="q")
+        stats = PassRateStats("q", runs=16, successes=12)
         assert stats.pass_rate == Fraction(3, 4)
         assert float(stats.pass_rate) == 0.75
 
     def test_zero_and_saturation(self):
-        assert pass_rate([False] * 16, 16).pass_rate == 0
-        assert pass_rate([True] * 16, 16).pass_rate == 1
-
-    def test_zero_runs_errors(self):
-        with pytest.raises(CompressError):
-            pass_rate([], 0)
-
-    def test_outcome_count_must_match_runs(self):
-        with pytest.raises(CompressError):
-            pass_rate([True], 2)
+        assert PassRateStats("q", runs=16, successes=0).pass_rate == 0
+        assert PassRateStats("q", runs=16, successes=16).pass_rate == 1
 
 
 def _stats(qid: str, successes: int, runs: int = 4) -> PassRateStats:

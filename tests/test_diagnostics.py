@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ded.diagnostics import (DiagnosticsError, emit_report, entropy_histogram_svg,
                              entropy_summary, length_summary, pass_at_1, pca_shift,
                              token_entropy)
-from ded.records import EmbeddingRecord, LogprobRecord, write_manifest
+from ded.records import EmbeddingRecord, LogprobRecord, PassRateStats, write_manifest
 
 from conftest import make_question, make_trajectory
 
@@ -199,35 +199,43 @@ class TestPcaShift:
         assert shift.dis == pytest.approx(2.0, abs=1e-6)
 
 
+def _rows(matrix):
+    """The pass-rate counts of a questions-by-runs matrix of outcomes."""
+    return [PassRateStats(f"q{i}", runs=len(row), successes=sum(row))
+            for i, row in enumerate(matrix)]
+
+
 class TestPassAt1:
     def test_all_correct(self):
-        assert pass_at_1([[True] * 16 for _ in range(30)]) == 100.00
+        assert pass_at_1(_rows([[True] * 16 for _ in range(30)])) == 100.00
 
     def test_all_wrong(self):
-        assert pass_at_1([[False] * 16 for _ in range(30)]) == 0.00
+        assert pass_at_1(_rows([[False] * 16 for _ in range(30)])) == 0.00
 
     def test_360_of_480(self):
         rng = random.Random(2)
         cells = [True] * 360 + [False] * 120
         rng.shuffle(cells)
         matrix = [cells[i * 16:(i + 1) * 16] for i in range(30)]
-        assert pass_at_1(matrix) == 75.00
+        assert pass_at_1(_rows(matrix)) == 75.00
 
     def test_permutation_invariance(self):
         rng = random.Random(4)
         matrix = [[rng.random() < 0.5 for _ in range(8)] for _ in range(10)]
-        base = pass_at_1(matrix)
+        base = pass_at_1(_rows(matrix))
         rows = matrix[:]
         rng.shuffle(rows)
-        assert pass_at_1(rows) == base
+        assert pass_at_1(_rows(rows)) == base
         cols = list(range(8))
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in matrix]
-        assert pass_at_1(permuted) == base
+        assert pass_at_1(_rows(permuted)) == base
 
-    def test_ragged_matrix_rejected(self):
-        with pytest.raises(DiagnosticsError):
-            pass_at_1([[True, False], [True]])
+    def test_unequal_runs_rejected(self):
+        with pytest.raises(DiagnosticsError) as err:
+            pass_at_1([PassRateStats("a", runs=2, successes=1),
+                       PassRateStats("b", runs=1, successes=1)])
+        assert str(err.value) == "stats b: runs 1 differs from 2 of stats a"
 
 
 class TestEmitReport:

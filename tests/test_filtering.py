@@ -232,6 +232,14 @@ class TestQualityGate:
         assert len(result.needs_judge) == 1
         assert "no boxed answer" in result.needs_judge[0].verdict.detail
 
+    def test_a_boxed_without_a_brace_routes_to_judge(self):
+        q = make_question(1, gt="42")
+        text = "<think>steps</think>The answer is \\boxed 42."
+        assert extract_final_answer(text) is None
+        result = run_quality_gate([make_trajectory(q, 0, text)], [q])
+        assert len(result.needs_judge) == 1
+        assert "no boxed answer" in result.needs_judge[0].verdict.detail
+
     def test_gate_monotone_in_max_token_len(self, gate_fixture):
         questions, trajectories = gate_fixture
         kept_small = {t.trajectory_id for t in

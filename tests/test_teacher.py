@@ -100,6 +100,9 @@ class TestIngestScores:
                        "t,s,b,50,1,40\nt,s,b2,50,long,40",
          "score t/s/b2: mean_response_len: must be a finite number >= 0, got 'long'"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
+                       "t,s,b,50,1,40\n\nt,s,b2,50,long,40",
+         "score t/s/b2: mean_response_len: must be a finite number >= 0, got 'long'"),
+        ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                        "t,s,b,50,nan,40",
          "score t/s/b: mean_response_len: must be a finite number >= 0, got 'nan'"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
@@ -110,11 +113,12 @@ class TestIngestScores:
          "score t/s/b: mean_response_len: must be a finite number >= 0, got '-5'"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                        "t,s,b,50,1,4\x000",
-         "score t/s/b: base_acc: must be a finite number in [0, 100], got '4\\x000'"),
+         "NUL byte"),
         ("scores.csv", "teacher_id,student_id,benchmark,acc,mean_response_len,base_acc\n"
                        "t,s,b,5O,1,40",
          "score t/s/b: acc: must be a finite number in [0, 100], got '5O'"),
-    ], ids=["acc NaN", "length a list", "length a JSON NaN", "length a word", "length nan",
+    ], ids=["acc NaN", "length a list", "length a JSON NaN", "length a word",
+            "length a word after a blank row", "length nan",
             "length inf", "length negative", "base a NUL byte", "acc a letter"])
     def test_bad_number_names_file_and_line(self, tmp_path, name, row, problem):
         path = tmp_path / name
